@@ -46,7 +46,6 @@ from repro.experiments.config import (
     wan_scenario,
 )
 from repro.experiments.figures import (
-    SweepSeries,
     figure_7,
     figure_8,
     figure_9,
@@ -61,10 +60,9 @@ from repro.experiments.faults import (
     CampaignError,
     CampaignInterrupted,
     CompletenessReport,
-    merge_reports,
 )
 from repro.experiments.journal import CampaignJournal
-from repro.experiments.runner import run_replicated
+from repro.experiments.runner import sweep_campaign
 from repro.experiments.topology import Scheme, run_scenario
 
 SCHEMES = {s.value: s for s in Scheme}
@@ -226,31 +224,39 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace, journal) -> int:
     scheme = SCHEMES[args.scheme]
-    engine = _engine_kwargs(args, journal)
-    reports: List[CompletenessReport] = []
-    rows = []
+    transfer_bytes = args.transfer_kb * 1024
     if args.lan:
-        for bad in LAN_BAD_PERIODS:
-            r = run_replicated(
-                lan_scenario(
-                    scheme=scheme,
-                    bad_period_mean=bad,
-                    transfer_bytes=args.transfer_kb * 1024,
-                ),
-                replications=args.replications,
-                base_seed=args.seed,
-                **engine,
-            )
-            reports.append(r.report)
-            rows.append(
-                [
-                    f"{bad:g}",
-                    f"{r.throughput_mbps:.3f}",
-                    f"{lan_theoretical_mbps(bad):.3f}",
-                    f"{r.goodput_mean:.3f}",
-                    f"{r.timeouts_mean:.1f}",
-                ]
-            )
+        values = LAN_BAD_PERIODS
+        make_config = lambda bad: lan_scenario(
+            scheme=scheme, bad_period_mean=bad, transfer_bytes=transfer_bytes
+        )
+    else:
+        values = WAN_PACKET_SIZES
+        make_config = lambda size: wan_scenario(
+            scheme=scheme,
+            packet_size=size,
+            bad_period_mean=args.bad_period,
+            transfer_bytes=transfer_bytes,
+            record_trace=False,
+        )
+    campaign = sweep_campaign(
+        values,
+        make_config,
+        replications=args.replications,
+        base_seed=args.seed,
+        **_engine_kwargs(args, journal),
+    )
+    if args.lan:
+        rows = [
+            [
+                f"{bad:g}",
+                f"{r.throughput_mbps:.3f}",
+                f"{lan_theoretical_mbps(bad):.3f}",
+                f"{r.goodput_mean:.3f}",
+                f"{r.timeouts_mean:.1f}",
+            ]
+            for bad, r in campaign.points.items()
+        ]
         print(
             format_table(
                 ["bad(s)", "tput(Mbps)", "tput_th", "goodput", "timeouts/run"],
@@ -259,28 +265,15 @@ def _run_sweep(args: argparse.Namespace, journal) -> int:
             )
         )
     else:
-        for size in WAN_PACKET_SIZES:
-            r = run_replicated(
-                wan_scenario(
-                    scheme=scheme,
-                    packet_size=size,
-                    bad_period_mean=args.bad_period,
-                    transfer_bytes=args.transfer_kb * 1024,
-                    record_trace=False,
-                ),
-                replications=args.replications,
-                base_seed=args.seed,
-                **engine,
-            )
-            reports.append(r.report)
-            rows.append(
-                [
-                    f"{size}",
-                    f"{r.throughput_kbps:.2f}",
-                    f"{r.goodput_mean:.3f}",
-                    f"{r.timeouts_mean:.1f}",
-                ]
-            )
+        rows = [
+            [
+                f"{size}",
+                f"{r.throughput_kbps:.2f}",
+                f"{r.goodput_mean:.3f}",
+                f"{r.timeouts_mean:.1f}",
+            ]
+            for size, r in campaign.points.items()
+        ]
         print(
             format_table(
                 ["size(B)", "tput(kbps)", "goodput", "timeouts/run"],
@@ -292,24 +285,7 @@ def _run_sweep(args: argparse.Namespace, journal) -> int:
                 ),
             )
         )
-    return _finish_campaign(merge_reports(reports))
-
-
-def _figure_reports(data) -> List[CompletenessReport]:
-    """Every completeness report buried in a figure's nested series."""
-    reports: List[CompletenessReport] = []
-
-    def walk(obj) -> None:
-        if isinstance(obj, dict):
-            for value in obj.values():
-                walk(value)
-        elif isinstance(obj, SweepSeries):
-            for result in obj.points.values():
-                if result.report is not None:
-                    reports.append(result.report)
-
-    walk(data)
-    return reports
+    return _finish_campaign(campaign.report)
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -340,7 +316,7 @@ def _run_figure(args: argparse.Namespace, journal) -> int:
         ]
         rows.append(["tput_th"] + [f"{wan_theoretical_kbps(b):.2f}" for b in WAN_BAD_PERIODS])
         print(format_table(header, rows, title=f"Figure {n} (throughput, kbps):"))
-        return _finish_campaign(merge_reports(_figure_reports(series)))
+        return _finish_campaign(series[WAN_BAD_PERIODS[0]].report)
     if n == 9:
         data = figure_9(replications=reps, **engine)
         for label, series in data.items():
@@ -354,7 +330,7 @@ def _run_figure(args: argparse.Namespace, journal) -> int:
                 for size in WAN_PACKET_SIZES
             ]
             print(format_table(header, rows, title=f"Figure 9, {label} (KB retransmitted):"))
-        return _finish_campaign(merge_reports(_figure_reports(data)))
+        return _finish_campaign(data["basic"][WAN_BAD_PERIODS[0]].report)
     if n in (10, 11):
         data = (
             figure_10(replications=reps, **engine)
@@ -392,7 +368,7 @@ def _run_figure(args: argparse.Namespace, journal) -> int:
                     ["bad(s)", "basic(KB)", "ebsn(KB)"], rows, title="Figure 11:"
                 )
             )
-        return _finish_campaign(merge_reports(_figure_reports(data)))
+        return _finish_campaign(data["basic"].report)
     print(f"unknown figure {n}; know 3, 4, 5, 7, 8, 9, 10, 11", file=sys.stderr)
     return 2
 

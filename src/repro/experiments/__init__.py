@@ -54,7 +54,6 @@ from repro.experiments.faults import (
     UnitQuarantined,
     UnitTimeout,
     WorkerCrashed,
-    merge_reports,
 )
 from repro.experiments.journal import CampaignJournal
 
@@ -87,7 +86,6 @@ __all__ = [
     "UnitQuarantined",
     "UnitTimeout",
     "WorkerCrashed",
-    "merge_reports",
     "CampaignJournal",
     "ResultCache",
     "config_digest",

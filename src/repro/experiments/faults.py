@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 #: The structured failure kinds (``UnitFailure.kind`` values).
 FAULT_TIMEOUT = "timeout"
@@ -212,15 +212,3 @@ class CompletenessReport:
             lines.extend(f"  - {f.describe()}" for f in self.quarantined)
         return "\n".join(lines)
 
-
-def merge_reports(reports: Sequence[CompletenessReport]) -> CompletenessReport:
-    """Fold per-point reports into one campaign-wide report."""
-    return CompletenessReport(
-        total=sum(r.total for r in reports),
-        completed=sum(r.completed for r in reports),
-        from_cache=sum(r.from_cache for r in reports),
-        from_journal=sum(r.from_journal for r in reports),
-        quarantined=tuple(f for r in reports for f in r.quarantined),
-        cache_write_seconds=sum(r.cache_write_seconds for r in reports),
-        journal_write_seconds=sum(r.journal_write_seconds for r in reports),
-    )

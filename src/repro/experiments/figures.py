@@ -7,7 +7,11 @@ prints the same rows the paper plots; EXPERIMENTS.md records the
 comparison.
 
 Transfer sizes can be scaled down (``transfer_bytes``) to trade
-fidelity for runtime; defaults are the paper's.
+fidelity for runtime; defaults are the paper's.  Each of Figs 7-11
+submits every seeded unit of every plotted point as one campaign
+(:func:`~repro.experiments.runner.sweep_campaign`) and forwards its
+``**campaign`` keywords to
+:class:`~repro.experiments.parallel.ParallelRunner`.
 """
 
 from __future__ import annotations
@@ -25,9 +29,8 @@ from repro.experiments.config import (
     trace_example_scenario,
     wan_scenario,
 )
-from repro.experiments.cache import ResultCache
-from repro.experiments.journal import CampaignJournal
-from repro.experiments.runner import ReplicatedResult, run_replicated
+from repro.experiments.faults import CompletenessReport
+from repro.experiments.runner import ReplicatedResult, sweep_campaign
 from repro.experiments.topology import ScenarioResult, Scheme, run_scenario
 from repro.metrics.theoretical import theoretical_throughput_bps
 
@@ -38,6 +41,12 @@ class SweepSeries:
 
     label: str
     points: Dict[float, ReplicatedResult] = field(default_factory=dict)
+
+    @property
+    def report(self) -> Optional[CompletenessReport]:
+        """Completeness of the campaign behind this curve; every curve
+        of one figure shares it."""
+        return next((r.report for r in self.points.values()), None)
 
     def throughputs_kbps(self) -> List[float]:
         """The curve's y-values in kbit/s, in x order."""
@@ -75,37 +84,40 @@ def trace_figure(
 
 
 def _wan_packet_sweep(
-    scheme: Scheme,
+    schemes: List[Scheme],
     bad_periods: List[float],
     packet_sizes: List[int],
     replications: int,
     transfer_bytes: int,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
-) -> Dict[float, SweepSeries]:
-    series: Dict[float, SweepSeries] = {}
-    for bad in bad_periods:
-        curve = SweepSeries(label=f"bad period = {bad:g} sec")
-        for size in packet_sizes:
-            config = wan_scenario(
-                scheme=scheme,
-                packet_size=size,
-                bad_period_mean=bad,
-                transfer_bytes=transfer_bytes,
-                record_trace=False,
+    **campaign,
+) -> Dict[str, Dict[float, SweepSeries]]:
+    """Every ``(scheme, bad, size)`` point as one campaign, regrouped
+    into one curve per bad period for each scheme (keyed by name)."""
+    grid = [
+        (s, bad, size) for s in schemes for bad in bad_periods for size in packet_sizes
+    ]
+    points = sweep_campaign(
+        grid,
+        lambda point: wan_scenario(
+            scheme=point[0],
+            bad_period_mean=point[1],
+            packet_size=point[2],
+            transfer_bytes=transfer_bytes,
+            record_trace=False,
+        ),
+        replications,
+        **campaign,
+    ).points
+    return {
+        s.value: {
+            bad: SweepSeries(
+                label=f"bad period = {bad:g} sec",
+                points={size: points[s, bad, size] for size in packet_sizes},
             )
-            curve.points[size] = run_replicated(
-                config, replications, workers=workers, cache=cache,
-                validate=validate, timeout=timeout, retries=retries,
-                fail_fast=fail_fast, journal=journal,
-            )
-        series[bad] = curve
-    return series
+            for bad in bad_periods
+        }
+        for s in schemes
+    }
 
 
 def figure_7(
@@ -113,29 +125,21 @@ def figure_7(
     packet_sizes: Optional[List[int]] = None,
     bad_periods: Optional[List[float]] = None,
     transfer_bytes: int = WAN_TRANSFER_BYTES,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    **campaign,
 ) -> Dict[float, SweepSeries]:
-    """Fig 7: basic TCP throughput vs packet size, one curve per bad period."""
+    """Fig 7: basic TCP throughput vs packet size, one curve per bad period.
+
+    The whole figure is one campaign; ``**campaign`` is forwarded to
+    :class:`~repro.experiments.parallel.ParallelRunner`.
+    """
     return _wan_packet_sweep(
-        Scheme.BASIC,
+        [Scheme.BASIC],
         bad_periods or WAN_BAD_PERIODS,
         packet_sizes or WAN_PACKET_SIZES,
         replications,
         transfer_bytes,
-        workers=workers,
-        cache=cache,
-        validate=validate,
-        timeout=timeout,
-        retries=retries,
-        fail_fast=fail_fast,
-        journal=journal,
-    )
+        **campaign,
+    )[Scheme.BASIC.value]
 
 
 def figure_8(
@@ -143,29 +147,21 @@ def figure_8(
     packet_sizes: Optional[List[int]] = None,
     bad_periods: Optional[List[float]] = None,
     transfer_bytes: int = WAN_TRANSFER_BYTES,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    **campaign,
 ) -> Dict[float, SweepSeries]:
-    """Fig 8: EBSN throughput vs packet size, one curve per bad period."""
+    """Fig 8: EBSN throughput vs packet size, one curve per bad period.
+
+    The whole figure is one campaign; ``**campaign`` is forwarded to
+    :class:`~repro.experiments.parallel.ParallelRunner`.
+    """
     return _wan_packet_sweep(
-        Scheme.EBSN,
+        [Scheme.EBSN],
         bad_periods or WAN_BAD_PERIODS,
         packet_sizes or WAN_PACKET_SIZES,
         replications,
         transfer_bytes,
-        workers=workers,
-        cache=cache,
-        validate=validate,
-        timeout=timeout,
-        retries=retries,
-        fail_fast=fail_fast,
-        journal=journal,
-    )
+        **campaign,
+    )[Scheme.EBSN.value]
 
 
 def figure_9(
@@ -173,45 +169,21 @@ def figure_9(
     packet_sizes: Optional[List[int]] = None,
     bad_periods: Optional[List[float]] = None,
     transfer_bytes: int = WAN_TRANSFER_BYTES,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    **campaign,
 ) -> Dict[str, Dict[float, SweepSeries]]:
-    """Fig 9: data retransmitted vs packet size — basic TCP vs EBSN."""
-    return {
-        "basic": _wan_packet_sweep(
-            Scheme.BASIC,
-            bad_periods or WAN_BAD_PERIODS,
-            packet_sizes or WAN_PACKET_SIZES,
-            replications,
-            transfer_bytes,
-            workers=workers,
-            cache=cache,
-            validate=validate,
-            timeout=timeout,
-            retries=retries,
-            fail_fast=fail_fast,
-            journal=journal,
-        ),
-        "ebsn": _wan_packet_sweep(
-            Scheme.EBSN,
-            bad_periods or WAN_BAD_PERIODS,
-            packet_sizes or WAN_PACKET_SIZES,
-            replications,
-            transfer_bytes,
-            workers=workers,
-            cache=cache,
-            validate=validate,
-            timeout=timeout,
-            retries=retries,
-            fail_fast=fail_fast,
-            journal=journal,
-        ),
-    }
+    """Fig 9: data retransmitted vs packet size — basic TCP vs EBSN.
+
+    Both schemes run in one campaign; ``**campaign`` is forwarded to
+    :class:`~repro.experiments.parallel.ParallelRunner`.
+    """
+    return _wan_packet_sweep(
+        [Scheme.BASIC, Scheme.EBSN],
+        bad_periods or WAN_BAD_PERIODS,
+        packet_sizes or WAN_PACKET_SIZES,
+        replications,
+        transfer_bytes,
+        **campaign,
+    )
 
 
 def wan_theoretical_kbps(bad_period_mean: float, good_period_mean: float = 10.0) -> float:
@@ -227,79 +199,60 @@ def wan_theoretical_kbps(bad_period_mean: float, good_period_mean: float = 10.0)
 
 
 def _lan_bad_sweep(
-    scheme: Scheme,
+    schemes: List[Scheme],
     bad_periods: List[float],
     replications: int,
     transfer_bytes: int,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
-) -> SweepSeries:
-    curve = SweepSeries(label=scheme.value)
-    for bad in bad_periods:
-        config = lan_scenario(
-            scheme=scheme, bad_period_mean=bad, transfer_bytes=transfer_bytes
+    **campaign,
+) -> Dict[str, SweepSeries]:
+    """Every ``(scheme, bad)`` point as one campaign, one curve per scheme."""
+    points = sweep_campaign(
+        [(s, bad) for s in schemes for bad in bad_periods],
+        lambda point: lan_scenario(
+            scheme=point[0], bad_period_mean=point[1], transfer_bytes=transfer_bytes
+        ),
+        replications,
+        **campaign,
+    ).points
+    return {
+        s.value: SweepSeries(
+            label=s.value, points={bad: points[s, bad] for bad in bad_periods}
         )
-        curve.points[bad] = run_replicated(
-            config, replications, workers=workers, cache=cache,
-            validate=validate, timeout=timeout, retries=retries,
-            fail_fast=fail_fast, journal=journal,
-        )
-    return curve
+        for s in schemes
+    }
 
 
 def figure_10(
     replications: int = 3,
     bad_periods: Optional[List[float]] = None,
     transfer_bytes: int = LAN_TRANSFER_BYTES,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    **campaign,
 ) -> Dict[str, SweepSeries]:
-    """Fig 10: LAN throughput vs bad period — basic vs EBSN (+ tput_th)."""
-    bads = bad_periods or LAN_BAD_PERIODS
-    return {
-        "basic": _lan_bad_sweep(
-            Scheme.BASIC, bads, replications, transfer_bytes,
-            workers=workers, cache=cache, validate=validate,
-            timeout=timeout, retries=retries, fail_fast=fail_fast,
-            journal=journal,
-        ),
-        "ebsn": _lan_bad_sweep(
-            Scheme.EBSN, bads, replications, transfer_bytes,
-            workers=workers, cache=cache, validate=validate,
-            timeout=timeout, retries=retries, fail_fast=fail_fast,
-            journal=journal,
-        ),
-    }
+    """Fig 10: LAN throughput vs bad period — basic vs EBSN (+ tput_th).
+
+    Both schemes run in one campaign; ``**campaign`` is forwarded to
+    :class:`~repro.experiments.parallel.ParallelRunner`.
+    """
+    return _lan_bad_sweep(
+        [Scheme.BASIC, Scheme.EBSN],
+        bad_periods or LAN_BAD_PERIODS,
+        replications,
+        transfer_bytes,
+        **campaign,
+    )
 
 
 def figure_11(
     replications: int = 3,
     bad_periods: Optional[List[float]] = None,
     transfer_bytes: int = LAN_TRANSFER_BYTES,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    **campaign,
 ) -> Dict[str, SweepSeries]:
-    """Fig 11: LAN data retransmitted vs bad period — basic vs EBSN."""
-    return figure_10(
-        replications, bad_periods, transfer_bytes, workers=workers, cache=cache,
-        validate=validate, timeout=timeout, retries=retries,
-        fail_fast=fail_fast, journal=journal,
-    )
+    """Fig 11: LAN data retransmitted vs bad period — basic vs EBSN.
+
+    The same campaign as :func:`figure_10`.
+    """
+    return figure_10(replications, bad_periods, transfer_bytes, **campaign)
 
 
 def lan_theoretical_mbps(bad_period_mean: float, good_period_mean: float = 4.0) -> float:

@@ -8,7 +8,9 @@ work units, consults an optional
 :class:`~repro.experiments.cache.ResultCache` and
 :class:`~repro.experiments.journal.CampaignJournal`, and dispatches
 only the remaining misses one unit at a time over a supervised pool
-of forked worker processes.
+of forked worker processes.  With one worker the units run in-process,
+but every attempt still takes the pool's path through timeout, retry
+and quarantine handling.
 
 The supervision layer is what makes long campaigns survivable:
 
@@ -52,7 +54,7 @@ import signal
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.simulator import WallClockExceeded
 from repro.experiments import topology
@@ -65,7 +67,6 @@ from repro.experiments.faults import (
     CompletenessReport,
     RetryPolicy,
     UnitFailure,
-    UnitQuarantined,
 )
 from repro.experiments.journal import CampaignJournal
 from repro.experiments.topology import ScenarioConfig, ScenarioResult
@@ -205,16 +206,44 @@ def _portable_error(exc: BaseException):
         return _RemoteError(type(exc).__name__, str(exc))
 
 
-def _worker_main(conn, unit_fn) -> None:
-    """Worker process loop: receive a unit, run it, send the outcome.
-
-    SIGINT is ignored (the terminal delivers Ctrl-C to the whole
-    process group; shutdown is the supervisor's decision, via a
-    ``None`` sentinel or SIGKILL).  Messages are tagged tuples::
+def _attempt(
+    unit_fn, index: int, config: ScenarioConfig, wall_timeout: Optional[float]
+) -> Tuple:
+    """Run one attempt at a unit and return its outcome as a tagged tuple::
 
         ("ok",      index, summary)
         ("timeout", index, message, bundle_path)
         ("err",     index, exception_or_remote_error)
+
+    Both executors feed this message to the same fault handling: pool
+    workers send it over their pipe, serial runs call this in-process.
+    ``KeyboardInterrupt`` propagates so serial mode can turn Ctrl-C
+    into :class:`~repro.experiments.faults.CampaignInterrupted`.
+    """
+    started = time.monotonic()
+    try:
+        return ("ok", index, unit_fn(config, wall_timeout))
+    except WallClockExceeded:
+        bundle = _write_hang_bundle(config, time.monotonic() - started)
+        return (
+            "timeout",
+            index,
+            f"wall-clock budget of {wall_timeout:g}s exceeded",
+            bundle,
+        )
+    except KeyboardInterrupt:
+        raise
+    except BaseException as exc:
+        return ("err", index, _portable_error(exc))
+
+
+def _worker_main(conn, unit_fn) -> None:
+    """Worker process loop: receive a unit, :func:`_attempt` it, send
+    the outcome message.
+
+    SIGINT is ignored (the terminal delivers Ctrl-C to the whole
+    process group; shutdown is the supervisor's decision, via a
+    ``None`` sentinel or SIGKILL).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
@@ -224,23 +253,8 @@ def _worker_main(conn, unit_fn) -> None:
             break
         if task is None:
             break
-        index, config, wall_timeout = task
-        started = time.monotonic()
         try:
-            summary = unit_fn(config, wall_timeout)
-            message: Tuple = ("ok", index, summary)
-        except WallClockExceeded:
-            bundle = _write_hang_bundle(config, time.monotonic() - started)
-            message = (
-                "timeout",
-                index,
-                f"wall-clock budget of {wall_timeout:g}s exceeded",
-                bundle,
-            )
-        except BaseException as exc:
-            message = ("err", index, _portable_error(exc))
-        try:
-            conn.send(message)
+            conn.send(_attempt(unit_fn, *task))
         except (BrokenPipeError, OSError):  # pragma: no cover - parent died
             break
 
@@ -340,6 +354,11 @@ class CampaignResult:
 class ParallelRunner:
     """Runs batches of seeded scenario configs with fault tolerance.
 
+    These parameters are the campaign knobs.  They are declared here
+    only: :func:`~repro.experiments.runner.run_replicated`,
+    :func:`~repro.experiments.runner.sweep` and the ``figure_*``
+    functions forward their ``**campaign`` keywords unchanged.
+
     Parameters
     ----------
     workers:
@@ -358,10 +377,10 @@ class ParallelRunner:
         cooperatively (or its worker hard-killed at
         ``timeout * 1.5 + 1`` as a backstop); in serial mode only the
         cooperative engine watchdog applies.
-    retry:
-        :class:`RetryPolicy` for timeouts and worker crashes.
-        ``None`` uses the defaults (2 retries, exponential backoff
-        with full jitter).
+    retries:
+        Re-runs allowed per timed-out or crashed unit.  ``None`` uses
+        the :class:`RetryPolicy` default (2 retries, exponential
+        backoff with full jitter).
     fail_fast:
         When ``True`` (default) the first quarantined unit aborts the
         campaign with its taxonomy exception; when ``False`` the
@@ -379,7 +398,7 @@ class ParallelRunner:
         cache: Optional[ResultCache] = None,
         validate: bool = False,
         timeout: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
+        retries: Optional[int] = None,
         fail_fast: bool = True,
         journal: Optional[CampaignJournal] = None,
     ) -> None:
@@ -387,7 +406,7 @@ class ParallelRunner:
         self.cache = cache
         self.validate = validate
         self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.retry = RetryPolicy() if retries is None else RetryPolicy(retries)
         self.fail_fast = fail_fast
         self.journal = journal
 
@@ -404,8 +423,11 @@ class ParallelRunner:
             return self.journal.key(config)
         return None
 
-    def _fail(self, task: _Task, kind: str, message: str) -> UnitFailure:
-        return UnitFailure(
+    def _quarantine(
+        self, task: _Task, kind: str, message: str, failures: Dict[int, UnitFailure]
+    ) -> None:
+        """Record a unit that failed for good; raise in fail-fast mode."""
+        failure = UnitFailure(
             index=task.index,
             key=task.key,
             seed=task.config.seed,
@@ -415,12 +437,6 @@ class ParallelRunner:
             attempts=task.attempts,
             bundle_path=task.bundle_path,
         )
-
-    def _quarantine(
-        self, task: _Task, kind: str, message: str, failures: Dict[int, UnitFailure]
-    ) -> None:
-        """Record a unit that failed for good; raise in fail-fast mode."""
-        failure = self._fail(task, kind, message)
         if self.journal is not None:
             self.journal.record_failure(failure)
         if self.fail_fast:
@@ -435,11 +451,8 @@ class ParallelRunner:
         message: str,
         pending: "deque[_Task]",
         failures: Dict[int, UnitFailure],
-    ) -> bool:
-        """Requeue a retryable fault with backoff, or quarantine it.
-
-        Returns True when the task was requeued.
-        """
+    ) -> None:
+        """Requeue a retryable fault with backoff, or quarantine it."""
         task.errors.append(f"attempt {task.attempts}: {kind}: {message}")
         if task.attempts <= self.retry.max_retries:
             delay = self.retry.delay(task.attempts - 1, task.key or str(task.index))
@@ -454,82 +467,33 @@ class ParallelRunner:
                 delay,
             )
             pending.append(task)
-            return True
-        self._quarantine(task, kind, "; ".join(task.errors), failures)
-        return False
+        else:
+            self._quarantine(task, kind, "; ".join(task.errors), failures)
 
     # -- execution paths ---------------------------------------------------
 
-    def _run_serial(
-        self,
-        tasks: List[_Task],
-        deliver: Callable[[int, RunSummary], None],
-        interrupted: Dict[str, Optional[int]],
-        completed: Callable[[], int],
-        total: int,
-    ) -> Dict[int, UnitFailure]:
-        """In-process execution with the same fault semantics as the pool.
+    def _run_serial(self, pending, deliver, failures, check_interrupt) -> None:
+        """In-process executor on the pool's fault path.
 
-        Crashes cannot happen here (no worker processes); timeouts are
-        enforced by the engine's cooperative watchdog only.
+        Each attempt goes through :func:`_attempt` and
+        :meth:`_on_message` exactly as a worker's would.  No worker
+        process exists, so nothing can crash or need a hard kill:
+        timeouts rely on the engine's cooperative watchdog alone.
         """
-        pending = deque(tasks)
-        failures: Dict[int, UnitFailure] = {}
         while pending:
-            if interrupted["sig"] is not None:
-                raise CampaignInterrupted(
-                    interrupted["sig"],
-                    completed(),
-                    total,
-                    str(self.journal.path) if self.journal else None,
-                )
-            task = pending.popleft()
-            wait = task.not_before - time.monotonic()
-            if wait > 0:
-                time.sleep(min(wait, POLL_INTERVAL))
-                pending.appendleft(task)
+            check_interrupt()
+            task = _pop_ready(pending, time.monotonic())
+            if task is None:  # everything pending is backing off
+                time.sleep(POLL_INTERVAL)
                 continue
             task.attempts += 1
-            started = time.monotonic()
             try:
-                summary = self._unit(task.config, self.timeout)
-            except WallClockExceeded:
-                task.bundle_path = _write_hang_bundle(
-                    task.config, time.monotonic() - started
-                )
-                self._retry_or_quarantine(
-                    task,
-                    FAULT_TIMEOUT,
-                    f"wall-clock budget of {self.timeout:g}s exceeded",
-                    pending,
-                    failures,
-                )
-                continue
+                message = _attempt(self._unit, task.index, task.config, self.timeout)
             except KeyboardInterrupt:
-                raise CampaignInterrupted(
-                    signal.SIGINT,
-                    completed(),
-                    total,
-                    str(self.journal.path) if self.journal else None,
-                )
-            except Exception as exc:
-                if self.fail_fast:
-                    raise
-                self._quarantine(
-                    task, FAULT_ERROR, f"{type(exc).__name__}: {exc}", failures
-                )
-                continue
-            deliver(task.index, summary)
-        return failures
+                check_interrupt(signal.SIGINT)  # raises
+            self._on_message(task, message, deliver, pending, failures)
 
-    def _run_supervised(
-        self,
-        tasks: List[_Task],
-        deliver: Callable[[int, RunSummary], None],
-        interrupted: Dict[str, Optional[int]],
-        completed: Callable[[], int],
-        total: int,
-    ) -> Dict[int, UnitFailure]:
+    def _run_supervised(self, pending, deliver, failures, check_interrupt) -> None:
         """Supervised pool: per-unit dispatch, watchdogs, retry, respawn."""
         context = _fork_context()
         assert context is not None  # dispatch guarantees this
@@ -538,9 +502,7 @@ class ParallelRunner:
             if self.timeout is not None
             else None
         )
-        pending = deque(tasks)
-        failures: Dict[int, UnitFailure] = {}
-        n_workers = min(self.workers, len(tasks))
+        n_workers = min(self.workers, len(pending))
         workers = [_WorkerHandle(context, self._unit) for _ in range(n_workers)]
 
         def outstanding() -> int:
@@ -548,13 +510,7 @@ class ParallelRunner:
 
         try:
             while outstanding():
-                if interrupted["sig"] is not None:
-                    raise CampaignInterrupted(
-                        interrupted["sig"],
-                        completed(),
-                        total,
-                        str(self.journal.path) if self.journal else None,
-                    )
+                check_interrupt()
                 now = time.monotonic()
                 # Hand ready units to idle workers (skipping tasks
                 # still inside their backoff window).
@@ -586,9 +542,8 @@ class ParallelRunner:
                                 worker, workers, context, pending, failures
                             )
                             continue
-                        self._on_message(
-                            worker, message, deliver, pending, failures
-                        )
+                        task, worker.task = worker.task, None
+                        self._on_message(task, message, deliver, pending, failures)
                     elif not worker.process.is_alive():
                         self._on_crash(worker, workers, context, pending, failures)
                     elif worker.overdue(hard_timeout):
@@ -601,11 +556,9 @@ class ParallelRunner:
                     worker.stop()
                 else:
                     worker.kill()
-        return failures
 
-    def _on_message(self, worker, message, deliver, pending, failures) -> None:
-        task = worker.task
-        worker.task = None
+    def _on_message(self, task, message, deliver, pending, failures) -> None:
+        """Act on one :func:`_attempt` outcome, from either executor."""
         kind = message[0]
         if kind == "ok":
             deliver(task.index, message[2])
@@ -616,19 +569,12 @@ class ParallelRunner:
             )
         else:  # "err": deterministic unit failure — never retried
             error = message[2]
-            if self.fail_fast:
-                if isinstance(error, BaseException):
-                    raise error
-                raise UnitQuarantined(
-                    self._fail(
-                        task, FAULT_ERROR, f"{error.type_name}: {error.message}"
-                    )
-                )
-            detail = (
-                f"{type(error).__name__}: {error}"
-                if isinstance(error, BaseException)
-                else f"{error.type_name}: {error.message}"
-            )
+            if not isinstance(error, BaseException):
+                detail = f"{error.type_name}: {error.message}"
+            elif self.fail_fast:
+                raise error
+            else:
+                detail = f"{type(error).__name__}: {error}"
             self._quarantine(task, FAULT_ERROR, detail, failures)
 
     def _respawn(self, worker, workers, context) -> None:
@@ -722,9 +668,21 @@ class ParallelRunner:
         def completed() -> int:
             return sum(1 for s in summaries if s is not None)
 
+        interrupted: Dict[str, Optional[int]] = {"sig": None}
+
+        def check_interrupt(signum: Optional[int] = None) -> None:
+            """Raise :class:`CampaignInterrupted` once a signal arrived."""
+            signum = signum or interrupted["sig"]
+            if signum is not None:
+                raise CampaignInterrupted(
+                    signum,
+                    completed(),
+                    n,
+                    str(self.journal.path) if self.journal else None,
+                )
+
         failures: Dict[int, UnitFailure] = {}
         if tasks:
-            interrupted: Dict[str, Optional[int]] = {"sig": None}
 
             def _flag(signum, frame):
                 interrupted["sig"] = signum
@@ -736,28 +694,21 @@ class ParallelRunner:
             except ValueError:
                 # Not the main thread: signals stay with their owner.
                 pass
-            try:
-                if self.workers > 1 and len(tasks) > 1:
-                    if _fork_context() is None:
-                        _log.warning(
-                            "fork start method unavailable: running %d "
-                            "unit(s) serially despite --workers %d "
-                            "(spawn would re-import the package per "
-                            "worker; hard-kill watchdogs disabled)",
-                            len(tasks),
-                            self.workers,
-                        )
-                        failures = self._run_serial(
-                            tasks, deliver, interrupted, completed, n
-                        )
-                    else:
-                        failures = self._run_supervised(
-                            tasks, deliver, interrupted, completed, n
-                        )
-                else:
-                    failures = self._run_serial(
-                        tasks, deliver, interrupted, completed, n
+            execute = self._run_serial
+            if self.workers > 1 and len(tasks) > 1:
+                if _fork_context() is None:
+                    _log.warning(
+                        "fork start method unavailable: running %d "
+                        "unit(s) serially despite --workers %d "
+                        "(spawn would re-import the package per "
+                        "worker; hard-kill watchdogs disabled)",
+                        len(tasks),
+                        self.workers,
                     )
+                else:
+                    execute = self._run_supervised
+            try:
+                execute(deque(tasks), deliver, failures, check_interrupt)
             finally:
                 for signum, handler in previous:
                     signal.signal(signum, handler)

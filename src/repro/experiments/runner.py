@@ -2,22 +2,19 @@
 
 The paper reports results with "standard deviation ... less than 4%";
 each point is therefore an average over several seeds.
-:func:`run_replicated` runs one configuration over N seeds and
-aggregates; :func:`sweep` maps that over a parameter list.
+:func:`sweep_campaign` runs every ``(value, seed)`` unit of a
+parameter sweep as one campaign and aggregates per value;
+:func:`run_replicated` is that over a single value and :func:`sweep`
+drops the report.
 
-Both route through :class:`~repro.experiments.parallel.ParallelRunner`:
-pass ``workers=N`` to fan the seeds out over a process pool and an
-optional :class:`~repro.experiments.cache.ResultCache` to skip points
-that were already simulated under the current code version.  The
-aggregates are bit-identical whichever path executes them — same
-seeds, same per-seed metrics, same reduction order.
-
-Both are also fault-tolerant (see :mod:`repro.experiments.faults`):
-``timeout`` bounds each seed in wall-clock seconds, ``retries`` bounds
-how often a timed-out/crashed seed is re-run, ``journal`` checkpoints
-completed seeds for ``--resume``, and ``fail_fast=False`` degrades to
-*partial* aggregates — the surviving seeds are averaged and every
-missing one is enumerated in the result's ``failures``/``report``.
+All three forward ``**campaign`` unchanged to
+:class:`~repro.experiments.parallel.ParallelRunner`, which declares
+the knobs (workers, cache, validation, timeout, retries, fail-fast,
+journal).  The aggregates are bit-identical whichever executor runs
+the units — same seeds, same per-seed metrics, same reduction order.
+With ``fail_fast=False`` they degrade to *partial* aggregates: the
+surviving seeds are averaged and every missing one is enumerated in
+the result's ``failures``/``report``.
 """
 
 from __future__ import annotations
@@ -26,13 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.experiments.cache import ResultCache
-from repro.experiments.faults import (
-    CompletenessReport,
-    RetryPolicy,
-    UnitFailure,
-)
-from repro.experiments.journal import CampaignJournal
+from repro.experiments.faults import CompletenessReport, UnitFailure
 from repro.experiments.parallel import ParallelRunner, RunSummary
 from repro.experiments.topology import ScenarioConfig
 
@@ -62,7 +53,9 @@ class ReplicatedResult:
     ``replications`` counts the seeds that actually contributed; when
     a campaign degraded gracefully, ``failures`` lists every
     quarantined seed and ``partial`` is True.  Full-fidelity results
-    have an empty ``failures`` tuple, as before.
+    have an empty ``failures`` tuple, as before.  ``report`` is the
+    completeness report of the campaign the point ran in, shared by
+    every point of one sweep or figure.
     """
 
     config: ScenarioConfig
@@ -148,8 +141,8 @@ def _seeded_configs(
 def _aggregate(
     config: ScenarioConfig,
     summaries: Sequence[RunSummary],
-    failures: Tuple[UnitFailure, ...] = (),
-    report: Optional[CompletenessReport] = None,
+    failures: Tuple[UnitFailure, ...],
+    report: CompletenessReport,
 ) -> ReplicatedResult:
     """Reduce per-seed summaries to one :class:`ReplicatedResult`."""
     for summary in summaries:
@@ -179,84 +172,29 @@ def _aggregate(
     )
 
 
-def _make_runner(
-    workers: Optional[int],
-    cache: Optional[ResultCache],
-    validate: bool,
-    timeout: Optional[float],
-    retries: Optional[int],
-    fail_fast: bool,
-    journal: Optional[CampaignJournal],
-) -> ParallelRunner:
-    """One place that translates the public knobs into a runner."""
-    retry = RetryPolicy(max_retries=retries) if retries is not None else None
-    return ParallelRunner(
-        workers=workers,
-        cache=cache,
-        validate=validate,
-        timeout=timeout,
-        retry=retry,
-        fail_fast=fail_fast,
-        journal=journal,
-    )
-
-
 def run_replicated(
     config: ScenarioConfig,
     replications: int = 5,
     base_seed: int = 1,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    **campaign,
 ) -> ReplicatedResult:
     """Run ``config`` over ``replications`` seeds and aggregate.
 
     Seeds are ``base_seed + i``; each run gets fully independent
-    channel/backoff randomness via the seed-derived substreams.
-    ``workers > 1`` fans the seeds over a process pool (``0`` = one
-    per CPU); ``cache`` skips seeds already simulated under the
-    current code version.  Aggregates are identical either way.
-    ``validate=True`` attaches the invariant engine to every simulated
-    seed (cache hits skip simulation and are not re-validated).
-
-    Fault handling: ``timeout`` bounds each seed's wall-clock time,
-    ``retries`` re-runs timed-out/crashed seeds (None = policy
-    default), ``journal`` checkpoints completed seeds for resume.
-    With ``fail_fast=True`` (default) a quarantined seed raises its
-    taxonomy exception; with ``fail_fast=False`` the aggregate is
-    computed over the surviving seeds and the result carries the
-    failures — unless *every* seed failed, which still raises.
+    channel/backoff randomness via the seed-derived substreams.  This
+    is :func:`sweep_campaign` over a single value, so ``**campaign``
+    (workers, cache, validation, fault handling) is forwarded
+    unchanged to :class:`~repro.experiments.parallel.ParallelRunner`
+    and aggregates are identical whichever executor runs the seeds.
     """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    runner = _make_runner(
-        workers, cache, validate, timeout, retries, fail_fast, journal
-    )
-    campaign = runner.run_campaign(_seeded_configs(config, replications, base_seed))
-    survivors = campaign.surviving()
-    if not survivors:
-        # Nothing to aggregate: even graceful degradation has a floor.
-        return campaign.require_complete()  # pragma: no cover - always raises
-    return _aggregate(
-        config,
-        survivors,
-        failures=campaign.report.quarantined,
-        report=campaign.report,
-    )
+    return sweep_campaign(
+        [0], lambda _: config, replications, base_seed, **campaign
+    ).points[0]
 
 
 @dataclass(frozen=True)
 class SweepCampaign:
-    """A sweep's points plus its campaign-wide completeness report.
-
-    ``points`` omits any swept value whose *every* seed was
-    quarantined (there is nothing to average); ``report`` still
-    accounts for those units, so nothing goes missing silently.
-    """
+    """A sweep's points plus its campaign-wide completeness report."""
 
     points: Dict[T, ReplicatedResult]
     report: CompletenessReport
@@ -267,23 +205,26 @@ def sweep_campaign(
     make_config: Callable[[T], ScenarioConfig],
     replications: int = 5,
     base_seed: int = 1,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    **campaign,
 ) -> SweepCampaign:
     """Fault-tolerant sweep: every point, plus a completeness report.
 
     The whole sweep — every ``(value, seed)`` pair — is flattened into
-    one batch for the parallel engine, so ``workers=N`` parallelizes
-    across points as well as seeds, retries/timeouts apply per unit,
-    and a ``journal`` checkpoints the entire campaign for resume.
+    one :class:`~repro.experiments.parallel.ParallelRunner` campaign,
+    built from ``**campaign`` unchanged.  ``workers=N`` therefore
+    parallelizes across points as well as seeds, retries/timeouts
+    apply per unit, and a ``journal`` checkpoints the entire campaign
+    for resume.  Unit indices in the report (and in each point's
+    ``failures``) are campaign-wide, and every point carries the
+    campaign's ``report``.
+
     With ``fail_fast=False`` quarantined seeds degrade their point to
-    a partial average (or drop the point when no seed survived).
+    a partial average; a point whose every seed was quarantined has
+    nothing to average and raises its first failure's taxonomy
+    exception.
     """
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
     value_list = list(values)
     seen: set = set()
     for value in value_list:
@@ -297,21 +238,17 @@ def sweep_campaign(
     units: List[ScenarioConfig] = []
     for config in configs:
         units.extend(_seeded_configs(config, replications, base_seed))
-    runner = _make_runner(
-        workers, cache, validate, timeout, retries, fail_fast, journal
-    )
-    campaign = runner.run_campaign(units)
+    outcome = ParallelRunner(**campaign).run_campaign(units)
+    report = outcome.report
     points: Dict[T, ReplicatedResult] = {}
     for i, (value, config) in enumerate(zip(value_list, configs)):
         lo, hi = i * replications, (i + 1) * replications
-        chunk = [s for s in campaign.summaries[lo:hi] if s is not None]
-        point_failures = tuple(
-            f for f in campaign.report.quarantined if lo <= f.index < hi
-        )
+        chunk = [s for s in outcome.summaries[lo:hi] if s is not None]
+        failures = tuple(f for f in report.quarantined if lo <= f.index < hi)
         if not chunk:
-            continue  # every seed quarantined; the report still has them
-        points[value] = _aggregate(config, chunk, failures=point_failures)
-    return SweepCampaign(points=points, report=campaign.report)
+            raise failures[0].to_exception()
+        points[value] = _aggregate(config, chunk, failures, report)
+    return SweepCampaign(points=points, report=report)
 
 
 def sweep(
@@ -319,13 +256,7 @@ def sweep(
     make_config: Callable[[T], ScenarioConfig],
     replications: int = 5,
     base_seed: int = 1,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    **campaign,
 ) -> Dict[T, ReplicatedResult]:
     """Run a replicated experiment for every value of a swept parameter.
 
@@ -344,15 +275,5 @@ def sweep(
     True
     """
     return sweep_campaign(
-        values,
-        make_config,
-        replications=replications,
-        base_seed=base_seed,
-        workers=workers,
-        cache=cache,
-        validate=validate,
-        timeout=timeout,
-        retries=retries,
-        fail_fast=fail_fast,
-        journal=journal,
+        values, make_config, replications, base_seed, **campaign
     ).points

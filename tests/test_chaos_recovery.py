@@ -37,6 +37,12 @@ needs_fork = pytest.mark.skipif(
     reason="supervised pool requires the fork start method",
 )
 
+#: Both executors share one fault path, so the same fault cases run
+#: in-process (1 worker) and on the supervised pool (2 workers).
+both_executors = pytest.mark.parametrize(
+    "workers", [1, pytest.param(2, marks=needs_fork)], ids=["serial", "pool"]
+)
+
 
 @pytest.fixture()
 def bundle_dir(tmp_path, monkeypatch):
@@ -127,8 +133,9 @@ class TestTimeoutQuarantine:
         assert info.value.budget == 0.05
         assert info.value.events > 0
 
+    @both_executors
     def test_timed_out_unit_quarantined_with_partial_results(
-        self, monkeypatch, bundle_dir
+        self, monkeypatch, bundle_dir, workers
     ):
         """A persistently hung seed degrades the point, never the campaign."""
         config = wan_scenario(transfer_bytes=TINY)
@@ -143,6 +150,7 @@ class TestTimeoutQuarantine:
         result = run_replicated(
             config,
             replications=3,
+            workers=workers,
             timeout=0.1,
             retries=1,
             fail_fast=False,
@@ -151,7 +159,7 @@ class TestTimeoutQuarantine:
         assert result.replications == 2 and result.attempted == 3
         (failure,) = result.failures
         assert failure.kind == FAULT_TIMEOUT
-        assert failure.seed == 2
+        assert failure.seed == 2 and failure.index == 1
         assert failure.attempts == 2  # first try + one retry
         assert failure.bundle_path is not None
         assert os.path.isfile(failure.bundle_path)
@@ -180,30 +188,35 @@ class TestTimeoutQuarantine:
 
 
 class TestDeterministicErrors:
-    def test_unit_error_is_never_retried(self, monkeypatch, bundle_dir):
+    @both_executors
+    def test_unit_error_is_never_retried(
+        self, tmp_path, monkeypatch, bundle_dir, workers
+    ):
         config = wan_scenario(transfer_bytes=TINY)
-        calls = []
+        calls = tmp_path / "calls"  # a file, so pool workers can append
         original = topology.run_scenario
 
         def broken_seed(cfg, **kwargs):
-            calls.append(cfg.seed)
+            with open(calls, "a") as log:
+                log.write(f"{cfg.seed}\n")
             if cfg.seed == 2:
                 raise ValueError("deterministically broken unit")
             return original(cfg, **kwargs)
 
         monkeypatch.setattr(topology, "run_scenario", broken_seed)
         result = run_replicated(
-            config, replications=3, retries=5, fail_fast=False
+            config, replications=3, workers=workers, retries=5, fail_fast=False
         )
         assert result.partial
         (failure,) = result.failures
         assert failure.kind == FAULT_ERROR
+        assert failure.seed == 2 and failure.index == 1
         assert failure.attempts == 1  # retrying cannot help
-        assert calls.count(2) == 1
+        assert calls.read_text().split().count("2") == 1
 
-    @needs_fork
+    @both_executors
     def test_fail_fast_reraises_the_original_error_from_the_pool(
-        self, monkeypatch, bundle_dir
+        self, monkeypatch, bundle_dir, workers
     ):
         original = topology.run_scenario
 
@@ -215,7 +228,7 @@ class TestDeterministicErrors:
         monkeypatch.setattr(topology, "run_scenario", broken_seed)
         with pytest.raises(ValueError, match="deterministically broken"):
             run_replicated(
-                wan_scenario(transfer_bytes=TINY), replications=3, workers=2
+                wan_scenario(transfer_bytes=TINY), replications=3, workers=workers
             )
 
 

@@ -121,7 +121,7 @@ class TestSweep:
         def interrupted(*args, **kwargs):
             raise CampaignInterrupted(2, 3, 18, "camp.journal")
 
-        monkeypatch.setattr("repro.cli.run_replicated", interrupted)
+        monkeypatch.setattr("repro.cli.sweep_campaign", interrupted)
         code = main(["sweep", "--replications", "2", "--no-cache"])
         err = capsys.readouterr().err
         assert code == 130
@@ -137,7 +137,7 @@ class TestSweep:
         def aborted(*args, **kwargs):
             raise UnitTimeout(failure)
 
-        monkeypatch.setattr("repro.cli.run_replicated", aborted)
+        monkeypatch.setattr("repro.cli.sweep_campaign", aborted)
         code = main(
             ["sweep", "--replications", "2", "--no-cache", "--fail-fast"]
         )

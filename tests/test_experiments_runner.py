@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import figures
 from repro.experiments.config import wan_scenario
-from repro.experiments.runner import run_replicated, sweep
+from repro.experiments.runner import run_replicated, sweep, sweep_campaign
 from repro.experiments.topology import Scheme
 
 
@@ -144,3 +145,84 @@ class TestSweepOrderAndDuplicates:
                 points[size].throughput_bps_mean == direct.throughput_bps_mean
             )
             assert points[size].throughput_bps_std == direct.throughput_bps_std
+
+
+class TestSweepCampaign:
+    @pytest.fixture()
+    def broken(self, monkeypatch, tmp_path):
+        """Make ``run_scenario`` raise for the configs ``predicate`` picks."""
+        from repro.experiments import topology
+
+        monkeypatch.setenv("REPRO_BUNDLE_DIR", str(tmp_path / "bundles"))
+        original = topology.run_scenario
+
+        def install(predicate):
+            def maybe_broken(cfg, **kwargs):
+                if predicate(cfg):
+                    raise ValueError("broken unit")
+                return original(cfg, **kwargs)
+
+            monkeypatch.setattr(topology, "run_scenario", maybe_broken)
+
+        return install
+
+    def test_point_failures_are_their_own_slice_with_campaign_indices(
+        self, broken
+    ):
+        broken(lambda cfg: cfg.seed == 2)
+        campaign = sweep_campaign(
+            [256, 576],
+            lambda size: wan_scenario(packet_size=size, transfer_bytes=TINY),
+            replications=3,
+            fail_fast=False,
+        )
+        assert [f.index for f in campaign.report.quarantined] == [1, 4]
+        assert [f.index for f in campaign.points[256].failures] == [1]
+        assert [f.index for f in campaign.points[576].failures] == [4]
+        for point in campaign.points.values():
+            assert point.replications == 2 and point.attempted == 3
+            assert point.report is campaign.report
+
+    def test_point_with_every_seed_quarantined_raises(self, broken):
+        from repro.experiments.faults import UnitQuarantined
+
+        broken(lambda cfg: cfg.tcp.packet_size == 576)
+        with pytest.raises(UnitQuarantined) as info:
+            sweep_campaign(
+                [256, 576],
+                lambda size: wan_scenario(packet_size=size, transfer_bytes=TINY),
+                replications=2,
+                fail_fast=False,
+            )
+        assert info.value.failure.index == 2  # the point's first seed
+
+    @pytest.mark.parametrize(
+        "figure",
+        [
+            lambda: figures.figure_7(
+                replications=1, packet_sizes=[256, 576],
+                bad_periods=[1.0, 4.0], transfer_bytes=TINY,
+            ),
+            lambda: figures.figure_9(
+                replications=1, packet_sizes=[256, 576],
+                bad_periods=[1.0], transfer_bytes=TINY,
+            ),
+            lambda: figures.figure_10(
+                replications=1, bad_periods=[1.0, 4.0], transfer_bytes=TINY,
+            ),
+        ],
+        ids=["figure_7", "figure_9", "figure_10"],
+    )
+    def test_figure_is_one_campaign(self, monkeypatch, figure):
+        from repro.experiments.parallel import ParallelRunner
+
+        calls = []
+        original = ParallelRunner.run_campaign
+
+        def counting(runner, configs):
+            calls.append(len(configs))
+            return original(runner, configs)
+
+        monkeypatch.setattr(ParallelRunner, "run_campaign", counting)
+        figure()
+        assert len(calls) == 1

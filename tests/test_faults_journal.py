@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 import pickle
 
-import pytest
-
 from repro.experiments import journal as journal_mod
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import wan_scenario
@@ -21,7 +19,6 @@ from repro.experiments.faults import (
     UnitQuarantined,
     UnitTimeout,
     WorkerCrashed,
-    merge_reports,
 )
 from repro.experiments.journal import CampaignJournal
 from repro.experiments.parallel import _execute_unit
@@ -135,39 +132,6 @@ class TestCompletenessReport:
 
     def test_write_back_line_absent_when_unmeasured(self):
         assert "write-back" not in CompletenessReport(total=1, completed=1).describe()
-
-    def test_merge_reports_sums_write_back_timings(self):
-        merged = merge_reports(
-            [
-                CompletenessReport(
-                    total=1,
-                    completed=1,
-                    cache_write_seconds=0.1,
-                    journal_write_seconds=0.2,
-                ),
-                CompletenessReport(total=1, completed=1, cache_write_seconds=0.3),
-            ]
-        )
-        assert merged.cache_write_seconds == pytest.approx(0.4)
-        assert merged.journal_write_seconds == pytest.approx(0.2)
-
-    def test_merge_reports_sums_everything(self):
-        merged = merge_reports(
-            [
-                CompletenessReport(total=2, completed=2, from_cache=1),
-                CompletenessReport(
-                    total=3,
-                    completed=2,
-                    from_journal=1,
-                    quarantined=(_failure(FAULT_CRASH),),
-                ),
-            ]
-        )
-        assert merged.total == 5
-        assert merged.completed == 4
-        assert merged.from_cache == 1
-        assert merged.from_journal == 1
-        assert len(merged.quarantined) == 1
 
 
 class TestCampaignJournal:
