@@ -163,9 +163,10 @@ def attach_to_scenario(scenario) -> EventLog:
     Instrumentation is strictly opt-in: the wrappers below exist only
     on scenarios this function was called on.  An uninstrumented run
     dispatches the original bound methods directly — no ``if log:``
-    checks, no indirection, zero cost on the hot path.  That contract
-    is what lets the validation layer afford full tracing while plain
-    campaign runs pay nothing.
+    checks, no indirection, zero cost on the hot path.  An instrumented
+    run pays for a record per event, so validated runs do not log:
+    :func:`~repro.validate.engine.run_validated` attaches a log only to
+    the re-run that rebuilds a replay bundle's tail.
     """
     log = EventLog()
     sim = scenario.sim

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -40,6 +41,26 @@ LINK_ACK_BYTES = 8
 
 _datagram_ids = itertools.count(1)
 _frame_ids = itertools.count(1)
+
+
+@contextmanager
+def pinned_uids():
+    """Number datagrams and frames from 1 inside the block.
+
+    The uid counters are process-wide, so a run's uids otherwise depend
+    on how many packets the process made before it.  Uids are labels
+    (behaviour never reads them), so pinning them makes a logged run
+    depend only on its config and the code.  The counters are restored
+    on exit.
+    """
+    global _datagram_ids, _frame_ids
+    saved = _datagram_ids, _frame_ids
+    _datagram_ids = itertools.count(1)
+    _frame_ids = itertools.count(1)
+    try:
+        yield
+    finally:
+        _datagram_ids, _frame_ids = saved
 
 
 class PacketType(enum.Enum):

@@ -34,6 +34,7 @@ from repro.experiments.cache import (
     config_digest,
     default_cache_dir,
 )
+from repro.net.packet import pinned_uids
 from repro.validate.engine import InvariantViolationError, Violation
 
 #: Bump when the bundle layout changes incompatibly.
@@ -132,9 +133,10 @@ class ReplayBundle:
 def write_bundle(config, violations: Sequence[Violation], log, bundle_dir=None) -> Path:
     """Persist one violation as a replay bundle; returns its path.
 
-    ``log`` is the :class:`~repro.metrics.eventlog.EventLog` the
-    validated run recorded (may be ``None``); only the last
-    ``LOG_TAIL_LINES`` lines are kept.
+    ``log`` is an :class:`~repro.metrics.eventlog.EventLog` of the
+    failing run (may be ``None``); only the last ``LOG_TAIL_LINES``
+    lines are kept.  :func:`~repro.validate.engine.run_validated`
+    passes the log of a re-run with pinned uids.
     """
     directory = Path(bundle_dir) if bundle_dir is not None else default_bundle_dir()
     directory.mkdir(parents=True, exist_ok=True)
@@ -209,8 +211,11 @@ def replay_bundle(path) -> ReplayOutcome:
     violations: Tuple[Violation, ...] = ()
     try:
         # bundle_dir=False: reproducing a failure must not mint a new
-        # bundle for the same failure.
-        run_scenario(bundle.config, validate=True, bundle_dir=False)
+        # bundle for the same failure.  Uids are pinned as they were
+        # when the bundle's log and violations were recorded, so a
+        # message that names a uid reproduces too.
+        with pinned_uids():
+            run_scenario(bundle.config, validate=True, bundle_dir=False)
     except InvariantViolationError as err:
         violations = err.violations
     reproduced = bool(

@@ -3,8 +3,9 @@
 Each checker guards one class of protocol property the paper's claims
 rest on:
 
-* :class:`TimerSanityChecker` — engine: no cancelled event ever fires,
-  and fire times never move backwards (simulator event dispatch).
+* :class:`TimerSanityChecker` — engine: the heap's cancelled-entry
+  count, heap order and pending times stay consistent (audited around
+  every heap compaction and at the end of the run).
 * :class:`TcpStateChecker` — transport: sequence monotonicity and
   cwnd/ssthresh legality under the Tahoe/Reno/NewReno state machines.
 * :class:`ArqBoundChecker` — link layer: no frame is ever transmitted
@@ -33,47 +34,57 @@ _EPS = 1e-9
 
 
 class TimerSanityChecker(InvariantChecker):
-    """No firing of cancelled events; fire times never go backwards.
+    """The simulator's heap accounting stays consistent.
 
-    Wraps ``Simulator.schedule_at`` (which ``schedule`` and every
-    ``Timer`` route through) so each scheduled callback verifies, at
-    fire time, that its event is live and that simulated time is
-    consistent.  A lazy-deletion or heap-compaction bug in the engine
-    surfaces here instead of as a mystery retransmission.
+    An audit of the event heap: ``_cancelled_count`` equals the number
+    of cancelled entries in the heap, the heap order holds, and no
+    pending event lies in the past.  It runs before and after every
+    heap compaction (wrapping ``sim._compact``, which is rare: dead
+    entries must outnumber live ones) and once more at the end of the
+    run.  A lazy-deletion or compaction bug, such as a cancelled event
+    that fires anyway, breaks the count and surfaces here instead of as
+    a mystery retransmission.  Nothing runs per event, so an
+    unvalidated run and the hot dispatch loop pay nothing.
     """
 
     name = "timer-sanity"
 
     def attach(self, scenario, report) -> None:
-        """Wrap ``schedule_at`` so every callback self-checks at fire time."""
+        """Audit the heap around every compaction."""
         sim = scenario.sim
-        original_schedule_at = sim.schedule_at
-        state = {"last_fired": sim.now}
+        original_compact = sim._compact
 
-        def schedule_at(time, callback, *args):
-            event = original_schedule_at(time, callback, *args)
-            inner = event.callback
+        def compact():
+            self._audit(sim, report, "before compaction")
+            original_compact()
+            self._audit(sim, report, "after compaction")
 
-            def checked(*callback_args):
-                if event.cancelled:
-                    report(f"cancelled event fired (t={event.time:.6f})")
-                if event.time < state["last_fired"] - _EPS:
-                    report(
-                        f"event fired out of order: t={event.time:.6f} after "
-                        f"t={state['last_fired']:.6f}"
-                    )
-                if abs(sim.now - event.time) > _EPS:
-                    report(
-                        f"clock desync: now={sim.now:.6f} but event scheduled "
-                        f"for t={event.time:.6f}"
-                    )
-                state["last_fired"] = event.time
-                inner(*callback_args)
+        sim._compact = compact
 
-            event.callback = checked
-            return event
+    def finalize(self, scenario, result, report) -> None:
+        """Audit the heap as the run left it."""
+        self._audit(scenario.sim, report, "at end of run")
 
-        sim.schedule_at = schedule_at
+    @staticmethod
+    def _audit(sim, report, when: str) -> None:
+        heap = sim._heap
+        dead = sum(1 for entry in heap if entry[2].cancelled)
+        if dead != sim._cancelled_count:
+            report(
+                f"cancelled-event count {sim._cancelled_count} but {dead} "
+                f"cancelled entries in the heap ({when})"
+            )
+        for i in range(1, len(heap)):
+            if heap[i] < heap[(i - 1) // 2]:
+                report(f"heap order broken at entry {i} ({when})")
+                break
+        for time, _, event in heap:
+            if not event.cancelled and time < sim.now:
+                report(
+                    f"pending event at t={time:.6f} is in the past "
+                    f"(now={sim.now:.6f}, {when})"
+                )
+                break
 
 
 class TcpStateChecker(InvariantChecker):

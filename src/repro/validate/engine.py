@@ -5,7 +5,7 @@ congestion window, link-layer ARQ never exceeds its RTmax attempt
 budget, every transferred byte is delivered exactly once.  Fixed-
 parameter scenario tests assert these at a handful of points; this
 engine checks them *online*, on any run, by attaching observers to the
-existing hook surfaces (simulator event dispatch, TCP source
+existing hook surfaces (the simulator's heap accounting, TCP source
 callbacks, the wireless ports' ARQ machinery, the sink's delivery
 path).
 
@@ -19,6 +19,12 @@ run aborts with :class:`InvariantViolationError`;
 :mod:`repro.validate.bundle`) from which ``repro replay`` reproduces
 the failure deterministically.
 
+A validated run records no event log.  Only a bundle needs one, and
+bundles are rare, so :func:`run_validated` rebuilds the log when it
+writes one: it re-runs the config with the log attached and the uid
+counters pinned, up to the same violation.  Runs are deterministic, so
+that log holds exactly what a log kept during the first run would have.
+
 Validation is opt-in.  ``run_scenario(config, validate=True)`` turns
 it on for one run; :func:`set_default_validation` (used by the test
 suite's conftest) or ``REPRO_VALIDATE=1`` flips the process default.
@@ -27,7 +33,9 @@ Benchmarks leave it off so perf numbers are unaffected.
 
 from __future__ import annotations
 
+import copy
 import os
+import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -165,30 +173,86 @@ class Validator:
 def run_validated(scenario, bundle_dir=None, checkers=None, wall_timeout=None):
     """Run a built scenario under the invariant engine.
 
-    On violation, writes a replay bundle (canonical config + seed +
-    event-log tail) and re-raises :class:`InvariantViolationError`
+    Only the checkers are attached; the run records no event log.  On
+    violation, writes a replay bundle (canonical config + seed +
+    event-log tail) and re-raises the :class:`InvariantViolationError`
     with ``bundle_path`` set.  ``bundle_dir`` chooses where bundles
     land (``None`` = the default directory, ``False`` = don't write
     one — the replay path uses this to avoid bundling the bundle).
     ``wall_timeout`` arms the engine's wall-clock watchdog, exactly as
     in the unvalidated path.
+
+    The bundle's log tail comes from :func:`_rebuild_log`, a second run
+    of the config that gets only what is left of ``wall_timeout``.
+    Whatever that re-run does, the error raised is the original one.
     """
-    from repro.metrics.eventlog import attach_to_scenario
     from repro.validate.bundle import write_bundle
     from repro.validate.checkers import default_checkers
 
+    started = time.monotonic()
+    # The re-run needs checkers in their pre-attach state, so copy the
+    # caller's before this run wires them in.
+    spare = (
+        copy.deepcopy(checkers)
+        if checkers is not None and bundle_dir is not False
+        else None
+    )
     validator = Validator(
         checkers if checkers is not None else default_checkers(scenario)
     )
-    log = attach_to_scenario(scenario)
     validator.attach(scenario)
     try:
         result = scenario.run(wall_timeout=wall_timeout)
         validator.finalize(result)
     except InvariantViolationError as err:
         if bundle_dir is not False:
+            budget = None
+            if wall_timeout is not None:
+                budget = max(0.0, wall_timeout - (time.monotonic() - started))
+            log, violations = _rebuild_log(scenario.config, spare, budget)
+            # The re-run's records carry pinned uids, like its log; keep
+            # them only if it hit the same failure.
+            if not violations or _first(violations) != _first(err.violations):
+                violations = err.violations
             err.bundle_path = str(
-                write_bundle(scenario.config, err.violations, log, bundle_dir)
+                write_bundle(scenario.config, violations, log, bundle_dir)
             )
         raise
     return result
+
+
+def _first(violations):
+    """Checker and time of the first violation, or ``None``."""
+    return (violations[0].checker, violations[0].time) if violations else None
+
+
+def _rebuild_log(config, checkers, wall_timeout):
+    """Re-run ``config`` with an event log, up to its first violation.
+
+    Returns the log and the violations the re-run raised (empty when
+    it raised none).  Uids are pinned, so the log depends only on the
+    config and the code.  ``checkers`` are fresh, unattached checkers
+    (``None`` = the default set).  If the re-run runs out of
+    ``wall_timeout``, the log holds what was recorded up to that point.
+    """
+    from repro.engine.simulator import WallClockExceeded
+    from repro.experiments.topology import Scenario
+    from repro.metrics.eventlog import attach_to_scenario
+    from repro.net.packet import pinned_uids
+    from repro.validate.checkers import default_checkers
+
+    with pinned_uids():
+        replay = Scenario(config)
+        log = attach_to_scenario(replay)
+        validator = Validator(
+            checkers if checkers is not None else default_checkers(replay)
+        )
+        validator.attach(replay)
+        try:
+            validator.finalize(replay.run(wall_timeout=wall_timeout))
+        except InvariantViolationError as err:
+            return log, err.violations
+        except WallClockExceeded:
+            # The caller still raises its violation, never a timeout.
+            pass
+    return log, ()

@@ -40,3 +40,21 @@ class BackwardsAckSender(TahoeSender):
         super()._handle_new_ack(ack_seq)
         if self.snd_una > 2:
             self.snd_una -= 2
+
+
+class ResurrectedEventSender(TahoeSender):
+    """Breaks the simulator's lazy-deletion accounting.
+
+    On start it schedules a no-op, cancels it through the API, then
+    clears the cancelled flag: the event fires although the heap still
+    counts it as dead.  The ``timer-sanity`` audit must catch the count
+    mismatch at the next heap compaction, or at the end of the run when
+    none comes.
+    """
+
+    def start(self) -> None:
+        """Start the transfer, then resurrect a cancelled event."""
+        super().start()
+        event = self._sim.schedule(1.0, lambda: None)
+        event.cancel()
+        event.cancelled = False

@@ -18,13 +18,12 @@ and record why in the commit message.
 from __future__ import annotations
 
 import io
-import itertools
 from pathlib import Path
 
 from repro.experiments.config import lan_scenario, wan_scenario
 from repro.experiments.topology import Scenario, Scheme
 from repro.metrics.eventlog import EventLog, attach_to_scenario
-from repro.net import packet
+from repro.net.packet import pinned_uids
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,15 +55,10 @@ def generate_log(name: str) -> EventLog:
     logged lines are identical no matter how many packets earlier
     tests created.
     """
-    saved = packet._datagram_ids, packet._frame_ids
-    packet._datagram_ids = itertools.count(1)
-    packet._frame_ids = itertools.count(1)
-    try:
+    with pinned_uids():
         scenario = Scenario(GOLDEN_SCENARIOS[name]())
         log = attach_to_scenario(scenario)
         result = scenario.run()
-    finally:
-        packet._datagram_ids, packet._frame_ids = saved
     assert result.completed, f"golden scenario {name} did not complete"
     return log
 

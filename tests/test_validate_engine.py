@@ -9,7 +9,11 @@ has never failed is untested).
 
 from __future__ import annotations
 
+import itertools
+import json
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +22,10 @@ from repro.experiments.config import (
     trace_example_scenario,
     wan_scenario,
 )
+from repro.engine.simulator import Simulator
 from repro.experiments.topology import Scenario, Scheme, run_scenario
+from repro.metrics import eventlog
+from repro.validate import engine
 from repro.validate.engine import (
     InvariantViolationError,
     Validator,
@@ -28,7 +35,11 @@ from repro.validate.engine import (
     validation_default,
 )
 from repro.validate.checkers import default_checkers
-from repro.validate.testing import BackwardsAckSender, CwndMutatingEbsnSender
+from repro.validate.testing import (
+    BackwardsAckSender,
+    CwndMutatingEbsnSender,
+    ResurrectedEventSender,
+)
 
 TRANSFER = 12 * 1024
 
@@ -124,6 +135,29 @@ class TestFaultInjection:
             validated(config)
         assert excinfo.value.violations[0].checker == "tcp-state"
 
+    @pytest.mark.parametrize(
+        "config, when",
+        [
+            # No heap compaction on this WAN run: the end-of-run audit
+            # catches the miscount.
+            (wan_scenario(transfer_bytes=TRANSFER, record_trace=False),
+             "at end of run"),
+            # Four compactions on this LAN run: the first one's audit
+            # catches it mid-run.
+            (lan_scenario(scheme=Scheme.EBSN, transfer_bytes=512 * 1024),
+             "before compaction"),
+        ],
+        ids=["wan", "lan"],
+    )
+    def test_resurrected_cancelled_event_is_caught(self, config, when):
+        config = replace(config, sender_factory=ResurrectedEventSender)
+        with pytest.raises(InvariantViolationError) as excinfo:
+            validated(config)
+        violation = excinfo.value.violations[0]
+        assert violation.checker == "timer-sanity"
+        assert "cancelled-event count" in violation.message
+        assert when in violation.message
+
     def test_bundle_dir_false_writes_nothing(self):
         config = replace(
             wan_scenario(transfer_bytes=TRANSFER, record_trace=False),
@@ -212,3 +246,103 @@ class TestCustomCheckers:
         result = run_validated(scenario, bundle_dir=False, checkers=[Recorder()])
         assert result.completed
         assert seen == [True]
+
+
+def counting_attach(monkeypatch):
+    """Count calls to the event log's ``attach_to_scenario``."""
+    calls = []
+    real = eventlog.attach_to_scenario
+
+    def attach(scenario):
+        calls.append(scenario)
+        return real(scenario)
+
+    monkeypatch.setattr(eventlog, "attach_to_scenario", attach)
+    return calls
+
+
+class TestDeferredEventLog:
+    """Only a bundle needs the event log, so only a bundle records one."""
+
+    def test_clean_run_records_no_event_log(self, monkeypatch, tmp_path):
+        calls = counting_attach(monkeypatch)
+        config = wan_scenario(transfer_bytes=TRANSFER, record_trace=False)
+        assert run_scenario(config, validate=True, bundle_dir=tmp_path).completed
+        assert calls == []
+
+    def test_bundle_dir_false_never_reruns(self, monkeypatch):
+        calls = counting_attach(monkeypatch)
+        config = replace(
+            wan_scenario(transfer_bytes=TRANSFER, record_trace=False),
+            sender_factory=BackwardsAckSender,
+        )
+        with pytest.raises(InvariantViolationError):
+            validated(config)
+        assert calls == []
+
+    def test_bundle_reruns_once(self, monkeypatch, tmp_path):
+        calls = counting_attach(monkeypatch)
+        config = replace(
+            wan_scenario(transfer_bytes=TRANSFER, record_trace=False),
+            sender_factory=BackwardsAckSender,
+        )
+        with pytest.raises(InvariantViolationError) as excinfo:
+            run_scenario(config, validate=True, bundle_dir=tmp_path)
+        assert len(calls) == 1
+        assert excinfo.value.bundle_path is not None
+
+    def test_rerun_uses_fresh_copies_of_custom_checkers(self, tmp_path):
+        class FailAtEnd(engine.InvariantChecker):
+            name = "fail-at-end"
+
+            def __init__(self):
+                self.attached = 0
+
+            def attach(self, scenario, report):
+                self.attached += 1
+
+            def finalize(self, scenario, result, report):
+                report("always")
+
+        checker = FailAtEnd()
+        scenario = Scenario(
+            wan_scenario(transfer_bytes=TRANSFER, record_trace=False)
+        )
+        with pytest.raises(InvariantViolationError) as excinfo:
+            run_validated(scenario, bundle_dir=tmp_path, checkers=[checker])
+        assert checker.attached == 1
+        bundle = json.loads(Path(excinfo.value.bundle_path).read_text())
+        # The copy reproduced the failure at the same (end-of-run) time.
+        assert bundle["violations"] == [
+            {"checker": "fail-at-end", "time": scenario.sim.now,
+             "message": "always"}
+        ]
+        assert bundle["event_log_tail"]
+
+    def test_rerun_out_of_budget_still_raises_the_violation(
+        self, monkeypatch, tmp_path
+    ):
+        # The first run ends 100 s into a 50 s budget, so the re-run
+        # gets none; a watchdog checked every event stops it at once.
+        clock = itertools.count(0.0, 100.0)
+        monkeypatch.setattr(
+            engine, "time", SimpleNamespace(monotonic=lambda: next(clock))
+        )
+        monkeypatch.setattr(Simulator, "WATCHDOG_STRIDE", 1)
+        config = replace(
+            wan_scenario(
+                scheme=Scheme.EBSN, transfer_bytes=TRANSFER, record_trace=False
+            ),
+            sender_factory=CwndMutatingEbsnSender,
+        )
+        with pytest.raises(InvariantViolationError) as excinfo:
+            run_scenario(
+                config, validate=True, bundle_dir=tmp_path, wall_timeout=50.0
+            )
+        err = excinfo.value
+        assert err.violations[0].checker == "ebsn-no-window-action"
+        bundle = json.loads(Path(err.bundle_path).read_text())
+        assert [v["checker"] for v in bundle["violations"]] == [
+            "ebsn-no-window-action"
+        ]
+        assert len(bundle["event_log_tail"]) < 10

@@ -10,19 +10,28 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.config import wan_scenario
-from repro.experiments.topology import Scheme, run_scenario
+from repro.experiments.topology import Scenario, Scheme, run_scenario
+from repro.metrics.eventlog import attach_to_scenario
+from repro.net.packet import pinned_uids
 from repro.validate.bundle import (
+    LOG_TAIL_LINES,
     decode_value,
     encode_value,
     load_bundle,
     replay_bundle,
 )
-from repro.validate.engine import InvariantViolationError
-from repro.validate.testing import CwndMutatingEbsnSender
+from repro.validate.checkers import default_checkers
+from repro.validate.engine import InvariantViolationError, Validator
+from repro.validate.testing import (
+    BackwardsAckSender,
+    CwndMutatingEbsnSender,
+    ResurrectedEventSender,
+)
 
 TRANSFER = 12 * 1024
 
@@ -80,6 +89,55 @@ class TestBundleContents:
             load_bundle(future)
 
 
+def single_pass(config):
+    """Tail and violations of one run logged while it is validated."""
+    with pinned_uids():
+        scenario = Scenario(config)
+        log = attach_to_scenario(scenario)
+        validator = Validator(default_checkers(scenario)).attach(scenario)
+        with pytest.raises(InvariantViolationError) as excinfo:
+            validator.finalize(scenario.run())
+    tail = [event.to_line() for event in log.events[-LOG_TAIL_LINES:]]
+    return tail, excinfo.value.violations
+
+
+def bundle_of(config, directory):
+    with pytest.raises(InvariantViolationError) as excinfo:
+        run_scenario(config, validate=True, bundle_dir=directory)
+    return excinfo.value.bundle_path
+
+
+class TestRebuiltTail:
+    """The re-run rebuilds exactly the tail a single logged pass holds."""
+
+    @pytest.mark.parametrize(
+        "sender, scheme",
+        [(CwndMutatingEbsnSender, Scheme.EBSN), (BackwardsAckSender, Scheme.BASIC)],
+        ids=["cwnd-mutating-ebsn", "backwards-ack"],
+    )
+    def test_tail_matches_a_single_logged_pass(self, sender, scheme, tmp_path):
+        config = replace(
+            wan_scenario(
+                scheme=scheme, transfer_bytes=TRANSFER, record_trace=False
+            ),
+            sender_factory=sender,
+        )
+        tail, violations = single_pass(config)
+        payload = json.loads(Path(bundle_of(config, tmp_path)).read_text())
+        assert tail
+        assert payload["event_log_tail"] == tail
+        assert payload["violations"] == [
+            {"checker": v.checker, "time": v.time, "message": v.message}
+            for v in violations
+        ]
+
+    def test_same_failure_gives_identical_bundles(self, violating_config,
+                                                  tmp_path):
+        first = bundle_of(violating_config, tmp_path / "a")
+        second = bundle_of(violating_config, tmp_path / "b")
+        assert Path(first).read_bytes() == Path(second).read_bytes()
+
+
 class TestReplay:
     def test_replay_reproduces_the_violation(self, bundle_path):
         outcome = replay_bundle(bundle_path)
@@ -89,6 +147,15 @@ class TestReplay:
         # Determinism: the replay hits the violation at the same time
         # with the same message.
         assert outcome.violations[0] == outcome.bundle.violations[0]
+
+    def test_replay_reproduces_a_timer_sanity_violation(self, tmp_path):
+        config = replace(
+            wan_scenario(transfer_bytes=TRANSFER, record_trace=False),
+            sender_factory=ResurrectedEventSender,
+        )
+        outcome = replay_bundle(bundle_of(config, tmp_path))
+        assert outcome.reproduced
+        assert outcome.violations[0].checker == "timer-sanity"
 
     def test_replay_does_not_mint_new_bundles(self, bundle_path, tmp_path):
         before = sorted(tmp_path.glob("violation-*.json"))
