@@ -216,15 +216,14 @@ class DownlinkRadio:
         self.stats.frames_discarded += 1
         if isinstance(self.scheduler, FifoScheduler):
             self.scheduler.note_departure(dest)
-        if self.arq.drop_siblings:
-            uid = queued.fragment.datagram.uid
-            queue = self.queues[dest]
-            before = len(queue)
-            self.queues[dest] = deque(
-                qf for qf in queue if qf.fragment.datagram.uid != uid
-            )
-            dropped = before - len(self.queues[dest])
-            self.stats.siblings_dropped += dropped
-            if isinstance(self.scheduler, FifoScheduler):
-                for _ in range(dropped):
-                    self.scheduler.note_departure(dest)
+        uid = queued.fragment.datagram.uid
+        queue = self.queues[dest]
+        before = len(queue)
+        self.queues[dest] = deque(
+            qf for qf in queue if qf.fragment.datagram.uid != uid
+        )
+        dropped = before - len(self.queues[dest])
+        self.stats.siblings_dropped += dropped
+        if isinstance(self.scheduler, FifoScheduler):
+            for _ in range(dropped):
+                self.scheduler.note_departure(dest)

@@ -25,10 +25,9 @@ from repro.csdp.scheduling import (
     Scheduler,
 )
 from repro.engine import RandomStreams, Simulator
-from repro.net.ip import Fragmenter, Reassembler
+from repro.linklayer import WirelessPort
 from repro.net.link import WiredLink
 from repro.net.node import Node
-from repro.net.packet import data_frame
 from repro.net.wireless import WirelessLink, WirelessLinkConfig
 from repro.tcp import TahoeSender, TcpConfig, TcpSink
 
@@ -142,23 +141,16 @@ def run_csdp_study(config: CsdpStudyConfig) -> CsdpStudyResult:
         fh.add_interface("wired", wired_down.send, mh_name, "BS")
         bs.add_interface(f"wired-{i}", wired_up.send, fh_name)
 
-        # Plain per-MH uplink for TCP ACKs (shares the MH's fading).
+        # Plain per-MH uplink for TCP ACKs (shares the MH's fading).  A
+        # PLAIN port fragments onto its link and reassembles what the
+        # link delivers, so one port spans both ends of the uplink.
         uplink = WirelessLink(sim, config.wireless, channels[mh_name], name=f"{mh_name}->BS")
-        up_reassembler = Reassembler(sim, timeout=60.0, name=f"up-{mh_name}")
-        up_fragmenter = Fragmenter(config.wireless.mtu_bytes)
-
-        def on_uplink_frame(frame, _reasm=up_reassembler):
-            datagram = _reasm.add(frame.fragment)
-            if datagram is not None:
-                bs.receive(datagram)
-
-        uplink.connect(on_uplink_frame)
-
-        def send_uplink(datagram, _link=uplink, _frag=up_fragmenter):
-            for fragment in _frag.fragment(datagram):
-                _link.send(data_frame(fragment))
-
-        mh.add_interface("uplink", send_uplink, fh_name, "BS")
+        up_port = WirelessPort(
+            sim, f"up-{mh_name}", out_link=uplink, deliver=bs.receive,
+            reassembly_timeout=60.0,
+        )
+        uplink.connect(up_port.receive_frame)
+        mh.add_interface("uplink", up_port.send_datagram, fh_name, "BS")
 
         sender = TahoeSender(
             sim,

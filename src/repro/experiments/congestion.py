@@ -3,7 +3,9 @@
 The paper assumes an uncongested wired network and defers "the impact
 of congestion in the wired network on the effectiveness of EBSN ...
 [and] the interaction between ECN and EBSN" to follow-up work.  This
-module builds that experiment:
+module builds that experiment as a :class:`CongestedScenario`: the
+Fig. 2 :class:`~repro.experiments.topology.Scenario` with a routed
+wired side in place of its single FH<->BS hop,
 
     FH ──fast──▶ R ══ 56 kbps bottleneck (bounded queue, optional ECN
     XS ──fast──▶ R     marking) ══▶ BS ──wireless──▶ MH
@@ -14,7 +16,9 @@ its capacity.  Congestion now produces *real* drops (or ECN marks) on
 the wired segment while the wireless hop keeps producing fades, so a
 source may receive congestion signals and EBSNs in the same
 connection: ECN must shrink the window, EBSN must only re-arm the
-timer, and neither may mask the other.
+timer, and neither may mask the other.  The wireless hop, the scheme
+wiring at the base station, and the hooks the invariant checkers and
+the event log attach to are the base class's.
 """
 
 from __future__ import annotations
@@ -22,16 +26,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.ebsn import EbsnGenerator, install_ebsn_handler
-from repro.engine import RandomStreams, Simulator
-from repro.linklayer import LinkLayerMode, WirelessPort
-from repro.metrics import ConnectionMetrics, compute_metrics
+from repro.engine import Simulator
+from repro.metrics import ConnectionMetrics
 from repro.net.link import WiredLink
 from repro.net.node import Node
 from repro.net.packet import Datagram, TcpSegment
-from repro.net.wireless import WirelessLink, WirelessLinkConfig
-from repro.experiments.topology import ChannelConfig, ScenarioConfig, Scheme
-from repro.tcp import TahoeSender, TcpConfig, TcpSink
+from repro.net.wireless import WirelessLinkConfig
+from repro.experiments.topology import (
+    ChannelConfig,
+    Scenario,
+    ScenarioConfig,
+    ScenarioResult,
+    Scheme,
+)
+from repro.tcp import TcpConfig
+
+#: The R->BS bottleneck, and the uncongested BS->R reverse path (bps).
+BOTTLENECK_BPS = 56_000.0
+#: Datagrams the bottleneck queue holds before it drops.
+BOTTLENECK_QUEUE_PACKETS = 10
+#: Queue depth at which the bottleneck ECN-marks arrivals (ECN on).
+ECN_THRESHOLD_PACKETS = 4
+#: The FH->R, XS->R and R->FH access links: never the bottleneck (bps).
+ACCESS_BPS = 1_000_000.0
 
 
 class CbrSource:
@@ -100,12 +117,9 @@ class CongestedScenarioConfig:
 
     scheme: Scheme = Scheme.BASIC  # BASIC or EBSN
     ecn: bool = False
-    #: Cross-traffic load as a fraction of the bottleneck capacity.
+    #: Cross-traffic load as a fraction of the bottleneck capacity;
+    #: 0.0 = no cross traffic.
     cross_load: float = 0.5
-    bottleneck_bps: float = 56_000.0
-    bottleneck_queue_packets: int = 10
-    ecn_threshold_packets: int = 4
-    access_bps: float = 1_000_000.0
     wired_prop_delay: float = 0.01
     tcp: TcpConfig = field(
         default_factory=lambda: TcpConfig(transfer_bytes=60 * 1024)
@@ -114,6 +128,19 @@ class CongestedScenarioConfig:
     wireless: WirelessLinkConfig = field(default_factory=WirelessLinkConfig)
     seed: int = 1
     max_sim_time: float = 50_000.0
+
+    # The rest of what Scenario reads, held fixed by this study: one
+    # Tahoe bulk transfer over a symmetric radio with ARQ derived from
+    # the link, no trace.  Plain class attributes, so not fields.
+    wireless_up = None
+    arq = None
+    tcp_variant = "tahoe"
+    sender_factory = None
+    delayed_acks = False
+    ebsn_heartbeat = None
+    record_trace = False
+    record_cwnd = False
+    derived_arq = ScenarioConfig.derived_arq
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.cross_load < 1.5:
@@ -135,116 +162,82 @@ class CongestedScenarioResult:
     cross_packets_delivered: int
 
 
+class CongestedScenario(Scenario):
+    """The Fig. 2 scenario behind a congested, routed wired side.
+
+    ``wired_down`` is the R->BS bottleneck and ``wired_up`` the BS->R
+    reverse path; ``router`` and ``xs`` are the extra nodes.
+    """
+
+    config: CongestedScenarioConfig
+
+    def __init__(self, config: CongestedScenarioConfig) -> None:
+        super().__init__(config)
+        self.sender.ecn_enabled = config.ecn
+        self.cross: Optional[CbrSource] = None
+        if config.cross_load > 0.0:
+            self.cross = CbrSource(
+                self.sim,
+                self.xs,
+                "BS",
+                rate_bps=config.cross_load * BOTTLENECK_BPS,
+                packet_size=config.tcp.packet_size,
+            )
+
+    def _build_wired(self) -> None:
+        """FH and XS feed R over access links; R->BS is the bottleneck."""
+        sim = self.sim
+        delay = self.config.wired_prop_delay
+        self.xs = Node("XS")
+        self.router = Node("R")
+        fh_r = WiredLink(sim, ACCESS_BPS, delay, name="FH->R")
+        xs_r = WiredLink(sim, ACCESS_BPS, delay, name="XS->R")
+        # The bottleneck, with a bounded queue and optional ECN marking.
+        self.wired_down = WiredLink(
+            sim,
+            BOTTLENECK_BPS,
+            delay,
+            queue_capacity=BOTTLENECK_QUEUE_PACKETS,
+            ecn_threshold=ECN_THRESHOLD_PACKETS if self.config.ecn else None,
+            name="R->BS",
+        )
+        # Reverse path (ACKs, EBSNs) — uncongested.
+        self.wired_up = WiredLink(sim, BOTTLENECK_BPS, delay, name="BS->R")
+        r_fh = WiredLink(sim, ACCESS_BPS, delay, name="R->FH")
+
+        for link in (fh_r, xs_r, self.wired_up):
+            link.connect(self.router.receive)
+        self.wired_down.connect(self._bs_wired_arrival)
+        r_fh.connect(self.fh.receive)
+
+        self.fh.add_interface("wired", fh_r.send, "MH", "BS", "R")
+        self.xs.add_interface("wired", xs_r.send, "BS")
+        self.router.add_interface("down", self.wired_down.send, "MH", "BS")
+        self.router.add_interface("up", r_fh.send, "FH")
+        self.bs.add_interface("up", self.wired_up.send, "FH")
+        self.cross_sink = CbrSink()
+        self.bs.attach_agent(self.cross_sink)
+
+    def run(self, wall_timeout: Optional[float] = None) -> ScenarioResult:
+        """Start the cross traffic, then run the transfer."""
+        if self.cross is not None:
+            self.cross.start()
+        return super().run(wall_timeout=wall_timeout)
+
+
 def run_congested_scenario(config: CongestedScenarioConfig) -> CongestedScenarioResult:
     """Build and run the FH/XS → R → BS → MH topology."""
-    sim = Simulator()
-    streams = RandomStreams(config.seed)
-    channel = config.channel.build(streams)
-
-    fh, xs, router, bs, mh = (Node(n) for n in ("FH", "XS", "R", "BS", "MH"))
-
-    # Access links into the router (never the bottleneck).
-    fh_r = WiredLink(sim, config.access_bps, config.wired_prop_delay, name="FH->R")
-    xs_r = WiredLink(sim, config.access_bps, config.wired_prop_delay, name="XS->R")
-    # The bottleneck, with a bounded queue and optional ECN marking.
-    r_bs = WiredLink(
-        sim,
-        config.bottleneck_bps,
-        config.wired_prop_delay,
-        queue_capacity=config.bottleneck_queue_packets,
-        ecn_threshold=config.ecn_threshold_packets if config.ecn else None,
-        name="R->BS",
-    )
-    # Reverse path (ACKs, EBSNs) — uncongested.
-    bs_r = WiredLink(sim, config.bottleneck_bps, config.wired_prop_delay, name="BS->R")
-    r_fh = WiredLink(sim, config.access_bps, config.wired_prop_delay, name="R->FH")
-
-    fh_r.connect(router.receive)
-    xs_r.connect(router.receive)
-    r_bs.connect(bs.receive)
-    bs_r.connect(router.receive)
-    r_fh.connect(fh.receive)
-
-    fh.add_interface("wired", fh_r.send, "MH", "BS", "R")
-    xs.add_interface("wired", xs_r.send, "BS")
-    router.add_interface("down", r_bs.send, "MH", "BS")
-    router.add_interface("up", r_fh.send, "FH")
-    bs.add_interface("up", bs_r.send, "FH")
-
-    # Wireless hop (same machinery as the main scenarios).
-    downlink = WirelessLink(sim, config.wireless, channel, name="BS->MH")
-    uplink = WirelessLink(sim, config.wireless, channel, name="MH->BS")
-    base = ScenarioConfig(
-        scheme=config.scheme, wireless=config.wireless, tcp=config.tcp
-    )
-    arq = base.derived_arq()
-    mode = LinkLayerMode.PLAIN if config.scheme is Scheme.BASIC else LinkLayerMode.ARQ
-
-    ebsn_generator: Optional[EbsnGenerator] = None
-    feedback = None
-    if config.scheme is Scheme.EBSN:
-        ebsn_generator = EbsnGenerator(bs)
-        feedback = ebsn_generator
-
-    cross_sink = CbrSink()
-
-    def bs_deliver(datagram: Datagram) -> None:
-        bs.receive(datagram)
-
-    bs_port = WirelessPort(
-        sim,
-        "BS.wl",
-        out_link=downlink,
-        deliver=bs_deliver,
-        mode=mode,
-        arq_config=arq,
-        rng=streams.stream("bs-arq"),
-        feedback=feedback,
-    )
-    mh_port = WirelessPort(
-        sim,
-        "MH.wl",
-        out_link=uplink,
-        deliver=mh.receive,
-        mode=mode,
-        arq_config=arq,
-        rng=streams.stream("mh-arq"),
-    )
-    downlink.connect(mh_port.receive_frame)
-    uplink.connect(bs_port.receive_frame)
-    bs.add_interface("wireless", bs_port.send_datagram, "MH")
-    mh.add_interface("wireless", mh_port.send_datagram, "FH", "BS")
-    bs.attach_agent(cross_sink)
-
-    sender = TahoeSender(
-        sim, fh, "MH", config=config.tcp, on_complete=sim.stop
-    )
-    sender.ecn_enabled = config.ecn
-    fh.attach_agent(sender)
-    sink = TcpSink(sim, mh, "FH", header_bytes=config.tcp.header_bytes)
-    mh.attach_agent(sink)
-    if config.scheme is Scheme.EBSN:
-        install_ebsn_handler(sender)
-
-    cross = CbrSource(
-        sim,
-        xs,
-        "BS",
-        rate_bps=config.cross_load * config.bottleneck_bps,
-        packet_size=config.tcp.packet_size,
-    )
-    cross.start()
-    sender.start()
-    sim.run(until=config.max_sim_time)
-
+    scenario = CongestedScenario(config)
+    result = scenario.run()
+    sender = scenario.sender
     return CongestedScenarioResult(
-        metrics=compute_metrics(sender, sink),
-        completed=sender.completed,
-        bottleneck_drops=r_bs.queue.stats.dropped,
-        ecn_marks=r_bs.ecn_marks,
+        metrics=result.metrics,
+        completed=result.completed,
+        bottleneck_drops=scenario.wired_down.queue.stats.dropped,
+        ecn_marks=scenario.wired_down.ecn_marks,
         ecn_responses=sender.stats.ecn_responses,
         ebsn_received=sender.stats.ebsn_received,
         timeouts=sender.stats.timeouts,
         fast_retransmits=sender.stats.fast_retransmits,
-        cross_packets_delivered=cross_sink.packets_received,
+        cross_packets_delivered=scenario.cross_sink.packets_received,
     )

@@ -113,9 +113,6 @@ class ScenarioConfig:
     record_cwnd: bool = False
     #: Simulation abort horizon (a stuck run is an error, not a hang).
     max_sim_time: float = 50_000.0
-    quench_queue_threshold: int = 8
-    quench_min_interval: float = 0.5
-    snoop_local_timeout: Optional[float] = None
     #: Packet size for the BS->MH leg of a split connection; None =
     #: reuse the wired packet size.
     split_wireless_packet_size: Optional[int] = None
@@ -196,13 +193,7 @@ class Scenario:
         self.bs = Node("BS")
         self.mh = Node("MH")
 
-        # Wired hop (duplex = two unidirectional links).
-        self.wired_down = WiredLink(
-            self.sim, config.wired_bandwidth_bps, config.wired_prop_delay, name="FH->BS"
-        )
-        self.wired_up = WiredLink(
-            self.sim, config.wired_bandwidth_bps, config.wired_prop_delay, name="BS->FH"
-        )
+        self._build_wired()
 
         # Wireless hop; both directions share the fading channel.
         uplink_config = config.wireless_up or config.wireless
@@ -230,12 +221,7 @@ class Scenario:
             )
             feedback = self.ebsn_generator
         elif config.scheme is Scheme.QUENCH:
-            self.quench_generator = QuenchGenerator(
-                self.sim,
-                self.bs,
-                queue_threshold=config.quench_queue_threshold,
-                min_interval=config.quench_min_interval,
-            )
+            self.quench_generator = QuenchGenerator(self.sim, self.bs)
             feedback = self.quench_generator
 
         self.bs_port = WirelessPort(
@@ -260,13 +246,8 @@ class Scenario:
         self.downlink.connect(self.mh_port.receive_frame)
         self.uplink.connect(self.bs_port.receive_frame)
 
-        # Routing.
-        self.fh.add_interface("wired", self.wired_down.send, "MH", "BS")
-        self.bs.add_interface("wired", self.wired_up.send, "FH")
         self.bs.add_interface("wireless", self._bs_send_wireless, "MH")
         self.mh.add_interface("wireless", self.mh_port.send_datagram, "FH", "BS")
-        self.wired_down.connect(self._bs_wired_arrival)
-        self.wired_up.connect(self.fh.receive)
 
         # Transport.  For a split connection the fixed host's sender
         # finishes early (the relay ACKs on arrival at the BS), so the
@@ -308,16 +289,11 @@ class Scenario:
             install_quench_handler(self.sender)
         elif config.scheme is Scheme.SNOOP:
             frame_time = self.downlink.tx_time(config.wireless.mtu_bytes)
-            timeout = (
-                config.snoop_local_timeout
-                if config.snoop_local_timeout is not None
-                else max(0.1, 8 * frame_time)
-            )
             self.snoop_agent = SnoopAgent(
                 self.sim,
                 send_wireless=self.bs_port.send_datagram,
                 send_wired=self.bs.routing.forward,
-                local_timeout=timeout,
+                local_timeout=max(0.1, 8 * frame_time),
             )
         elif config.scheme is Scheme.SPLIT:
             self.split_relay = SplitRelay(
@@ -335,6 +311,28 @@ class Scenario:
                 clock_granularity=config.tcp.clock_granularity,
             )
             self.bs.attach_agent(self.split_relay)
+
+    def _build_wired(self) -> None:
+        """Wire the FH<->BS hop: the one override point for a study's
+        wired side.
+
+        It must set ``wired_down`` (the link delivering into the BS,
+        connected to :meth:`_bs_wired_arrival`) and ``wired_up`` (the
+        link leaving it), route FH's traffic for MH and BS toward the
+        BS, and route the BS's traffic for FH.  Here it is one duplex
+        link, two unidirectional ones.
+        """
+        config = self.config
+        self.wired_down = WiredLink(
+            self.sim, config.wired_bandwidth_bps, config.wired_prop_delay, name="FH->BS"
+        )
+        self.wired_up = WiredLink(
+            self.sim, config.wired_bandwidth_bps, config.wired_prop_delay, name="BS->FH"
+        )
+        self.wired_down.connect(self._bs_wired_arrival)
+        self.wired_up.connect(self.fh.receive)
+        self.fh.add_interface("wired", self.wired_down.send, "MH", "BS")
+        self.bs.add_interface("wired", self.wired_up.send, "FH")
 
     # -- BS plumbing -----------------------------------------------------
 

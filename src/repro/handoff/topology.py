@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.channel import markov_channel
 from repro.engine import RandomStreams, Simulator
+from repro.linklayer import WirelessPort
 from repro.metrics import ConnectionMetrics, compute_metrics
 from repro.net.ip import Fragmenter, Reassembler
 from repro.net.link import WiredLink
@@ -167,9 +168,8 @@ def run_handoff_scenario(config: HandoffConfig) -> HandoffResult:
     # Per-BS wired spurs and wireless cells (independent channels).
     ports: Dict[str, CellPort] = {}
     r_to_bs: Dict[str, WiredLink] = {}
-    mh_uplinks: Dict[str, WirelessLink] = {}
+    mh_uplinks: Dict[str, WirelessPort] = {}
     mh_reassembler = Reassembler(sim, timeout=30.0, name="mh")
-    bs_reassemblers: Dict[str, Reassembler] = {}
 
     mh_attached_to: Dict[str, Optional[str]] = {"cell": None}
 
@@ -190,16 +190,12 @@ def run_handoff_scenario(config: HandoffConfig) -> HandoffResult:
         down = WirelessLink(sim, config.wireless, channel, name=f"{name}->MH")
         up = WirelessLink(sim, config.wireless, channel, name=f"MH->{name}")
         down.connect(lambda frame, cell=name: mh_receive_frame(frame, cell))
-        bs_reasm = Reassembler(sim, timeout=30.0, name=f"{name}.up")
-        bs_reassemblers[name] = bs_reasm
-
-        def bs_uplink_frame(frame, node=bs_nodes[name], reasm=bs_reasm):
-            datagram = reasm.add(frame.fragment)
-            if datagram is not None:
-                node.receive(datagram)
-
-        up.connect(bs_uplink_frame)
-        mh_uplinks[name] = up
+        # A PLAIN port fragments onto its link and reassembles what the
+        # link delivers, so one port spans both ends of the uplink.
+        mh_uplinks[name] = WirelessPort(
+            sim, f"{name}.up", out_link=up, deliver=bs_nodes[name].receive
+        )
+        up.connect(mh_uplinks[name].receive_frame)
 
         ports[name] = CellPort(sim, name, down, config.wireless.mtu_bytes)
         bs_nodes[name].add_interface("radio", ports[name].send_datagram, "MH")
@@ -225,14 +221,11 @@ def run_handoff_scenario(config: HandoffConfig) -> HandoffResult:
     router.routing.add_route("BS2", r_to_bs["BS2"].send)
 
     # MH's uplink follows its attachment.
-    mh_fragmenter = Fragmenter(config.wireless.mtu_bytes)
-
     def mh_send(datagram: Datagram) -> None:
         cell = mh_attached_to["cell"]
         if cell is None:
             return  # disconnected: ack lost
-        for fragment in mh_fragmenter.fragment(datagram):
-            mh_uplinks[cell].send(data_frame(fragment))
+        mh_uplinks[cell].send_datagram(datagram)
 
     mh.add_interface("uplink", mh_send, "FH", "R")
 

@@ -22,6 +22,16 @@ class ArqConfig:
     round of propagation, the ACK's airtime, and the chance that the
     reverse link is busy serializing a data frame; topology builders
     compute it from the link parameters.
+
+    Two behaviours are fixed rather than configured:
+
+    * when a fragment is discarded after rtmax attempts, its queued
+      sibling fragments are dropped too (the datagram can no longer
+      reassemble, so sending them only wastes airtime);
+    * frames reach the network layer in link-sequence order, as
+      RLP-style local recovery delivers them.  Without this, a retried
+      frame overtaken by its successors produces TCP duplicate ACKs and
+      a spurious fast retransmit at the source.
     """
 
     ack_timeout: float = 0.25
@@ -38,15 +48,6 @@ class ArqConfig:
     #: still blocks the queue (the head-of-line behaviour CSDP [9]
     #: observed) rather than dumping everything into the fade.
     window: int = 4
-    #: When a fragment is discarded after rtmax attempts, also drop the
-    #: queued sibling fragments of the same datagram (the datagram can
-    #: no longer reassemble, so sending them only wastes airtime).
-    drop_siblings: bool = True
-    #: Deliver frames to the network layer in link-sequence order, as
-    #: RLP-style local recovery does.  Without this, a retried frame
-    #: overtaken by its successors produces TCP duplicate ACKs and a
-    #: spurious fast retransmit at the source.
-    in_order_delivery: bool = True
     #: How long the receiver holds out-of-order frames before flushing
     #: past a gap (covers the transmitter's full retry horizon).
     #: None = derive from rtmax/ack_timeout/backoff.

@@ -203,9 +203,7 @@ class WirelessPort:
         pending = self._pending
         if not pending:
             return
-        cfg = self.arq_config
-        window = cfg.window
-        in_order = cfg.in_order_delivery
+        window = self.arq_config.window
         stats = self.stats
         while pending and len(outstanding) < window:
             frame = data_frame(pending.popleft())
@@ -217,9 +215,8 @@ class WirelessPort:
             entry.ack_timer = None
             entry.backoff_event = None
             entry.awaiting_retry = False
-            if in_order:
-                frame.link_seq = self._tx_seq
-                self._tx_seq += 1
+            frame.link_seq = self._tx_seq
+            self._tx_seq += 1
             outstanding[frame.uid] = entry
             stats.first_transmissions += 1
             self._transmit(entry)
@@ -286,14 +283,11 @@ class WirelessPort:
             return
         self.feedback.on_frame_discarded(fragment)
         self._send_skip(entry.frame.link_seq)
-        if self.arq_config.drop_siblings:
-            self._drop_siblings(fragment.datagram.uid)
+        self._drop_siblings(fragment.datagram.uid)
         self._pump()
 
-    def _send_skip(self, link_seq: Optional[int]) -> None:
+    def _send_skip(self, link_seq: int) -> None:
         """Reliably tell the receiver to skip a discarded frame's slot."""
-        if link_seq is None:
-            return
         entry = _OutstandingFrame(frame=skip_frame(link_seq))
         self._outstanding[entry.frame.uid] = entry
         self._transmit(entry)

@@ -23,6 +23,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, TextIO, Tuple
 
+from repro.net.node import Node
+
 
 class TraceParseError(ValueError):
     """A line that does not parse as the whitespace trace format.
@@ -170,6 +172,7 @@ def attach_to_scenario(scenario) -> EventLog:
     """
     log = EventLog()
     sim = scenario.sim
+    nodes = [part for part in vars(scenario).values() if isinstance(part, Node)]
 
     def wrap_wired(link):
         original_send = link.send
@@ -185,8 +188,9 @@ def attach_to_scenario(scenario) -> EventLog:
 
         link.send = send
         # Interfaces created before instrumentation captured the bound
-        # method; rebind them to the wrapper.
-        for node in (scenario.fh, scenario.bs, scenario.mh):
+        # method, on whichever node sends into the link; rebind them to
+        # the wrapper.
+        for node in nodes:
             for forward in node.routing._routes.values():
                 if getattr(forward, "_send", None) == original_send:
                     forward._send = send

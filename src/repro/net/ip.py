@@ -18,11 +18,12 @@ from repro.net.packet import Address, Datagram, Fragment
 
 
 class RoutingTable:
-    """Static next-hop routing: destination address → forwarding callable.
+    """Next-hop routing: destination address → forwarding callable.
 
-    The paper's topology is a three-node chain, so routes are installed
-    by the topology builder once and never change (no handoffs in this
-    study).
+    Topology builders install the routes before the run.  In the
+    paper's three-node chain they never change.  The handoff study's
+    router re-points its route to the mobile host whenever the host
+    reattaches to another cell.
     """
 
     def __init__(self, node_name: str) -> None:

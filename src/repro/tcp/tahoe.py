@@ -41,6 +41,11 @@ from repro.net.packet import (
 from repro.tcp.rto import RttEstimator
 
 
+#: Cap on the RTO's exponential backoff: at most 2**6 = 64 times the
+#: estimate (and never above ``max_rto``).
+MAX_BACKOFF_DOUBLINGS = 6
+
+
 class SendTrace(Protocol):
     """Consumer of per-transmission trace records (Figs 3–5)."""
 
@@ -63,11 +68,8 @@ class TcpConfig:
     #: TCP clock granularity in seconds (paper: 100 ms).
     clock_granularity: float = 0.1
     initial_rto: float = 3.0
-    min_rto_ticks: int = 2
     max_rto: float = 64.0
     dupack_threshold: int = 3
-    max_backoff_doublings: int = 6
-    initial_ssthresh_segments: Optional[int] = None
     #: RTO variance weight (Jacobson's k = 4); the §6 robust-timer
     #: ablation raises it.
     rto_k: float = 4.0
@@ -154,7 +156,6 @@ class TahoeSender:
         self.estimator = RttEstimator(
             granularity=self.config.clock_granularity,
             initial_rto=self.config.initial_rto,
-            min_ticks=self.config.min_rto_ticks,
             max_rto=self.config.max_rto,
             k=self.config.rto_k,
             var_decay_gain=self.config.rto_var_decay_gain,
@@ -172,12 +173,7 @@ class TahoeSender:
 
         # Congestion state (in segments).
         self.cwnd: float = 1.0
-        initial_ssthresh = (
-            self.config.initial_ssthresh_segments
-            if self.config.initial_ssthresh_segments is not None
-            else self.config.window_segments
-        )
-        self.ssthresh: float = float(max(2, initial_ssthresh))
+        self.ssthresh: float = float(max(2, self.config.window_segments))
         self.backoff_exp = 0
         self.dupacks = 0
 
@@ -348,7 +344,7 @@ class TahoeSender:
         if self.completed:
             return
         self.stats.timeouts += 1
-        self.backoff_exp = min(self.backoff_exp + 1, self.config.max_backoff_doublings)
+        self.backoff_exp = min(self.backoff_exp + 1, MAX_BACKOFF_DOUBLINGS)
         # A timeout invalidates any in-progress RTT measurement.
         self._timed_seq = None
         self._loss_response()

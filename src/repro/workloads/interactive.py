@@ -23,6 +23,10 @@ from repro.experiments.config import wan_scenario
 from repro.tcp import MessageSender
 
 
+#: User payload of one keystroke segment (bytes).
+KEYSTROKE_BYTES = 8
+
+
 @dataclass(frozen=True)
 class LatencyStats:
     """Distribution summary of per-keystroke delivery latencies (s)."""
@@ -61,7 +65,6 @@ class InteractiveConfig:
     keystrokes: int = 300
     #: Mean think time between keystrokes (s); a Poisson typist.
     think_time_mean: float = 0.5
-    keystroke_bytes: int = 8
     bad_period_mean: float = 2.0
     good_period_mean: float = 10.0
     #: EBSN heartbeat interval (s), forwarded to the scenario; only
@@ -117,7 +120,7 @@ def run_interactive_session(config: InteractiveConfig) -> InteractiveResult:
     scenario.sink.on_segment = deliver_hook
 
     def type_key() -> None:
-        seq = sender.send_message(config.keystroke_bytes)
+        seq = sender.send_message(KEYSTROKE_BYTES)
         typed_at[seq] = sim.now
         remaining["count"] -= 1
         if remaining["count"] > 0:

@@ -8,14 +8,18 @@ from repro.engine import Simulator
 from repro.experiments.congestion import (
     CbrSink,
     CbrSource,
+    CongestedScenario,
     CongestedScenarioConfig,
     run_congested_scenario,
 )
 from repro.experiments.topology import Scheme
+from repro.metrics.eventlog import EventType, attach_to_scenario
 from repro.net.link import WiredLink
 from repro.net.node import Node
 from repro.net.packet import Datagram, TcpAck, TcpSegment
 from repro.tcp import TahoeSender, TcpConfig, TcpSink
+from repro.validate.checkers import default_checkers
+from repro.validate.engine import Validator
 
 
 def data_datagram(seq=0, marked=False):
@@ -216,3 +220,41 @@ class TestCongestedScenario:
             CongestedScenarioConfig(cross_load=2.0)
         with pytest.raises(ValueError):
             CongestedScenarioConfig(scheme=Scheme.SNOOP)
+
+    def test_zero_load_means_no_cross_traffic(self):
+        result = self.run(load=0.0)
+        assert result.completed
+        assert result.cross_packets_delivered == 0
+
+
+class TestCongestedScenarioObservers:
+    """The checkers and the event log attach to the congestion study
+    as they do to any Scenario."""
+
+    @pytest.mark.parametrize("ecn", [False, True], ids=["ecn-off", "ecn-on"])
+    @pytest.mark.parametrize("scheme", [Scheme.BASIC, Scheme.EBSN])
+    def test_checkers_pass_and_results_match(self, scheme, ecn):
+        config = CongestedScenarioConfig(scheme=scheme, ecn=ecn, cross_load=0.9)
+        scenario = CongestedScenario(config)
+        validator = Validator(default_checkers(scenario)).attach(scenario)
+        result = scenario.run()
+        validator.finalize(result)
+        assert validator.violations == []
+        assert result.completed
+        assert result.metrics == run_congested_scenario(config).metrics
+        if scheme is Scheme.EBSN and ecn:
+            # Both signals reached the source, so the window checkers saw
+            # ECN halve the window and EBSN leave it alone.
+            assert scenario.sender.stats.ecn_responses > 0
+            assert scenario.sender.stats.ebsn_received > 0
+
+    def test_event_log_sees_router_sends_into_bottleneck(self):
+        scenario = CongestedScenario(CongestedScenarioConfig(cross_load=0.9))
+        log = attach_to_scenario(scenario)
+        scenario.run()
+        on_bottleneck = [e for e in log.events if e.place == "R->BS"]
+        sends = sum(
+            e.event in (EventType.WIRED_SEND, EventType.WIRED_DROP)
+            for e in on_bottleneck
+        )
+        assert sends == scenario.wired_down.stats.offered > 0
