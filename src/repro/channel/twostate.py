@@ -339,31 +339,7 @@ class TwoStateChannel:
     def corrupts(self, start: float, duration: float, nbits: int) -> bool:
         """Decide whether a frame transmitted over the interval is lost."""
         self.frames_tested += 1
-        if duration < 0 or nbits < 0:
-            self.exposure(start, duration, nbits)  # raises the canonical error
-        # Inlined exposure() fast path (one corrupts() per frame makes
-        # this the hottest channel entry point); identical guard and
-        # identical float expressions, falling back to exposure() on a
-        # miss.  The miss counter is incremented by exposure() itself.
-        end = start + duration
-        hi = self._fast_hi
-        if (
-            self._fast_lo <= start < hi
-            and end <= hi
-            and (end != hi or hi != self._horizon)
-        ):
-            self.fast_path_hits += 1
-            if end <= start or nbits == 0:
-                share = float(nbits)
-            else:
-                span = end - start
-                share = nbits * span / span
-            if self._fast_good:
-                bits_good, bits_bad = share, 0.0
-            else:
-                bits_good, bits_bad = 0.0, share
-        else:
-            bits_good, bits_bad = self.exposure(start, duration, nbits)
+        bits_good, bits_bad = self.exposure(start, duration, nbits)
         if self.deterministic_errors:
             expected_errors = bits_good * self.ber_good + bits_bad * self.ber_bad
             corrupted = expected_errors >= 1.0

@@ -68,6 +68,22 @@ from repro.experiments.topology import Scheme, run_scenario
 SCHEMES = {s.value: s for s in Scheme}
 
 
+def positive_int(text: str) -> int:
+    """argparse type for a count flag: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _study_config(args: argparse.Namespace, cls, **fields):
+    """``cls(**fields)``; the config's own validation error exits 2."""
+    try:
+        return cls(**fields)
+    except ValueError as err:
+        args.parser.error(str(err))
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1, help="master RNG seed")
     parser.add_argument(
@@ -411,7 +427,9 @@ def _cmd_handoff(args: argparse.Namespace) -> int:
         tput = timeouts = 0.0
         for seed in range(1, args.seeds + 1):
             result = run_handoff_scenario(
-                HandoffConfig(
+                _study_config(
+                    args,
+                    HandoffConfig,
                     scheme=scheme,
                     handoff_interval=args.interval,
                     disconnect_time=args.disconnect,
@@ -447,8 +465,13 @@ def _cmd_congestion(args: argparse.Namespace) -> int:
             tput = drops = timeouts = 0.0
             for seed in range(1, args.seeds + 1):
                 result = run_congested_scenario(
-                    CongestedScenarioConfig(
-                        scheme=scheme, ecn=ecn, cross_load=args.load, seed=seed
+                    _study_config(
+                        args,
+                        CongestedScenarioConfig,
+                        scheme=scheme,
+                        ecn=ecn,
+                        cross_load=args.load,
+                        seed=seed,
                     )
                 )
                 tput += result.metrics.throughput_kbps / args.seeds
@@ -671,20 +694,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lan", action="store_true")
     p.add_argument("--bad-period", type=float, default=1.0)
     p.add_argument("--transfer-kb", type=int, default=100)
-    p.add_argument("--replications", type=int, default=5)
+    p.add_argument("--replications", type=positive_int, default=5)
     _add_engine(p)
     _add_validate(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("figure", help="regenerate a paper figure's series")
     p.add_argument("number", type=int, help="figure number (3-5, 7-11)")
-    p.add_argument("--replications", type=int, default=5)
+    p.add_argument("--replications", type=positive_int, default=5)
     _add_engine(p)
     _add_validate(p)
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("csdp", help="multi-connection scheduling study")
-    p.add_argument("--connections", type=int, default=4)
+    p.add_argument("--connections", type=positive_int, default=4)
     p.add_argument("--transfer-kb", type=int, default=50)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_csdp)
@@ -693,17 +716,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=float, default=8.0)
     p.add_argument("--disconnect", type=float, default=0.3)
     p.add_argument("--transfer-kb", type=int, default=60)
-    p.add_argument("--seeds", type=int, default=3)
-    p.set_defaults(func=_cmd_handoff)
+    p.add_argument("--seeds", type=positive_int, default=3)
+    p.set_defaults(func=_cmd_handoff, parser=p)
 
     p = sub.add_parser("congestion", help="congestion / ECN / EBSN interaction")
     p.add_argument("--load", type=float, default=0.9)
-    p.add_argument("--seeds", type=int, default=3)
-    p.set_defaults(func=_cmd_congestion)
+    p.add_argument("--seeds", type=positive_int, default=3)
+    p.set_defaults(func=_cmd_congestion, parser=p)
 
     p = sub.add_parser("validate", help="run every claim check (\u2713/\u2717 report)")
     p.add_argument("--scale", type=float, default=0.3, help="transfer scale factor")
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--seeds", type=positive_int, default=3)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser(

@@ -128,7 +128,7 @@ class DownlinkRadio:
         if not ready and not waiting:
             self._note_unblocked()
             return
-        choice = self.scheduler.select(ready, waiting, now) if ready or waiting else None
+        choice = self.scheduler.select(ready, waiting, now)
         if choice is None:
             self._note_blocked()
             self._schedule_wake(waiting, now)

@@ -2,7 +2,8 @@
 
 A cached entry is keyed by a stable digest of the full
 :class:`~repro.experiments.topology.ScenarioConfig` (every field,
-recursively canonicalized), the seed baked into that config, and a
+recursively encoded by :func:`encode_value`, the same form replay
+bundles store), the seed baked into that config, and a
 *code-version token* — a hash over the ``repro`` package's source
 files.  Any edit to the simulator therefore invalidates every cached
 point automatically; there is no manual versioning to forget.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import importlib
 import json
 import os
 import pickle
@@ -80,34 +82,59 @@ def code_version_token(package_root: Optional[Path] = None) -> str:
     return _code_version_token
 
 
-def _canonical(value: Any) -> Any:
-    """Reduce ``value`` to a JSON-serializable canonical form.
+def _qualify(cls: type) -> str:
+    return f"{cls.__module__}:{cls.__qualname__}"
 
-    Dataclasses become ``{class-name: {field: ...}}`` mappings, enums
-    their values, classes their qualified names; floats go through
-    ``repr`` so the digest sees full precision, not str() rounding.
+
+def _resolve(path: str) -> Any:
+    module_name, _, qualname = path.partition(":")
+    obj: Any = importlib.import_module(module_name)
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def encode_value(value: Any) -> Any:
+    """Encode ``value`` to a JSON-serializable, decodable form.
+
+    Dataclasses, enums and classes carry their import path; floats stay
+    floats, which JSON writes with ``repr`` precision.  The digest hashes
+    this form and replay bundles store it.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            f.name: _canonical(getattr(value, f.name))
-            for f in dataclasses.fields(value)
+        return {
+            "__dataclass__": _qualify(type(value)),
+            "fields": {
+                f.name: encode_value(getattr(value, f.name))
+                for f in dataclasses.fields(value)
+            },
         }
-        return {f"{type(value).__module__}.{type(value).__qualname__}": fields}
     if isinstance(value, enum.Enum):
-        return f"{type(value).__qualname__}.{value.name}"
+        return {"__enum__": _qualify(type(value)), "name": value.name}
     if isinstance(value, type):
-        return f"{value.__module__}.{value.__qualname__}"
-    if isinstance(value, float):
-        return repr(value)
+        return {"__class__": _qualify(value)}
     if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in sorted(value.items())}
-    if value is None or isinstance(value, (bool, int, str)):
+        return [encode_value(v) for v in value]
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    raise TypeError(
-        f"cannot canonicalize {type(value).__qualname__} for cache keying"
-    )
+    raise TypeError(f"cannot encode {type(value).__qualname__}")
+
+
+def decode_value(value: Any) -> Any:
+    """Inverse of :func:`encode_value`."""
+    if isinstance(value, dict):
+        if "__dataclass__" in value:
+            cls = _resolve(value["__dataclass__"])
+            fields = {k: decode_value(v) for k, v in value["fields"].items()}
+            return cls(**fields)
+        if "__enum__" in value:
+            return getattr(_resolve(value["__enum__"]), value["name"])
+        if "__class__" in value:
+            return _resolve(value["__class__"])
+        return {k: decode_value(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [decode_value(v) for v in value]
+    return value
 
 
 def config_digest(config: Any, code_token: Optional[str] = None) -> str:
@@ -116,7 +143,7 @@ def config_digest(config: Any, code_token: Optional[str] = None) -> str:
         {
             "format": CACHE_FORMAT,
             "code": code_token if code_token is not None else code_version_token(),
-            "config": _canonical(config),
+            "config": encode_value(config),
         },
         sort_keys=True,
         separators=(",", ":"),

@@ -11,11 +11,22 @@ full-scale ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.experiments.config import lan_scenario, trace_example_scenario, wan_scenario
+from repro.experiments.runner import ReplicatedResult, sweep_campaign
 from repro.experiments.topology import Scheme, run_scenario
 from repro.metrics.theoretical import theoretical_throughput_bps
+
+#: A Fig. 2 point a claim reads: ``(topology, scheme, packet_size,
+#: bad_period)``, with topology ``"wan"`` or ``"lan"``.
+Point = Tuple[str, Scheme, int, float]
+
+#: Per topology: the scenario factory and its full-scale transfer (bytes).
+_SCENARIOS = {
+    "wan": (wan_scenario, 100 * 1024),
+    "lan": (lan_scenario, 4 * 1024 * 1024),
+}
 
 
 @dataclass(frozen=True)
@@ -26,30 +37,61 @@ class ClaimResult:
 
 @dataclass(frozen=True)
 class Claim:
+    """A sentence from the paper plus the check that certifies it.
+
+    A Fig. 2 claim lists the ``points`` it reads, and its ``check``
+    judges their replicated results, in the same order:
+    ``check(results, seeds)``.  A claim without points runs its own
+    simulation: ``check(scale, seeds)``.
+    """
+
     id: str
     source: str
     statement: str
-    check: Callable[[float, int], ClaimResult]
+    check: Callable[..., ClaimResult]
+    points: Tuple[Point, ...] = ()
 
     def evaluate(self, scale: float = 0.3, seeds: int = 3) -> ClaimResult:
-        """Run this claim's check at the given scale."""
-        return self.check(scale, seeds)
+        """Run this claim's check (and only its own points) at the given scale."""
+        if not self.points:
+            return self.check(scale, seeds)
+        return self._judge(_run_points(self.points, scale, seeds), seeds)
+
+    def _judge(self, results: Dict[Point, ReplicatedResult], seeds: int) -> ClaimResult:
+        return self.check([results[point] for point in self.points], seeds)
 
 
-def _mean_over_seeds(scheme, seeds, scale, **kwargs):
-    metrics = []
-    for seed in range(1, seeds + 1):
-        result = run_scenario(
-            wan_scenario(
-                scheme=scheme,
-                seed=seed,
-                transfer_bytes=int(100 * 1024 * scale),
-                record_trace=False,
-                **kwargs,
-            )
+def _run_points(
+    points: Iterable[Point], scale: float, seeds: int
+) -> Dict[Point, ReplicatedResult]:
+    """Every distinct point over ``seeds`` seeds, as one campaign."""
+
+    def make_config(point: Point):
+        topology, scheme, packet_size, bad_period = point
+        scenario, transfer_bytes = _SCENARIOS[topology]
+        return scenario(
+            scheme=scheme,
+            packet_size=packet_size,
+            bad_period_mean=bad_period,
+            transfer_bytes=int(transfer_bytes * scale),
         )
-        metrics.append(result.metrics)
-    return metrics
+
+    return sweep_campaign(dict.fromkeys(points), make_config, seeds).points
+
+
+def _wan(scheme: Scheme, packet_size: int = 576) -> Point:
+    """A WAN point at the 4 s mean bad period every WAN claim reads."""
+    return ("wan", scheme, packet_size, 4.0)
+
+
+def _lan(scheme: Scheme, bad_period: float) -> Point:
+    """A LAN point at the study's only packet size."""
+    return ("lan", scheme, 1536, bad_period)
+
+
+def _sum(point: ReplicatedResult, metric: str):
+    """``metric`` summed over the point's runs, in seed order."""
+    return sum(getattr(run.metrics, metric) for run in point.results)
 
 
 def _check_fig3(scale, seeds) -> ClaimResult:
@@ -72,39 +114,24 @@ def _check_fig5(scale, seeds) -> ClaimResult:
     )
 
 
-def _check_local_recovery_timeouts(scale, seeds) -> ClaimResult:
-    timeouts = sum(
-        m.timeouts
-        for m in _mean_over_seeds(Scheme.LOCAL_RECOVERY, seeds, scale, bad_period_mean=4.0)
-    )
+def _check_local_recovery_timeouts(points, seeds) -> ClaimResult:
+    (local,) = points
+    timeouts = _sum(local, "timeouts")
     return ClaimResult(
         timeouts > 0, f"local recovery alone: {timeouts} timeouts over {seeds} runs"
     )
 
 
-def _check_quench_negative(scale, seeds) -> ClaimResult:
-    quench = sum(
-        m.timeouts
-        for m in _mean_over_seeds(Scheme.QUENCH, seeds, scale, bad_period_mean=4.0)
-    )
-    ebsn = sum(
-        m.timeouts
-        for m in _mean_over_seeds(Scheme.EBSN, seeds, scale, bad_period_mean=4.0)
-    )
+def _check_quench_negative(points, seeds) -> ClaimResult:
+    quench, ebsn = (_sum(point, "timeouts") for point in points)
     return ClaimResult(
         ebsn < quench and quench > 0,
         f"timeouts over {seeds} runs: quench {quench}, EBSN {ebsn}",
     )
 
 
-def _check_packet_size_optimum(scale, seeds) -> ClaimResult:
-    def mean_tput(size):
-        ms = _mean_over_seeds(
-            Scheme.BASIC, seeds, scale, packet_size=size, bad_period_mean=4.0
-        )
-        return sum(m.throughput_bps for m in ms) / len(ms)
-
-    small, mid, large = mean_tput(128), mean_tput(512), mean_tput(1536)
+def _check_packet_size_optimum(points, seeds) -> ClaimResult:
+    small, mid, large = (point.throughput_bps_mean for point in points)
     ok = mid > small and mid > large
     return ClaimResult(
         ok,
@@ -113,14 +140,8 @@ def _check_packet_size_optimum(scale, seeds) -> ClaimResult:
     )
 
 
-def _check_ebsn_large_packets(scale, seeds) -> ClaimResult:
-    def mean_tput(size):
-        ms = _mean_over_seeds(
-            Scheme.EBSN, seeds, scale, packet_size=size, bad_period_mean=4.0
-        )
-        return sum(m.throughput_bps for m in ms) / len(ms)
-
-    small, large = mean_tput(128), mean_tput(1536)
+def _check_ebsn_large_packets(points, seeds) -> ClaimResult:
+    small, large = (point.throughput_bps_mean for point in points)
     tput_th = theoretical_throughput_bps(12_800, 10.0, 4.0)
     ok = large > 1.15 * small and large > 0.7 * tput_th
     return ClaimResult(
@@ -130,54 +151,22 @@ def _check_ebsn_large_packets(scale, seeds) -> ClaimResult:
     )
 
 
-def _check_ebsn_doubles_basic(scale, seeds) -> ClaimResult:
-    basic = sum(
-        m.throughput_bps
-        for m in _mean_over_seeds(
-            Scheme.BASIC, seeds, scale, packet_size=1536, bad_period_mean=4.0
-        )
-    )
-    ebsn = sum(
-        m.throughput_bps
-        for m in _mean_over_seeds(
-            Scheme.EBSN, seeds, scale, packet_size=1536, bad_period_mean=4.0
-        )
-    )
+def _check_ebsn_doubles_basic(points, seeds) -> ClaimResult:
+    basic, ebsn = (_sum(point, "throughput_bps") for point in points)
     ratio = ebsn / basic if basic else 0.0
     return ClaimResult(ratio > 1.4, f"EBSN/basic at 1536 B, bad 4 s: {ratio:.2f}x")
 
 
-def _check_ebsn_low_retx(scale, seeds) -> ClaimResult:
-    basic = sum(
-        m.retransmitted_kbytes
-        for m in _mean_over_seeds(Scheme.BASIC, seeds, scale, bad_period_mean=4.0)
-    )
-    ebsn = sum(
-        m.retransmitted_kbytes
-        for m in _mean_over_seeds(Scheme.EBSN, seeds, scale, bad_period_mean=4.0)
-    )
+def _check_ebsn_low_retx(points, seeds) -> ClaimResult:
+    basic, ebsn = (_sum(point, "retransmitted_kbytes") for point in points)
     return ClaimResult(
         ebsn < 0.3 * basic,
         f"retransmitted KB over {seeds} runs: basic {basic:.1f}, EBSN {ebsn:.1f}",
     )
 
 
-def _check_lan(scale, seeds) -> ClaimResult:
-    def mean_tput(scheme):
-        total = 0.0
-        for seed in range(1, seeds + 1):
-            result = run_scenario(
-                lan_scenario(
-                    scheme=scheme,
-                    bad_period_mean=1.6,
-                    transfer_bytes=int(4 * 1024 * 1024 * scale),
-                    seed=seed,
-                )
-            )
-            total += result.metrics.throughput_bps
-        return total / seeds
-
-    basic, ebsn = mean_tput(Scheme.BASIC), mean_tput(Scheme.EBSN)
+def _check_lan(points, seeds) -> ClaimResult:
+    basic, ebsn = (point.throughput_bps_mean for point in points)
     tput_th = theoretical_throughput_bps(2e6, 4.0, 1.6)
     ok = ebsn > 1.1 * basic and ebsn > 0.8 * tput_th
     return ClaimResult(
@@ -187,19 +176,9 @@ def _check_lan(scale, seeds) -> ClaimResult:
     )
 
 
-def _check_lan_goodput(scale, seeds) -> ClaimResult:
-    goodputs = []
-    for seed in range(1, seeds + 1):
-        result = run_scenario(
-            lan_scenario(
-                scheme=Scheme.EBSN,
-                bad_period_mean=0.8,
-                transfer_bytes=int(4 * 1024 * 1024 * scale),
-                seed=seed,
-            )
-        )
-        goodputs.append(result.metrics.goodput)
-    worst = min(goodputs)
+def _check_lan_goodput(points, seeds) -> ClaimResult:
+    (ebsn,) = points
+    worst = min(run.metrics.goodput for run in ebsn.results)
     return ClaimResult(worst > 0.97, f"EBSN LAN goodput (worst of {seeds}): {worst:.3f}")
 
 
@@ -293,14 +272,22 @@ def _check_ebsn_stateless(scale, seeds) -> ClaimResult:
 CLAIMS: List[Claim] = [
     Claim("fig3", "Fig 3", "basic TCP stalls and retransmits every bad period", _check_fig3),
     Claim("fig5", "Fig 5", "EBSN: no timeouts, goodput 100% (frozen channel)", _check_fig5),
-    Claim("s421", "§4.2.1", "source timeouts still occur during local recovery", _check_local_recovery_timeouts),
-    Claim("s422", "§4.2.2", "source quench cannot prevent timeouts; EBSN can", _check_quench_negative),
-    Claim("fig7", "Fig 7", "basic TCP has an interior optimal packet size", _check_packet_size_optimum),
-    Claim("fig8", "Fig 8", "with EBSN, larger packets win and approach tput_th", _check_ebsn_large_packets),
-    Claim("head", "§5.1", "EBSN ~doubles basic TCP at 1536 B / bad 4 s", _check_ebsn_doubles_basic),
-    Claim("fig9", "Fig 9", "EBSN nearly eliminates source retransmissions", _check_ebsn_low_retx),
-    Claim("fig10", "Fig 10", "LAN: EBSN beats basic and tracks tput_th", _check_lan),
-    Claim("fig11", "Fig 11", "LAN: EBSN goodput ≈ 100%", _check_lan_goodput),
+    Claim("s421", "§4.2.1", "source timeouts still occur during local recovery", _check_local_recovery_timeouts,
+          (_wan(Scheme.LOCAL_RECOVERY),)),
+    Claim("s422", "§4.2.2", "source quench cannot prevent timeouts; EBSN can", _check_quench_negative,
+          (_wan(Scheme.QUENCH), _wan(Scheme.EBSN))),
+    Claim("fig7", "Fig 7", "basic TCP has an interior optimal packet size", _check_packet_size_optimum,
+          (_wan(Scheme.BASIC, 128), _wan(Scheme.BASIC, 512), _wan(Scheme.BASIC, 1536))),
+    Claim("fig8", "Fig 8", "with EBSN, larger packets win and approach tput_th", _check_ebsn_large_packets,
+          (_wan(Scheme.EBSN, 128), _wan(Scheme.EBSN, 1536))),
+    Claim("head", "§5.1", "EBSN ~doubles basic TCP at 1536 B / bad 4 s", _check_ebsn_doubles_basic,
+          (_wan(Scheme.BASIC, 1536), _wan(Scheme.EBSN, 1536))),
+    Claim("fig9", "Fig 9", "EBSN nearly eliminates source retransmissions", _check_ebsn_low_retx,
+          (_wan(Scheme.BASIC), _wan(Scheme.EBSN))),
+    Claim("fig10", "Fig 10", "LAN: EBSN beats basic and tracks tput_th", _check_lan,
+          (_lan(Scheme.BASIC, 1.6), _lan(Scheme.EBSN, 1.6))),
+    Claim("fig11", "Fig 11", "LAN: EBSN goodput ≈ 100%", _check_lan_goodput,
+          (_lan(Scheme.EBSN, 0.8),)),
     Claim("adv", "§6", "EBSN keeps no per-connection state at the BS", _check_ebsn_stateless),
     Claim("csdp", "§2/[9]", "round-robin scheduling ≫ FIFO for multiple MHs", _check_scheduling),
     Claim("hand", "§2/[4]", "forced fast retransmit removes handoff timeouts", _check_handoff),
@@ -311,5 +298,12 @@ CLAIMS: List[Claim] = [
 def validate_all(
     scale: float = 0.3, seeds: int = 3
 ) -> List[Tuple[Claim, ClaimResult]]:
-    """Evaluate every claim; returns (claim, result) pairs in order."""
-    return [(claim, claim.evaluate(scale, seeds)) for claim in CLAIMS]
+    """Evaluate every claim; returns (claim, result) pairs in order.
+
+    The Fig. 2 claims' points, deduplicated, run as one campaign first.
+    """
+    results = _run_points((p for claim in CLAIMS for p in claim.points), scale, seeds)
+    return [
+        (claim, claim._judge(results, seeds) if claim.points else claim.check(scale, seeds))
+        for claim in CLAIMS
+    ]

@@ -27,7 +27,6 @@ class NewRenoSender(RenoSender):
             # Partial ACK: the next segment is also lost.  Retransmit
             # it right away, deflate by the amount acked, and stay in
             # fast recovery.
-            self.stats.acks_received += 0  # counted by caller already
             newly = ack_seq - self.snd_una
             self.snd_una = ack_seq
             self.dupacks = 0

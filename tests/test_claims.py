@@ -39,6 +39,34 @@ class TestValidation:
         assert result.detail
 
 
+class TestOneCampaign:
+    @pytest.fixture
+    def campaigns(self, monkeypatch):
+        """The unit lists of every campaign run, in call order."""
+        from repro.experiments.parallel import ParallelRunner
+
+        calls = []
+        run_campaign = ParallelRunner.run_campaign
+
+        def spy(runner, configs):
+            calls.append(list(configs))
+            return run_campaign(runner, configs)
+
+        monkeypatch.setattr(ParallelRunner, "run_campaign", spy)
+        return calls
+
+    def test_validate_all_runs_fig2_points_as_one_campaign(self, campaigns):
+        """9 WAN + 3 LAN distinct points x 3 seeds, each simulated once."""
+        validate_all(scale=0.3, seeds=3)
+        assert [len(units) for units in campaigns] == [36]
+        assert len({repr(unit) for unit in campaigns[0]}) == 36
+
+    def test_evaluate_runs_only_its_own_points(self, campaigns):
+        fig9 = next(c for c in CLAIMS if c.id == "fig9")
+        fig9.evaluate(scale=0.1, seeds=2)
+        assert [len(units) for units in campaigns] == [4]
+
+
 class TestCliValidate:
     def test_cli_reports(self, capsys):
         from repro.cli import main

@@ -29,6 +29,24 @@ class TestParser:
         assert args.packet_size == 576
         assert not args.lan
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["handoff", "--seeds", "0"],
+            ["congestion", "--seeds", "0"],
+            ["validate", "--seeds", "0"],
+            ["csdp", "--connections", "0"],
+            ["sweep", "--replications", "0"],
+            ["handoff", "--interval", "1", "--disconnect", "2"],
+        ],
+    )
+    def test_bad_counts_and_configs_are_usage_errors(self, argv, capsys):
+        """Zero counts and invalid study configs exit 2 before simulating."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"repro {argv[0]}: error:" in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_prints_metrics(self, capsys):
