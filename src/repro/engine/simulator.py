@@ -80,9 +80,10 @@ class Event:
         self.cancelled = True
         sim = self._sim
         if sim is not None:
-            # Inlined Simulator._note_cancelled (timer-heavy runs
-            # cancel constantly): account the corpse, compact when dead
-            # entries outnumber live ones.
+            # Account the corpse; compact when dead entries outnumber
+            # live ones, which keeps total compaction work linear in
+            # the number of cancellations while the run loop never
+            # churns through long dead runs at the heap's head.
             sim._cancelled_count += 1
             heap_len = len(sim._heap)
             if (
@@ -189,22 +190,6 @@ class Simulator:
         heapq.heappush(self._heap, (time, seq, event))
         self.heap_pushes += 1
         return event
-
-    def _note_cancelled(self) -> None:
-        """Account one in-heap cancellation; compact when dead > live.
-
-        Lazy deletion leaks in retransmission-heavy runs (every
-        restarted RTO/ARQ timer leaves a corpse in the heap); rebuilding
-        once cancelled entries outnumber live ones keeps total
-        compaction work linear in the number of cancellations while
-        :meth:`peek`/:meth:`step` never churn through long dead runs.
-        """
-        self._cancelled_count += 1
-        if (
-            len(self._heap) >= self.COMPACT_MIN_HEAP
-            and self._cancelled_count * 2 > len(self._heap)
-        ):
-            self._compact()
 
     def _compact(self) -> None:
         """Drop every cancelled entry and re-heapify the survivors.

@@ -84,13 +84,14 @@ class _OutstandingFrame:
 
     frame: LinkFrame
     attempts: int = 0
-    ack_timer: Optional[Timer] = None
+    ack_event: Optional[Event] = None
     backoff_event: Optional[Event] = None
     awaiting_retry: bool = False
 
     def cancel_timers(self) -> None:
-        if self.ack_timer is not None:
-            self.ack_timer.cancel()
+        if self.ack_event is not None:
+            self.ack_event.cancel()
+            self.ack_event = None
         if self.backoff_event is not None:
             self.backoff_event.cancel()
             self.backoff_event = None
@@ -149,12 +150,13 @@ class WirelessPort:
         self._flush_timeout = self.arq_config.derived_flush()
 
         # Hot-path prebinds.  Simulator.schedule is never instance-
-        # patched; shadowing _on_tx_complete in the instance dict hands
-        # out_link.send the same bound method every time instead of
-        # binding a fresh one per frame.  (_transmit stays an attribute
-        # lookup — the validation checkers instance-patch it.)
+        # patched; shadowing _on_tx_complete and _on_ack_timeout in the
+        # instance dict hands out the same bound method every time
+        # instead of binding a fresh one per frame.  (_transmit stays an
+        # attribute lookup — the validation checkers instance-patch it.)
         self._schedule = sim.schedule
         self._on_tx_complete = self._on_tx_complete
+        self._on_ack_timeout = self._on_ack_timeout
 
     # ------------------------------------------------------------------
     # Outgoing path
@@ -212,7 +214,7 @@ class WirelessPort:
             entry = _OutstandingFrame.__new__(_OutstandingFrame)
             entry.frame = frame
             entry.attempts = 0
-            entry.ack_timer = None
+            entry.ack_event = None
             entry.backoff_event = None
             entry.awaiting_retry = False
             frame.link_seq = self._tx_seq
@@ -230,24 +232,17 @@ class WirelessPort:
         entry = self._outstanding.get(frame.uid)
         if entry is None or entry.awaiting_retry:
             return
-        timer = entry.ack_timer
-        if timer is None:
-            timer = entry.ack_timer = Timer(
-                self._sim,
-                lambda uid=frame.uid: self._on_ack_timeout(uid),
-                name=f"{self.name}.arq#{frame.uid}",
-            )
-        # Inlined timer.restart(self.arq_config.ack_timeout): one timer
-        # restart per transmitted frame.
-        event = timer._event
-        if event is not None:
-            event.cancel()
-        timer._event = self._schedule(self.arq_config.ack_timeout, timer._fire)
+        # One bare event per attempt, not a Timer: a frame is only
+        # retransmitted after its ack timeout fired, so nothing re-arms.
+        entry.ack_event = self._schedule(
+            self.arq_config.ack_timeout, self._on_ack_timeout, frame.uid
+        )
 
     def _on_ack_timeout(self, uid: int) -> None:
         entry = self._outstanding.get(uid)
         if entry is None:
             return
+        entry.ack_event = None
         self.stats.ack_timeouts += 1
         if entry.frame.fragment is not None:
             self.feedback.on_attempt_failed(entry.frame.fragment, entry.attempts)
@@ -330,13 +325,11 @@ class WirelessPort:
                 return
             self.stats.link_acks_received += 1
             self.feedback.on_recovered()
-            # Inlined entry.cancel_timers() + Timer.cancel().
-            timer = entry.ack_timer
-            if timer is not None:
-                event = timer._event
-                if event is not None:
-                    event.cancel()
-                    timer._event = None
+            # Inlined entry.cancel_timers().
+            event = entry.ack_event
+            if event is not None:
+                event.cancel()
+                entry.ack_event = None
             backoff = entry.backoff_event
             if backoff is not None:
                 backoff.cancel()
