@@ -1,6 +1,6 @@
 """Unit-paired CPU A/B: a git revision against the working tree.
 
-    python benchmarks/ab.py PARENT_REV [--grid fig8|lan] [--reps N] [--units N]
+    python benchmarks/ab.py PARENT_REV [--grid fig8|lan|wan] [--reps N] [--units N]
 
 Whole-pass timings on a shared host swing too widely to resolve a
 10% change: identical fig8-pool passes on a 2-vCPU Xeon ranged from
@@ -23,9 +23,13 @@ the same host, its per-rep CPU ratios for one change stayed within
   compared exactly).
 
 The grids are figure 8's (EBSN on the WAN: 4 bad periods x 9 packet
-sizes x seeds 1-3, 100 KB each, 108 units) and figure 10's (BASIC and
-EBSN on the LAN at 7 bad periods, 4 MB each, 14 units).  ``--units N``
-keeps the first N units of the grid.
+sizes x seeds 1-3, 100 KB each, 108 units), figure 10's (BASIC and
+EBSN on the LAN at 7 bad periods, 4 MB each, 14 units) and the WAN
+scheme set (seeds 1-4 x all 6 schemes at 576 B and bad period 2.0,
+100 KB each, 24 units: the only grid with the snoop, split and quench
+paths; the units of perfbench's ``wan-observed``, run without its
+observers).  ``--units N`` keeps the first N units of the grid, so
+``--grid wan --units 6`` runs each scheme once.
 
 Per rep it prints the CPU ratio, working tree over parent, summed over
 the units; at the end the median, min and max of that ratio.  Exit
@@ -44,7 +48,7 @@ import tempfile
 import time
 from pathlib import Path
 
-GRIDS = ("fig8", "lan")
+GRIDS = ("fig8", "lan", "wan")
 
 
 # ----------------------------------------------------------------------
@@ -68,6 +72,18 @@ def grid_configs(grid: str) -> list:
             for bad in config.WAN_BAD_PERIODS
             for size in config.WAN_PACKET_SIZES
             for seed in (1, 2, 3)
+        ]
+    if grid == "wan":
+        return [
+            config.wan_scenario(
+                scheme=scheme,
+                packet_size=576,
+                bad_period_mean=2.0,
+                seed=seed,
+                record_trace=False,
+            )
+            for seed in (1, 2, 3, 4)
+            for scheme in Scheme
         ]
     return [
         config.lan_scenario(scheme=scheme, bad_period_mean=bad)

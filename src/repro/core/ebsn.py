@@ -34,12 +34,12 @@ from repro.linklayer.port import FeedbackHooks
 from repro.net.node import Node
 from repro.net.packet import (
     ICMP_PACKET_BYTES,
-    Datagram,
     Fragment,
     IcmpMessage,
     IcmpType,
     PacketType,
     TcpSegment,
+    datagram,
 )
 from repro.tcp.tahoe import TahoeSender
 
@@ -120,11 +120,11 @@ class EbsnGenerator(FeedbackHooks):
         ):
             self.ebsn_suppressed += 1
             return
-        ebsn = Datagram(
-            src=self._node.name,
-            dst=dst,
-            payload=IcmpMessage(IcmpType.EBSN, about_seq=about_seq),
-            size_bytes=ICMP_PACKET_BYTES,
+        ebsn = datagram(
+            self._node.name,
+            dst,
+            IcmpMessage(IcmpType.EBSN, about_seq=about_seq),
+            ICMP_PACKET_BYTES,
         )
         self.ebsn_sent += 1
         self._node.send(ebsn)

@@ -10,8 +10,7 @@ that garbage-collects partial datagrams (as RFC 791 reassembly does).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from repro.engine import Simulator
 from repro.net.packet import Address, Datagram, Fragment
@@ -100,19 +99,6 @@ class Fragmenter:
         return fragments
 
 
-@dataclass(slots=True)
-class _PartialDatagram:
-    """Reassembly buffer for one in-flight datagram."""
-
-    frag_count: int
-    received: Set[int] = field(default_factory=set)
-    first_seen: float = 0.0
-
-    @property
-    def complete(self) -> bool:
-        return len(self.received) == self.frag_count
-
-
 class Reassembler:
     """All-or-nothing fragment reassembly with timeout.
 
@@ -120,6 +106,10 @@ class Reassembler:
     arrives, else ``None``.  Partial datagrams older than ``timeout``
     are discarded by a periodic sweep, counting a reassembly failure —
     this is the wired packet the TCP source will have to resend.
+
+    Each partial datagram is a ``[bitmask, fragments_left, first_seen]``
+    list keyed by datagram uid: bit ``i`` of the mask is set once
+    fragment ``i`` has arrived.
     """
 
     #: How many completed datagram uids to remember, so that a late
@@ -133,7 +123,7 @@ class Reassembler:
         self._sim = sim
         self.timeout = timeout
         self.name = name
-        self._partials: Dict[int, _PartialDatagram] = {}
+        self._partials: Dict[int, list] = {}
         self._completed_recent: "OrderedDict[int, None]" = OrderedDict()
         self.completed = 0
         self.failed = 0
@@ -142,31 +132,37 @@ class Reassembler:
 
     def add(self, fragment: Fragment) -> Optional[Datagram]:
         """Account one arriving fragment; return the datagram if complete."""
-        uid = fragment.datagram.uid
+        datagram = fragment.datagram
+        uid = datagram.uid
         if uid in self._completed_recent:
             self.duplicate_fragments += 1
             return None
         partial = self._partials.get(uid)
+        bit = 1 << fragment.frag_index
         if partial is None:
-            partial = _PartialDatagram(
-                frag_count=fragment.frag_count, first_seen=self._sim.now
-            )
-            self._partials[uid] = partial
+            # A datagram's first fragment arms the sweep, even when it
+            # is the only one, so sweep times do not depend on sizes.
             self._ensure_sweep()
-        received = partial.received
-        before = len(received)
-        received.add(fragment.frag_index)
-        if len(received) == before:
-            self.duplicate_fragments += 1
-            return None
-        if len(received) == partial.frag_count:
+            left = fragment.frag_count - 1
+            if left:
+                self._partials[uid] = [bit, left, self._sim.now]
+                return None
+        else:
+            if partial[0] & bit:
+                self.duplicate_fragments += 1
+                return None
+            left = partial[1] - 1
+            if left:
+                partial[0] |= bit
+                partial[1] = left
+                return None
             del self._partials[uid]
-            self.completed += 1
-            self._completed_recent[uid] = None
-            while len(self._completed_recent) > self.COMPLETED_MEMORY:
-                self._completed_recent.popitem(last=False)
-            return fragment.datagram
-        return None
+        self.completed += 1
+        completed_recent = self._completed_recent
+        completed_recent[uid] = None
+        if len(completed_recent) > self.COMPLETED_MEMORY:
+            completed_recent.popitem(last=False)
+        return datagram
 
     @property
     def pending(self) -> int:
@@ -181,7 +177,7 @@ class Reassembler:
     def _sweep(self) -> None:
         self._sweep_scheduled = False
         deadline = self._sim.now - self.timeout
-        expired = [uid for uid, p in self._partials.items() if p.first_seen <= deadline]
+        expired = [uid for uid, p in self._partials.items() if p[2] <= deadline]
         for uid in expired:
             del self._partials[uid]
             self.failed += 1

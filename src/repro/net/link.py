@@ -5,10 +5,21 @@ transmitter, each occupies the line for ``size · 8 / bandwidth``
 seconds, then arrives ``prop_delay`` later.  Wired links are error
 free (the paper's premise: on wired links virtually all loss is
 congestion).  A duplex connection is two instances.
+
+Serialization is computed, not simulated: the link keeps the time the
+line frees up, so an accepted datagram's finish time is known when it
+is sent, and its arrival is the one event it schedules.  A datagram
+waits in ``queue`` until its start time; each ``send`` first removes
+the datagrams whose start time has come, so drop-tail capacity and
+ECN marking read the depth of the waiting queue.  (Between sends,
+``queue`` and its ``dequeued`` count are as of the last ``send``.)
+Tie rule: a datagram whose start time equals the current time has
+already left the queue when a ``send`` at that time reads the depth.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,7 +30,14 @@ from repro.net.queues import DropTailQueue
 
 @dataclass(slots=True)
 class LinkStats:
-    """Transmission counters shared by wired and wireless links."""
+    """Transmission counters shared by wired and wireless links.
+
+    A wireless link counts a frame when its transmission ends.  A
+    wired link counts a datagram when it accepts it: its whole
+    serialization is fixed then, so ``transmitted``, ``delivered``,
+    ``bytes_transmitted`` and ``busy_time`` already include datagrams
+    still waiting or on the line.
+    """
 
     offered: int = 0
     transmitted: int = 0
@@ -43,6 +61,7 @@ class WiredLink:
     >>> link = WiredLink(sim, bandwidth_bps=56_000, prop_delay=0.01)
     >>> link.connect(got.append)
     >>> link.send(Datagram("FH", "MH", TcpAck(0), 40))
+    True
     >>> sim.run()
     >>> len(got), round(sim.now, 6)   # 40*8/56000 + 0.01
     (1, 0.015714)
@@ -74,7 +93,10 @@ class WiredLink:
         self.ecn_marks = 0
         self.stats = LinkStats()
         self._receiver: Optional[Callable[[Datagram], None]] = None
-        self._busy = False
+        #: Time the line finishes its last accepted datagram.
+        self._free_at = 0.0
+        #: Start times of the datagrams waiting in ``queue``, in order.
+        self._starts: deque[float] = deque()
 
     def connect(self, receiver: Callable[[Datagram], None]) -> None:
         """Set the far-end delivery callback."""
@@ -83,7 +105,7 @@ class WiredLink:
     @property
     def busy(self) -> bool:
         """True while a datagram is being serialized onto the line."""
-        return self._busy
+        return self._sim.now < self._free_at
 
     def tx_time(self, size_bytes: int) -> float:
         """Serialization time for a datagram of ``size_bytes``."""
@@ -91,32 +113,36 @@ class WiredLink:
 
     def send(self, datagram: Datagram) -> bool:
         """Queue a datagram for transmission; False if the queue dropped it."""
-        if self._receiver is None:
+        receiver = self._receiver
+        if receiver is None:
             raise RuntimeError(f"link {self.name!r} has no receiver connected")
-        self.stats.offered += 1
-        if self.ecn_threshold is not None and len(self.queue) >= self.ecn_threshold:
+        sim = self._sim
+        now = sim._now
+        queue = self.queue
+        starts = self._starts
+        while starts and starts[0] <= now:
+            starts.popleft()
+            queue.poll()
+        stats = self.stats
+        stats.offered += 1
+        if self.ecn_threshold is not None and len(queue) >= self.ecn_threshold:
             datagram.ecn_marked = True
             self.ecn_marks += 1
-        if not self.queue.offer(datagram, datagram.size_bytes):
+        size = datagram.size_bytes
+        if not queue.offer(datagram, size):
             return False
-        if not self._busy:
-            self._start_next()
+        start = self._free_at
+        if start > now:
+            starts.append(start)
+        else:
+            start = now
+            queue.poll()
+        duration = size * 8 / self.bandwidth_bps
+        finish = start + duration
+        self._free_at = finish
+        stats.transmitted += 1
+        stats.bytes_transmitted += size
+        stats.busy_time += duration
+        stats.delivered += 1
+        sim.schedule_at(finish + self.prop_delay, receiver, datagram)
         return True
-
-    def _start_next(self) -> None:
-        datagram = self.queue.poll()
-        if datagram is None:
-            self._busy = False
-            return
-        self._busy = True
-        duration = self.tx_time(datagram.size_bytes)
-        self._sim.schedule(duration, self._tx_done, datagram, duration)
-
-    def _tx_done(self, datagram: Datagram, duration: float) -> None:
-        self.stats.transmitted += 1
-        self.stats.bytes_transmitted += datagram.size_bytes
-        self.stats.busy_time += duration
-        self.stats.delivered += 1
-        assert self._receiver is not None
-        self._sim.schedule(self.prop_delay, self._receiver, datagram)
-        self._start_next()

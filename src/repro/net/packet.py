@@ -179,6 +179,58 @@ class Datagram:
         )
 
 
+def tcp_segment(
+    seq: int, payload_bytes: int, sent_at: float, is_retransmission: bool
+) -> TcpSegment:
+    """Build a data segment field by field, for the sender's hot path.
+
+    Skips ``TcpSegment.__post_init__``: the sender numbers segments
+    from 0 and ``TcpConfig`` leaves every segment a positive payload.
+    Karn's rule fixes ``rtt_eligible`` to ``not is_retransmission``.
+    """
+    segment = TcpSegment.__new__(TcpSegment)
+    segment.seq = seq
+    segment.payload_bytes = payload_bytes
+    segment.sent_at = sent_at
+    segment.is_retransmission = is_retransmission
+    segment.rtt_eligible = not is_retransmission
+    return segment
+
+
+def tcp_ack(ack_seq: int, ecn_echo: bool) -> TcpAck:
+    """Build a cumulative ACK field by field, for the sink's hot path.
+
+    Skips ``TcpAck.__post_init__``: the sink's next expected segment
+    number is never negative.
+    """
+    ack = TcpAck.__new__(TcpAck)
+    ack.ack_seq = ack_seq
+    ack.ecn_echo = ecn_echo
+    return ack
+
+
+def datagram(
+    src: Address, dst: Address, payload: Payload, size_bytes: int, created_at: float = 0.0
+) -> Datagram:
+    """Build a datagram field by field, for the per-packet hot paths.
+
+    Skips ``Datagram.__post_init__``, so callers guarantee
+    ``size_bytes >= TCP_IP_HEADER_BYTES``: ``TcpConfig`` and ``TcpSink``
+    reject smaller headers when they are constructed, and ICMP
+    messages are ``ICMP_PACKET_BYTES``.  Draws the next uid, as
+    ``Datagram(...)`` does.
+    """
+    packet = Datagram.__new__(Datagram)
+    packet.src = src
+    packet.dst = dst
+    packet.payload = payload
+    packet.size_bytes = size_bytes
+    packet.uid = next(_datagram_ids)
+    packet.created_at = created_at
+    packet.ecn_marked = False
+    return packet
+
+
 @dataclass(slots=True)
 class Fragment:
     """One MTU-sized piece of a datagram on the wireless hop.

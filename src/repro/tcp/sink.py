@@ -19,8 +19,9 @@ from repro.net.packet import (
     ACK_PACKET_BYTES,
     Address,
     Datagram,
-    TcpAck,
     TcpSegment,
+    datagram,
+    tcp_ack,
 )
 
 
@@ -59,6 +60,10 @@ class TcpSink:
         delack_timeout: float = 0.2,
         on_segment: Optional[Callable[[int, int], None]] = None,
     ) -> None:
+        if header_bytes < ACK_PACKET_BYTES:
+            raise ValueError(
+                f"header_bytes {header_bytes} is below the {ACK_PACKET_BYTES} B ACK packet"
+            )
         if delack_timeout <= 0:
             raise ValueError(f"delack_timeout must be positive, got {delack_timeout}")
         self._sim = sim
@@ -166,13 +171,12 @@ class TcpSink:
         echo = self._ecn_pending > 0
         if echo:
             self._ecn_pending -= 1
-        ack = TcpAck(ack_seq=self.next_expected, ecn_echo=echo)
-        datagram = Datagram(
-            src=self._node.name,
-            dst=self.src,
-            payload=ack,
-            size_bytes=self.header_bytes,
-            created_at=self._sim.now,
+        packet = datagram(
+            self._node.name,
+            self.src,
+            tcp_ack(self.next_expected, echo),
+            self.header_bytes,
+            self._sim.now,
         )
         self.stats.acks_sent += 1
-        self._node.send(datagram)
+        self._node.send(packet)

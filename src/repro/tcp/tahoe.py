@@ -37,6 +37,8 @@ from repro.net.packet import (
     TcpAck,
     TcpSegment,
     TCP_IP_HEADER_BYTES,
+    datagram,
+    tcp_segment,
 )
 from repro.tcp.rto import RttEstimator
 
@@ -78,6 +80,11 @@ class TcpConfig:
     rto_var_decay_gain: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if self.header_bytes < TCP_IP_HEADER_BYTES:
+            raise ValueError(
+                f"header_bytes {self.header_bytes} is below the "
+                f"{TCP_IP_HEADER_BYTES} B TCP/IP header"
+            )
         if self.packet_size <= self.header_bytes:
             raise ValueError(
                 f"packet size {self.packet_size} leaves no payload after "
@@ -387,20 +394,14 @@ class TahoeSender:
     def _transmit(self, seq: int) -> None:
         is_retx = seq in self._sent_at or seq in self._ever_retransmitted
         payload_bytes = self._segment_payload_bytes(seq)
-        segment = TcpSegment(
-            seq=seq,
-            payload_bytes=payload_bytes,
-            sent_at=self._sim.now,
-            is_retransmission=is_retx,
-            rtt_eligible=not is_retx,
-        )
+        now = self._sim.now
         size = payload_bytes + self.config.header_bytes
-        datagram = Datagram(
-            src=self._node.name,
-            dst=self.dst,
-            payload=segment,
-            size_bytes=size,
-            created_at=self._sim.now,
+        packet = datagram(
+            self._node.name,
+            self.dst,
+            tcp_segment(seq, payload_bytes, now, is_retx),
+            size,
+            now,
         )
 
         self.stats.segments_sent += 1
@@ -410,17 +411,17 @@ class TahoeSender:
             self.stats.retransmitted_bytes_wire += size
             self._ever_retransmitted.add(seq)
         if self.trace is not None:
-            self.trace.record_send(self._sim.now, seq, is_retx)
+            self.trace.record_send(now, seq, is_retx)
 
-        self._sent_at[seq] = self._sim.now
+        self._sent_at[seq] = now
         if self._timed_seq is None and not is_retx:
             self._timed_seq = seq
-            self._timed_at = self._sim.now
+            self._timed_at = now
 
         if not self.rtx_timer.pending:
             self.rtx_timer.start(self.current_timeout())
 
-        self._node.send(datagram)
+        self._node.send(packet)
 
     def _complete(self) -> None:
         self.completed = True

@@ -163,3 +163,61 @@ class TestReassembler:
     def test_invalid_timeout(self, sim):
         with pytest.raises(ValueError):
             Reassembler(sim, timeout=0)
+
+
+class TestReassemblerBookkeeping:
+    """The per-datagram bitmask bookkeeping, fragment by fragment."""
+
+    def test_twelve_fragments_out_of_order_with_duplicate(self, sim):
+        r = Reassembler(sim)
+        dg = make_datagram(1536)
+        frags = Fragmenter(128).fragment(dg)
+        assert len(frags) == 12
+        order = [11, 3, 0, 7, 5, 9, 1, 10, 2, 8, 4, 6]
+        for step, index in enumerate(order[:-1]):
+            assert r.add(frags[index]) is None
+            if step == 5:
+                assert r.add(frags[7]) is None  # duplicate mid-way
+        assert r.duplicate_fragments == 1
+        assert r.pending == 1
+        assert r.add(frags[order[-1]]) is dg
+        assert (r.completed, r.pending, r.duplicate_fragments) == (1, 0, 1)
+
+    def test_duplicate_after_completion_is_not_delivered_again(self, sim):
+        r = Reassembler(sim)
+        dg = make_datagram(1536)
+        frags = Fragmenter(128).fragment(dg)
+        delivered = [r.add(frag) for frag in frags]
+        assert delivered == [None] * 11 + [dg]
+        assert r.add(frags[4]) is None
+        assert r.add(frags[11]) is None
+        assert (r.completed, r.pending, r.duplicate_fragments) == (1, 0, 2)
+
+    def test_stale_partial_expires_at_sweep_time(self, sim):
+        """Sweeps run every ``timeout`` from the first partial's arrival.
+
+        A partial from t=3 survives the t=5 sweep (it is only 2 s old)
+        and is dropped by the next one, at t=10.
+        """
+        r = Reassembler(sim, timeout=5.0)
+        old = Fragmenter(128).fragment(make_datagram(300))
+        late = Fragmenter(128).fragment(make_datagram(300))
+        r.add(old[0])
+        sim.schedule(3.0, r.add, late[0])
+        seen = []
+        for t in (4.999, 5.001, 9.999, 10.001):
+            sim.schedule_at(t, lambda: seen.append((sim.now, r.failed, r.pending)))
+        sim.run(until=20.0)
+        assert seen == [(4.999, 0, 2), (5.001, 1, 1), (9.999, 1, 1), (10.001, 2, 0)]
+        assert sim.pending_count() == 0  # no sweep after the last partial went
+
+    def test_single_fragment_datagrams_arm_one_sweep(self, sim):
+        r = Reassembler(sim, timeout=5.0)
+        fragmenter = Fragmenter(128)
+        for _ in range(20):
+            (frag,) = fragmenter.fragment(make_datagram(100))
+            assert r.add(frag) is frag.datagram
+        assert sim.heap_pushes == 1
+        assert r.completed == 20 and r.pending == 0
+        sim.run()
+        assert sim.now == 5.0 and sim.heap_pushes == 1

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.channel import deterministic_channel
 from repro.engine import Simulator
-from repro.net.link import WiredLink
+from repro.net.link import LinkStats, WiredLink
 from repro.net.packet import (
     Datagram,
     Fragment,
     FrameKind,
+    TcpAck,
     TcpSegment,
     data_frame,
     link_ack_frame,
 )
+from repro.net.queues import DropTailQueue
 from repro.net.wireless import WirelessLink, WirelessLinkConfig
 
 
@@ -88,6 +92,165 @@ class TestWiredLink:
             WiredLink(sim, 0, 0.01)
         with pytest.raises(ValueError):
             WiredLink(sim, 56_000, -0.01)
+
+
+class TwoEventWiredLink:
+    """Reference: the wired link as one event per transmission end.
+
+    Each datagram's serialization ends in a ``_tx_done`` event that
+    schedules its arrival and starts the next waiting datagram.
+    ``WiredLink`` must deliver, drop and mark exactly as this does.
+    """
+
+    def __init__(self, sim, bandwidth_bps, prop_delay, queue_capacity=None,
+                 ecn_threshold=None):
+        self._sim = sim
+        self.bandwidth_bps = bandwidth_bps
+        self.prop_delay = prop_delay
+        self.queue = DropTailQueue(queue_capacity)
+        self.ecn_threshold = ecn_threshold
+        self.ecn_marks = 0
+        self.stats = LinkStats()
+        self._receiver = None
+        self._busy = False
+
+    def connect(self, receiver):
+        self._receiver = receiver
+
+    def send(self, datagram):
+        self.stats.offered += 1
+        if self.ecn_threshold is not None and len(self.queue) >= self.ecn_threshold:
+            datagram.ecn_marked = True
+            self.ecn_marks += 1
+        if not self.queue.offer(datagram, datagram.size_bytes):
+            return False
+        if not self._busy:
+            self._start_next()
+        return True
+
+    def _start_next(self):
+        datagram = self.queue.poll()
+        if datagram is None:
+            self._busy = False
+            return
+        self._busy = True
+        duration = datagram.size_bytes * 8 / self.bandwidth_bps
+        self._sim.schedule(duration, self._tx_done, datagram, duration)
+
+    def _tx_done(self, datagram, duration):
+        self.stats.transmitted += 1
+        self.stats.bytes_transmitted += datagram.size_bytes
+        self.stats.busy_time += duration
+        self.stats.delivered += 1
+        self._sim.schedule(self.prop_delay, self._receiver, datagram)
+        self._start_next()
+
+
+def drive(make_link, schedule):
+    """Run one link over ``schedule``: (arrivals, dropped, marked, link).
+
+    ``schedule`` is a list of (send time, size, uid); every side gets
+    fresh datagrams with the same uids.
+    """
+    sim = Simulator()
+    link = make_link(sim)
+    arrivals, dropped, datagrams = [], set(), []
+    link.connect(lambda d: arrivals.append((sim.now, d.uid)))
+
+    def send(dg):
+        if not link.send(dg):
+            dropped.add(dg.uid)
+
+    for at, size, uid in schedule:
+        dg = Datagram("FH", "MH", TcpAck(uid), size, uid=uid)
+        datagrams.append(dg)
+        sim.schedule_at(at, send, dg)
+    sim.run()
+    marked = {dg.uid for dg in datagrams if dg.ecn_marked}
+    return arrivals, dropped, marked, link
+
+
+def random_schedule(rng, count=120):
+    """Sends of random sizes at random gaps (a third back to back)."""
+    at, schedule = 0.0, []
+    for uid in range(1, count + 1):
+        if rng.random() >= 1 / 3:
+            at += rng.uniform(0.0, 0.25)
+        schedule.append((at, rng.randint(40, 1536), uid))
+    return schedule
+
+
+class TestWiredLinkMatchesTwoEventReference:
+    """The computed serialization behaves as the two-event link did."""
+
+    @pytest.mark.parametrize("capacity", [None, 1, 3])
+    @pytest.mark.parametrize("ecn_threshold", [None, 2])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_schedules(self, seed, capacity, ecn_threshold):
+        schedule = random_schedule(random.Random(seed))
+        kwargs = dict(bandwidth_bps=56_000, prop_delay=0.01,
+                      queue_capacity=capacity, ecn_threshold=ecn_threshold)
+        want = drive(lambda sim: TwoEventWiredLink(sim, **kwargs), schedule)
+        got = drive(lambda sim: WiredLink(sim, **kwargs), schedule)
+        assert got[0] == want[0]  # arrival times (exact) and order
+        assert got[1] == want[1]  # dropped uids
+        assert got[2] == want[2]  # marked uids
+        assert got[3].stats == want[3].stats
+        # The queue is drained lazily, at the next send: compare what
+        # left it and what is still in it together.
+        got_q, want_q = got[3].queue, want[3].queue
+        assert got_q.stats.dequeued + len(got_q) == want_q.stats.dequeued + len(want_q)
+        got_q.stats.dequeued = want_q.stats.dequeued
+        assert got_q.stats == want_q.stats
+        assert got[3].ecn_marks == want[3].ecn_marks
+        if capacity is not None:
+            assert want[1], "schedule too sparse to exercise drop-tail"
+        if ecn_threshold is not None and (capacity is None or capacity > ecn_threshold):
+            assert want[2], "schedule too sparse to exercise ECN marking"
+
+    def test_one_heap_entry_per_datagram(self, sim):
+        link = WiredLink(sim, 56_000, 0.01)
+        link.connect(lambda d: None)
+        for _ in range(25):
+            link.send(make_datagram(576))
+        assert sim.heap_pushes == 25
+        sim.run()
+        assert sim.heap_pushes == 25
+        assert sim.events_executed == 25
+
+    @pytest.mark.parametrize("c_first", [False, True], ids=["c-last", "c-first"])
+    def test_datagram_starting_now_has_left_the_queue(self, sim, c_first):
+        """Tie rule: a send at a datagram's start time does not count it.
+
+        A and B go out at t=0; B waits until A's serialization ends at
+        exactly 0.1 s.  C, sent at 0.1 s, finds B on the line, not in
+        the queue: it is neither dropped (capacity 1) nor marked (ECN
+        threshold 1).  That holds whichever of C's send and the start
+        of A's transmission was scheduled first; the two-event link
+        dropped and marked C when C's send came first.
+        """
+        link = WiredLink(sim, 8_000, 0.0, queue_capacity=1, ecn_threshold=1)
+        link.connect(lambda d: None)
+        b, c = make_datagram(100), make_datagram(100)
+        seen = []
+
+        def send_ab():
+            seen.append(link.send(make_datagram(100)) and link.send(b))
+
+        def send_c():
+            seen.append(link.send(c))
+            seen.append(len(link.queue))
+
+        if c_first:
+            sim.schedule_at(0.1, send_c)
+            sim.schedule_at(0.0, send_ab)
+        else:
+            send_ab()
+            sim.schedule_at(0.1, send_c)
+        sim.run()
+        assert seen == [True, True, 1]
+        assert not b.ecn_marked and not c.ecn_marked
+        assert link.ecn_marks == 0 and link.queue.stats.dropped == 0
 
 
 class TestWirelessLinkConfig:

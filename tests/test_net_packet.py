@@ -16,8 +16,11 @@ from repro.net.packet import (
     TcpAck,
     TcpSegment,
     data_frame,
+    datagram,
     link_ack_frame,
     skip_frame,
+    tcp_ack,
+    tcp_segment,
 )
 
 
@@ -117,3 +120,29 @@ class TestLinkFrames:
 
     def test_frame_uids_unique(self):
         assert link_ack_frame(1).uid != link_ack_frame(1).uid
+
+
+class TestBuilders:
+    """The field-by-field builders equal the checked constructors."""
+
+    def test_tcp_segment(self):
+        assert tcp_segment(3, 536, 1.5, False) == TcpSegment(3, 536, 1.5)
+        assert tcp_segment(3, 536, 1.5, True) == TcpSegment(
+            3, 536, 1.5, is_retransmission=True, rtt_eligible=False
+        )
+
+    def test_tcp_ack(self):
+        assert tcp_ack(7, False) == TcpAck(7)
+        assert tcp_ack(7, True) == TcpAck(7, ecn_echo=True)
+
+    def test_datagram(self):
+        built = datagram("FH", "MH", tcp_ack(1, False), 40, 2.5)
+        assert built == Datagram("FH", "MH", TcpAck(1), 40, uid=built.uid, created_at=2.5)
+        assert not built.ecn_marked
+        assert datagram("BS", "FH", IcmpMessage(IcmpType.EBSN), 40).created_at == 0.0
+
+    def test_datagram_draws_from_the_shared_uid_counter(self):
+        first = make_datagram().uid
+        built = datagram("FH", "MH", make_segment(), 576).uid
+        assert built == first + 1
+        assert make_datagram().uid == built + 1

@@ -159,3 +159,11 @@ class TestDelayedAcks:
 
         with pytest.raises(ValueError):
             TcpSink(sim, Node("MH"), "FH", delayed_acks=True, delack_timeout=0)
+
+    def test_header_smaller_than_ack_packet_rejected(self, sim):
+        """The sink's ACK builder relies on this check."""
+        from repro.net.node import Node
+        from repro.tcp import TcpSink
+
+        with pytest.raises(ValueError, match="header_bytes 39"):
+            TcpSink(sim, Node("MH"), "FH", header_bytes=39)
