@@ -14,7 +14,6 @@ interface; see :mod:`repro.channel.twostate`.
 """
 
 from repro.channel.bernoulli import BernoulliLossChannel, matched_loss_probability
-from repro.channel.scripted import ScriptedChannel
 from repro.channel.twostate import (
     ChannelState,
     DeterministicSojourns,
@@ -28,7 +27,6 @@ from repro.channel.twostate import (
 __all__ = [
     "BernoulliLossChannel",
     "matched_loss_probability",
-    "ScriptedChannel",
     "ChannelState",
     "DeterministicSojourns",
     "ExponentialSojourns",

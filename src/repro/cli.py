@@ -76,6 +76,22 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse type for a time budget: a number above 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be above 0, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for a retry count: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _study_config(args: argparse.Namespace, cls, **fields):
     """``cls(**fields)``; the config's own validation error exits 2."""
     try:
@@ -109,7 +125,7 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=positive_float,
         default=None,
         metavar="SECONDS",
         help="wall-clock budget per simulation unit; a unit past it is "
@@ -117,7 +133,7 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=non_negative_int,
         default=None,
         metavar="N",
         help="re-runs allowed per timed-out/crashed unit "

@@ -7,12 +7,12 @@ MTUs and one lost fragment costs the whole packet.  The paper proposes
 particular wireless link error characteristic to the 'good' packet
 size for that error characteristic."
 
-:class:`PacketSizeAdvisor` is that table.  It can be populated from
-sweep results (see :mod:`repro.experiments`) or used with the
-analytic first-cut model below, which captures the trade-off the
-paper measures: expected useful throughput of a P-byte packet that
-must cross ``ceil(P / MTU)`` fragments each surviving the channel
-independently.
+:class:`PacketSizeAdvisor` is that table.  Sweep winners are
+recorded with :meth:`PacketSizeAdvisor.learn`; with the table empty
+it falls back to the analytic first-cut model below, which captures
+the trade-off the paper measures: expected useful throughput of a
+P-byte packet that must cross ``ceil(P / MTU)`` fragments each
+surviving the channel independently.
 """
 
 from __future__ import annotations
@@ -102,44 +102,6 @@ class PacketSizeAdvisor:
     def table(self) -> Dict[ErrorCondition, int]:
         """A copy of the learned table."""
         return dict(self._table)
-
-    def populate_from_sweeps(
-        self,
-        conditions: Iterable[ErrorCondition],
-        replications: int = 5,
-        transfer_bytes: int = 50 * 1024,
-        base_seed: int = 1,
-    ) -> None:
-        """Learn the table by running the §4.1 sweep per condition.
-
-        This is how a base station operator would actually build the
-        paper's fixed table: simulate (or measure) each error
-        condition across the candidate sizes and record the winner.
-        """
-        from repro.experiments.config import wan_scenario
-        from repro.experiments.runner import run_replicated
-        from repro.experiments.topology import Scheme
-
-        for condition in conditions:
-            best_size, best_tput = None, -1.0
-            for size in self.candidate_sizes:
-                result = run_replicated(
-                    wan_scenario(
-                        scheme=Scheme.BASIC,
-                        packet_size=size,
-                        bad_period_mean=condition.bad_period_mean,
-                        good_period_mean=condition.good_period_mean,
-                        transfer_bytes=transfer_bytes,
-                        record_trace=False,
-                    ),
-                    replications=replications,
-                    base_seed=base_seed,
-                )
-                if result.throughput_bps_mean > best_tput:
-                    best_tput = result.throughput_bps_mean
-                    best_size = size
-            assert best_size is not None
-            self.learn(condition, best_size)
 
     # -- analytic first-cut model ---------------------------------------
 

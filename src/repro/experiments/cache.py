@@ -121,11 +121,19 @@ def encode_value(value: Any) -> Any:
 
 
 def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
+    """Inverse of :func:`encode_value`.
+
+    A dataclass field the code no longer has raises ``ValueError``.
+    """
     if isinstance(value, dict):
         if "__dataclass__" in value:
             cls = _resolve(value["__dataclass__"])
             fields = {k: decode_value(v) for k, v in value["fields"].items()}
+            unknown = fields.keys() - {f.name for f in dataclasses.fields(cls)}
+            if unknown:
+                raise ValueError(
+                    f"{cls.__qualname__} has no field {', '.join(sorted(unknown))}"
+                )
             return cls(**fields)
         if "__enum__" in value:
             return getattr(_resolve(value["__enum__"]), value["name"])

@@ -130,9 +130,8 @@ class CongestedScenarioConfig:
     max_sim_time: float = 50_000.0
 
     # The rest of what Scenario reads, held fixed by this study: one
-    # Tahoe bulk transfer over a symmetric radio with ARQ derived from
-    # the link, no trace.  Plain class attributes, so not fields.
-    wireless_up = None
+    # Tahoe bulk transfer with ARQ derived from the link, no trace.
+    # Plain class attributes, so not fields.
     arq = None
     tcp_variant = "tahoe"
     sender_factory = None

@@ -107,15 +107,6 @@ class ReplicatedResult:
             / math.sqrt(self.replications)
         )
 
-    def throughput_differs_from(self, other: "ReplicatedResult") -> bool:
-        """True when the two 95% CIs on mean throughput do not overlap
-        (a conservative significance check for scheme comparisons)."""
-        low_self = self.throughput_bps_mean - self.throughput_ci95_bps
-        high_self = self.throughput_bps_mean + self.throughput_ci95_bps
-        low_other = other.throughput_bps_mean - other.throughput_ci95_bps
-        high_other = other.throughput_bps_mean + other.throughput_ci95_bps
-        return high_self < low_other or high_other < low_self
-
 
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)

@@ -12,7 +12,7 @@ metrics, the source packet trace, and all component statistics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.channel import (
@@ -100,10 +100,6 @@ class ScenarioConfig:
     tcp: TcpConfig = field(default_factory=TcpConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     wireless: WirelessLinkConfig = field(default_factory=WirelessLinkConfig)
-    #: Optional distinct physical parameters for the MH->BS direction
-    #: (asymmetric radios, e.g. a low-power return channel); None =
-    #: symmetric, as the paper assumes.
-    wireless_up: Optional[WirelessLinkConfig] = None
     wired_bandwidth_bps: float = 56_000.0
     wired_prop_delay: float = 0.01
     arq: Optional[ArqConfig] = None  # None = derive from link parameters
@@ -113,9 +109,6 @@ class ScenarioConfig:
     record_cwnd: bool = False
     #: Simulation abort horizon (a stuck run is an error, not a hang).
     max_sim_time: float = 50_000.0
-    #: Packet size for the BS->MH leg of a split connection; None =
-    #: reuse the wired packet size.
-    split_wireless_packet_size: Optional[int] = None
     #: RFC 1122 delayed ACKs at the sink (the paper's ns sink ACKed
     #: every segment; this is the ack-clocking ablation knob).
     delayed_acks: bool = False
@@ -196,9 +189,8 @@ class Scenario:
         self._build_wired()
 
         # Wireless hop; both directions share the fading channel.
-        uplink_config = config.wireless_up or config.wireless
         self.downlink = WirelessLink(self.sim, config.wireless, self.channel, name="BS->MH")
-        self.uplink = WirelessLink(self.sim, uplink_config, self.channel, name="MH->BS")
+        self.uplink = WirelessLink(self.sim, config.wireless, self.channel, name="MH->BS")
 
         arq = config.derived_arq()
         mode = (
@@ -301,11 +293,7 @@ class Scenario:
                 self.bs,
                 wired_peer="FH",
                 mobile="MH",
-                wireless_packet_size=(
-                    config.split_wireless_packet_size
-                    if config.split_wireless_packet_size is not None
-                    else config.tcp.packet_size
-                ),
+                wireless_packet_size=config.tcp.packet_size,
                 window_bytes=config.tcp.window_bytes,
                 transfer_bytes=config.tcp.transfer_bytes,
                 clock_granularity=config.tcp.clock_granularity,
@@ -445,8 +433,3 @@ def run_scenario(
     if not validate:
         return scenario.run(wall_timeout=wall_timeout)
     return run_validated(scenario, bundle_dir=bundle_dir, wall_timeout=wall_timeout)
-
-
-def with_scheme(config: ScenarioConfig, scheme: Scheme) -> ScenarioConfig:
-    """A copy of ``config`` with a different recovery scheme."""
-    return replace(config, scheme=scheme)

@@ -90,10 +90,3 @@ class ArqStats:
     rx_duplicates: int = 0
     rx_out_of_order: int = 0
     rx_gap_flushes: int = 0
-
-    def attempts_per_frame(self) -> float:
-        """Mean transmissions per accepted frame."""
-        if not self.frames_accepted:
-            return 0.0
-        total = self.first_transmissions + self.link_retransmissions
-        return total / self.frames_accepted

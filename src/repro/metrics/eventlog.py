@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple
+from typing import Dict, Iterable, List, TextIO
 
 from repro.net.node import Node
 
@@ -263,27 +263,6 @@ class EventLogAnalyzer:
         for event in self.log.events:
             out[event.event] = out.get(event.event, 0) + 1
         return out
-
-    def bytes_by_event(self, event: EventType) -> int:
-        """Total bytes across events of one type."""
-        return sum(e.size_bytes for e in self.log.events if e.event is event)
-
-    def delivered_series(
-        self, bin_width: float, place: Optional[str] = None
-    ) -> List[Tuple[float, int]]:
-        """(bin start, bytes received on the air) per time bin."""
-        if bin_width <= 0:
-            raise ValueError("bin_width must be positive")
-        bins: Dict[int, int] = {}
-        for e in self.log.events:
-            if e.event is not EventType.AIR_RECV:
-                continue
-            if place is not None and e.place != place:
-                continue
-            bins[int(e.time / bin_width)] = (
-                bins.get(int(e.time / bin_width), 0) + e.size_bytes
-            )
-        return [(k * bin_width, v) for k, v in sorted(bins.items())]
 
     def loss_runs(self) -> List[int]:
         """Lengths of consecutive-corruption runs on the channel.

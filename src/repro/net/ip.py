@@ -28,19 +28,14 @@ class RoutingTable:
     def __init__(self, node_name: str) -> None:
         self.node_name = node_name
         self._routes: Dict[Address, Callable[[Datagram], None]] = {}
-        self._default: Optional[Callable[[Datagram], None]] = None
 
     def add_route(self, dst: Address, forward: Callable[[Datagram], None]) -> None:
         """Install the forwarding function for datagrams to ``dst``."""
         self._routes[dst] = forward
 
-    def set_default(self, forward: Callable[[Datagram], None]) -> None:
-        """Install a default route for unknown destinations."""
-        self._default = forward
-
     def lookup(self, dst: Address) -> Callable[[Datagram], None]:
         """The forwarding function for ``dst``; raises KeyError if unroutable."""
-        forward = self._routes.get(dst, self._default)
+        forward = self._routes.get(dst)
         if forward is None:
             raise KeyError(f"node {self.node_name!r} has no route to {dst!r}")
         return forward
@@ -49,7 +44,7 @@ class RoutingTable:
         """Route a datagram one hop toward its destination."""
         # Inlined lookup(): forwarding runs once per datagram per hop.
         dst = datagram.dst
-        forward = self._routes.get(dst, self._default)
+        forward = self._routes.get(dst)
         if forward is None:
             raise KeyError(f"node {self.node_name!r} has no route to {dst!r}")
         forward(datagram)

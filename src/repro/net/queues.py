@@ -87,10 +87,6 @@ class DropTailQueue(Generic[T]):
         """The head item without removing it, or ``None`` when empty."""
         return self._items[0] if self._items else None
 
-    def requeue_front(self, item: T) -> None:
-        """Put an item back at the head (used by ARQ retransmission)."""
-        self._items.appendleft(item)
-
     def clear(self) -> int:
         """Remove everything; returns the number of items discarded."""
         count = len(self._items)

@@ -1,6 +1,6 @@
 """Shared fixtures for the test suite.
 
-Two suite-wide policies live here:
+Three suite-wide policies live here:
 
 * **Hypothesis profiles** — ``tier1`` (25 examples, the default) keeps
   the property suite inside the fast tier-1 budget; ``nightly`` (200
@@ -11,6 +11,9 @@ Two suite-wide policies live here:
   opts out explicitly, so the whole suite doubles as an invariant
   sweep.  Benchmarks force the default off (see
   ``benchmarks/conftest.py``).
+* **Private result cache** — ``REPRO_CACHE_DIR`` and
+  ``REPRO_BUNDLE_DIR`` point at a per-session temporary directory, so
+  no test reads or writes the user's ``~/.cache/repro-tcp-wireless``.
 """
 
 from __future__ import annotations
@@ -50,6 +53,16 @@ def _validate_by_default():
     set_default_validation(True)
     yield
     set_default_validation(previous)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _private_cache_dirs(tmp_path_factory):
+    """Keep every cache and bundle the suite writes out of ``$HOME``."""
+    root = tmp_path_factory.mktemp("repro-cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(root / "results"))
+        mp.setenv("REPRO_BUNDLE_DIR", str(root / "bundles"))
+        yield
 
 
 @pytest.fixture

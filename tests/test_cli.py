@@ -47,6 +47,28 @@ class TestParser:
         assert exc.value.code == 2
         assert f"repro {argv[0]}: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--timeout", "-1"],
+            ["--timeout", "0"],
+            ["--timeout", "nan"],
+            ["--retries", "-3"],
+        ],
+    )
+    @pytest.mark.parametrize("command", [["sweep"], ["figure", "8"]])
+    def test_bad_timeout_and_retries_are_usage_errors(self, command, flags, capsys):
+        """A non-positive budget or a negative retry count exits 2
+        before any unit runs."""
+        with pytest.raises(SystemExit) as exc:
+            main(command + flags)
+        assert exc.value.code == 2
+        assert f"argument {flags[0]}:" in capsys.readouterr().err
+
+    def test_zero_retries_is_accepted(self):
+        args = build_parser().parse_args(["sweep", "--retries", "0"])
+        assert args.retries == 0
+
 
 class TestRun:
     def test_run_prints_metrics(self, capsys):

@@ -181,19 +181,3 @@ class TestSplitEndToEnd:
         # Wireless losses are recovered by the BS's connection, not the FH's.
         assert result.metrics.timeouts == 0  # FH never times out
         assert result.split.wireless_sender.stats.timeouts > 0
-
-    def test_split_with_wireless_sized_packets(self):
-        """A split connection may re-segment to the wireless MTU,
-        avoiding fragmentation entirely."""
-        from dataclasses import replace
-
-        from repro.experiments.config import wan_scenario
-        from repro.experiments.topology import Scheme, run_scenario
-
-        config = replace(
-            wan_scenario(Scheme.SPLIT, transfer_bytes=20 * 1024, bad_period_mean=2.0),
-            split_wireless_packet_size=128,
-        )
-        result = run_scenario(config)
-        assert result.completed
-        assert result.bs_port.fragmenter.datagrams_fragmented == 0

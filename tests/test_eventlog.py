@@ -111,23 +111,6 @@ class TestInstrumentation:
 
 
 class TestAnalyzer:
-    def test_delivered_series_sums_to_total(self):
-        log, result = instrumented_run()
-        analyzer = EventLogAnalyzer(log)
-        series = analyzer.delivered_series(bin_width=5.0)
-        assert sum(v for _, v in series) == analyzer.bytes_by_event(EventType.AIR_RECV)
-
-    def test_delivered_series_filters_by_place(self):
-        log, _ = instrumented_run()
-        analyzer = EventLogAnalyzer(log)
-        down = analyzer.delivered_series(5.0, place="BS->MH")
-        up = analyzer.delivered_series(5.0, place="MH->BS")
-        assert sum(v for _, v in down) > sum(v for _, v in up)  # data vs ACKs
-
-    def test_invalid_bin_width(self):
-        with pytest.raises(ValueError):
-            EventLogAnalyzer(EventLog()).delivered_series(0)
-
     def test_bursty_channel_has_long_loss_runs(self):
         """The two-state channel's fingerprint: multi-frame loss runs."""
         log, _ = instrumented_run(bad=4.0, seed=3, transfer=30 * 1024)

@@ -10,7 +10,6 @@ from repro.experiments.topology import (
     Scenario,
     ScenarioConfig,
     Scheme,
-    with_scheme,
 )
 from repro.linklayer import ArqConfig, LinkLayerMode
 
@@ -80,13 +79,6 @@ class TestSchemeWiring:
         s = self.build(Scheme.BASIC)
         assert s.downlink.channel is s.uplink.channel
 
-    def test_with_scheme_copies(self):
-        config = wan_scenario(Scheme.BASIC)
-        other = with_scheme(config, Scheme.EBSN)
-        assert other.scheme is Scheme.EBSN
-        assert config.scheme is Scheme.BASIC
-        assert other.tcp == config.tcp
-
 
 class TestChannelConfig:
     def test_deterministic_build(self, streams):
@@ -118,44 +110,3 @@ class TestResultSurface:
         assert result.downlink.stats.transmitted > 0
         assert result.config.scheme is Scheme.BASIC
         assert result.trace is not None
-
-
-class TestAsymmetricWireless:
-    def test_uplink_uses_its_own_config(self):
-        from dataclasses import replace
-
-        from repro.net.wireless import WirelessLinkConfig
-
-        config = replace(
-            wan_scenario(transfer_bytes=5 * 1024),
-            wireless_up=WirelessLinkConfig(
-                raw_bandwidth_bps=9600.0, prop_delay=0.002,
-                overhead_factor=1.5, mtu_bytes=128,
-            ),
-        )
-        s = Scenario(config)
-        assert s.uplink.config.raw_bandwidth_bps == 9600.0
-        assert s.downlink.config.raw_bandwidth_bps == 19200.0
-        # Both directions still share the fading process.
-        assert s.uplink.channel is s.downlink.channel
-
-    def test_asymmetric_run_completes(self):
-        from dataclasses import replace
-
-        from repro.experiments.topology import run_scenario
-        from repro.net.wireless import WirelessLinkConfig
-
-        config = replace(
-            wan_scenario(transfer_bytes=10 * 1024, bad_period_mean=2.0),
-            wireless_up=WirelessLinkConfig(
-                raw_bandwidth_bps=9600.0, prop_delay=0.002,
-                overhead_factor=1.5, mtu_bytes=128,
-            ),
-        )
-        result = run_scenario(config)
-        assert result.completed
-        # The slow return channel lengthens the transfer relative to
-        # the symmetric case (ACK serialization adds to the RTT).
-        symmetric = run_scenario(wan_scenario(transfer_bytes=10 * 1024,
-                                              bad_period_mean=2.0))
-        assert result.metrics.duration > symmetric.metrics.duration * 0.9

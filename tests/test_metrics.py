@@ -56,9 +56,6 @@ class TestPacketTrace:
         assert trace.transmissions_of(1) == [2.0, 5.0]
         assert trace.transmissions_of(99) == []
 
-    def test_retransmitted_seqs(self):
-        assert self.make_trace().retransmitted_seqs() == [1]
-
     def test_window_query(self):
         trace = self.make_trace()
         entries = trace.transmissions_between(1.5, 5.2)

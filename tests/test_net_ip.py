@@ -27,21 +27,6 @@ class TestRoutingTable:
         with pytest.raises(KeyError):
             RoutingTable("BS").lookup("nowhere")
 
-    def test_default_route(self):
-        table = RoutingTable("FH")
-        sent = []
-        table.set_default(sent.append)
-        table.forward(make_datagram())
-        assert len(sent) == 1
-
-    def test_specific_route_beats_default(self):
-        table = RoutingTable("FH")
-        specific, default = [], []
-        table.add_route("MH", specific.append)
-        table.set_default(default.append)
-        table.forward(make_datagram())
-        assert len(specific) == 1 and not default
-
 
 class TestFragmenter:
     def test_fragment_count(self):

@@ -27,14 +27,6 @@ class TestBasics:
     def test_peek_empty(self):
         assert DropTailQueue().peek() is None
 
-    def test_requeue_front(self):
-        q = DropTailQueue()
-        q.offer(1)
-        q.offer(2)
-        head = q.poll()
-        q.requeue_front(head)
-        assert q.poll() == 1
-
     def test_clear(self):
         q = DropTailQueue()
         for i in range(3):

@@ -197,6 +197,20 @@ class TestReplayCli:
         doctored.write_text(json.dumps(payload))
         assert main(["replay", str(doctored)]) == 1
 
+    def test_cli_replay_unknown_field_exits_2(self, bundle_path, tmp_path, capsys):
+        """A bundle naming a config field the code no longer has is a
+        load error, not a traceback."""
+        from repro.cli import main
+
+        payload = json.loads(open(bundle_path).read())
+        payload["config"]["fields"]["retired_knob"] = None
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(payload))
+        assert main(["replay", str(stale)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load bundle" in err
+        assert "ScenarioConfig has no field retired_knob" in err
+
     def test_cli_surfaces_violation_and_bundle(self, tmp_path, monkeypatch,
                                                capsys):
         """A validated CLI run that violates exits 3 and names the bundle."""
