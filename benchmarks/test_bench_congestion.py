@@ -20,12 +20,10 @@ Expected interaction (and what the assertions pin):
 
 from __future__ import annotations
 
-from conftest import DEFAULT_REPS, SCALE, run_once
+from conftest import DEFAULT_REPS, SCALE, WORKERS, run_once
 
-from repro.experiments.congestion import (
-    CongestedScenarioConfig,
-    run_congested_scenario,
-)
+from repro.experiments.congestion import CongestedScenarioConfig
+from repro.experiments.runner import sweep_campaign
 from repro.experiments.topology import Scheme
 from repro.tcp import TcpConfig
 
@@ -38,34 +36,27 @@ COMBOS = [
 
 
 def _run(transfer):
+    points = sweep_campaign(
+        COMBOS,
+        lambda combo: CongestedScenarioConfig(
+            scheme=combo[0],
+            ecn=combo[1],
+            cross_load=0.9,
+            tcp=TcpConfig(transfer_bytes=transfer),
+        ),
+        replications=DEFAULT_REPS,
+        workers=WORKERS,
+    ).points
     out = {}
-    for scheme, ecn in COMBOS:
-        tput = drops = marks = responses = timeouts = fastrtx = 0.0
-        n = DEFAULT_REPS
-        for seed in range(1, n + 1):
-            result = run_congested_scenario(
-                CongestedScenarioConfig(
-                    scheme=scheme,
-                    ecn=ecn,
-                    cross_load=0.9,
-                    seed=seed,
-                    tcp=TcpConfig(transfer_bytes=transfer),
-                )
-            )
-            assert result.completed
-            tput += result.metrics.throughput_bps / n
-            drops += result.bottleneck_drops / n
-            marks += result.ecn_marks / n
-            responses += result.ecn_responses / n
-            timeouts += result.timeouts / n
-            fastrtx += result.fast_retransmits / n
-        out[(scheme, ecn)] = dict(
-            tput_kbps=tput / 1000,
-            drops=drops,
-            marks=marks,
-            responses=responses,
-            timeouts=timeouts,
-            fastrtx=fastrtx,
+    for combo, point in points.items():
+        assert all(result.completed for result in point.results)
+        out[combo] = dict(
+            tput_kbps=point.mean(lambda r: r.metrics.throughput_bps) / 1000,
+            drops=point.mean(lambda r: r.bottleneck_drops),
+            marks=point.mean(lambda r: r.ecn_marks),
+            responses=point.mean(lambda r: r.ecn_responses),
+            timeouts=point.mean(lambda r: r.timeouts),
+            fastrtx=point.mean(lambda r: r.fast_retransmits),
         )
     return out
 

@@ -11,37 +11,36 @@ approach too".
 
 from __future__ import annotations
 
-from conftest import DEFAULT_REPS, SCALE, run_once
+from conftest import DEFAULT_REPS, SCALE, WORKERS, run_once
 
-from repro.csdp import CsdpStudyConfig, run_csdp_study
+from repro.csdp import CsdpStudyConfig
+from repro.experiments.runner import sweep_campaign
 
 SCHEDULERS = ["fifo", "rr", "csdp"]
 
 
 def _run(transfer):
+    points = sweep_campaign(
+        SCHEDULERS,
+        lambda sched: CsdpStudyConfig(
+            scheduler=sched, n_connections=4, transfer_bytes=transfer
+        ),
+        replications=DEFAULT_REPS,
+        workers=WORKERS,
+    ).points
     out = {}
-    for sched in SCHEDULERS:
-        aggregates, timeouts, blocked, fairness = [], [], [], []
-        for seed in range(1, DEFAULT_REPS + 1):
-            result = run_csdp_study(
-                CsdpStudyConfig(
-                    scheduler=sched,
-                    n_connections=4,
-                    transfer_bytes=transfer,
-                    seed=seed,
-                )
-            )
-            assert result.all_completed
-            aggregates.append(result.aggregate_throughput_bps)
-            timeouts.append(result.total_timeouts)
-            blocked.append(result.radio.idle_blocked_time)
-            fairness.append(result.fairness_index)
-        n = len(aggregates)
+    for sched, point in points.items():
+        results = point.results
+        assert all(result.all_completed for result in results)
+
+        def avg(metric):
+            return sum(metric(result) for result in results) / len(results)
+
         out[sched] = {
-            "agg_kbps": sum(aggregates) / n / 1000,
-            "timeouts": sum(timeouts) / n,
-            "blocked_s": sum(blocked) / n,
-            "fairness": sum(fairness) / n,
+            "agg_kbps": avg(lambda r: r.aggregate_throughput_bps) / 1000,
+            "timeouts": avg(lambda r: r.total_timeouts),
+            "blocked_s": avg(lambda r: r.radio.idle_blocked_time),
+            "fairness": avg(lambda r: r.fairness_index),
         }
     return out
 

@@ -8,36 +8,34 @@ frequency for all four recovery schemes and reproduces that finding.
 
 from __future__ import annotations
 
-from conftest import DEFAULT_REPS, SCALE, run_once
+from conftest import DEFAULT_REPS, SCALE, WORKERS, run_once
 
-from repro.handoff import HandoffConfig, HandoffScheme, run_handoff_scenario
+from repro.experiments.runner import sweep_campaign
+from repro.handoff import HandoffConfig, HandoffScheme
 
 INTERVALS = [4.0, 8.0, 16.0]
 
 
 def _run(transfer):
+    points = sweep_campaign(
+        [(scheme, interval) for scheme in HandoffScheme for interval in INTERVALS],
+        lambda key: HandoffConfig(
+            scheme=key[0],
+            handoff_interval=key[1],
+            disconnect_time=0.3,
+            transfer_bytes=transfer,
+        ),
+        replications=DEFAULT_REPS,
+        workers=WORKERS,
+    ).points
     out = {}
-    for scheme in HandoffScheme:
-        for interval in INTERVALS:
-            tput = timeouts = stall = 0.0
-            n = DEFAULT_REPS
-            for seed in range(1, n + 1):
-                result = run_handoff_scenario(
-                    HandoffConfig(
-                        scheme=scheme,
-                        handoff_interval=interval,
-                        disconnect_time=0.3,
-                        transfer_bytes=transfer,
-                        seed=seed,
-                    )
-                )
-                assert result.completed
-                tput += result.metrics.throughput_bps / n
-                timeouts += result.timeouts / n
-                stall += result.stall_time_total / n
-            out[(scheme, interval)] = dict(
-                tput_kbps=tput / 1000, timeouts=timeouts, stall=stall
-            )
+    for key, point in points.items():
+        assert all(result.completed for result in point.results)
+        out[key] = dict(
+            tput_kbps=point.mean(lambda r: r.metrics.throughput_bps) / 1000,
+            timeouts=point.mean(lambda r: r.timeouts),
+            stall=point.mean(lambda r: r.stall_time_total),
+        )
     return out
 
 

@@ -18,34 +18,36 @@ Two findings:
 
 from __future__ import annotations
 
-from conftest import DEFAULT_REPS, SCALE, STRICT, run_once
+from conftest import DEFAULT_REPS, SCALE, STRICT, WORKERS, run_once
 
+from repro.experiments.runner import sweep_campaign
 from repro.experiments.topology import Scheme
-from repro.workloads import InteractiveConfig, run_interactive_session
+from repro.workloads import InteractiveConfig
 
-VARIANTS = [
-    ("basic", dict(scheme=Scheme.BASIC)),
-    ("local recovery", dict(scheme=Scheme.LOCAL_RECOVERY)),
-    ("EBSN", dict(scheme=Scheme.EBSN)),
-    ("EBSN + heartbeat", dict(scheme=Scheme.EBSN, ebsn_heartbeat=0.15)),
-]
+VARIANTS = {
+    "basic": dict(scheme=Scheme.BASIC),
+    "local recovery": dict(scheme=Scheme.LOCAL_RECOVERY),
+    "EBSN": dict(scheme=Scheme.EBSN),
+    "EBSN + heartbeat": dict(scheme=Scheme.EBSN, ebsn_heartbeat=0.15),
+}
 
 
 def _run(keystrokes):
+    points = sweep_campaign(
+        VARIANTS,
+        lambda label: InteractiveConfig(keystrokes=keystrokes, **VARIANTS[label]),
+        replications=DEFAULT_REPS,
+        workers=WORKERS,
+    ).points
     out = {}
-    for label, kwargs in VARIANTS:
-        mean = p95 = worst = timeouts = 0.0
-        n = DEFAULT_REPS
-        for seed in range(1, n + 1):
-            result = run_interactive_session(
-                InteractiveConfig(keystrokes=keystrokes, seed=seed, **kwargs)
-            )
-            assert result.completed
-            mean += result.latency.mean / n
-            p95 += result.latency.p95 / n
-            worst = max(worst, result.latency.worst)
-            timeouts += result.timeouts / n
-        out[label] = dict(mean=mean, p95=p95, worst=worst, timeouts=timeouts)
+    for label, point in points.items():
+        assert all(result.completed for result in point.results)
+        out[label] = dict(
+            mean=point.mean(lambda r: r.latency.mean),
+            p95=point.mean(lambda r: r.latency.p95),
+            worst=max(r.latency.worst for r in point.results),
+            timeouts=point.mean(lambda r: r.timeouts),
+        )
     return out
 
 

@@ -15,10 +15,8 @@ from __future__ import annotations
 import sys
 
 from repro.experiments.ascii_plot import format_table
-from repro.experiments.congestion import (
-    CongestedScenarioConfig,
-    run_congested_scenario,
-)
+from repro.experiments.congestion import CongestedScenarioConfig
+from repro.experiments.runner import sweep_campaign
 from repro.experiments.topology import Scheme
 
 
@@ -26,30 +24,25 @@ def main() -> None:
     cross_load = float(sys.argv[1]) if len(sys.argv) > 1 else 0.9
     seeds = int(sys.argv[2]) if len(sys.argv) > 2 else 4
 
-    rows = []
-    for scheme in (Scheme.BASIC, Scheme.EBSN):
-        for ecn in (False, True):
-            tput = drops = responses = timeouts = 0.0
-            for seed in range(1, seeds + 1):
-                result = run_congested_scenario(
-                    CongestedScenarioConfig(
-                        scheme=scheme, ecn=ecn, cross_load=cross_load, seed=seed
-                    )
-                )
-                tput += result.metrics.throughput_kbps / seeds
-                drops += result.bottleneck_drops / seeds
-                responses += result.ecn_responses / seeds
-                timeouts += result.timeouts / seeds
-            rows.append(
-                [
-                    scheme.value,
-                    "on" if ecn else "off",
-                    f"{tput:.2f}",
-                    f"{drops:.1f}",
-                    f"{responses:.1f}",
-                    f"{timeouts:.1f}",
-                ]
-            )
+    combos = [(s, ecn) for s in (Scheme.BASIC, Scheme.EBSN) for ecn in (False, True)]
+    points = sweep_campaign(
+        combos,
+        lambda combo: CongestedScenarioConfig(
+            scheme=combo[0], ecn=combo[1], cross_load=cross_load
+        ),
+        replications=seeds,
+    ).points
+    rows = [
+        [
+            scheme.value,
+            "on" if ecn else "off",
+            f"{point.mean(lambda r: r.metrics.throughput_kbps):.2f}",
+            f"{point.mean(lambda r: r.bottleneck_drops):.1f}",
+            f"{point.mean(lambda r: r.ecn_responses):.1f}",
+            f"{point.mean(lambda r: r.timeouts):.1f}",
+        ]
+        for (scheme, ecn), point in points.items()
+    ]
     print(
         format_table(
             ["scheme", "ECN", "tput(kbps)", "drops", "ECN resp", "timeouts"],

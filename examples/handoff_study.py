@@ -15,32 +15,37 @@ from __future__ import annotations
 import sys
 
 from repro.experiments.ascii_plot import format_table
-from repro.handoff import HandoffConfig, HandoffScheme, run_handoff_scenario
+from repro.experiments.runner import sweep_campaign
+from repro.handoff import HandoffConfig, HandoffScheme
+
+INTERVALS = (4.0, 12.0)
 
 
 def main() -> None:
     transfer_kb = int(sys.argv[1]) if len(sys.argv) > 1 else 60
     seeds = int(sys.argv[2]) if len(sys.argv) > 2 else 4
 
-    for interval in (4.0, 12.0):
+    points = sweep_campaign(
+        [(interval, scheme) for interval in INTERVALS for scheme in HandoffScheme],
+        lambda point: HandoffConfig(
+            scheme=point[1],
+            handoff_interval=point[0],
+            disconnect_time=0.3,
+            transfer_bytes=transfer_kb * 1024,
+        ),
+        replications=seeds,
+    ).points
+    for interval in INTERVALS:
         rows = []
         for scheme in HandoffScheme:
-            tput = timeouts = stall = 0.0
-            for seed in range(1, seeds + 1):
-                result = run_handoff_scenario(
-                    HandoffConfig(
-                        scheme=scheme,
-                        handoff_interval=interval,
-                        disconnect_time=0.3,
-                        transfer_bytes=transfer_kb * 1024,
-                        seed=seed,
-                    )
-                )
-                tput += result.metrics.throughput_kbps / seeds
-                timeouts += result.timeouts / seeds
-                stall += result.stall_time_total / seeds
+            point = points[(interval, scheme)]
             rows.append(
-                [scheme.value, f"{tput:.2f}", f"{timeouts:.1f}", f"{stall:.1f}"]
+                [
+                    scheme.value,
+                    f"{point.mean(lambda r: r.metrics.throughput_kbps):.2f}",
+                    f"{point.mean(lambda r: r.timeouts):.1f}",
+                    f"{point.mean(lambda r: r.stall_time_total):.1f}",
+                ]
             )
         print(
             format_table(

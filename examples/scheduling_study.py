@@ -14,31 +14,48 @@ from __future__ import annotations
 
 import sys
 
-from repro.csdp import CsdpStudyConfig, run_csdp_study
+from repro.csdp import CsdpStudyConfig
 from repro.experiments.ascii_plot import format_table
+from repro.experiments.runner import sweep_campaign
 
-
-def run_avg(seeds, **kwargs):
-    agg = blocked = timeouts = 0.0
-    for seed in range(1, seeds + 1):
-        result = run_csdp_study(CsdpStudyConfig(seed=seed, **kwargs))
-        agg += result.aggregate_throughput_bps / 1000 / seeds
-        blocked += result.radio.idle_blocked_time / seeds
-        timeouts += result.total_timeouts / seeds
-    return agg, blocked, timeouts
+SCHEDULERS = ("fifo", "rr", "csdp")
+#: CSDP predictor probe intervals (s), around the study's default.
+PROBES = (0.1, 0.5, 2.0)
+DEFAULT_PROBE = CsdpStudyConfig.csdp_probe_interval
 
 
 def main() -> None:
     transfer_kb = int(sys.argv[1]) if len(sys.argv) > 1 else 40
     seeds = int(sys.argv[2]) if len(sys.argv) > 2 else 4
-    transfer = transfer_kb * 1024
+
+    # (scheduler, probe interval): every scheduler at the default probe,
+    # then CSDP at each probe interval.
+    runs = [(sched, DEFAULT_PROBE) for sched in SCHEDULERS]
+    runs += [("csdp", probe) for probe in PROBES]
+    points = sweep_campaign(
+        dict.fromkeys(runs),
+        lambda run: CsdpStudyConfig(
+            scheduler=run[0],
+            csdp_probe_interval=run[1],
+            transfer_bytes=transfer_kb * 1024,
+        ),
+        replications=seeds,
+    ).points
+
+    def agg(point):
+        return point.mean(lambda r: r.aggregate_throughput_bps / 1000)
 
     rows = []
-    for sched in ("fifo", "rr", "csdp"):
-        agg, blocked, timeouts = run_avg(
-            seeds, scheduler=sched, transfer_bytes=transfer
+    for sched in SCHEDULERS:
+        point = points[(sched, DEFAULT_PROBE)]
+        rows.append(
+            [
+                sched,
+                f"{agg(point):.2f}",
+                f"{point.mean(lambda r: r.radio.idle_blocked_time):.1f}",
+                f"{point.mean(lambda r: r.total_timeouts):.1f}",
+            ]
         )
-        rows.append([sched, f"{agg:.2f}", f"{blocked:.1f}", f"{timeouts:.1f}"])
     print(
         format_table(
             ["scheduler", "aggregate(kbps)", "HOL idle(s)", "timeouts/run"],
@@ -47,13 +64,7 @@ def main() -> None:
         )
     )
 
-    rows = []
-    for probe in (0.1, 0.5, 2.0):
-        agg, _, _ = run_avg(
-            seeds, scheduler="csdp", csdp_probe_interval=probe,
-            transfer_bytes=transfer,
-        )
-        rows.append([f"{probe:g}", f"{agg:.2f}"])
+    rows = [[f"{probe:g}", f"{agg(points[('csdp', probe)]):.2f}"] for probe in PROBES]
     print(
         format_table(
             ["probe interval(s)", "aggregate(kbps)"],

@@ -35,7 +35,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.csdp import CsdpStudyConfig, run_csdp_study
+from repro.csdp import CsdpStudyConfig
 from repro.experiments.ascii_plot import format_table
 from repro.experiments.config import (
     LAN_BAD_PERIODS,
@@ -77,7 +77,7 @@ def positive_int(text: str) -> int:
 
 
 def positive_float(text: str) -> float:
-    """argparse type for a time budget: a number above 0."""
+    """argparse type for a time or period: a number above 0."""
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be above 0, got {value}")
@@ -197,29 +197,31 @@ def _single_run_validate(args: argparse.Namespace) -> Optional[bool]:
     return True if args.validate else None
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    scheme = SCHEMES[args.scheme]
+def _run_config(args: argparse.Namespace, **fields):
+    """The Fig. 2 config the flags describe, ``fields`` overriding them
+    (a ``sweep`` point's swept value); a bad value exits 2."""
+    fields = {
+        "scheme": SCHEMES[args.scheme],
+        "bad_period_mean": args.bad_period,
+        "transfer_bytes": args.transfer_kb * 1024,
+        "seed": args.seed,
+        **fields,
+    }
     if args.lan:
-        config = lan_scenario(
-            scheme=scheme,
-            bad_period_mean=args.bad_period,
-            transfer_bytes=args.transfer_kb * 1024,
-            seed=args.seed,
-        )
-    else:
-        config = wan_scenario(
-            scheme=scheme,
-            packet_size=args.packet_size,
-            bad_period_mean=args.bad_period,
-            transfer_bytes=args.transfer_kb * 1024,
-            seed=args.seed,
-        )
+        return _study_config(args, lan_scenario, **fields)
+    if "packet_size" not in fields:  # ``sweep`` has no --packet-size
+        fields["packet_size"] = args.packet_size
+    return _study_config(args, wan_scenario, **fields)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    config = _run_config(args)
     result = run_scenario(config, validate=_single_run_validate(args))
     m = result.metrics
     unit = "Mbps" if args.lan else "kbps"
     tput = m.throughput_bps / (1e6 if args.lan else 1e3)
     tput_th = result.tput_th_bps / (1e6 if args.lan else 1e3)
-    print(f"scheme            : {scheme.value}")
+    print(f"scheme            : {config.scheme.value}")
     print(f"completed         : {result.completed}")
     print(f"duration          : {m.duration:.2f} s")
     print(f"throughput        : {tput:.3f} {unit}  (theoretical max {tput_th:.3f})")
@@ -256,24 +258,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace, journal) -> int:
     scheme = SCHEMES[args.scheme]
-    transfer_bytes = args.transfer_kb * 1024
     if args.lan:
-        values = LAN_BAD_PERIODS
-        make_config = lambda bad: lan_scenario(
-            scheme=scheme, bad_period_mean=bad, transfer_bytes=transfer_bytes
-        )
+        values, swept = LAN_BAD_PERIODS, "bad_period_mean"
     else:
-        values = WAN_PACKET_SIZES
-        make_config = lambda size: wan_scenario(
-            scheme=scheme,
-            packet_size=size,
-            bad_period_mean=args.bad_period,
-            transfer_bytes=transfer_bytes,
-            record_trace=False,
-        )
+        values, swept = WAN_PACKET_SIZES, "packet_size"
     campaign = sweep_campaign(
         values,
-        make_config,
+        lambda value: _run_config(args, **{swept: value}),
         replications=args.replications,
         base_seed=args.seed,
         **_engine_kwargs(args, journal),
@@ -406,16 +397,21 @@ def _run_figure(args: argparse.Namespace, journal) -> int:
 
 
 def _cmd_csdp(args: argparse.Namespace) -> int:
+    points = sweep_campaign(
+        ("fifo", "rr", "csdp"),
+        lambda sched: _study_config(
+            args,
+            CsdpStudyConfig,
+            scheduler=sched,
+            n_connections=args.connections,
+            transfer_bytes=args.transfer_kb * 1024,
+        ),
+        replications=1,
+        base_seed=args.seed,
+    ).points
     rows = []
-    for sched in ("fifo", "rr", "csdp"):
-        result = run_csdp_study(
-            CsdpStudyConfig(
-                scheduler=sched,
-                n_connections=args.connections,
-                transfer_bytes=args.transfer_kb * 1024,
-                seed=args.seed,
-            )
-        )
+    for sched, point in points.items():
+        (result,) = point.results
         rows.append(
             [
                 sched,
@@ -436,26 +432,28 @@ def _cmd_csdp(args: argparse.Namespace) -> int:
 
 
 def _cmd_handoff(args: argparse.Namespace) -> int:
-    from repro.handoff import HandoffConfig, HandoffScheme, run_handoff_scenario
+    from repro.handoff import HandoffConfig, HandoffScheme
 
-    rows = []
-    for scheme in HandoffScheme:
-        tput = timeouts = 0.0
-        for seed in range(1, args.seeds + 1):
-            result = run_handoff_scenario(
-                _study_config(
-                    args,
-                    HandoffConfig,
-                    scheme=scheme,
-                    handoff_interval=args.interval,
-                    disconnect_time=args.disconnect,
-                    transfer_bytes=args.transfer_kb * 1024,
-                    seed=seed,
-                )
-            )
-            tput += result.metrics.throughput_kbps / args.seeds
-            timeouts += result.timeouts / args.seeds
-        rows.append([scheme.value, f"{tput:.2f}", f"{timeouts:.1f}"])
+    points = sweep_campaign(
+        HandoffScheme,
+        lambda scheme: _study_config(
+            args,
+            HandoffConfig,
+            scheme=scheme,
+            handoff_interval=args.interval,
+            disconnect_time=args.disconnect,
+            transfer_bytes=args.transfer_kb * 1024,
+        ),
+        replications=args.seeds,
+    ).points
+    rows = [
+        [
+            scheme.value,
+            f"{point.mean(lambda r: r.metrics.throughput_kbps):.2f}",
+            f"{point.mean(lambda r: r.timeouts):.1f}",
+        ]
+        for scheme, point in points.items()
+    ]
     print(
         format_table(
             ["scheme", "tput(kbps)", "timeouts/run"],
@@ -470,38 +468,30 @@ def _cmd_handoff(args: argparse.Namespace) -> int:
 
 
 def _cmd_congestion(args: argparse.Namespace) -> int:
-    from repro.experiments.congestion import (
-        CongestedScenarioConfig,
-        run_congested_scenario,
-    )
+    from repro.experiments.congestion import CongestedScenarioConfig
 
-    rows = []
-    for scheme in (Scheme.BASIC, Scheme.EBSN):
-        for ecn in (False, True):
-            tput = drops = timeouts = 0.0
-            for seed in range(1, args.seeds + 1):
-                result = run_congested_scenario(
-                    _study_config(
-                        args,
-                        CongestedScenarioConfig,
-                        scheme=scheme,
-                        ecn=ecn,
-                        cross_load=args.load,
-                        seed=seed,
-                    )
-                )
-                tput += result.metrics.throughput_kbps / args.seeds
-                drops += result.bottleneck_drops / args.seeds
-                timeouts += result.timeouts / args.seeds
-            rows.append(
-                [
-                    scheme.value,
-                    "on" if ecn else "off",
-                    f"{tput:.2f}",
-                    f"{drops:.1f}",
-                    f"{timeouts:.1f}",
-                ]
-            )
+    combos = [(s, ecn) for s in (Scheme.BASIC, Scheme.EBSN) for ecn in (False, True)]
+    points = sweep_campaign(
+        combos,
+        lambda combo: _study_config(
+            args,
+            CongestedScenarioConfig,
+            scheme=combo[0],
+            ecn=combo[1],
+            cross_load=args.load,
+        ),
+        replications=args.seeds,
+    ).points
+    rows = [
+        [
+            scheme.value,
+            "on" if ecn else "off",
+            f"{point.mean(lambda r: r.metrics.throughput_kbps):.2f}",
+            f"{point.mean(lambda r: r.bottleneck_drops):.1f}",
+            f"{point.mean(lambda r: r.timeouts):.1f}",
+        ]
+        for (scheme, ecn), point in points.items()
+    ]
     print(
         format_table(
             ["scheme", "ECN", "tput(kbps)", "drops", "timeouts"],
@@ -530,10 +520,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from repro.experiments.parallel import checked_topology
     from repro.validate.bundle import load_bundle, replay_bundle
 
     try:
         bundle = load_bundle(args.bundle)
+        checked_topology(bundle.config)  # only a checked type replays
     except (OSError, ValueError) as err:
         print(f"cannot load bundle {args.bundle}: {err}", file=sys.stderr)
         return 2
@@ -589,25 +581,6 @@ _REPORT_ORDER = [
 ]
 
 
-def _profile_config(args: argparse.Namespace):
-    scheme = SCHEMES[args.scheme]
-    if args.lan:
-        return lan_scenario(
-            scheme=scheme,
-            bad_period_mean=args.bad_period,
-            transfer_bytes=args.transfer_kb * 1024,
-            seed=args.seed,
-        )
-    return wan_scenario(
-        scheme=scheme,
-        packet_size=args.packet_size,
-        bad_period_mean=args.bad_period,
-        transfer_bytes=args.transfer_kb * 1024,
-        seed=args.seed,
-        record_trace=False,
-    )
-
-
 def _print_perf_summary(scenario) -> None:
     sim = scenario.sim
     channel = scenario.channel
@@ -634,7 +607,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     from repro.experiments.topology import Scenario
 
-    scenario = Scenario(_profile_config(args))
+    scenario = Scenario(_run_config(args, record_trace=False))
     if args.events_per_sec:
         scenario.run()
         _print_perf_summary(scenario)
@@ -693,10 +666,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--lan", action="store_true", help="LAN config instead of WAN")
     p.add_argument("--packet-size", type=int, default=576)
-    p.add_argument("--bad-period", type=float, default=1.0)
-    p.add_argument("--transfer-kb", type=int, default=100)
+    p.add_argument("--bad-period", type=positive_float, default=1.0)
+    p.add_argument("--transfer-kb", type=positive_int, default=100)
     _add_validate(p)
-    p.set_defaults(func=_cmd_run)
+    p.set_defaults(func=_cmd_run, parser=p)
 
     p = sub.add_parser("trace", help="render a Figs 3-5 style trace")
     _add_common(p)
@@ -708,12 +681,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="packet-size (WAN) or bad-period (LAN) sweep")
     _add_common(p)
     p.add_argument("--lan", action="store_true")
-    p.add_argument("--bad-period", type=float, default=1.0)
-    p.add_argument("--transfer-kb", type=int, default=100)
+    p.add_argument("--bad-period", type=positive_float, default=1.0)
+    p.add_argument("--transfer-kb", type=positive_int, default=100)
     p.add_argument("--replications", type=positive_int, default=5)
     _add_engine(p)
     _add_validate(p)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, parser=p)
 
     p = sub.add_parser("figure", help="regenerate a paper figure's series")
     p.add_argument("number", type=int, help="figure number (3-5, 7-11)")
@@ -724,14 +697,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("csdp", help="multi-connection scheduling study")
     p.add_argument("--connections", type=positive_int, default=4)
-    p.add_argument("--transfer-kb", type=int, default=50)
+    p.add_argument("--transfer-kb", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(func=_cmd_csdp)
+    p.set_defaults(func=_cmd_csdp, parser=p)
 
     p = sub.add_parser("handoff", help="two-cell handoff study")
     p.add_argument("--interval", type=float, default=8.0)
     p.add_argument("--disconnect", type=float, default=0.3)
-    p.add_argument("--transfer-kb", type=int, default=60)
+    p.add_argument("--transfer-kb", type=positive_int, default=60)
     p.add_argument("--seeds", type=positive_int, default=3)
     p.set_defaults(func=_cmd_handoff, parser=p)
 
@@ -758,8 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--lan", action="store_true", help="LAN config instead of WAN")
     p.add_argument("--packet-size", type=int, default=576)
-    p.add_argument("--bad-period", type=float, default=1.0)
-    p.add_argument("--transfer-kb", type=int, default=100)
+    p.add_argument("--bad-period", type=positive_float, default=1.0)
+    p.add_argument("--transfer-kb", type=positive_int, default=100)
     p.add_argument("--top", type=int, default=15, help="functions to print")
     p.add_argument(
         "--sort",
@@ -772,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the profiler; print only the throughput summary",
     )
-    p.set_defaults(func=_cmd_profile)
+    p.set_defaults(func=_cmd_profile, parser=p)
 
     p = sub.add_parser("report", help="assemble benchmark outputs into REPORT.md")
     p.add_argument("--out-dir", default="benchmarks/out")

@@ -14,7 +14,7 @@ the paper's §3.1 treats MAC delay as negligible).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.channel import markov_channel
 from repro.csdp.radio import DownlinkRadio, RadioStats
@@ -73,7 +73,6 @@ class CsdpStudyResult:
     total_timeouts: int
     radio: RadioStats
     all_completed: bool
-    scheduler: Scheduler
 
     @property
     def fairness_index(self) -> float:
@@ -86,8 +85,11 @@ class CsdpStudyResult:
         return total * total / (len(xs) * squares)
 
 
-def run_csdp_study(config: CsdpStudyConfig) -> CsdpStudyResult:
-    """Build the N-connection topology and run all transfers."""
+def run_csdp_study(
+    config: CsdpStudyConfig, wall_timeout: Optional[float] = None
+) -> CsdpStudyResult:
+    """Build the N-connection topology and run all transfers
+    (``wall_timeout``: the engine's wall-clock watchdog)."""
     sim = Simulator()
     streams = RandomStreams(config.seed)
     n = config.n_connections
@@ -173,7 +175,7 @@ def run_csdp_study(config: CsdpStudyConfig) -> CsdpStudyResult:
 
     for sender in senders:
         sender.start()
-    sim.run(until=config.max_sim_time)
+    sim.run(until=config.max_sim_time, wall_timeout=wall_timeout)
 
     completion_times = [
         s.stats.completed_at if s.stats.completed_at is not None else sim.now
@@ -193,5 +195,4 @@ def run_csdp_study(config: CsdpStudyConfig) -> CsdpStudyResult:
         total_timeouts=sum(s.stats.timeouts for s in senders),
         radio=radio.stats,
         all_completed=all(s.completed for s in senders),
-        scheduler=radio.scheduler,
     )

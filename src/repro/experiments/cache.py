@@ -82,11 +82,13 @@ def code_version_token(package_root: Optional[Path] = None) -> str:
     return _code_version_token
 
 
-def _qualify(cls: type) -> str:
+def qualify(cls: type) -> str:
+    """``cls``'s import path, ``"module:qualname"``."""
     return f"{cls.__module__}:{cls.__qualname__}"
 
 
-def _resolve(path: str) -> Any:
+def resolve(path: str) -> Any:
+    """The object at a :func:`qualify` path, importing its module."""
     module_name, _, qualname = path.partition(":")
     obj: Any = importlib.import_module(module_name)
     for part in qualname.split("."):
@@ -103,16 +105,16 @@ def encode_value(value: Any) -> Any:
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
-            "__dataclass__": _qualify(type(value)),
+            "__dataclass__": qualify(type(value)),
             "fields": {
                 f.name: encode_value(getattr(value, f.name))
                 for f in dataclasses.fields(value)
             },
         }
     if isinstance(value, enum.Enum):
-        return {"__enum__": _qualify(type(value)), "name": value.name}
+        return {"__enum__": qualify(type(value)), "name": value.name}
     if isinstance(value, type):
-        return {"__class__": _qualify(value)}
+        return {"__class__": qualify(value)}
     if isinstance(value, (list, tuple)):
         return [encode_value(v) for v in value]
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -127,7 +129,7 @@ def decode_value(value: Any) -> Any:
     """
     if isinstance(value, dict):
         if "__dataclass__" in value:
-            cls = _resolve(value["__dataclass__"])
+            cls = resolve(value["__dataclass__"])
             fields = {k: decode_value(v) for k, v in value["fields"].items()}
             unknown = fields.keys() - {f.name for f in dataclasses.fields(cls)}
             if unknown:
@@ -136,9 +138,9 @@ def decode_value(value: Any) -> Any:
                 )
             return cls(**fields)
         if "__enum__" in value:
-            return getattr(_resolve(value["__enum__"]), value["name"])
+            return getattr(resolve(value["__enum__"]), value["name"])
         if "__class__" in value:
-            return _resolve(value["__class__"])
+            return resolve(value["__class__"])
         return {k: decode_value(v) for k, v in value.items()}
     if isinstance(value, list):
         return [decode_value(v) for v in value]

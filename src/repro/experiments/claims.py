@@ -11,21 +11,53 @@ full-scale ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Tuple
 
+from repro.csdp import CsdpStudyConfig
 from repro.experiments.config import lan_scenario, trace_example_scenario, wan_scenario
-from repro.experiments.runner import ReplicatedResult, sweep_campaign
+from repro.experiments.congestion import CongestedScenarioConfig
+from repro.experiments.runner import sweep_campaign
 from repro.experiments.topology import Scheme, run_scenario
+from repro.handoff import HandoffConfig, HandoffScheme
 from repro.metrics.theoretical import theoretical_throughput_bps
+from repro.tcp import TcpConfig
 
-#: A Fig. 2 point a claim reads: ``(topology, scheme, packet_size,
-#: bad_period)``, with topology ``"wan"`` or ``"lan"``.
-Point = Tuple[str, Scheme, int, float]
+#: A simulated point a claim reads: its study (a key of ``_CONFIGS``)
+#: followed by that study's arguments.  A Fig. 2 point is
+#: ``(topology, scheme, packet_size, bad_period)``, with topology
+#: ``"wan"`` or ``"lan"``.
+Point = Tuple
 
-#: Per topology: the scenario factory and its full-scale transfer (bytes).
-_SCENARIOS = {
-    "wan": (wan_scenario, 100 * 1024),
-    "lan": (lan_scenario, 4 * 1024 * 1024),
+
+def _fig2(scenario, transfer_bytes: int) -> Callable:
+    """A Fig. 2 topology's point config: ``(scale, scheme, packet_size,
+    bad_period)``, at ``transfer_bytes`` full scale."""
+    return lambda scale, scheme, packet_size, bad_period: scenario(
+        scheme=scheme,
+        packet_size=packet_size,
+        bad_period_mean=bad_period,
+        transfer_bytes=int(transfer_bytes * scale),
+    )
+
+
+#: Per study: the config of a point at a transfer scale, from
+#: ``(scale, *point[1:])``.
+_CONFIGS: Dict[str, Callable] = {
+    "wan": _fig2(wan_scenario, 100 * 1024),
+    "lan": _fig2(lan_scenario, 4 * 1024 * 1024),
+    "csdp": lambda scale, scheduler: CsdpStudyConfig(
+        scheduler=scheduler, transfer_bytes=int(50 * 1024 * scale)
+    ),
+    "hand": lambda scale, scheme: HandoffConfig(
+        scheme=scheme, handoff_interval=6.0, transfer_bytes=int(60 * 1024 * scale)
+    ),
+    "cong": lambda scale, ecn: CongestedScenarioConfig(
+        scheme=Scheme.BASIC,
+        ecn=ecn,
+        cross_load=0.9,
+        tcp=TcpConfig(transfer_bytes=int(60 * 1024 * scale)),
+    ),
 }
 
 
@@ -39,9 +71,11 @@ class ClaimResult:
 class Claim:
     """A sentence from the paper plus the check that certifies it.
 
-    A Fig. 2 claim lists the ``points`` it reads, and its ``check``
-    judges their replicated results, in the same order:
-    ``check(results, seeds)``.  A claim without points runs its own
+    A simulated claim lists the ``points`` it reads, and its ``check``
+    judges their results in the same order: ``check(results, seeds)``,
+    with a :class:`~repro.experiments.runner.ReplicatedResult` per
+    Fig. 2 point and a :class:`~repro.experiments.runner.StudyPoint`
+    per study point.  A claim without points runs its own single
     simulation: ``check(scale, seeds)``.
     """
 
@@ -57,26 +91,19 @@ class Claim:
             return self.check(scale, seeds)
         return self._judge(_run_points(self.points, scale, seeds), seeds)
 
-    def _judge(self, results: Dict[Point, ReplicatedResult], seeds: int) -> ClaimResult:
+    def _judge(self, results: Dict[Point, object], seeds: int) -> ClaimResult:
         return self.check([results[point] for point in self.points], seeds)
 
 
 def _run_points(
     points: Iterable[Point], scale: float, seeds: int
-) -> Dict[Point, ReplicatedResult]:
+) -> Dict[Point, object]:
     """Every distinct point over ``seeds`` seeds, as one campaign."""
-
-    def make_config(point: Point):
-        topology, scheme, packet_size, bad_period = point
-        scenario, transfer_bytes = _SCENARIOS[topology]
-        return scenario(
-            scheme=scheme,
-            packet_size=packet_size,
-            bad_period_mean=bad_period,
-            transfer_bytes=int(transfer_bytes * scale),
-        )
-
-    return sweep_campaign(dict.fromkeys(points), make_config, seeds).points
+    return sweep_campaign(
+        dict.fromkeys(points),
+        lambda point: _CONFIGS[point[0]](scale, *point[1:]),
+        seeds,
+    ).points
 
 
 def _wan(scheme: Scheme, packet_size: int = 576) -> Point:
@@ -89,9 +116,10 @@ def _lan(scheme: Scheme, bad_period: float) -> Point:
     return ("lan", scheme, 1536, bad_period)
 
 
-def _sum(point: ReplicatedResult, metric: str):
-    """``metric`` summed over the point's runs, in seed order."""
-    return sum(getattr(run.metrics, metric) for run in point.results)
+def _sum(point, metric: str):
+    """``metric`` (a dotted attribute path) summed over the point's
+    per-seed results, in seed order."""
+    return sum(map(attrgetter(metric), point.results))
 
 
 def _check_fig3(scale, seeds) -> ClaimResult:
@@ -116,14 +144,14 @@ def _check_fig5(scale, seeds) -> ClaimResult:
 
 def _check_local_recovery_timeouts(points, seeds) -> ClaimResult:
     (local,) = points
-    timeouts = _sum(local, "timeouts")
+    timeouts = _sum(local, "metrics.timeouts")
     return ClaimResult(
         timeouts > 0, f"local recovery alone: {timeouts} timeouts over {seeds} runs"
     )
 
 
 def _check_quench_negative(points, seeds) -> ClaimResult:
-    quench, ebsn = (_sum(point, "timeouts") for point in points)
+    quench, ebsn = (_sum(point, "metrics.timeouts") for point in points)
     return ClaimResult(
         ebsn < quench and quench > 0,
         f"timeouts over {seeds} runs: quench {quench}, EBSN {ebsn}",
@@ -152,13 +180,13 @@ def _check_ebsn_large_packets(points, seeds) -> ClaimResult:
 
 
 def _check_ebsn_doubles_basic(points, seeds) -> ClaimResult:
-    basic, ebsn = (_sum(point, "throughput_bps") for point in points)
+    basic, ebsn = (_sum(point, "metrics.throughput_bps") for point in points)
     ratio = ebsn / basic if basic else 0.0
     return ClaimResult(ratio > 1.4, f"EBSN/basic at 1536 B, bad 4 s: {ratio:.2f}x")
 
 
 def _check_ebsn_low_retx(points, seeds) -> ClaimResult:
-    basic, ebsn = (_sum(point, "retransmitted_kbytes") for point in points)
+    basic, ebsn = (_sum(point, "metrics.retransmitted_kbytes") for point in points)
     return ClaimResult(
         ebsn < 0.3 * basic,
         f"retransmitted KB over {seeds} runs: basic {basic:.1f}, EBSN {ebsn:.1f}",
@@ -182,73 +210,23 @@ def _check_lan_goodput(points, seeds) -> ClaimResult:
     return ClaimResult(worst > 0.97, f"EBSN LAN goodput (worst of {seeds}): {worst:.3f}")
 
 
-def _check_scheduling(scale, seeds) -> ClaimResult:
-    from repro.csdp import CsdpStudyConfig, run_csdp_study
-
-    def agg(sched):
-        total = 0.0
-        for seed in range(1, seeds + 1):
-            result = run_csdp_study(
-                CsdpStudyConfig(
-                    scheduler=sched,
-                    transfer_bytes=int(50 * 1024 * scale),
-                    seed=seed,
-                )
-            )
-            total += result.aggregate_throughput_bps
-        return total / seeds
-
-    fifo, rr = agg("fifo"), agg("rr")
+def _check_scheduling(points, seeds) -> ClaimResult:
+    fifo, rr = (_sum(point, "aggregate_throughput_bps") / seeds for point in points)
     return ClaimResult(
         rr > 1.1 * fifo, f"aggregate bps: FIFO {fifo:.0f}, round-robin {rr:.0f}"
     )
 
 
-def _check_handoff(scale, seeds) -> ClaimResult:
-    from repro.handoff import HandoffConfig, HandoffScheme, run_handoff_scenario
-
-    def timeouts(scheme):
-        total = 0
-        for seed in range(1, seeds + 1):
-            total += run_handoff_scenario(
-                HandoffConfig(
-                    scheme=scheme,
-                    handoff_interval=6.0,
-                    transfer_bytes=int(60 * 1024 * scale),
-                    seed=seed,
-                )
-            ).timeouts
-        return total
-
-    base, fast = timeouts(HandoffScheme.BASELINE), timeouts(HandoffScheme.FAST_RTX)
+def _check_handoff(points, seeds) -> ClaimResult:
+    base, fast = (_sum(point, "timeouts") for point in points)
     return ClaimResult(
         fast < base / 2 and base > 0,
         f"timeouts over {seeds} runs: baseline {base}, fast-rtx {fast}",
     )
 
 
-def _check_congestion(scale, seeds) -> ClaimResult:
-    from repro.experiments.congestion import (
-        CongestedScenarioConfig,
-        run_congested_scenario,
-    )
-    from repro.tcp import TcpConfig
-
-    def run(ecn):
-        drops = 0
-        for seed in range(1, seeds + 1):
-            drops += run_congested_scenario(
-                CongestedScenarioConfig(
-                    scheme=Scheme.BASIC,
-                    ecn=ecn,
-                    cross_load=0.9,
-                    seed=seed,
-                    tcp=TcpConfig(transfer_bytes=int(60 * 1024 * scale)),
-                )
-            ).bottleneck_drops
-        return drops
-
-    plain, ecn = run(False), run(True)
+def _check_congestion(points, seeds) -> ClaimResult:
+    plain, ecn = (_sum(point, "bottleneck_drops") for point in points)
     return ClaimResult(
         ecn < plain and plain > 0,
         f"bottleneck drops over {seeds} runs: no ECN {plain}, ECN {ecn}",
@@ -289,9 +267,12 @@ CLAIMS: List[Claim] = [
     Claim("fig11", "Fig 11", "LAN: EBSN goodput ≈ 100%", _check_lan_goodput,
           (_lan(Scheme.EBSN, 0.8),)),
     Claim("adv", "§6", "EBSN keeps no per-connection state at the BS", _check_ebsn_stateless),
-    Claim("csdp", "§2/[9]", "round-robin scheduling ≫ FIFO for multiple MHs", _check_scheduling),
-    Claim("hand", "§2/[4]", "forced fast retransmit removes handoff timeouts", _check_handoff),
-    Claim("cong", "§6/[18]", "ECN marking absorbs wired congestion drops", _check_congestion),
+    Claim("csdp", "§2/[9]", "round-robin scheduling ≫ FIFO for multiple MHs", _check_scheduling,
+          (("csdp", "fifo"), ("csdp", "rr"))),
+    Claim("hand", "§2/[4]", "forced fast retransmit removes handoff timeouts", _check_handoff,
+          (("hand", HandoffScheme.BASELINE), ("hand", HandoffScheme.FAST_RTX))),
+    Claim("cong", "§6/[18]", "ECN marking absorbs wired congestion drops", _check_congestion,
+          (("cong", False), ("cong", True))),
 ]
 
 
@@ -300,7 +281,8 @@ def validate_all(
 ) -> List[Tuple[Claim, ClaimResult]]:
     """Evaluate every claim; returns (claim, result) pairs in order.
 
-    The Fig. 2 claims' points, deduplicated, run as one campaign first.
+    Every simulated claim's points, deduplicated, run as one campaign
+    first.
     """
     results = _run_points((p for claim in CLAIMS for p in claim.points), scale, seeds)
     return [

@@ -223,20 +223,26 @@ class CongestedScenario(Scenario):
             self.cross.start()
         return super().run(wall_timeout=wall_timeout)
 
+    def outcome(self, result: ScenarioResult) -> CongestedScenarioResult:
+        """The study's result for this scenario's finished ``result``."""
+        sender = self.sender
+        return CongestedScenarioResult(
+            metrics=result.metrics,
+            completed=result.completed,
+            bottleneck_drops=self.wired_down.queue.stats.dropped,
+            ecn_marks=self.wired_down.ecn_marks,
+            ecn_responses=sender.stats.ecn_responses,
+            ebsn_received=sender.stats.ebsn_received,
+            timeouts=sender.stats.timeouts,
+            fast_retransmits=sender.stats.fast_retransmits,
+            cross_packets_delivered=self.cross_sink.packets_received,
+        )
 
-def run_congested_scenario(config: CongestedScenarioConfig) -> CongestedScenarioResult:
-    """Build and run the FH/XS → R → BS → MH topology."""
+
+def run_congested_scenario(
+    config: CongestedScenarioConfig, wall_timeout: Optional[float] = None
+) -> CongestedScenarioResult:
+    """Build and run the FH/XS → R → BS → MH topology
+    (``wall_timeout``: the engine's wall-clock watchdog)."""
     scenario = CongestedScenario(config)
-    result = scenario.run()
-    sender = scenario.sender
-    return CongestedScenarioResult(
-        metrics=result.metrics,
-        completed=result.completed,
-        bottleneck_drops=scenario.wired_down.queue.stats.dropped,
-        ecn_marks=scenario.wired_down.ecn_marks,
-        ecn_responses=sender.stats.ecn_responses,
-        ebsn_received=sender.stats.ebsn_received,
-        timeouts=sender.stats.timeouts,
-        fast_retransmits=sender.stats.fast_retransmits,
-        cross_packets_delivered=scenario.cross_sink.packets_received,
-    )
+    return scenario.outcome(scenario.run(wall_timeout=wall_timeout))

@@ -3,8 +3,10 @@
 Every figure in the paper is an average over independent seeds, and
 every seed is an independent single-threaded simulation — an
 embarrassingly parallel workload.  :class:`ParallelRunner` takes a
-list of fully-seeded :class:`~repro.experiments.topology.ScenarioConfig`
-work units, consults an optional
+list of fully-seeded configs of any type registered in :data:`UNITS`
+(the Fig. 2 :class:`~repro.experiments.topology.ScenarioConfig`, the
+congestion, handoff, CSDP and interactive studies) as work units,
+consults an optional
 :class:`~repro.experiments.cache.ResultCache` and
 :class:`~repro.experiments.journal.CampaignJournal`, and dispatches
 only the remaining misses one unit at a time over a supervised pool
@@ -37,10 +39,11 @@ The supervision layer is what makes long campaigns survivable:
   :class:`~repro.experiments.faults.CampaignInterrupted` after
   flushing, so an interrupted campaign resumes instead of restarting.
 
-Workers return :class:`RunSummary` — a small picklable record of the
-metrics the aggregation layer reads.  Results come back in input
-order, so the aggregates downstream are bit-identical to a serial run
-over the same seeds, faults or no faults.
+Workers return each unit's picklable summary: a :class:`RunSummary`
+(the metrics the aggregation layer reads) for a ``ScenarioConfig``, and
+the study's own result dataclass for every other type.  Results come
+back in input order, so the aggregates downstream are bit-identical to
+a serial run over the same seeds, faults or no faults.
 """
 
 from __future__ import annotations
@@ -54,11 +57,12 @@ import signal
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.simulator import WallClockExceeded
 from repro.experiments import topology
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ResultCache, qualify, resolve
 from repro.experiments.faults import (
     FAULT_CRASH,
     FAULT_ERROR,
@@ -114,34 +118,80 @@ def summarize(result: ScenarioResult) -> RunSummary:
     )
 
 
-def _execute_unit(
-    config: ScenarioConfig, wall_timeout: Optional[float] = None
-) -> RunSummary:
+#: Config type -> (the function that runs one seeded config to its
+#: picklable summary, the scenario class the invariant checkers attach
+#: to or ``None``), all as import paths resolved on use, so a campaign
+#: imports only the modules its own configs need.  A checked type's
+#: function takes ``(config, validate, wall_timeout)``, any other's
+#: ``(config, wall_timeout=None)``.
+UNITS: Dict[str, Tuple[str, Optional[str]]] = {
+    "repro.experiments.topology:ScenarioConfig": (
+        "repro.experiments.parallel:_run_scenario",
+        "repro.experiments.topology:Scenario",
+    ),
+    "repro.experiments.congestion:CongestedScenarioConfig": (
+        "repro.experiments.parallel:_run_congested",
+        "repro.experiments.congestion:CongestedScenario",
+    ),
+    "repro.handoff.topology:HandoffConfig": (
+        "repro.handoff.topology:run_handoff_scenario",
+        None,
+    ),
+    "repro.csdp.study:CsdpStudyConfig": ("repro.csdp.study:run_csdp_study", None),
+    "repro.workloads.interactive:InteractiveConfig": (
+        "repro.workloads.interactive:run_interactive_session",
+        None,
+    ),
+}
+
+
+def _unit_of(config: Any) -> Tuple[str, Optional[str]]:
+    try:
+        return UNITS[qualify(type(config))]
+    except KeyError:
+        name = type(config).__qualname__
+        raise TypeError(f"{name} is not a registered campaign unit") from None
+
+
+def checked_topology(config: Any) -> type:
+    """The scenario class the invariant checkers run ``config`` on;
+    ``ValueError`` naming the config's type when it has none."""
+    path = _unit_of(config)[1]
+    if path is None:
+        name = type(config).__qualname__
+        raise ValueError(f"{name} runs have no invariant checkers")
+    return resolve(path)
+
+
+def run_unit(
+    config: Any, wall_timeout: Optional[float] = None, validate: Optional[bool] = None
+) -> Any:
     """Worker entry point: run one seeded config, return its summary.
 
-    Module-level (not a closure) so worker processes can pickle it;
-    looked up through :mod:`repro.experiments.topology` at call time so
-    tests can monkeypatch ``run_scenario`` and count invocations.
-    ``wall_timeout`` arms the engine's cooperative watchdog.
+    ``validate=None`` follows the process default (types without
+    checkers run plain); ``wall_timeout`` arms the engine's watchdog.
     """
-    if wall_timeout is None:
-        return summarize(topology.run_scenario(config))
-    return summarize(topology.run_scenario(config, wall_timeout=wall_timeout))
+    run, checked = _unit_of(config)
+    if checked is not None:
+        return resolve(run)(config, validate, wall_timeout)
+    if validate:
+        checked_topology(config)  # raises: there is nothing to validate with
+    return resolve(run)(config, wall_timeout=wall_timeout)
 
 
-def _execute_unit_validated(
-    config: ScenarioConfig, wall_timeout: Optional[float] = None
-) -> RunSummary:
-    """Worker entry point with the invariant engine attached.
-
-    A violation raises :class:`~repro.validate.InvariantViolationError`
-    in the worker; the error (with its replay-bundle path) pickles
-    back to the supervisor, which treats it as a deterministic unit
-    error (never retried).
-    """
+def _run_scenario(config, validate, wall_timeout) -> RunSummary:
+    """The ``ScenarioConfig`` unit.  ``run_scenario`` is looked up on
+    :mod:`repro.experiments.topology` per call, so tests can patch it."""
     return summarize(
-        topology.run_scenario(config, validate=True, wall_timeout=wall_timeout)
+        topology.run_scenario(config, validate=validate, wall_timeout=wall_timeout)
     )
+
+
+def _run_congested(config, validate, wall_timeout):
+    """The ``CongestedScenarioConfig`` unit, validated as a scenario is."""
+    scenario = checked_topology(config)(config)
+    result = topology.run_built(scenario, validate, wall_timeout=wall_timeout)
+    return scenario.outcome(result)
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -168,7 +218,7 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
     return multiprocessing.get_context("fork")
 
 
-def _write_hang_bundle(config: ScenarioConfig, elapsed: float) -> Optional[str]:
+def _write_hang_bundle(config: Any, elapsed: float) -> Optional[str]:
     """Record a timed-out config as a replay bundle; best-effort.
 
     The bundle names the exact (config, seed, code) point that hung,
@@ -207,7 +257,7 @@ def _portable_error(exc: BaseException):
 
 
 def _attempt(
-    unit_fn, index: int, config: ScenarioConfig, wall_timeout: Optional[float]
+    unit_fn, index: int, config: Any, wall_timeout: Optional[float]
 ) -> Tuple:
     """Run one attempt at a unit and return its outcome as a tagged tuple::
 
@@ -264,7 +314,7 @@ class _Task:
     """Supervisor-side state of one work unit."""
 
     index: int  #: position in the campaign's config list
-    config: ScenarioConfig
+    config: Any
     key: Optional[str]
     attempts: int = 0  #: executions consumed so far
     errors: List[str] = field(default_factory=list)
@@ -336,23 +386,23 @@ class CampaignResult:
     quarantined; ``report.quarantined`` says why.
     """
 
-    summaries: List[Optional[RunSummary]]
+    summaries: List[Optional[Any]]
     report: CompletenessReport
 
-    def require_complete(self) -> List[RunSummary]:
+    def require_complete(self) -> List[Any]:
         """All summaries, or the first quarantined unit's exception."""
         if self.report.quarantined:
             raise self.report.quarantined[0].to_exception()
         assert all(s is not None for s in self.summaries)
         return self.summaries  # type: ignore[return-value]
 
-    def surviving(self) -> List[RunSummary]:
+    def surviving(self) -> List[Any]:
         """The summaries that completed (graceful-degradation view)."""
         return [s for s in self.summaries if s is not None]
 
 
 class ParallelRunner:
-    """Runs batches of seeded scenario configs with fault tolerance.
+    """Runs batches of seeded configs of registered types with fault tolerance.
 
     These parameters are the campaign knobs.  They are declared here
     only: :func:`~repro.experiments.runner.run_replicated`,
@@ -369,8 +419,9 @@ class ParallelRunner:
         and fresh results are written back per unit, immediately.
     validate:
         Run every simulated unit under the invariant engine
-        (:mod:`repro.validate`).  Cache hits skip simulation and are
-        therefore not re-validated.
+        (:mod:`repro.validate`); a unit whose type has no checkers
+        fails.  Cache hits skip simulation and are therefore not
+        re-validated.
     timeout:
         Per-unit wall-clock budget in seconds; ``None`` disables the
         watchdogs.  In pool mode a unit that overshoots is aborted
@@ -412,11 +463,11 @@ class ParallelRunner:
 
     @property
     def _unit(self):
-        return _execute_unit_validated if self.validate else _execute_unit
+        return partial(run_unit, validate=True if self.validate else None)
 
     # -- key/bookkeeping helpers ------------------------------------------
 
-    def _key(self, config: ScenarioConfig) -> Optional[str]:
+    def _key(self, config: Any) -> Optional[str]:
         if self.cache is not None:
             return self.cache.key(config)
         if self.journal is not None:
@@ -427,11 +478,13 @@ class ParallelRunner:
         self, task: _Task, kind: str, message: str, failures: Dict[int, UnitFailure]
     ) -> None:
         """Record a unit that failed for good; raise in fail-fast mode."""
+        scheme = getattr(task.config, "scheme", None)
         failure = UnitFailure(
             index=task.index,
             key=task.key,
             seed=task.config.seed,
-            scheme=task.config.scheme.value,
+            # A CSDP study varies its scheduler, not a scheme.
+            scheme=task.config.scheduler if scheme is None else scheme.value,
             kind=kind,
             message=message,
             attempts=task.attempts,
@@ -616,7 +669,7 @@ class ParallelRunner:
 
     # -- campaign orchestration -------------------------------------------
 
-    def run_campaign(self, configs: Sequence[ScenarioConfig]) -> CampaignResult:
+    def run_campaign(self, configs: Sequence[Any]) -> CampaignResult:
         """Run every config with full fault handling.
 
         Returns a :class:`CampaignResult`: summaries in input order
@@ -627,7 +680,7 @@ class ParallelRunner:
         """
         configs = list(configs)
         n = len(configs)
-        summaries: List[Optional[RunSummary]] = [None] * n
+        summaries: List[Optional[Any]] = [None] * n
         keys: List[Optional[str]] = [None] * n
         from_cache = from_journal = 0
         # Accumulated wall-clock cost of write-back durability (mutable
@@ -654,7 +707,7 @@ class ParallelRunner:
                     continue
             tasks.append(_Task(index=i, config=config, key=keys[i]))
 
-        def deliver(index: int, summary: RunSummary) -> None:
+        def deliver(index: int, summary: Any) -> None:
             summaries[index] = summary
             if self.cache is not None and keys[index] is not None:
                 t0 = time.perf_counter()
@@ -726,7 +779,7 @@ class ParallelRunner:
         )
         return CampaignResult(summaries=summaries, report=report)
 
-    def run(self, configs: Sequence[ScenarioConfig]) -> List[RunSummary]:
+    def run(self, configs: Sequence[Any]) -> List[Any]:
         """Run every config, in input order; raise on any quarantine.
 
         The strict interface: callers that cannot use partial results

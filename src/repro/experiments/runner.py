@@ -3,7 +3,8 @@
 The paper reports results with "standard deviation ... less than 4%";
 each point is therefore an average over several seeds.
 :func:`sweep_campaign` runs every ``(value, seed)`` unit of a
-parameter sweep as one campaign and aggregates per value;
+parameter sweep as one campaign, for any config type registered in
+:data:`~repro.experiments.parallel.UNITS`, and aggregates per value;
 :func:`run_replicated` is that over a single value and :func:`sweep`
 drops the report.
 
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TypeVar, Union
 
 from repro.experiments.faults import CompletenessReport, UnitFailure
 from repro.experiments.parallel import ParallelRunner, RunSummary
@@ -119,13 +121,28 @@ def _std(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
 
 
-def _seeded_configs(
-    config: ScenarioConfig, replications: int, base_seed: int
-) -> List[ScenarioConfig]:
-    """The per-seed work units behind one replicated point."""
+@dataclass(frozen=True)
+class StudyPoint:
+    """A study's per-seed results in seed order, and the quarantined
+    seeds missing from them."""
+
+    results: tuple
+    failures: Tuple[UnitFailure, ...] = ()
+
+    def mean(self, metric: Callable[[Any], float]) -> float:
+        """``metric`` averaged over the results: a running sum of x/n."""
+        n = len(self.results)
+        total = 0.0
+        for result in self.results:
+            total += metric(result) / n
+        return total
+
+
+def _seeded_configs(config: Any, replications: int, base_seed: int) -> List[Any]:
+    """The per-seed work units behind one point (untraced scenarios)."""
+    untraced = {"record_trace": False} if isinstance(config, ScenarioConfig) else {}
     return [
-        replace(config, seed=base_seed + i, record_trace=False)
-        for i in range(replications)
+        replace(config, seed=base_seed + i, **untraced) for i in range(replications)
     ]
 
 
@@ -187,13 +204,13 @@ def run_replicated(
 class SweepCampaign:
     """A sweep's points plus its campaign-wide completeness report."""
 
-    points: Dict[T, ReplicatedResult]
+    points: Dict[T, Union[ReplicatedResult, StudyPoint]]
     report: CompletenessReport
 
 
 def sweep_campaign(
     values: Iterable[T],
-    make_config: Callable[[T], ScenarioConfig],
+    make_config: Callable[[T], Any],
     replications: int = 5,
     base_seed: int = 1,
     **campaign,
@@ -207,7 +224,8 @@ def sweep_campaign(
     apply per unit, and a ``journal`` checkpoints the entire campaign
     for resume.  Unit indices in the report (and in each point's
     ``failures``) are campaign-wide, and every point carries the
-    campaign's ``report``.
+    campaign's ``report``.  A ``ScenarioConfig`` point aggregates to a
+    :class:`ReplicatedResult`, any other type's to a :class:`StudyPoint`.
 
     With ``fail_fast=False`` quarantined seeds degrade their point to
     a partial average; a point whose every seed was quarantined has
@@ -226,7 +244,7 @@ def sweep_campaign(
             )
         seen.add(value)
     configs = [make_config(value) for value in value_list]
-    units: List[ScenarioConfig] = []
+    units: List[Any] = []
     for config in configs:
         units.extend(_seeded_configs(config, replications, base_seed))
     outcome = ParallelRunner(**campaign).run_campaign(units)
@@ -238,7 +256,10 @@ def sweep_campaign(
         failures = tuple(f for f in report.quarantined if lo <= f.index < hi)
         if not chunk:
             raise failures[0].to_exception()
-        points[value] = _aggregate(config, chunk, failures, report)
+        if isinstance(config, ScenarioConfig):
+            points[value] = _aggregate(config, chunk, failures, report)
+        else:
+            points[value] = StudyPoint(tuple(chunk), failures)
     return SweepCampaign(points=points, report=report)
 
 

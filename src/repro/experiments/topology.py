@@ -423,13 +423,22 @@ def run_scenario(
     engine watchdog (see :meth:`Scenario.run`); the campaign layer
     uses this to kill hung units instead of waiting forever.
     """
+    return run_built(Scenario(config), validate, bundle_dir, wall_timeout)
+
+
+def run_built(
+    scenario: Scenario,
+    validate: "Optional[bool]" = None,
+    bundle_dir=None,
+    wall_timeout: Optional[float] = None,
+) -> ScenarioResult:
+    """Run a built scenario, validated as :func:`run_scenario` says."""
     # Imported lazily: repro.validate pulls in the bundle/cache layers,
     # which this module's import-time dependencies must not require.
     from repro.validate.engine import run_validated, validation_default
 
     if validate is None:
         validate = validation_default()
-    scenario = Scenario(config)
     if not validate:
         return scenario.run(wall_timeout=wall_timeout)
     return run_validated(scenario, bundle_dir=bundle_dir, wall_timeout=wall_timeout)

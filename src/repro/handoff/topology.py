@@ -149,8 +149,11 @@ class HandoffResult:
     stall_time_total: float
 
 
-def run_handoff_scenario(config: HandoffConfig) -> HandoffResult:
-    """Run one transfer across periodic handoffs."""
+def run_handoff_scenario(
+    config: HandoffConfig, wall_timeout: Optional[float] = None
+) -> HandoffResult:
+    """Run one transfer across periodic handoffs
+    (``wall_timeout``: the engine's wall-clock watchdog)."""
     sim = Simulator()
     streams = RandomStreams(config.seed)
 
@@ -306,7 +309,7 @@ def run_handoff_scenario(config: HandoffConfig) -> HandoffResult:
     attach("BS1")
     sim.schedule(config.handoff_interval, handoff)
     sender.start()
-    sim.run(until=config.max_sim_time)
+    sim.run(until=config.max_sim_time, wall_timeout=wall_timeout)
 
     metrics = compute_metrics(sender, sink)
     stall_threshold = max(0.5, 2 * config.disconnect_time)

@@ -1,18 +1,19 @@
 """Replay bundles: deterministic reproduction of invariant violations.
 
 A bundle is one JSON file capturing everything needed to re-run a
-failed scenario bit-identically: the full
-:class:`~repro.experiments.topology.ScenarioConfig` (reversibly
-encoded, seed included), the violations observed, the tail of the
-event log leading up to the failure, and the
+failed scenario bit-identically: the full config (a
+:class:`~repro.experiments.topology.ScenarioConfig` or a study's
+config, reversibly encoded, seed included), the violations observed,
+the tail of the event log leading up to the failure, and the
 :func:`~repro.experiments.cache.config_digest` / code-version token of
 the run that produced it — the same content-addressing machinery the
 result cache uses, so a bundle names the exact (config, seed, code)
 point that failed.
 
 ``repro replay <bundle.json>`` (or :func:`replay_bundle`) rebuilds the
-config and re-runs it under the validator.  Because every run is
-deterministic given (config, seed), the replay either reproduces the
+config and re-runs it under the validator, on the topology its type
+names in :data:`~repro.experiments.parallel.UNITS`.  Because every
+run is deterministic given (config, seed), the replay either reproduces the
 recorded violation exactly — confirming the bug — or proves the
 failure was environmental (e.g. the code changed; the bundle records
 the original code token so the mismatch is visible).
@@ -34,7 +35,7 @@ from repro.experiments.cache import (
     encode_value,
 )
 from repro.net.packet import pinned_uids
-from repro.validate.engine import InvariantViolationError, Violation
+from repro.validate.engine import InvariantViolationError, Violation, run_validated
 
 #: Bump when the bundle layout changes incompatibly.
 BUNDLE_FORMAT = 1
@@ -60,7 +61,7 @@ def default_bundle_dir() -> Path:
 class ReplayBundle:
     """One loaded replay bundle."""
 
-    config: Any  # the reconstructed ScenarioConfig
+    config: Any  # the reconstructed config
     seed: int
     digest: str
     code_token: str
@@ -142,10 +143,14 @@ class ReplayOutcome:
 
 
 def replay_bundle(path) -> ReplayOutcome:
-    """Re-run a bundle's scenario under validation and compare."""
-    from repro.experiments.topology import run_scenario
+    """Re-run a bundle's scenario under validation and compare.
+
+    Raises ``ValueError`` naming the config's type if it has no checkers.
+    """
+    from repro.experiments.parallel import checked_topology
 
     bundle = load_bundle(path)
+    topology = checked_topology(bundle.config)
     code_matches = bundle.code_token == code_version_token()
     violations: Tuple[Violation, ...] = ()
     try:
@@ -154,7 +159,7 @@ def replay_bundle(path) -> ReplayOutcome:
         # when the bundle's log and violations were recorded, so a
         # message that names a uid reproduces too.
         with pinned_uids():
-            run_scenario(bundle.config, validate=True, bundle_dir=False)
+            run_validated(topology(bundle.config), bundle_dir=False)
     except InvariantViolationError as err:
         violations = err.violations
     reproduced = bool(

@@ -230,19 +230,21 @@ def _rebuild_log(config, checkers, wall_timeout):
     """Re-run ``config`` with an event log, up to its first violation.
 
     Returns the log and the violations the re-run raised (empty when
-    it raised none).  Uids are pinned, so the log depends only on the
-    config and the code.  ``checkers`` are fresh, unattached checkers
-    (``None`` = the default set).  If the re-run runs out of
-    ``wall_timeout``, the log holds what was recorded up to that point.
+    it raised none).  The config's type picks the topology
+    (:func:`~repro.experiments.parallel.checked_topology`).  Uids are
+    pinned, so the log depends only on the config and the code.
+    ``checkers`` are fresh, unattached checkers (``None`` = the
+    default set).  If the re-run runs out of ``wall_timeout``, the log
+    holds what was recorded up to that point.
     """
     from repro.engine.simulator import WallClockExceeded
-    from repro.experiments.topology import Scenario
+    from repro.experiments.parallel import checked_topology
     from repro.metrics.eventlog import attach_to_scenario
     from repro.net.packet import pinned_uids
     from repro.validate.checkers import default_checkers
 
     with pinned_uids():
-        replay = Scenario(config)
+        replay = checked_topology(config)(config)
         log = attach_to_scenario(replay)
         validator = Validator(
             checkers if checkers is not None else default_checkers(replay)

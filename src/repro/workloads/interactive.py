@@ -16,7 +16,7 @@ measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.experiments.topology import Scenario, Scheme
 from repro.experiments.config import wan_scenario
@@ -89,8 +89,11 @@ class InteractiveResult:
     completed: bool
 
 
-def run_interactive_session(config: InteractiveConfig) -> InteractiveResult:
-    """Type ``keystrokes`` keystrokes across the wireless path."""
+def run_interactive_session(
+    config: InteractiveConfig, wall_timeout: Optional[float] = None
+) -> InteractiveResult:
+    """Type ``keystrokes`` keystrokes across the wireless path
+    (``wall_timeout``: the engine's wall-clock watchdog)."""
     scenario_config = wan_scenario(
         scheme=config.scheme,
         packet_size=576,  # MSS; keystroke segments are far smaller
@@ -129,7 +132,7 @@ def run_interactive_session(config: InteractiveConfig) -> InteractiveResult:
             sender.close()
 
     sim.schedule(rng.expovariate(1.0 / config.think_time_mean), type_key)
-    result = scenario.run()
+    result = scenario.run(wall_timeout=wall_timeout)
 
     return InteractiveResult(
         latency=LatencyStats.from_samples(latencies),

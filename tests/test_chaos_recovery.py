@@ -26,11 +26,20 @@ from repro.experiments.faults import (
     CampaignInterrupted,
 )
 from repro.experiments.journal import CampaignJournal
-from repro.experiments.runner import run_replicated
+from repro.experiments.runner import run_replicated, sweep_campaign
+from repro.handoff import topology as handoff_topology
 
 from tests.test_experiments_parallel import assert_identical_aggregates
 
 TINY = 5 * 1024
+
+
+def handoff_campaign(replications=4, workers=1, **campaign):
+    """One handoff study point, seeds 3 onwards, as a campaign."""
+    config = handoff_topology.HandoffConfig(handoff_interval=2.0, transfer_bytes=TINY)
+    return sweep_campaign(
+        [0], lambda _: config, replications, base_seed=3, workers=workers, **campaign
+    )
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -85,6 +94,33 @@ class TestWorkerCrashRecovery:
         assert [r.metrics for r in baseline.results] == [
             r.metrics for r in recovered.results
         ]
+
+    @needs_fork
+    def test_sigkilled_worker_in_a_study_campaign_is_retried(
+        self, tmp_path, monkeypatch, bundle_dir
+    ):
+        """A study unit's killed worker is retried like a scenario's."""
+        baseline = handoff_campaign().points[0]
+        flag = tmp_path / "killed-once"
+        parent_pid = os.getpid()
+        original = handoff_topology.run_handoff_scenario
+
+        def chaotic(cfg, **kwargs):
+            if os.getpid() != parent_pid:
+                try:
+                    fd = os.open(flag, os.O_CREAT | os.O_EXCL)
+                except FileExistsError:
+                    pass
+                else:
+                    os.close(fd)
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return original(cfg, **kwargs)
+
+        monkeypatch.setattr(handoff_topology, "run_handoff_scenario", chaotic)
+        recovered = handoff_campaign(workers=3).points[0]
+        assert flag.exists(), "the chaos SIGKILL never fired"
+        assert recovered.results == baseline.results
+        assert not recovered.failures
 
     @needs_fork
     def test_unresponsive_worker_is_hard_killed_and_retried(
@@ -232,6 +268,33 @@ class TestDeterministicErrors:
             )
 
 
+    def test_study_unit_failure_names_its_scheduler(self, monkeypatch, bundle_dir):
+        """A CSDP study has no scheme: its failure record names the
+        scheduler, and the point keeps its surviving seeds in order."""
+        from repro.csdp import CsdpStudyConfig, study
+
+        original = study.run_csdp_study
+
+        def broken_seed(cfg, **kwargs):
+            if cfg.seed == 2:
+                raise ValueError("deterministically broken unit")
+            return original(cfg, **kwargs)
+
+        monkeypatch.setattr(study, "run_csdp_study", broken_seed)
+        point = sweep_campaign(
+            ["rr"],
+            lambda sched: CsdpStudyConfig(
+                scheduler=sched, n_connections=2, transfer_bytes=TINY
+            ),
+            3,
+            fail_fast=False,
+        ).points["rr"]
+        (failure,) = point.failures
+        assert (failure.scheme, failure.seed) == ("rr", 2)
+        assert "seed 2, scheme rr" in failure.describe()
+        assert [result.config.seed for result in point.results] == [1, 3]
+
+
 class TestInterruptAndResume:
     def test_sigint_flushes_journal_and_exits_cleanly(
         self, tmp_path, monkeypatch, bundle_dir
@@ -292,6 +355,27 @@ class TestInterruptAndResume:
         assert result.report.from_journal == 2
         assert result.report.simulated == 2
         assert result.replications == 4
+
+    def test_resume_of_a_study_campaign_skips_journaled_units(
+        self, tmp_path, monkeypatch
+    ):
+        journal_path = tmp_path / "study.journal"
+        with CampaignJournal(journal_path) as journal:
+            handoff_campaign(replications=2, journal=journal)
+
+        calls = []
+        original = handoff_topology.run_handoff_scenario
+
+        def counting(cfg, **kwargs):
+            calls.append(cfg.seed)
+            return original(cfg, **kwargs)
+
+        monkeypatch.setattr(handoff_topology, "run_handoff_scenario", counting)
+        with CampaignJournal(journal_path) as journal:
+            resumed = handoff_campaign(journal=journal)
+        assert calls == [5, 6]  # the superset's new seeds only
+        assert resumed.report.from_journal == 2
+        assert resumed.points[0].results == handoff_campaign().points[0].results
 
     def test_quarantine_is_journaled_but_not_marked_done(
         self, tmp_path, monkeypatch, bundle_dir

@@ -56,10 +56,11 @@ class TestOneCampaign:
         return calls
 
     def test_validate_all_runs_fig2_points_as_one_campaign(self, campaigns):
-        """9 WAN + 3 LAN distinct points x 3 seeds, each simulated once."""
+        """9 WAN + 3 LAN + 6 study (csdp, hand, cong) distinct points
+        x 3 seeds, each simulated once."""
         validate_all(scale=0.3, seeds=3)
-        assert [len(units) for units in campaigns] == [36]
-        assert len({repr(unit) for unit in campaigns[0]}) == 36
+        assert [len(units) for units in campaigns] == [54]
+        assert len({repr(unit) for unit in campaigns[0]}) == 54
 
     def test_evaluate_runs_only_its_own_points(self, campaigns):
         fig9 = next(c for c in CLAIMS if c.id == "fig9")

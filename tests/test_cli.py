@@ -38,6 +38,16 @@ class TestParser:
             ["csdp", "--connections", "0"],
             ["sweep", "--replications", "0"],
             ["handoff", "--interval", "1", "--disconnect", "2"],
+            ["run", "--transfer-kb", "0"],
+            ["sweep", "--transfer-kb", "0"],
+            ["profile", "--transfer-kb", "0"],
+            ["csdp", "--transfer-kb", "-5"],
+            ["handoff", "--transfer-kb", "0"],
+            ["run", "--packet-size", "30"],
+            ["profile", "--packet-size", "30"],
+            ["run", "--bad-period", "0"],
+            ["sweep", "--bad-period", "0"],
+            ["run", "--lan", "--bad-period", "-1"],
         ],
     )
     def test_bad_counts_and_configs_are_usage_errors(self, argv, capsys):

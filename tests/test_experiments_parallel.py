@@ -9,10 +9,15 @@ import pytest
 
 from repro.experiments import parallel as parallel_mod
 from repro.experiments import topology
-from repro.experiments.cache import ResultCache, config_digest
+from repro.experiments.cache import ResultCache, config_digest, qualify
 from repro.experiments.config import lan_scenario, wan_scenario
 from repro.experiments.parallel import ParallelRunner, RunSummary, resolve_workers
-from repro.experiments.runner import ReplicatedResult, run_replicated, sweep
+from repro.experiments.runner import (
+    ReplicatedResult,
+    run_replicated,
+    sweep,
+    sweep_campaign,
+)
 
 TINY = 5 * 1024
 LAN_TINY = 48 * 1024
@@ -35,7 +40,42 @@ def assert_identical_aggregates(a: ReplicatedResult, b: ReplicatedResult) -> Non
         assert getattr(a, field) == getattr(b, field), field
 
 
+def _registered_configs():
+    """One small config of every type the campaign layer runs."""
+    from repro.csdp import CsdpStudyConfig
+    from repro.experiments.congestion import CongestedScenarioConfig
+    from repro.handoff import HandoffConfig
+    from repro.tcp import TcpConfig
+    from repro.workloads import InteractiveConfig
+
+    return [
+        wan_scenario(transfer_bytes=TINY),
+        CongestedScenarioConfig(cross_load=0.9, tcp=TcpConfig(transfer_bytes=TINY)),
+        HandoffConfig(handoff_interval=2.0, transfer_bytes=TINY),
+        CsdpStudyConfig(n_connections=2, transfer_bytes=TINY),
+        InteractiveConfig(keystrokes=20),
+    ]
+
+
 class TestParallelMatchesSerial:
+    @pytest.mark.parametrize(
+        "config", _registered_configs(), ids=lambda c: type(c).__name__
+    )
+    def test_every_registered_type_bit_identical(self, config):
+        """Serial and pooled campaigns give identical per-seed summaries,
+        whatever the config type."""
+        runs = [
+            sweep_campaign([0], lambda _: config, 2, workers=workers).points[0]
+            for workers in (1, 2)
+        ]
+        serial, pooled = (run.results for run in runs)
+        assert len(serial) == 2 and serial == pooled
+        assert not runs[1].failures
+
+    def test_every_registered_type_is_covered(self):
+        covered = {qualify(type(c)) for c in _registered_configs()}
+        assert covered == set(parallel_mod.UNITS)
+
     def test_wan_bit_identical(self):
         config = wan_scenario(transfer_bytes=TINY)
         serial = run_replicated(config, replications=4, base_seed=3, workers=1)
@@ -129,9 +169,9 @@ class TestResultCache:
         calls = []
         original = topology.run_scenario
 
-        def counted(config):
+        def counted(config, **kwargs):
             calls.append(config)
-            return original(config)
+            return original(config, **kwargs)
 
         monkeypatch.setattr(topology, "run_scenario", counted)
         return calls
@@ -209,11 +249,11 @@ class TestResultCache:
         calls = []
         original = topology.run_scenario
 
-        def flaky(cfg):
+        def flaky(cfg, **kwargs):
             calls.append(cfg)
             if len(calls) == 3:
                 raise OSError("simulated crash mid-batch")
-            return original(cfg)
+            return original(cfg, **kwargs)
 
         monkeypatch.setattr(topology, "run_scenario", flaky)
         with pytest.raises(OSError, match="mid-batch"):
@@ -254,7 +294,7 @@ class TestSummaryPickling:
     def test_summary_round_trips(self):
         import pickle
 
-        summary = parallel_mod._execute_unit(
+        summary = parallel_mod.run_unit(
             wan_scenario(transfer_bytes=TINY, record_trace=False)
         )
         clone = pickle.loads(pickle.dumps(summary))

@@ -21,7 +21,7 @@ from repro.experiments.faults import (
     WorkerCrashed,
 )
 from repro.experiments.journal import CampaignJournal
-from repro.experiments.parallel import _execute_unit
+from repro.experiments.parallel import run_unit
 from repro.experiments.runner import run_replicated
 
 TINY = 5 * 1024
@@ -136,7 +136,7 @@ class TestCompletenessReport:
 
 class TestCampaignJournal:
     def _summary(self, seed: int = 1):
-        return _execute_unit(
+        return run_unit(
             wan_scenario(transfer_bytes=TINY, seed=seed, record_trace=False)
         )
 

@@ -26,7 +26,13 @@ from repro.validate.bundle import (
     replay_bundle,
 )
 from repro.validate.checkers import default_checkers
-from repro.validate.engine import InvariantViolationError, Validator
+from repro.validate.engine import (
+    InvariantChecker,
+    InvariantViolationError,
+    Validator,
+    Violation,
+    run_validated,
+)
 from repro.validate.testing import (
     BackwardsAckSender,
     CwndMutatingEbsnSender,
@@ -233,6 +239,74 @@ class TestReplayCli:
         assert "ebsn-no-window-action" in err
         assert "replay bundle written" in err
         assert list(tmp_path.glob("violation-*.json"))
+
+
+class AlwaysReports(InvariantChecker):
+    """A checker that flags every run it finishes."""
+
+    name = "always-reports"
+
+    def finalize(self, scenario, result, report):
+        report("forced violation")
+
+
+class TestCongestedReplay:
+    """A congested run's violation is bundled and replayed on the
+    congested topology, not on the plain Fig. 2 one."""
+
+    @pytest.fixture
+    def congested_bundle(self, tmp_path):
+        from repro.experiments.congestion import (
+            CongestedScenario,
+            CongestedScenarioConfig,
+        )
+
+        config = CongestedScenarioConfig(cross_load=0.9)
+        with pytest.raises(InvariantViolationError) as excinfo:
+            run_validated(
+                CongestedScenario(config),
+                bundle_dir=tmp_path,
+                checkers=[AlwaysReports()],
+            )
+        assert excinfo.value.violations[0].checker == "always-reports"
+        return excinfo.value.bundle_path
+
+    def test_violation_is_bundled_with_its_config_and_log(self, congested_bundle):
+        from repro.experiments.congestion import CongestedScenarioConfig
+
+        bundle = load_bundle(congested_bundle)
+        assert bundle.config == CongestedScenarioConfig(cross_load=0.9)
+        assert bundle.violations[0].message == "forced violation"
+        assert bundle.event_log_tail
+
+    def test_cli_replay_runs_the_congested_topology(
+        self, congested_bundle, monkeypatch, capsys
+    ):
+        from repro.cli import main
+        from repro.experiments.congestion import CongestedScenario
+
+        runs = []
+        real_run = CongestedScenario.run
+
+        def counted_run(scenario, **kwargs):
+            runs.append(scenario)
+            return real_run(scenario, **kwargs)
+
+        monkeypatch.setattr(CongestedScenario, "run", counted_run)
+        assert main(["replay", str(congested_bundle)]) == 1
+        assert "no violation reproduced" in capsys.readouterr().out
+        assert len(runs) == 1
+
+    def test_cli_replay_of_a_type_without_checkers_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.handoff import HandoffConfig
+        from repro.validate.bundle import write_bundle
+
+        path = write_bundle(
+            HandoffConfig(), [Violation("watchdog", 1.0, "hung")], None, tmp_path
+        )
+        assert main(["replay", str(path)]) == 2
+        assert "HandoffConfig runs have no invariant checkers" in capsys.readouterr().err
 
 
 class TestEncoding:
