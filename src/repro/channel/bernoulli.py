@@ -13,6 +13,10 @@ from __future__ import annotations
 import math
 import random
 
+#: Frame length the match is computed for: a 128 B WAN frame after the
+#: 1.5x framing overhead (bits).
+FRAME_BITS = 1536
+
 
 class BernoulliLossChannel:
     """Channel that corrupts each frame i.i.d. with probability ``p``."""
@@ -45,7 +49,6 @@ def matched_loss_probability(
     bad_period_mean: float,
     ber_good: float = 1e-6,
     ber_bad: float = 1e-2,
-    frame_bits: int = 1536,
 ) -> float:
     """Per-frame loss probability matching a burst channel's average.
 
@@ -60,7 +63,7 @@ def matched_loss_probability(
     if good_period_mean <= 0 or bad_period_mean <= 0:
         raise ValueError("period means must be positive")
     good_fraction = good_period_mean / (good_period_mean + bad_period_mean)
-    survive_good = math.exp(frame_bits * math.log1p(-ber_good))
-    survive_bad = math.exp(frame_bits * math.log1p(-ber_bad))
+    survive_good = math.exp(FRAME_BITS * math.log1p(-ber_good))
+    survive_bad = math.exp(FRAME_BITS * math.log1p(-ber_bad))
     survive = good_fraction * survive_good + (1.0 - good_fraction) * survive_bad
     return 1.0 - survive

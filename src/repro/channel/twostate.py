@@ -375,7 +375,6 @@ def markov_channel(
     ber_good: float = 1e-6,
     ber_bad: float = 1e-2,
     sojourn_rng: Optional[random.Random] = None,
-    steady_state_init: bool = True,
 ) -> TwoStateChannel:
     """The paper's stochastic burst-error channel (§3.1 defaults).
 
@@ -386,18 +385,16 @@ def markov_channel(
     sweeps paired comparisons (far lower variance, the spirit of the
     paper's frozen-error example).
 
-    With ``steady_state_init`` (default) the initial state is drawn
-    from the chain's stationary distribution; because sojourns are
-    exponential (memoryless), the process is then stationary from t=0
-    and short transfers are not biased toward the good state.  Disable
-    it to start in the good state as the paper's frozen example does.
+    The initial state is drawn from the chain's stationary
+    distribution; because sojourns are exponential (memoryless), the
+    process is then stationary from t=0 and short transfers are not
+    biased toward the good state.  (The paper's frozen example starts
+    in the good state: see :func:`deterministic_channel`.)
     """
     state_rng = sojourn_rng or rng
     initial = ChannelState.GOOD
-    if steady_state_init:
-        p_good = good_mean / (good_mean + bad_mean)
-        if state_rng.random() >= p_good:
-            initial = ChannelState.BAD
+    if state_rng.random() >= good_mean / (good_mean + bad_mean):
+        initial = ChannelState.BAD
     sojourns = ExponentialSojourns(good_mean, bad_mean, state_rng)
     return TwoStateChannel(
         sojourns, ber_good, ber_bad, rng=rng, initial_state=initial

@@ -32,6 +32,7 @@ the journal.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -77,10 +78,18 @@ def positive_int(text: str) -> int:
 
 
 def positive_float(text: str) -> float:
-    """argparse type for a time or period: a number above 0."""
+    """argparse type for a time, period or scale: a finite number above 0."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be above 0, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {value}")
+    return value
+
+
+def trace_width(text: str) -> int:
+    """argparse type for ``trace --width``: the time axis needs 10 columns."""
+    value = int(text)
+    if value < 10:
+        raise argparse.ArgumentTypeError(f"must be at least 10, got {value}")
     return value
 
 
@@ -673,8 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="render a Figs 3-5 style trace")
     _add_common(p)
-    p.add_argument("--width", type=int, default=100)
-    p.add_argument("--t-max", type=float, default=60.0)
+    p.add_argument("--width", type=trace_width, default=100)
+    p.add_argument("--t-max", type=positive_float, default=60.0)
     _add_validate(p)
     p.set_defaults(func=_cmd_trace)
 
@@ -714,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_congestion, parser=p)
 
     p = sub.add_parser("validate", help="run every claim check (\u2713/\u2717 report)")
-    p.add_argument("--scale", type=float, default=0.3, help="transfer scale factor")
+    p.add_argument("--scale", type=positive_float, default=0.3, help="transfer scale factor")
     p.add_argument("--seeds", type=positive_int, default=3)
     p.set_defaults(func=_cmd_validate)
 

@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
+
+#: On-air expansion of a fragment (the WAN link's framing overhead).
+OVERHEAD_FACTOR = 1.5
 
 
 @dataclass(frozen=True)
@@ -51,25 +54,16 @@ class PacketSizeAdvisor:
     512
     """
 
-    def __init__(
-        self,
-        mtu_bytes: int = 128,
-        header_bytes: int = 40,
-        overhead_factor: float = 1.5,
-        candidate_sizes: Optional[Iterable[int]] = None,
-    ) -> None:
+    #: Packet sizes the analytic model chooses among (bytes, ascending).
+    candidate_sizes = (128, 256, 384, 512, 640, 768, 1024, 1280, 1536)
+
+    def __init__(self, mtu_bytes: int = 128, header_bytes: int = 40) -> None:
         if mtu_bytes <= 0:
             raise ValueError("MTU must be positive")
         if header_bytes < 0:
             raise ValueError("header bytes must be >= 0")
         self.mtu_bytes = mtu_bytes
         self.header_bytes = header_bytes
-        self.overhead_factor = overhead_factor
-        self.candidate_sizes: List[int] = sorted(
-            candidate_sizes
-            if candidate_sizes is not None
-            else [128, 256, 384, 512, 640, 768, 1024, 1280, 1536]
-        )
         self._table: Dict[ErrorCondition, int] = {}
 
     # -- table management (the paper's mechanism) -----------------------
@@ -127,7 +121,7 @@ class PacketSizeAdvisor:
         for _ in range(count):
             size = min(self.mtu_bytes, remaining)
             remaining -= size
-            bits = int(size * self.overhead_factor) * 8
+            bits = int(size * OVERHEAD_FACTOR) * 8
             p_good = math.exp(bits * math.log1p(-condition.ber_good))
             p_bad = math.exp(bits * math.log1p(-condition.ber_bad))
             p = (

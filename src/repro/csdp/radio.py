@@ -27,6 +27,9 @@ from repro.net.ip import Fragmenter, Reassembler
 from repro.net.packet import LINK_ACK_BYTES, Datagram, Fragment
 from repro.net.wireless import WirelessLinkConfig
 
+#: Seconds the radio's reassembler holds a partial datagram.
+REASSEMBLY_TIMEOUT = 60.0
+
 
 @dataclass
 class RadioStats:
@@ -61,7 +64,6 @@ class DownlinkRadio:
         rng: random.Random,
         deliver: Callable[[Datagram], None],
         arq: Optional[ArqConfig] = None,
-        reassembly_timeout: float = 60.0,
     ) -> None:
         if not channels:
             raise ValueError("need at least one destination channel")
@@ -79,7 +81,7 @@ class DownlinkRadio:
             backoff_max=7.5 * frame_time,
         )
         self.fragmenter = Fragmenter(config.mtu_bytes)
-        self.reassembler = Reassembler(sim, timeout=reassembly_timeout, name="radio")
+        self.reassembler = Reassembler(sim, timeout=REASSEMBLY_TIMEOUT, name="radio")
         self.queues: Dict[str, Deque[_QueuedFrame]] = {d: deque() for d in channels}
         self.stats = RadioStats()
         self._busy = False

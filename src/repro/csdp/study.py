@@ -8,12 +8,14 @@ Topology (one row per connection i):
 Each mobile host fades independently; the radio serves all of them
 under a configurable scheduler.  The TCP ACK path uses a per-MH plain
 uplink (no contention — the study isolates downlink scheduling, and
-the paper's §3.1 treats MAC delay as negligible).
+the paper's §3.1 treats MAC delay as negligible).  The rest is fixed:
+the module constants below, and :class:`~repro.tcp.TcpConfig`'s WAN
+defaults (576 B packets, 4 KB window) at every source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.channel import markov_channel
@@ -32,6 +34,19 @@ from repro.net.wireless import WirelessLink, WirelessLinkConfig
 from repro.tcp import TahoeSender, TcpConfig, TcpSink
 
 
+#: Each FH<->BS wired hop: bandwidth (bps), one-way delay (s).  The
+#: wired side is never the bottleneck.
+WIRED_BANDWIDTH_BPS = 2_000_000.0
+WIRED_PROP_DELAY = 0.005
+#: The shared downlink radio and every uplink (the paper's WAN link).
+WIRELESS = WirelessLinkConfig()
+#: Each mobile host's fading: mean good and bad periods (s).
+GOOD_PERIOD_MEAN = 4.0
+BAD_PERIOD_MEAN = 1.0
+#: Simulation abort horizon (s).
+MAX_SIM_TIME = 50_000.0
+
+
 @dataclass
 class CsdpStudyConfig:
     """Parameters of one multi-connection run."""
@@ -39,16 +54,8 @@ class CsdpStudyConfig:
     scheduler: str = "fifo"  # "fifo" | "rr" | "csdp"
     n_connections: int = 4
     transfer_bytes: int = 50 * 1024
-    packet_size: int = 576
-    window_bytes: int = 4096
-    wired_bandwidth_bps: float = 2_000_000.0  # wired is never the bottleneck
-    wired_prop_delay: float = 0.005
-    wireless: WirelessLinkConfig = field(default_factory=WirelessLinkConfig)
-    good_period_mean: float = 4.0
-    bad_period_mean: float = 1.0
     csdp_probe_interval: float = 0.5
     seed: int = 1
-    max_sim_time: float = 50_000.0
 
     def build_scheduler(self) -> Scheduler:
         """Instantiate the configured scheduling policy."""
@@ -100,8 +107,8 @@ def run_csdp_study(
     # Independent fading per mobile host.
     channels = {
         name: markov_channel(
-            config.good_period_mean,
-            config.bad_period_mean,
+            GOOD_PERIOD_MEAN,
+            BAD_PERIOD_MEAN,
             rng=streams.stream(f"errors-{name}"),
             sojourn_rng=streams.stream(f"sojourns-{name}"),
         )
@@ -111,7 +118,7 @@ def run_csdp_study(
     mh_nodes: Dict[str, Node] = {name: Node(name) for name in mh_names}
     radio = DownlinkRadio(
         sim,
-        config.wireless,
+        WIRELESS,
         channels,
         config.build_scheduler(),
         rng=streams.stream("radio-backoff"),
@@ -132,12 +139,8 @@ def run_csdp_study(
         fh = Node(fh_name)
         mh = mh_nodes[mh_name]
 
-        wired_down = WiredLink(
-            sim, config.wired_bandwidth_bps, config.wired_prop_delay, name=f"{fh_name}->BS"
-        )
-        wired_up = WiredLink(
-            sim, config.wired_bandwidth_bps, config.wired_prop_delay, name=f"BS->{fh_name}"
-        )
+        wired_down = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"{fh_name}->BS")
+        wired_up = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"BS->{fh_name}")
         wired_down.connect(bs.receive)
         wired_up.connect(fh.receive)
         fh.add_interface("wired", wired_down.send, mh_name, "BS")
@@ -146,7 +149,7 @@ def run_csdp_study(
         # Plain per-MH uplink for TCP ACKs (shares the MH's fading).  A
         # PLAIN port fragments onto its link and reassembles what the
         # link delivers, so one port spans both ends of the uplink.
-        uplink = WirelessLink(sim, config.wireless, channels[mh_name], name=f"{mh_name}->BS")
+        uplink = WirelessLink(sim, WIRELESS, channels[mh_name], name=f"{mh_name}->BS")
         up_port = WirelessPort(
             sim, f"up-{mh_name}", out_link=uplink, deliver=bs.receive,
             reassembly_timeout=60.0,
@@ -158,11 +161,7 @@ def run_csdp_study(
             sim,
             fh,
             mh_name,
-            config=TcpConfig(
-                packet_size=config.packet_size,
-                window_bytes=config.window_bytes,
-                transfer_bytes=config.transfer_bytes,
-            ),
+            config=TcpConfig(transfer_bytes=config.transfer_bytes),
             on_complete=one_done,
         )
         fh.attach_agent(sender)
@@ -175,7 +174,7 @@ def run_csdp_study(
 
     for sender in senders:
         sender.start()
-    sim.run(until=config.max_sim_time, wall_timeout=wall_timeout)
+    sim.run(until=MAX_SIM_TIME, wall_timeout=wall_timeout)
 
     completion_times = [
         s.stats.completed_at if s.stats.completed_at is not None else sim.now

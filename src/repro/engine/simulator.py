@@ -154,7 +154,7 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too: it would break heap order
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self._now + delay
         seq = self._seq
@@ -174,7 +174,7 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # NaN fails too
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )

@@ -24,28 +24,26 @@ from repro.metrics.theoretical import theoretical_throughput_bps
 from repro.tcp import TcpConfig
 
 #: A simulated point a claim reads: its study (a key of ``_CONFIGS``)
-#: followed by that study's arguments.  A Fig. 2 point is
-#: ``(topology, scheme, packet_size, bad_period)``, with topology
-#: ``"wan"`` or ``"lan"``.
+#: followed by that study's arguments.  A WAN point is
+#: ``("wan", scheme, packet_size, bad_period)``, a LAN point
+#: ``("lan", scheme, bad_period)``.
 Point = Tuple
-
-
-def _fig2(scenario, transfer_bytes: int) -> Callable:
-    """A Fig. 2 topology's point config: ``(scale, scheme, packet_size,
-    bad_period)``, at ``transfer_bytes`` full scale."""
-    return lambda scale, scheme, packet_size, bad_period: scenario(
-        scheme=scheme,
-        packet_size=packet_size,
-        bad_period_mean=bad_period,
-        transfer_bytes=int(transfer_bytes * scale),
-    )
 
 
 #: Per study: the config of a point at a transfer scale, from
 #: ``(scale, *point[1:])``.
 _CONFIGS: Dict[str, Callable] = {
-    "wan": _fig2(wan_scenario, 100 * 1024),
-    "lan": _fig2(lan_scenario, 4 * 1024 * 1024),
+    "wan": lambda scale, scheme, packet_size, bad_period: wan_scenario(
+        scheme=scheme,
+        packet_size=packet_size,
+        bad_period_mean=bad_period,
+        transfer_bytes=int(100 * 1024 * scale),
+    ),
+    "lan": lambda scale, scheme, bad_period: lan_scenario(
+        scheme=scheme,
+        bad_period_mean=bad_period,
+        transfer_bytes=int(4 * 1024 * 1024 * scale),
+    ),
     "csdp": lambda scale, scheduler: CsdpStudyConfig(
         scheduler=scheduler, transfer_bytes=int(50 * 1024 * scale)
     ),
@@ -112,8 +110,8 @@ def _wan(scheme: Scheme, packet_size: int = 576) -> Point:
 
 
 def _lan(scheme: Scheme, bad_period: float) -> Point:
-    """A LAN point at the study's only packet size."""
-    return ("lan", scheme, 1536, bad_period)
+    """A LAN point (the study's only packet size is 1536 B)."""
+    return ("lan", scheme, bad_period)
 
 
 def _sum(point, metric: str):

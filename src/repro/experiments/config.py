@@ -120,32 +120,27 @@ def wan_scenario(
 def lan_scenario(
     scheme: Scheme = Scheme.BASIC,
     bad_period_mean: float = 0.8,
-    good_period_mean: float = LAN_GOOD_PERIOD,
     seed: int = 1,
     transfer_bytes: int = LAN_TRANSFER_BYTES,
-    packet_size: int = 1536,
     record_trace: bool = False,
-    tcp_variant: str = "tahoe",
-    arq: Optional[ArqConfig] = None,
 ) -> ScenarioConfig:
-    """One local-area run of the §5.2 study."""
+    """One local-area run of the §5.2 study (1536 B packets, Tahoe)."""
     return ScenarioConfig(
         scheme=scheme,
         tcp=TcpConfig(
-            packet_size=packet_size,
+            packet_size=1536,
             window_bytes=64 * 1024,
             transfer_bytes=transfer_bytes,
             clock_granularity=0.1,
         ),
         channel=ChannelConfig(
-            good_period_mean=good_period_mean,
+            good_period_mean=LAN_GOOD_PERIOD,
             bad_period_mean=bad_period_mean,
         ),
         wireless=lan_wireless(),
         wired_bandwidth_bps=10_000_000.0,
         wired_prop_delay=0.001,
-        arq=arq if arq is not None else lan_arq(),
-        tcp_variant=tcp_variant,
+        arq=lan_arq(),
         seed=seed,
         record_trace=record_trace,
     )

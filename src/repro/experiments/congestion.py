@@ -49,6 +49,8 @@ BOTTLENECK_QUEUE_PACKETS = 10
 ECN_THRESHOLD_PACKETS = 4
 #: The FH->R, XS->R and R->FH access links: never the bottleneck (bps).
 ACCESS_BPS = 1_000_000.0
+#: One-way delay of every wired link (s).
+WIRED_PROP_DELAY = 0.01
 
 
 class CbrSource:
@@ -120,18 +122,17 @@ class CongestedScenarioConfig:
     #: Cross-traffic load as a fraction of the bottleneck capacity;
     #: 0.0 = no cross traffic.
     cross_load: float = 0.5
-    wired_prop_delay: float = 0.01
     tcp: TcpConfig = field(
         default_factory=lambda: TcpConfig(transfer_bytes=60 * 1024)
     )
-    channel: ChannelConfig = field(default_factory=ChannelConfig)
-    wireless: WirelessLinkConfig = field(default_factory=WirelessLinkConfig)
     seed: int = 1
-    max_sim_time: float = 50_000.0
 
     # The rest of what Scenario reads, held fixed by this study: one
     # Tahoe bulk transfer with ARQ derived from the link, no trace.
     # Plain class attributes, so not fields.
+    channel = ChannelConfig()
+    wireless = WirelessLinkConfig()
+    max_sim_time = 50_000.0
     arq = None
     tcp_variant = "tahoe"
     sender_factory = None
@@ -186,7 +187,7 @@ class CongestedScenario(Scenario):
     def _build_wired(self) -> None:
         """FH and XS feed R over access links; R->BS is the bottleneck."""
         sim = self.sim
-        delay = self.config.wired_prop_delay
+        delay = WIRED_PROP_DELAY
         self.xs = Node("XS")
         self.router = Node("R")
         fh_r = WiredLink(sim, ACCESS_BPS, delay, name="FH->R")

@@ -21,8 +21,10 @@ from typing import Dict, List, Optional
 
 from repro.experiments.config import (
     LAN_BAD_PERIODS,
+    LAN_GOOD_PERIOD,
     LAN_TRANSFER_BYTES,
     WAN_BAD_PERIODS,
+    WAN_GOOD_PERIOD,
     WAN_PACKET_SIZES,
     WAN_TRANSFER_BYTES,
     lan_scenario,
@@ -186,10 +188,10 @@ def figure_9(
     )
 
 
-def wan_theoretical_kbps(bad_period_mean: float, good_period_mean: float = 10.0) -> float:
+def wan_theoretical_kbps(bad_period_mean: float) -> float:
     """tput_th for the WAN study (12.8 kbps effective), in kbit/s."""
     return (
-        theoretical_throughput_bps(12_800.0, good_period_mean, bad_period_mean) / 1000.0
+        theoretical_throughput_bps(12_800.0, WAN_GOOD_PERIOD, bad_period_mean) / 1000.0
     )
 
 
@@ -244,7 +246,6 @@ def figure_10(
 
 def figure_11(
     replications: int = 3,
-    bad_periods: Optional[List[float]] = None,
     transfer_bytes: int = LAN_TRANSFER_BYTES,
     **campaign,
 ) -> Dict[str, SweepSeries]:
@@ -252,9 +253,9 @@ def figure_11(
 
     The same campaign as :func:`figure_10`.
     """
-    return figure_10(replications, bad_periods, transfer_bytes, **campaign)
+    return figure_10(replications, transfer_bytes=transfer_bytes, **campaign)
 
 
-def lan_theoretical_mbps(bad_period_mean: float, good_period_mean: float = 4.0) -> float:
+def lan_theoretical_mbps(bad_period_mean: float) -> float:
     """tput_th for the LAN study (2 Mbps), in Mbit/s."""
-    return theoretical_throughput_bps(2e6, good_period_mean, bad_period_mean) / 1e6
+    return theoretical_throughput_bps(2e6, LAN_GOOD_PERIOD, bad_period_mean) / 1e6

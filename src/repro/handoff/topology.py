@@ -9,13 +9,15 @@ The mobile host alternates between the base stations every
 ``disconnect_time``.  The router learns the new location when the
 mobile host reattaches (registration is piggybacked on reattachment,
 as in Mobile-IP-style schemes with instantaneous binding updates — the
-disconnection interval models the whole outage).
+disconnection interval models the whole outage).  The rest is fixed:
+the module constants below, and :class:`~repro.tcp.TcpConfig`'s WAN
+defaults (576 B packets, 4 KB window) at the source.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.channel import markov_channel
@@ -40,6 +42,19 @@ class HandoffScheme(enum.Enum):
     FAST_RTX_FORWARD = "fast_rtx_forward"  # both
 
 
+#: Every wired hop (FH<->R, R<->BS): bandwidth (bps), one-way delay (s).
+WIRED_BANDWIDTH_BPS = 256_000.0
+WIRED_PROP_DELAY = 0.005
+#: Each cell's radio, in both directions (the paper's WAN link).
+WIRELESS = WirelessLinkConfig()
+#: Fading is kept mild to isolate the handoff effect (mean good and
+#: bad periods, s).
+GOOD_PERIOD_MEAN = 1000.0
+BAD_PERIOD_MEAN = 0.01
+#: Simulation abort horizon (s).
+MAX_SIM_TIME = 50_000.0
+
+
 @dataclass
 class HandoffConfig:
     """Parameters of one handoff run."""
@@ -48,21 +63,12 @@ class HandoffConfig:
     handoff_interval: float = 8.0
     disconnect_time: float = 0.3
     transfer_bytes: int = 100 * 1024
-    packet_size: int = 576
-    window_bytes: int = 4096
-    wired_bandwidth_bps: float = 256_000.0
-    wired_prop_delay: float = 0.005
-    wireless: WirelessLinkConfig = field(default_factory=WirelessLinkConfig)
-    #: Fading is kept mild by default to isolate the handoff effect.
-    good_period_mean: float = 1000.0
-    bad_period_mean: float = 0.01
     seed: int = 1
-    max_sim_time: float = 50_000.0
 
     def __post_init__(self) -> None:
-        if self.handoff_interval <= 0:
+        if not self.handoff_interval > 0:  # NaN fails every check
             raise ValueError("handoff_interval must be positive")
-        if self.disconnect_time < 0:
+        if not self.disconnect_time >= 0:
             raise ValueError("disconnect_time must be >= 0")
         if self.disconnect_time >= self.handoff_interval:
             raise ValueError("disconnect_time must be shorter than the interval")
@@ -161,8 +167,8 @@ def run_handoff_scenario(
     bs_nodes = {name: Node(name) for name in ("BS1", "BS2")}
 
     # Wired mesh.
-    fh_r = WiredLink(sim, config.wired_bandwidth_bps, config.wired_prop_delay, name="FH->R")
-    r_fh = WiredLink(sim, config.wired_bandwidth_bps, config.wired_prop_delay, name="R->FH")
+    fh_r = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name="FH->R")
+    r_fh = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name="R->FH")
     fh_r.connect(router.receive)
     r_fh.connect(fh.receive)
     fh.add_interface("wired", fh_r.send, "MH", "R")
@@ -185,13 +191,13 @@ def run_handoff_scenario(
 
     for name in ("BS1", "BS2"):
         channel = markov_channel(
-            config.good_period_mean,
-            config.bad_period_mean,
+            GOOD_PERIOD_MEAN,
+            BAD_PERIOD_MEAN,
             rng=streams.stream(f"errors-{name}"),
             sojourn_rng=streams.stream(f"sojourns-{name}"),
         )
-        down = WirelessLink(sim, config.wireless, channel, name=f"{name}->MH")
-        up = WirelessLink(sim, config.wireless, channel, name=f"MH->{name}")
+        down = WirelessLink(sim, WIRELESS, channel, name=f"{name}->MH")
+        up = WirelessLink(sim, WIRELESS, channel, name=f"MH->{name}")
         down.connect(lambda frame, cell=name: mh_receive_frame(frame, cell))
         # A PLAIN port fragments onto its link and reassembles what the
         # link delivers, so one port spans both ends of the uplink.
@@ -200,15 +206,11 @@ def run_handoff_scenario(
         )
         up.connect(mh_uplinks[name].receive_frame)
 
-        ports[name] = CellPort(sim, name, down, config.wireless.mtu_bytes)
+        ports[name] = CellPort(sim, name, down, WIRELESS.mtu_bytes)
         bs_nodes[name].add_interface("radio", ports[name].send_datagram, "MH")
 
-        spur_down = WiredLink(
-            sim, config.wired_bandwidth_bps, config.wired_prop_delay, name=f"R->{name}"
-        )
-        spur_up = WiredLink(
-            sim, config.wired_bandwidth_bps, config.wired_prop_delay, name=f"{name}->R"
-        )
+        spur_down = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"R->{name}")
+        spur_up = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"{name}->R")
         spur_down.connect(bs_nodes[name].receive)
         spur_up.connect(router.receive)
         bs_nodes[name].add_interface("wired", spur_up.send, "FH", "R", "BS1", "BS2")
@@ -240,11 +242,7 @@ def run_handoff_scenario(
         sim,
         fh,
         "MH",
-        config=TcpConfig(
-            packet_size=config.packet_size,
-            window_bytes=config.window_bytes,
-            transfer_bytes=config.transfer_bytes,
-        ),
+        config=TcpConfig(transfer_bytes=config.transfer_bytes),
         on_complete=sim.stop,
         trace=trace,
     )
@@ -270,8 +268,8 @@ def run_handoff_scenario(
             ports[old].datagrams_forwarded += len(stranded)
             # BS-to-BS forwarding crosses the wired mesh (two hops).
             for i, datagram in enumerate(stranded):
-                delay = 2 * config.wired_prop_delay + (i + 1) * (
-                    datagram.size_bytes * 8 / config.wired_bandwidth_bps
+                delay = 2 * WIRED_PROP_DELAY + (i + 1) * (
+                    datagram.size_bytes * 8 / WIRED_BANDWIDTH_BPS
                 )
                 sim.schedule(delay, ports[new].send_datagram, datagram)
         else:
@@ -309,7 +307,7 @@ def run_handoff_scenario(
     attach("BS1")
     sim.schedule(config.handoff_interval, handoff)
     sender.start()
-    sim.run(until=config.max_sim_time, wall_timeout=wall_timeout)
+    sim.run(until=MAX_SIM_TIME, wall_timeout=wall_timeout)
 
     metrics = compute_metrics(sender, sink)
     stall_threshold = max(0.5, 2 * config.disconnect_time)

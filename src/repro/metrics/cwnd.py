@@ -13,6 +13,9 @@ from typing import List, Sequence, Tuple
 
 Sample = Tuple[float, float]
 
+#: Rows of the rendered sawtooth.
+HEIGHT = 12
+
 
 @dataclass(frozen=True, slots=True)
 class CwndSummary:
@@ -75,15 +78,13 @@ def render_cwnd(
     trace: Sequence[Sample],
     end_time: float,
     width: int = 80,
-    height: int = 12,
-    title: str = "",
 ) -> str:
     """ASCII sawtooth of the congestion window over time."""
     if not trace:
-        return f"{title}\n(empty cwnd trace)\n"
+        return "\n(empty cwnd trace)\n"
     w_max = max(w for _, w in trace)
     w_max = max(w_max, 1.0)
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * width for _ in range(HEIGHT)]
     # Sample-and-hold: each column shows the window in force then.
     samples: List[Sample] = list(trace)
     index = 0
@@ -92,10 +93,9 @@ def render_cwnd(
         while index + 1 < len(samples) and samples[index + 1][0] <= t:
             index += 1
         w = samples[index][1]
-        row = int((w / w_max) * (height - 1))
-        grid[height - 1 - row][col] = "#"
-    lines = [title] if title else []
-    lines.append(f"{w_max:6.1f} +" + "".join(grid[0]))
+        row = int((w / w_max) * (HEIGHT - 1))
+        grid[HEIGHT - 1 - row][col] = "#"
+    lines = [f"{w_max:6.1f} +" + "".join(grid[0])]
     for row in grid[1:-1]:
         lines.append("       |" + "".join(row))
     lines.append(f"{0.0:6.1f} +" + "".join(grid[-1]))

@@ -55,18 +55,20 @@ class EnergyReport:
         return self.total_joules / (self.useful_bytes / 1024)
 
 
-def mobile_host_energy(
-    result: ScenarioResult, model: EnergyModel = EnergyModel()
-) -> EnergyReport:
+#: The power draws every report charges.
+RADIO = EnergyModel()
+
+
+def mobile_host_energy(result: ScenarioResult) -> EnergyReport:
     """Compute the MH's energy for a completed scenario run."""
     duration = result.metrics.duration
     rx_time = min(result.downlink.stats.busy_time, duration)
     tx_time = min(result.uplink.stats.busy_time, duration)
     idle_time = max(duration - rx_time - tx_time, 0.0)
     return EnergyReport(
-        tx_joules=model.tx_power_w * tx_time,
-        rx_joules=model.rx_power_w * rx_time,
-        idle_joules=model.idle_power_w * idle_time,
+        tx_joules=RADIO.tx_power_w * tx_time,
+        rx_joules=RADIO.rx_power_w * rx_time,
+        idle_joules=RADIO.idle_power_w * idle_time,
         duration=duration,
         useful_bytes=result.sink.stats.useful_payload_bytes,
     )

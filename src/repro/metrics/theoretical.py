@@ -14,6 +14,8 @@ after FEC overhead, 2 Mbps LAN).
 
 from __future__ import annotations
 
+from repro.net.packet import TCP_IP_HEADER_BYTES
+
 
 def good_state_fraction(good_period_mean: float, bad_period_mean: float) -> float:
     """Steady-state fraction of time the channel spends in the good state."""
@@ -42,7 +44,6 @@ def predicted_ebsn_throughput_bps(
     good_period_mean: float,
     bad_period_mean: float,
     packet_size: int,
-    header_bytes: int = 40,
 ) -> float:
     """First-order prediction of EBSN's *payload* throughput.
 
@@ -56,9 +57,9 @@ def predicted_ebsn_throughput_bps(
     fade edges, backoff tails, the rare RTmax discard); the validation
     test pins that gap to under 20%.
     """
-    if packet_size <= header_bytes:
+    if packet_size <= TCP_IP_HEADER_BYTES:
         raise ValueError("packet smaller than its header")
-    payload_fraction = (packet_size - header_bytes) / packet_size
+    payload_fraction = (packet_size - TCP_IP_HEADER_BYTES) / packet_size
     return (
         theoretical_throughput_bps(tput_max_bps, good_period_mean, bad_period_mean)
         * payload_fraction

@@ -15,7 +15,7 @@ acknowledged.  Timeouts behave exactly as in Tahoe.
 
 from __future__ import annotations
 
-from repro.tcp.tahoe import TahoeSender
+from repro.tcp.tahoe import DUPACK_THRESHOLD, TahoeSender
 
 
 class RenoSender(TahoeSender):
@@ -30,7 +30,7 @@ class RenoSender(TahoeSender):
         self.stats.fast_retransmits += 1
         flight = max(self.outstanding, 1)
         self.ssthresh = max(2.0, min(self.cwnd, float(flight)) / 2.0)
-        self.cwnd = self.ssthresh + self.config.dupack_threshold
+        self.cwnd = self.ssthresh + DUPACK_THRESHOLD
         self.in_fast_recovery = True
         self._recover_seq = self.snd_nxt
         # Retransmit only the hole, keep snd_nxt where it is.

@@ -58,7 +58,6 @@ class TcpSink:
         on_complete: Optional[Callable[[], None]] = None,
         delayed_acks: bool = False,
         delack_timeout: float = 0.2,
-        on_segment: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         if header_bytes < ACK_PACKET_BYTES:
             raise ValueError(
@@ -77,9 +76,9 @@ class TcpSink:
         self.expected_bytes = expected_bytes
         self.on_complete = on_complete
         #: Optional per-segment delivery callback ``(seq, payload_bytes)``,
-        #: fired once per segment on first in-order delivery — used by
-        #: latency-measuring workloads.
-        self.on_segment = on_segment
+        #: fired once per segment on first in-order delivery — assigned
+        #: by latency-measuring workloads.
+        self.on_segment: Optional[Callable[[int, int], None]] = None
         self.completed = False
         self.next_expected = 0
         self._buffered: Set[int] = set()

@@ -44,8 +44,12 @@ from repro.tcp.rto import RttEstimator
 
 
 #: Cap on the RTO's exponential backoff: at most 2**6 = 64 times the
-#: estimate (and never above ``max_rto``).
+#: estimate (and never above :data:`MAX_RTO`).
 MAX_BACKOFF_DOUBLINGS = 6
+#: Upper bound on any retransmission timeout (s).
+MAX_RTO = 64.0
+#: Duplicate ACKs that trigger fast retransmit.
+DUPACK_THRESHOLD = 3
 
 
 class SendTrace(Protocol):
@@ -70,8 +74,6 @@ class TcpConfig:
     #: TCP clock granularity in seconds (paper: 100 ms).
     clock_granularity: float = 0.1
     initial_rto: float = 3.0
-    max_rto: float = 64.0
-    dupack_threshold: int = 3
     #: RTO variance weight (Jacobson's k = 4); the §6 robust-timer
     #: ablation raises it.
     rto_k: float = 4.0
@@ -94,8 +96,6 @@ class TcpConfig:
             raise ValueError("window must hold at least one packet")
         if self.transfer_bytes <= 0:
             raise ValueError("transfer_bytes must be positive")
-        if self.dupack_threshold < 1:
-            raise ValueError("dupack threshold must be >= 1")
 
     @property
     def segment_payload(self) -> int:
@@ -163,7 +163,7 @@ class TahoeSender:
         self.estimator = RttEstimator(
             granularity=self.config.clock_granularity,
             initial_rto=self.config.initial_rto,
-            max_rto=self.config.max_rto,
+            max_rto=MAX_RTO,
             k=self.config.rto_k,
             var_decay_gain=self.config.rto_var_decay_gain,
         )
@@ -223,7 +223,7 @@ class TahoeSender:
     def current_timeout(self) -> float:
         """RTO with the current exponential backoff applied."""
         backed_off = self.estimator.rto() * (2 ** self.backoff_exp)
-        return min(self.config.max_rto, backed_off)
+        return min(MAX_RTO, backed_off)
 
     def rearm_rtx_timer(self) -> None:
         """Re-arm the retransmission timer at the current timeout value.
@@ -319,7 +319,7 @@ class TahoeSender:
     def _handle_dupack(self) -> None:
         self.stats.dupacks_received += 1
         self.dupacks += 1
-        if self.dupacks == self.config.dupack_threshold:
+        if self.dupacks == DUPACK_THRESHOLD:
             self._fast_retransmit()
 
     def _ecn_response(self) -> None:

@@ -27,6 +27,7 @@ to unvalidated ones.
 from __future__ import annotations
 
 from repro.net.packet import IcmpMessage, IcmpType
+from repro.tcp.tahoe import DUPACK_THRESHOLD
 from repro.validate.engine import InvariantChecker
 
 #: Slack for float comparisons on cwnd/ssthresh (segments).
@@ -92,7 +93,7 @@ class TcpStateChecker(InvariantChecker):
 
     After every datagram the source processes: ``snd_una`` never moves
     backwards, ``snd_una <= snd_nxt``, ``cwnd >= 1``, ``ssthresh >= 2``,
-    and cwnd grows by at most ``dupack_threshold + 1`` segments per
+    and cwnd grows by at most ``DUPACK_THRESHOLD + 1`` segments per
     event (the largest single-step growth any of Tahoe/Reno/NewReno
     permits — slow start adds 1, Reno's fast retransmit sets
     ``cwnd = ssthresh + 3``).  A timeout must collapse cwnd to 1
@@ -104,8 +105,7 @@ class TcpStateChecker(InvariantChecker):
     def attach(self, scenario, report) -> None:
         """Wrap the source's receive path and retransmission timer."""
         sender = scenario.sender
-        config = sender.config
-        max_growth = config.dupack_threshold + 1 + _EPS
+        max_growth = DUPACK_THRESHOLD + 1 + _EPS
         original_receive = sender.receive
 
         def receive(datagram):
@@ -128,7 +128,7 @@ class TcpStateChecker(InvariantChecker):
             if growth > max_growth:
                 report(
                     f"cwnd grew by {growth:.3f} segments on one event "
-                    f"(legal maximum {config.dupack_threshold + 1})"
+                    f"(legal maximum {DUPACK_THRESHOLD + 1})"
                 )
 
         sender.receive = receive

@@ -41,25 +41,24 @@ class OracleDisagreement(AssertionError):
 
 
 def clean_channel_config(
-    tcp_variant: str, transfer_bytes: int = 16 * 1024, seed: int = 1
+    tcp_variant: str, transfer_bytes: int = 16 * 1024
 ) -> ScenarioConfig:
-    """A WAN scenario whose channel never corrupts a frame."""
+    """A WAN scenario (seed 1) whose channel never corrupts a frame."""
     config = wan_scenario(
         scheme=Scheme.BASIC,
         transfer_bytes=transfer_bytes,
         tcp_variant=tcp_variant,
-        seed=seed,
         record_trace=False,
     )
     return replace(config, channel=ChannelConfig(ber_good=0.0, ber_bad=0.0))
 
 
 def assert_variants_agree_on_clean_channel(
-    transfer_bytes: int = 16 * 1024, seed: int = 1
+    transfer_bytes: int = 16 * 1024,
 ) -> Dict[str, object]:
     """Run all variants losslessly; their metrics must be identical."""
     results = {
-        variant: run_scenario(clean_channel_config(variant, transfer_bytes, seed))
+        variant: run_scenario(clean_channel_config(variant, transfer_bytes))
         for variant in TCP_VARIANTS
     }
     reference = TCP_VARIANTS[0]
@@ -107,14 +106,13 @@ _AGGREGATE_FIELDS = (
 def assert_serial_parallel_identical(
     config: Optional[ScenarioConfig] = None,
     replications: int = 4,
-    base_seed: int = 1,
     workers: int = 2,
 ) -> Tuple[ReplicatedResult, ReplicatedResult]:
-    """Serial vs. process-pool replication must agree on every bit."""
+    """Serial vs. pooled replication (seeds from 1) must agree on every bit."""
     if config is None:
         config = wan_scenario(transfer_bytes=8 * 1024, record_trace=False)
-    serial = run_replicated(config, replications, base_seed, workers=1)
-    pooled = run_replicated(config, replications, base_seed, workers=workers)
+    serial = run_replicated(config, replications, 1, workers=1)
+    pooled = run_replicated(config, replications, 1, workers=workers)
     for field_name in _AGGREGATE_FIELDS:
         serial_value = getattr(serial, field_name)
         pooled_value = getattr(pooled, field_name)

@@ -25,6 +25,8 @@ from repro.tcp import MessageSender
 
 #: User payload of one keystroke segment (bytes).
 KEYSTROKE_BYTES = 8
+#: The session's mean bad period (s); the good period is the WAN study's.
+BAD_PERIOD_MEAN = 2.0
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,6 @@ class InteractiveConfig:
     keystrokes: int = 300
     #: Mean think time between keystrokes (s); a Poisson typist.
     think_time_mean: float = 0.5
-    bad_period_mean: float = 2.0
-    good_period_mean: float = 10.0
     #: EBSN heartbeat interval (s), forwarded to the scenario; only
     #: meaningful with Scheme.EBSN.  See EbsnGenerator.
     ebsn_heartbeat: "float | None" = None
@@ -75,7 +75,7 @@ class InteractiveConfig:
     def __post_init__(self) -> None:
         if self.keystrokes < 1:
             raise ValueError("need at least one keystroke")
-        if self.think_time_mean <= 0:
+        if not self.think_time_mean > 0:  # NaN fails too
             raise ValueError("think time must be positive")
 
 
@@ -97,8 +97,7 @@ def run_interactive_session(
     scenario_config = wan_scenario(
         scheme=config.scheme,
         packet_size=576,  # MSS; keystroke segments are far smaller
-        bad_period_mean=config.bad_period_mean,
-        good_period_mean=config.good_period_mean,
+        bad_period_mean=BAD_PERIOD_MEAN,
         transfer_bytes=1,  # placeholder; MessageSender resets totals
         seed=config.seed,
         record_trace=False,

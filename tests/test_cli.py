@@ -48,6 +48,15 @@ class TestParser:
             ["run", "--bad-period", "0"],
             ["sweep", "--bad-period", "0"],
             ["run", "--lan", "--bad-period", "-1"],
+            ["handoff", "--interval", "nan"],
+            ["handoff", "--disconnect", "nan"],
+            ["validate", "--scale", "0"],
+            ["validate", "--scale", "-1"],
+            ["validate", "--scale", "nan"],
+            ["validate", "--scale", "inf"],
+            ["trace", "--width", "9"],
+            ["trace", "--t-max", "0"],
+            ["run", "--bad-period", "inf"],
         ],
     )
     def test_bad_counts_and_configs_are_usage_errors(self, argv, capsys):

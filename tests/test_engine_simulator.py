@@ -50,6 +50,19 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
 
+    def test_nan_times_rejected(self, sim):
+        """A NaN entry would break heap order and run time backwards."""
+        fired = []
+        sim.schedule(1.0, fired.append, "one")
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), fired.append, "nan")
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), fired.append, "nan")
+        sim.schedule(2.0, fired.append, "two")
+        sim.schedule(0.5, fired.append, "half")
+        sim.run()
+        assert fired == ["half", "one", "two"]
+
     def test_zero_delay_allowed(self, sim):
         fired = []
         sim.schedule(0.0, fired.append, 1)

@@ -16,6 +16,10 @@ class TestConfig:
             HandoffConfig(disconnect_time=-1)
         with pytest.raises(ValueError):
             HandoffConfig(handoff_interval=1.0, disconnect_time=1.0)
+        with pytest.raises(ValueError):
+            HandoffConfig(handoff_interval=float("nan"))
+        with pytest.raises(ValueError):
+            HandoffConfig(disconnect_time=float("nan"))
 
 
 class TestCellPort:

@@ -141,6 +141,8 @@ class TestInteractiveSession:
             InteractiveConfig(keystrokes=0)
         with pytest.raises(ValueError):
             InteractiveConfig(think_time_mean=0)
+        with pytest.raises(ValueError):
+            InteractiveConfig(think_time_mean=float("nan"))
 
 
 class TestHeartbeatGenerator:
