@@ -1,28 +1,22 @@
 """Parallel experiment engine and hot-path microbenchmarks.
 
 Not a paper figure — these prove the perf claims of the experiment
-engine and the simulator/channel optimizations it rides on:
+engine and the simulator it rides on:
 
 * a 10-seed WAN sweep through :class:`ParallelRunner` at 4 workers is
   >= 2x faster than serial (asserted on machines with >= 4 CPUs,
   reported everywhere) and bit-identical to the serial run;
 * a warm result cache answers the same sweep with zero simulation;
-* heap compaction bounds the event heap under timer churn where pure
-  lazy deletion grows without limit;
-* ``pending_count()`` is O(1), not a heap scan;
-* timeline pruning bounds channel memory on long transfers while
-  leaving every corruption decision unchanged.
+* ``pending_count()`` is O(1), not a heap scan.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import time
 
 from conftest import SCALE, run_once
 
-from repro.channel.twostate import ExponentialSojourns, TwoStateChannel
 from repro.engine import Simulator
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import wan_scenario
@@ -97,38 +91,6 @@ def test_cache_turns_sweep_into_reads(benchmark, tmp_path):
     assert warm_s < cold_s / 5
 
 
-def _timer_churn(sim: Simulator, restarts: int) -> int:
-    """The RTO/ARQ pattern: one far-future timer restarted constantly."""
-    max_heap = 0
-    event = sim.schedule(1e9, lambda: None)
-    for _ in range(restarts):
-        event.cancel()
-        event = sim.schedule(1e9, lambda: None)
-        max_heap = max(max_heap, len(sim._heap))
-    event.cancel()
-    sim.run()
-    return max_heap
-
-
-def test_heap_compaction_bounds_timer_churn(benchmark):
-    """Compaction keeps the heap small where lazy deletion balloons."""
-    restarts = 100_000
-
-    max_heap = run_once(benchmark, lambda: _timer_churn(Simulator(), restarts))
-
-    # Control: same churn with compaction disabled -> corpses pile up.
-    lazy = Simulator()
-    lazy.COMPACT_MIN_HEAP = restarts * 10  # instance override, never triggers
-    lazy_max = _timer_churn(lazy, restarts)
-
-    print(f"\nmax heap over {restarts} restarts: compacted {max_heap}, lazy-only {lazy_max}")
-    assert lazy_max >= restarts  # the leak the compactor exists to stop
-    assert max_heap < 4 * Simulator.COMPACT_MIN_HEAP
-    compacted = Simulator()
-    _timer_churn(compacted, restarts)
-    assert compacted.heap_compactions > 0
-
-
 def test_pending_count_is_constant_time(benchmark):
     """pending_count() must not scan the heap."""
     sim = Simulator()
@@ -155,53 +117,3 @@ def test_pending_count_is_constant_time(benchmark):
     print(f"\npending_count {o1_per_call * 1e6:.2f}us/call vs heap scan {scan_per_call * 1e6:.2f}us/call")
     assert o1_per_call * 50 < scan_per_call
 
-
-def _scan_channel(channel: TwoStateChannel, frames: int):
-    """Stream ``frames`` back-to-back corruption queries up the timeline."""
-    decisions = []
-    clock = 0.0
-    for _ in range(frames):
-        decisions.append(channel.corrupts(clock, 0.008, 4096))
-        clock += 0.01
-    return decisions
-
-
-def _fast_fading_channel(prune_threshold: int) -> TwoStateChannel:
-    """Short sojourns so a long run materializes tens of thousands.
-
-    Retention is sized to the workload (frames only ever look back
-    8 ms): with fast fading the default 60 s slack would itself retain
-    ~2000 sojourns and mask the threshold bound being measured.
-    """
-    return TwoStateChannel(
-        ExponentialSojourns(0.05, 0.01, random.Random(11)),
-        ber_good=1e-6,
-        ber_bad=1e-2,
-        rng=random.Random(22),
-        prune_threshold=prune_threshold,
-        prune_retention=1.0,
-    )
-
-
-def test_channel_pruning_bounds_timeline(benchmark):
-    """Pruning caps channel memory; decisions stay bit-identical."""
-    frames = 100_000
-
-    start = time.perf_counter()
-    pruned_channel = _fast_fading_channel(prune_threshold=512)
-    pruned = run_once(benchmark, lambda: _scan_channel(pruned_channel, frames))
-    pruned_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    unpruned_channel = _fast_fading_channel(prune_threshold=0)
-    unpruned = _scan_channel(unpruned_channel, frames)
-    unpruned_s = time.perf_counter() - start
-
-    assert pruned == unpruned  # pruning never changes the channel
-    print(
-        f"\n{frames} frames: pruned timeline {pruned_channel.timeline_length()} sojourns "
-        f"({pruned_s:.2f}s), unpruned {unpruned_channel.timeline_length()} ({unpruned_s:.2f}s)"
-    )
-    assert pruned_channel.timeline_length() <= 513
-    assert unpruned_channel.timeline_length() > 10 * 513
-    assert pruned_channel.sojourns_pruned > 0

@@ -91,16 +91,9 @@ class TwoStateChannel:
     began before the most recent query (a long frame's airtime starts
     in the past relative to its completion event).
 
-    The timeline does not grow without bound: query starts only move
-    forward in simulation time, so sojourns far behind the newest query
-    can never be read again.  A sliding watermark (newest query start
-    minus ``prune_retention`` seconds of slack for frames still in
-    flight on the other link direction) prunes the dead prefix whenever
-    the timeline exceeds ``prune_threshold`` entries, keeping both
-    memory and per-query ``bisect`` cost O(retention/mean-sojourn)
-    instead of O(transfer length).  Queries behind the pruned region
-    raise rather than silently misread; set ``prune_threshold=0`` to
-    keep the full history (e.g. for offline timeline inspection).
+    The whole history is kept: every run stops at its ``max_sim_time``,
+    which bounds the timeline at about ``2 * max_sim_time / (good_mean
+    + bad_mean)`` sojourns.
     """
 
     def __init__(
@@ -111,15 +104,11 @@ class TwoStateChannel:
         rng: Optional[random.Random] = None,
         deterministic_errors: bool = False,
         initial_state: ChannelState = ChannelState.GOOD,
-        prune_threshold: int = 512,
-        prune_retention: float = 60.0,
     ) -> None:
         if not 0.0 <= ber_good <= 1.0 or not 0.0 <= ber_bad <= 1.0:
             raise ValueError("bit error rates must be in [0, 1]")
         if rng is None and not deterministic_errors:
             raise ValueError("stochastic error mode requires an rng")
-        if prune_retention < 0:
-            raise ValueError("prune_retention must be >= 0")
         self._sojourns = sojourns
         self.ber_good = ber_good
         self.ber_bad = ber_bad
@@ -131,13 +120,6 @@ class TwoStateChannel:
         self._boundaries: List[float] = [0.0]
         self._states: List[ChannelState] = [initial_state]
         self._horizon: float = 0.0 + sojourns.next_sojourn(initial_state)
-        self._prune_threshold = prune_threshold
-        self._prune_retention = prune_retention
-        #: Everything before this time has been discarded.
-        self._pruned_until: float = 0.0
-        #: Newest query start seen (the watermark pruning slides behind).
-        self._query_watermark: float = 0.0
-        self.sojourns_pruned = 0
         self.frames_tested = 0
         self.frames_corrupted = 0
         # Constant per-bit log-survival terms; math.log1p on the same
@@ -147,9 +129,8 @@ class TwoStateChannel:
         self._log1p_bad = math.log1p(-ber_bad)
         # O(1) fast-path cache: bounds and state of one materialized
         # sojourn (typically the one the previous frame ended in).  A
-        # query interval that falls inside it needs no bisect, no
-        # timeline extension and no watermark bookkeeping.  ``_fast_hi
-        # < _fast_lo`` encodes "empty".
+        # query interval that falls inside it needs no bisect and no
+        # timeline extension.  ``_fast_hi < _fast_lo`` encodes "empty".
         self._fast_lo: float = 0.0
         self._fast_hi: float = -1.0
         self._fast_good: bool = True
@@ -171,53 +152,10 @@ class TwoStateChannel:
             self._states.append(next_state)
             self._horizon += self._sojourns.next_sojourn(next_state)
 
-    def _note_query(self, start: float) -> None:
-        """Advance the watermark and prune once the timeline is long."""
-        if start < self._pruned_until:
-            raise ValueError(
-                f"query at {start} reaches behind the pruned timeline "
-                f"(history before {self._pruned_until} was discarded); "
-                f"raise prune_retention or disable pruning"
-            )
-        if start > self._query_watermark:
-            self._query_watermark = start
-        if (
-            self._prune_threshold > 0
-            and len(self._boundaries) > self._prune_threshold
-        ):
-            self.prune_before(self._query_watermark - self._prune_retention)
-
-    def prune_before(self, time: float) -> int:
-        """Discard sojourns that ended at or before ``time``.
-
-        The sojourn containing ``time`` is always retained, so any
-        query with ``start >= time`` still resolves exactly as before
-        pruning.  Returns the number of sojourns dropped.
-        """
-        if time <= self._boundaries[0]:
-            return 0
-        index = bisect_right(self._boundaries, time) - 1
-        if index <= 0:
-            return 0
-        del self._boundaries[:index]
-        del self._states[:index]
-        self._pruned_until = time
-        self.sojourns_pruned += index
-        if self._fast_lo < self._boundaries[0]:
-            # The cached sojourn fell off the retained prefix; drop it
-            # so fast-path hits never answer behind the pruned history.
-            self._fast_hi = self._fast_lo - 1.0
-        return index
-
-    def timeline_length(self) -> int:
-        """Number of sojourns currently materialized (pruning metric)."""
-        return len(self._boundaries)
-
     def state_at(self, time: float) -> ChannelState:
         """Channel state at absolute ``time`` (>= 0)."""
         if time < 0:
             raise ValueError(f"time must be >= 0, got {time}")
-        self._note_query(time)
         self._extend_to(time)
         boundaries = self._boundaries
         index = bisect_right(boundaries, time) - 1
@@ -232,16 +170,13 @@ class TwoStateChannel:
 
     def intervals(self, start: float, end: float) -> Iterator[Tuple[float, float, ChannelState]]:
         """Yield ``(seg_start, seg_end, state)`` covering ``[start, end]``."""
+        if start < 0:
+            raise ValueError(f"start must be >= 0, got {start}")
         if end < start:
             raise ValueError(f"end {end} before start {start}")
-        self._note_query(start)
         self._extend_to(end)
         index = bisect_right(self._boundaries, start) - 1
         if start == end:
-            # Zero-width query: answer directly from the timeline just
-            # materialized instead of recursing through state_at(),
-            # which would re-run _note_query and could prune a second
-            # time inside a single logical query.
             yield start, end, self._states[index]
             return
         cursor = start
@@ -295,7 +230,8 @@ class TwoStateChannel:
             # the state at the start instant.
             state = self.state_at(start)
             return (float(nbits), 0.0) if state is ChannelState.GOOD else (0.0, float(nbits))
-        self._note_query(start)
+        if start < 0:
+            raise ValueError(f"start must be >= 0, got {start}")
         self._extend_to(end)
         boundaries = self._boundaries
         states = self._states

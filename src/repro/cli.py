@@ -216,10 +216,14 @@ def _run_config(args: argparse.Namespace, **fields):
         "seed": args.seed,
         **fields,
     }
+    # ``sweep`` has no --packet-size; it sets the WAN's size per point.
+    packet_size = getattr(args, "packet_size", None)
     if args.lan:
+        if packet_size is not None:
+            args.parser.error("--packet-size is WAN-only: LAN packets are 1536 B")
         return _study_config(args, lan_scenario, **fields)
-    if "packet_size" not in fields:  # ``sweep`` has no --packet-size
-        fields["packet_size"] = args.packet_size
+    if packet_size is not None:
+        fields["packet_size"] = packet_size
     return _study_config(args, wan_scenario, **fields)
 
 
@@ -601,7 +605,6 @@ def _print_perf_summary(scenario) -> None:
     print(f"wall time         : {counters['run_wall_seconds']:.4f} s")
     print(f"events/sec        : {counters['events_per_sec']:,.0f}")
     print(f"heap pushes       : {counters['heap_pushes']}")
-    print(f"heap compactions  : {counters['heap_compactions']}")
     print(f"frames tested     : {channel.frames_tested}")
     if total:
         print(
@@ -674,7 +677,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one transfer and print metrics")
     _add_common(p)
     p.add_argument("--lan", action="store_true", help="LAN config instead of WAN")
-    p.add_argument("--packet-size", type=int, default=576)
+    p.add_argument(
+        "--packet-size", type=int, default=None, help="WAN packet bytes (default 576)"
+    )
     p.add_argument("--bad-period", type=positive_float, default=1.0)
     p.add_argument("--transfer-kb", type=positive_int, default=100)
     _add_validate(p)
@@ -711,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_csdp, parser=p)
 
     p = sub.add_parser("handoff", help="two-cell handoff study")
-    p.add_argument("--interval", type=float, default=8.0)
+    p.add_argument("--interval", type=positive_float, default=8.0)
     p.add_argument("--disconnect", type=float, default=0.3)
     p.add_argument("--transfer-kb", type=positive_int, default=60)
     p.add_argument("--seeds", type=positive_int, default=3)
@@ -739,10 +744,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     p.add_argument("--lan", action="store_true", help="LAN config instead of WAN")
-    p.add_argument("--packet-size", type=int, default=576)
+    p.add_argument(
+        "--packet-size", type=int, default=None, help="WAN packet bytes (default 576)"
+    )
     p.add_argument("--bad-period", type=positive_float, default=1.0)
     p.add_argument("--transfer-kb", type=positive_int, default=100)
-    p.add_argument("--top", type=int, default=15, help="functions to print")
+    p.add_argument("--top", type=positive_int, default=15, help="functions to print")
     p.add_argument(
         "--sort",
         choices=["cumulative", "tottime", "ncalls"],

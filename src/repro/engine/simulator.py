@@ -70,8 +70,8 @@ class Event:
         """Mark the event so the loop skips it.
 
         Cancellation is lazy: the heap entry stays in place and is
-        discarded when popped — but the owning simulator counts dead
-        entries and compacts the heap when they outnumber live ones.
+        discarded when it reaches the head, while the owning simulator
+        counts the corpse so :meth:`Simulator.pending_count` stays O(1).
         Cancelling an already-executed or already-cancelled event is a
         no-op.
         """
@@ -80,17 +80,7 @@ class Event:
         self.cancelled = True
         sim = self._sim
         if sim is not None:
-            # Account the corpse; compact when dead entries outnumber
-            # live ones, which keeps total compaction work linear in
-            # the number of cancellations while the run loop never
-            # churns through long dead runs at the heap's head.
             sim._cancelled_count += 1
-            heap_len = len(sim._heap)
-            if (
-                heap_len >= sim.COMPACT_MIN_HEAP
-                and sim._cancelled_count * 2 > heap_len
-            ):
-                sim._compact()
 
     def __lt__(self, other: "Event") -> bool:
         # time-then-seq without building two tuples per comparison.
@@ -118,10 +108,6 @@ class Simulator:
     1.5
     """
 
-    #: Don't bother compacting heaps smaller than this: the rebuild
-    #: bookkeeping would dominate the bisect savings.
-    COMPACT_MIN_HEAP = 64
-
     #: Events between wall-clock watchdog checks.  Checking the OS
     #: clock every event would cost more than the event dispatch; at
     #: this stride the overhead is unmeasurable while a runaway run is
@@ -141,7 +127,6 @@ class Simulator:
         #: Cancelled events still sitting in the heap (lazy deletion).
         self._cancelled_count: int = 0
         self.events_executed: int = 0
-        self.heap_compactions: int = 0
         #: Perf counters (observability only — never consulted by the
         #: run loop, so they cannot perturb results).
         self.heap_pushes: int = 0
@@ -191,50 +176,9 @@ class Simulator:
         self.heap_pushes += 1
         return event
 
-    def _compact(self) -> None:
-        """Drop every cancelled entry and re-heapify the survivors.
-
-        Rebuilds in place (slice assignment) rather than rebinding
-        ``self._heap``, so the run loop's local alias to the heap list
-        stays valid across a compaction triggered mid-callback.
-        """
-        live = []
-        for entry in self._heap:
-            if entry[2].cancelled:
-                entry[2]._sim = None
-            else:
-                live.append(entry)
-        self._heap[:] = live
-        heapq.heapify(self._heap)
-        self._cancelled_count = 0
-        self.heap_compactions += 1
-
     def stop(self) -> None:
         """Stop the run loop after the currently executing event."""
         self._stopped = True
-
-    def peek(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` if the heap is empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)[2]._sim = None
-            self._cancelled_count -= 1
-        return heap[0][0] if heap else None
-
-    def step(self) -> bool:
-        """Execute the single next event.  Returns False if none remain."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[2]
-            event._sim = None
-            if event.cancelled:
-                self._cancelled_count -= 1
-                continue
-            self._now = event.time
-            self.events_executed += 1
-            event.callback(*event.args)
-            return True
-        return False
 
     def run(
         self,
@@ -267,8 +211,8 @@ class Simulator:
         # per-event modulo).  -1 disables the branch body when unwatched.
         countdown = self.WATCHDOG_STRIDE if deadline is not None else -1
         # Local aliases for the hot loop.  `heap` stays valid across
-        # callbacks because _compact() rebuilds it in place and
-        # schedule()/schedule_at() push into the same list object.
+        # callbacks because schedule()/schedule_at() push into the same
+        # list object.
         heap = self._heap
         pop = heapq.heappop
         # Sentinels fold the per-iteration None checks into plain
@@ -292,7 +236,6 @@ class Simulator:
                             )
                     else:
                         countdown -= 1
-                # Inlined peek(): discard cancelled corpses at the head.
                 while heap and heap[0][2].cancelled:
                     pop(heap)[2]._sim = None
                     self._cancelled_count -= 1
@@ -304,7 +247,7 @@ class Simulator:
                 if head[0] > time_limit:
                     self._now = until
                     break
-                # Inlined step(): the head is known live, pop-and-dispatch.
+                # The head is known live: pop and dispatch it.
                 pop(heap)
                 event = head[2]
                 event._sim = None
@@ -343,7 +286,6 @@ class Simulator:
         return {
             "events_executed": self.events_executed,
             "heap_pushes": self.heap_pushes,
-            "heap_compactions": self.heap_compactions,
             "run_wall_seconds": self.run_wall_seconds,
             "events_per_sec": self.events_per_sec(),
         }

@@ -17,6 +17,7 @@ defaults (576 B packets, 4 KB window) at the source.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -66,8 +67,8 @@ class HandoffConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if not self.handoff_interval > 0:  # NaN fails every check
-            raise ValueError("handoff_interval must be positive")
+        if not 0 < self.handoff_interval < math.inf:  # NaN fails every check
+            raise ValueError("handoff_interval must be finite and positive")
         if not self.disconnect_time >= 0:
             raise ValueError("disconnect_time must be >= 0")
         if self.disconnect_time >= self.handoff_interval:

@@ -33,16 +33,8 @@ class RoutingTable:
         """Install the forwarding function for datagrams to ``dst``."""
         self._routes[dst] = forward
 
-    def lookup(self, dst: Address) -> Callable[[Datagram], None]:
-        """The forwarding function for ``dst``; raises KeyError if unroutable."""
-        forward = self._routes.get(dst)
-        if forward is None:
-            raise KeyError(f"node {self.node_name!r} has no route to {dst!r}")
-        return forward
-
     def forward(self, datagram: Datagram) -> None:
-        """Route a datagram one hop toward its destination."""
-        # Inlined lookup(): forwarding runs once per datagram per hop.
+        """Route a datagram one hop; raises KeyError if unroutable."""
         dst = datagram.dst
         forward = self._routes.get(dst)
         if forward is None:

@@ -4,8 +4,8 @@ Each checker guards one class of protocol property the paper's claims
 rest on:
 
 * :class:`TimerSanityChecker` — engine: the heap's cancelled-entry
-  count, heap order and pending times stay consistent (audited around
-  every heap compaction and at the end of the run).
+  count, heap order and pending times stay consistent (audited at the
+  end of the run).
 * :class:`TcpStateChecker` — transport: sequence monotonicity and
   cwnd/ssthresh legality under the Tahoe/Reno/NewReno state machines.
 * :class:`ArqBoundChecker` — link layer: no frame is ever transmitted
@@ -39,28 +39,14 @@ class TimerSanityChecker(InvariantChecker):
 
     An audit of the event heap: ``_cancelled_count`` equals the number
     of cancelled entries in the heap, the heap order holds, and no
-    pending event lies in the past.  It runs before and after every
-    heap compaction (wrapping ``sim._compact``, which is rare: dead
-    entries must outnumber live ones) and once more at the end of the
-    run.  A lazy-deletion or compaction bug, such as a cancelled event
-    that fires anyway, breaks the count and surfaces here instead of as
-    a mystery retransmission.  Nothing runs per event, so an
-    unvalidated run and the hot dispatch loop pay nothing.
+    pending event lies in the past.  It runs once, at the end of the
+    run.  A lazy-deletion bug, such as a cancelled event that fires
+    anyway, breaks the count and surfaces here instead of as a mystery
+    retransmission.  Nothing runs per event, so an unvalidated run and
+    the hot dispatch loop pay nothing.
     """
 
     name = "timer-sanity"
-
-    def attach(self, scenario, report) -> None:
-        """Audit the heap around every compaction."""
-        sim = scenario.sim
-        original_compact = sim._compact
-
-        def compact():
-            self._audit(sim, report, "before compaction")
-            original_compact()
-            self._audit(sim, report, "after compaction")
-
-        sim._compact = compact
 
     def finalize(self, scenario, result, report) -> None:
         """Audit the heap as the run left it."""

@@ -48,9 +48,7 @@ class ResurrectedEventSender(TahoeSender):
     On start it schedules a no-op, cancels it through the API, then
     clears the cancelled flag: the event fires although the heap still
     counts it as dead.  The ``timer-sanity`` audit must catch the count
-    mismatch at the next heap compaction, or at the end of the run when
-    none comes (the usual case: a scenario's timers re-arm lazily and
-    leave too few dead entries to trigger one).
+    mismatch at the end of the run.
     """
 
     def start(self) -> None:
@@ -59,23 +57,3 @@ class ResurrectedEventSender(TahoeSender):
         event = self._sim.schedule(1.0, lambda: None)
         event.cancel()
         event.cancelled = False
-
-
-class CompactingResurrectedEventSender(ResurrectedEventSender):
-    """A resurrected event, then a forced heap compaction mid-run.
-
-    After resurrecting, it schedules and cancels ``COMPACT_MIN_HEAP``
-    no-ops, so dead entries outnumber live ones and the heap compacts
-    at once.  The ``timer-sanity`` audit must catch the miscount before
-    that compaction, not only at the end of the run.
-    """
-
-    def start(self) -> None:
-        """Resurrect a cancelled event, then make the heap compact."""
-        super().start()
-        sim = self._sim
-        noops = [
-            sim.schedule(1.0, lambda: None) for _ in range(sim.COMPACT_MIN_HEAP)
-        ]
-        for event in noops:
-            event.cancel()

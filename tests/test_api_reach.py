@@ -3,16 +3,19 @@
 Every top-level function or class, and every public method, under
 ``src/repro`` must be named somewhere outside its own ``def``/``class``
 line: in the library, the benchmarks, the examples, perfbench, the
-docs or the top-level design documents.  The test suite does not
-count, so code kept alive only by its own tests fails here.  The few
-definitions kept on purpose are listed in :data:`ALLOWED` with the
-reason.
+docs or the top-level design documents.  In Python files only code
+counts (see :func:`_words`): a comment or docstring that mentions a
+name does not keep it alive.  The test suite does not count, so code
+kept alive only by its own tests fails here.  The few definitions kept
+on purpose are listed in :data:`ALLOWED` with the reason.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -23,19 +26,26 @@ PACKAGE = ROOT / "src" / "repro"
 REACH_DIRS = ("src", "benchmarks", "examples", "perfbench", "docs")
 REACH_FILES = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
+_ORACLE = "reference oracle the property suite compares runs against"
+
 #: Definitions reached only from tests, kept on purpose.
 ALLOWED = {
     "predicted_ebsn_throughput_bps": "reference model: the EBSN simulation "
     "is validated against it",
     "CwndMutatingEbsnSender": "fault double: the validator must catch it",
     "BackwardsAckSender": "fault double: the validator must catch it",
-    "CompactingResurrectedEventSender": "fault double: the validator must "
-    "catch it",
+    "ResurrectedEventSender": "fault double: the validator must catch it",
+    "TwoStateChannel.survival_probability": "pins the survival formula "
+    "corrupts() inlines",
+    "assert_variants_agree_on_clean_channel": _ORACLE,
+    "assert_serial_parallel_identical": _ORACLE,
     "ReplicatedResult.throughput_rel_std": "read by a test of retained behaviour",
     "SweepSeries.throughputs_kbps": "read by a test of retained behaviour",
     "Timer.expiry_time": "read by tests of retained behaviour",
     "DropTailQueue.is_empty": "read by tests of retained behaviour",
     "DropTailQueue.is_full": "read by a test of retained behaviour",
+    "DropTailQueue.peek": "test-only API pinned by its own two tests; a "
+    "candidate for deletion",
     "QueueStats.drop_rate": "read by a test of retained behaviour",
     "SnoopAgent.cached_segments": "read by a test of retained behaviour",
     "Fragment.is_last": "read by tests of retained behaviour",
@@ -44,6 +54,9 @@ ALLOWED = {
 }
 
 WORD = re.compile(r"\w+")
+
+#: A ``"module:qualname"`` string literal, as the UNITS registry holds.
+QUALNAME = re.compile(r"""(['"])[\w.]+:[\w.]+\1""")
 
 
 def _definitions():
@@ -63,8 +76,29 @@ def _definitions():
                         yield path, sub.lineno, sub.name, f"{node.name}.{sub.name}"
 
 
-def _reach_texts():
-    """Path -> lines of every file a reaching name may appear in."""
+def _words(path):
+    """(line, word) pairs that name something in ``path``.
+
+    Markdown counts every word.  Python counts only NAME tokens,
+    ``"module:qualname"`` strings and doctest (``>>>``) lines.
+    """
+    text = path.read_text()
+    if path.suffix != ".py":
+        return [(n, w) for n, line in enumerate(text.splitlines(), 1)
+                for w in WORD.findall(line)]
+    pairs = []
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.NAME:
+            pairs.append((tok.start[0], tok.string))
+        elif tok.type == tokenize.STRING:
+            for n, line in enumerate(tok.string.splitlines(), tok.start[0]):
+                if QUALNAME.fullmatch(line) or line.lstrip().startswith(">>>"):
+                    pairs += [(n, w) for w in WORD.findall(line)]
+    return pairs
+
+
+def _unreached():
+    """Qualnames never named outside their own definition line."""
     paths = [
         p
         for d in REACH_DIRS
@@ -72,18 +106,12 @@ def _reach_texts():
         if p.is_file() and p.suffix in (".py", ".md")
     ]
     paths += [ROOT / name for name in REACH_FILES]
-    return {p: p.read_text().splitlines() for p in paths}
-
-
-def _unreached():
-    """Qualnames never named outside their own definition line."""
-    texts = _reach_texts()
-    words = Counter(w for lines in texts.values() for line in lines
-                    for w in WORD.findall(line))
+    texts = {p: _words(p) for p in paths}
+    words = Counter(w for pairs in texts.values() for _, w in pairs)
     return {
         qual
         for path, line, name, qual in _definitions()
-        if words[name] <= WORD.findall(texts[path][line - 1]).count(name)
+        if words[name] <= texts[path].count((line, name))
     }
 
 

@@ -72,6 +72,16 @@ class TestStateTimeline:
         with pytest.raises(ValueError):
             channel.state_at(-1.0)
 
+    @pytest.mark.parametrize(
+        "query",
+        [lambda c: c.exposure(-1.0, 0.1, 8), lambda c: list(c.intervals(-1.0, 0.0))],
+        ids=["exposure", "intervals"],
+    )
+    def test_negative_start_rejected(self, query):
+        channel = deterministic_channel(10.0, 4.0)
+        with pytest.raises(ValueError, match=r"start must be >= 0, got -1\.0"):
+            query(channel)
+
     def test_intervals_cover_query_range(self):
         channel = deterministic_channel(10.0, 4.0)
         segments = list(channel.intervals(8.0, 16.0))
@@ -222,81 +232,6 @@ class TestPropertyBased:
         assert [s for (_, _, s) in a.intervals(0, 100)] == [
             s for (_, _, s) in b.intervals(0, 100)
         ]
-
-
-class TestTimelinePruning:
-    def _channel(self, threshold):
-        return TwoStateChannel(
-            ExponentialSojourns(2.0, 0.5, random.Random(99)),
-            ber_good=1e-6,
-            ber_bad=1e-2,
-            rng=random.Random(7),
-            prune_threshold=threshold,
-        )
-
-    def test_long_transfer_timeline_stays_bounded(self):
-        pruned = self._channel(threshold=512)
-        unpruned = self._channel(threshold=0)
-        decisions_pruned = []
-        decisions_unpruned = []
-        t = 0.0
-        for _ in range(50_000):
-            decisions_pruned.append(pruned.corrupts(t, 0.05, 1024))
-            decisions_unpruned.append(unpruned.corrupts(t, 0.05, 1024))
-            t += 0.06
-        # Identical corruption decisions on the same seed...
-        assert decisions_pruned == decisions_unpruned
-        # ...but the pruned timeline is bounded while the unpruned one
-        # grows with the transfer.
-        assert pruned.timeline_length() <= 512 + 1
-        assert unpruned.timeline_length() > 2 * (512 + 1)
-        assert pruned.sojourns_pruned > 0
-
-    def test_lookback_within_retention_still_works(self):
-        channel = self._channel(threshold=16)
-        t = 0.0
-        for _ in range(5_000):
-            channel.corrupts(t, 0.05, 1024)
-            t += 0.06
-        # A frame that started up to the retention margin ago (another
-        # link direction's airtime) must still resolve.
-        assert channel.state_at(t - 30.0) in (ChannelState.GOOD, ChannelState.BAD)
-
-    def test_query_behind_pruned_history_raises(self):
-        channel = self._channel(threshold=16)
-        t = 0.0
-        for _ in range(5_000):
-            channel.corrupts(t, 0.05, 1024)
-            t += 0.06
-        with pytest.raises(ValueError, match="pruned"):
-            channel.state_at(0.0)
-
-    def test_prune_before_keeps_containing_sojourn(self):
-        channel = deterministic_channel(10.0, 4.0)
-        channel.state_at(100.0)  # materialize a few cycles
-        before = channel.state_at(57.0)
-        dropped = channel.prune_before(50.0)
-        assert dropped > 0
-        assert channel.state_at(57.0) is before
-        assert channel.state_at(50.0) in (ChannelState.GOOD, ChannelState.BAD)
-
-    def test_pruning_disabled_by_default_factories_is_on(self):
-        # The factory-built channels prune (production default) ...
-        channel = markov_channel(10.0, 1.0, rng=random.Random(1))
-        assert channel._prune_threshold > 0
-        # ... and an explicit 0 keeps full history.
-        assert self._channel(threshold=0)._prune_threshold == 0
-
-    def test_scenario_channel_timeline_bounded(self):
-        """End-to-end: a WAN transfer leaves a bounded channel timeline."""
-        from repro.experiments.config import wan_scenario
-        from repro.experiments.topology import Scenario
-
-        scenario = Scenario(
-            wan_scenario(transfer_bytes=20 * 1024, record_trace=False)
-        )
-        scenario.run()
-        assert scenario.channel.timeline_length() <= 513
 
 
 class TestFastPathEquivalence:

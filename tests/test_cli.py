@@ -26,7 +26,7 @@ class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.scheme == "ebsn"
-        assert args.packet_size == 576
+        assert args.packet_size is None  # the WAN's 576, or the LAN's 1536
         assert not args.lan
 
     @pytest.mark.parametrize(
@@ -45,10 +45,15 @@ class TestParser:
             ["handoff", "--transfer-kb", "0"],
             ["run", "--packet-size", "30"],
             ["profile", "--packet-size", "30"],
+            ["run", "--lan", "--packet-size", "30", "--transfer-kb", "64"],
+            ["profile", "--lan", "--packet-size", "99999"],
             ["run", "--bad-period", "0"],
             ["sweep", "--bad-period", "0"],
             ["run", "--lan", "--bad-period", "-1"],
             ["handoff", "--interval", "nan"],
+            ["handoff", "--interval", "inf", "--seeds", "1"],
+            ["profile", "--top", "-3"],
+            ["profile", "--top", "0"],
             ["handoff", "--disconnect", "nan"],
             ["validate", "--scale", "0"],
             ["validate", "--scale", "-1"],

@@ -110,12 +110,6 @@ class TestCancellation:
         e1.cancel()
         assert sim.pending_count() == 1
 
-    def test_peek_skips_cancelled_events(self, sim):
-        e1 = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        e1.cancel()
-        assert sim.peek() == 2.0
-
 
 class TestRunControl:
     def test_run_until_stops_before_later_events(self, sim):
@@ -157,13 +151,6 @@ class TestRunControl:
             sim.schedule(float(i + 1), fired.append, i)
         sim.run(max_events=4)
         assert fired == [0, 1, 2, 3]
-
-    def test_step_executes_single_event(self, sim):
-        fired = []
-        sim.schedule(1.0, fired.append, "only")
-        assert sim.step() is True
-        assert fired == ["only"]
-        assert sim.step() is False
 
     def test_events_executed_counter(self, sim):
         for i in range(5):
@@ -219,17 +206,6 @@ class TestHeapCompaction:
             event.cancel()
         assert sim.pending_count() == 6
 
-    def test_mass_cancellation_compacts_heap(self, sim):
-        events = [sim.schedule(float(i + 1), lambda: None) for i in range(1000)]
-        for event in events[:900]:
-            event.cancel()
-        # Dead entries outnumbered live ones at some point, so the heap
-        # was rebuilt and holds only survivors (plus whatever was
-        # cancelled after the last rebuild).
-        assert sim.heap_compactions >= 1
-        assert len(sim._heap) < 250
-        assert sim.pending_count() == 100
-
     def test_compaction_preserves_execution_order(self, sim):
         fired = []
         events = [
@@ -256,21 +232,6 @@ class TestHeapCompaction:
         assert sim.pending_count() == 1
         survivor.cancel()
         assert sim.pending_count() == 0
-
-    def test_peek_keeps_count_exact(self, sim):
-        first = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        first.cancel()
-        assert sim.peek() == 2.0  # pops the cancelled head
-        assert sim.pending_count() == 1
-
-    def test_below_min_heap_no_compaction(self, sim):
-        events = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
-        for event in events:
-            event.cancel()
-        assert sim.heap_compactions == 0
-        sim.run()
-        assert sim.events_executed == 0
 
 
 class TestWallClockWatchdog:

@@ -199,11 +199,6 @@ class TestTimerChurnOnAFullRun:
             Timer.__init__ = init
         return scenario, result, timers_before_run, len(built)
 
-    def test_heap_never_compacts(self, run):
-        scenario, result, _, _ = run
-        assert result.completed
-        assert scenario.sim.heap_compactions == 0
-
     def test_ports_build_no_timer_per_frame(self, run):
         scenario, result, before, after = run
         assert scenario.bs_port.stats.first_transmissions > 1000

@@ -19,6 +19,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             HandoffConfig(handoff_interval=float("nan"))
         with pytest.raises(ValueError):
+            HandoffConfig(handoff_interval=float("inf"))
+        with pytest.raises(ValueError):
             HandoffConfig(disconnect_time=float("nan"))
 
 

@@ -24,8 +24,9 @@ class TestRoutingTable:
         assert len(sent) == 1
 
     def test_unroutable_raises(self):
+        seg = TcpSegment(seq=0, payload_bytes=536, sent_at=0.0)
         with pytest.raises(KeyError):
-            RoutingTable("BS").lookup("nowhere")
+            RoutingTable("BS").forward(Datagram("FH", "nowhere", seg, 576))
 
 
 class TestFragmenter:

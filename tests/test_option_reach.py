@@ -10,7 +10,8 @@ means passing it to its owner:
   owner, including ``functools.partial(owner, ...)``.  A subclass that
   inherits or forwards ``__init__`` names its base, and a function
   that passes its ``**kwargs`` on names the callee too;
-* a keyword in any ``replace(...)`` call (for ``*Config`` fields);
+* a keyword in a ``replace(...)`` call, on each ``*Config`` whose
+  options include every keyword that call passes;
 * a ``**mapping`` into the owner (or into ``replace``): every keyword
   and string dict key in that file then counts as set.
 
@@ -99,7 +100,7 @@ def _forwarded_to(fn):
     }
 
 
-def _options():
+def _options(package=PACKAGE):
     """Every checked owner's options, and the names that call each owner.
 
     Returns ``(options, callers)``: ``options`` maps an owner to
@@ -110,7 +111,7 @@ def _options():
     options = {}
     bases = {}
     forwards = defaultdict(set)
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in sorted(package.rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
                 forwards[node.name] |= _forwarded_to(node)
@@ -147,9 +148,9 @@ def _options():
     return options, callers
 
 
-def _unreached():
+def _unreached(root=ROOT):
     """Qualnames (``owner.option``) of the options no call sets."""
-    options, callers = _options()
+    options, callers = _options(root / "src" / "repro")
     configs = [owner for owner in options if owner.endswith("Config")]
     reached = set()
 
@@ -161,7 +162,7 @@ def _unreached():
                 ):
                     reached.add(f"{owner}.{option}")
 
-    for path in (p for d in REACH_DIRS for p in sorted((ROOT / d).rglob("*.py"))):
+    for path in (p for d in REACH_DIRS for p in sorted((root / d).rglob("*.py"))):
         keys = set()  # every keyword and string dict key in the file
         splatted = set()  # (owner, _) pairs a ``**mapping`` goes into
         for node in ast.walk(ast.parse(path.read_text())):
@@ -176,7 +177,8 @@ def _unreached():
             if name == "partial" and args:
                 name, args = _name(args[0]), args[1:]
             if name == "replace":
-                pairs = {(owner, False) for owner in configs}
+                pairs = {(owner, False) for owner in configs
+                         if keywords <= options[owner].keys()}
             else:
                 pairs = callers.get(name, set())
             n_positional = len(args)
@@ -203,3 +205,24 @@ class TestOptionReach:
         """An entry for an option that is now set, or gone, must be dropped."""
         stale = sorted(ALLOWED.keys() - _unreached())
         assert not stale, f"stale ALLOWED entries: {stale}"
+
+    def test_replace_sets_only_configs_declaring_all_its_keywords(self, tmp_path):
+        """A shared field name is set only on the configs the call fits."""
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "configs.py").write_text(
+            "from dataclasses import dataclass, replace\n"
+            "\n"
+            "@dataclass\n"
+            "class AConfig:\n"
+            "    shared: int = 1\n"
+            "    only_a: int = 2\n"
+            "\n"
+            "@dataclass\n"
+            "class BConfig:\n"
+            "    shared: int = 1\n"
+            "\n"
+            "def tweak(config):\n"
+            "    return replace(config, shared=3, only_a=4)\n"
+        )
+        assert _unreached(tmp_path) == {"BConfig.shared"}

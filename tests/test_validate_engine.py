@@ -37,7 +37,6 @@ from repro.validate.engine import (
 from repro.validate.checkers import default_checkers
 from repro.validate.testing import (
     BackwardsAckSender,
-    CompactingResurrectedEventSender,
     CwndMutatingEbsnSender,
     ResurrectedEventSender,
 )
@@ -159,18 +158,6 @@ class TestFaultInjection:
         assert violation.checker == "timer-sanity"
         assert "cancelled-event count" in violation.message
         assert when in violation.message
-
-    def test_resurrected_event_is_caught_before_compaction(self):
-        config = replace(
-            wan_scenario(transfer_bytes=TRANSFER, record_trace=False),
-            sender_factory=CompactingResurrectedEventSender,
-        )
-        with pytest.raises(InvariantViolationError) as excinfo:
-            validated(config)
-        violation = excinfo.value.violations[0]
-        assert violation.checker == "timer-sanity"
-        assert "cancelled-event count" in violation.message
-        assert "before compaction" in violation.message
 
     def test_bundle_dir_false_writes_nothing(self):
         config = replace(
