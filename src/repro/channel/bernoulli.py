@@ -39,10 +39,6 @@ class BernoulliLossChannel:
             self.frames_corrupted += 1
         return corrupted
 
-    def good_fraction(self) -> float:
-        """Capacity fraction surviving: 1 - p (per-frame, not per-time)."""
-        return 1.0 - self.loss_probability
-
 
 def matched_loss_probability(
     good_period_mean: float,

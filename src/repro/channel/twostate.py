@@ -91,8 +91,8 @@ class TwoStateChannel:
     began before the most recent query (a long frame's airtime starts
     in the past relative to its completion event).
 
-    The whole history is kept: every run stops at its ``max_sim_time``,
-    which bounds the timeline at about ``2 * max_sim_time / (good_mean
+    The whole history is kept: every run stops at ``MAX_SIM_TIME``,
+    which bounds the timeline at about ``2 * MAX_SIM_TIME / (good_mean
     + bad_mean)`` sojourns.
     """
 
@@ -287,21 +287,6 @@ class TwoStateChannel:
         if corrupted:
             self.frames_corrupted += 1
         return corrupted
-
-    def good_fraction(self) -> float:
-        """Steady-state fraction of time in the good state.
-
-        Equals ``lambda_bg / (lambda_bg + lambda_gb)`` of the paper's
-        theoretical-maximum formula.
-        """
-        source = self._sojourns
-        if isinstance(source, ExponentialSojourns):
-            return source.good_mean / (source.good_mean + source.bad_mean)
-        if isinstance(source, DeterministicSojourns):
-            return source.good_len / (source.good_len + source.bad_len)
-        raise TypeError(
-            f"good_fraction undefined for sojourn source {type(source).__name__}"
-        )
 
 
 def markov_channel(

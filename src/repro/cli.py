@@ -123,7 +123,7 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
     """Parallel-engine knobs shared by the multi-run commands."""
     parser.add_argument(
         "--workers",
-        type=int,
+        type=non_negative_int,
         default=1,
         help="worker processes for seed fan-out (1 = serial, 0 = one per CPU)",
     )
@@ -367,46 +367,44 @@ def _run_figure(args: argparse.Namespace, journal) -> int:
             ]
             print(format_table(header, rows, title=f"Figure 9, {label} (KB retransmitted):"))
         return _finish_campaign(data["basic"][WAN_BAD_PERIODS[0]].report)
-    if n in (10, 11):
-        data = (
-            figure_10(replications=reps, **engine)
-            if n == 10
-            else figure_11(replications=reps, **engine)
+    # Figure 10 or 11: the parser admits no other number.
+    data = (
+        figure_10(replications=reps, **engine)
+        if n == 10
+        else figure_11(replications=reps, **engine)
+    )
+    if n == 10:
+        rows = [
+            [
+                f"{bad:g}",
+                f"{lan_theoretical_mbps(bad):.3f}",
+                f"{data['basic'].points[bad].throughput_mbps:.3f}",
+                f"{data['ebsn'].points[bad].throughput_mbps:.3f}",
+            ]
+            for bad in LAN_BAD_PERIODS
+        ]
+        print(
+            format_table(
+                ["bad(s)", "tput_th", "basic(Mbps)", "ebsn(Mbps)"],
+                rows,
+                title="Figure 10:",
+            )
         )
-        if n == 10:
-            rows = [
-                [
-                    f"{bad:g}",
-                    f"{lan_theoretical_mbps(bad):.3f}",
-                    f"{data['basic'].points[bad].throughput_mbps:.3f}",
-                    f"{data['ebsn'].points[bad].throughput_mbps:.3f}",
-                ]
-                for bad in LAN_BAD_PERIODS
+    else:
+        rows = [
+            [
+                f"{bad:g}",
+                f"{data['basic'].points[bad].retransmitted_kbytes_mean:.1f}",
+                f"{data['ebsn'].points[bad].retransmitted_kbytes_mean:.1f}",
             ]
-            print(
-                format_table(
-                    ["bad(s)", "tput_th", "basic(Mbps)", "ebsn(Mbps)"],
-                    rows,
-                    title="Figure 10:",
-                )
+            for bad in LAN_BAD_PERIODS
+        ]
+        print(
+            format_table(
+                ["bad(s)", "basic(KB)", "ebsn(KB)"], rows, title="Figure 11:"
             )
-        else:
-            rows = [
-                [
-                    f"{bad:g}",
-                    f"{data['basic'].points[bad].retransmitted_kbytes_mean:.1f}",
-                    f"{data['ebsn'].points[bad].retransmitted_kbytes_mean:.1f}",
-                ]
-                for bad in LAN_BAD_PERIODS
-            ]
-            print(
-                format_table(
-                    ["bad(s)", "basic(KB)", "ebsn(KB)"], rows, title="Figure 11:"
-                )
-            )
-        return _finish_campaign(data["basic"].report)
-    print(f"unknown figure {n}; know 3, 4, 5, 7, 8, 9, 10, 11", file=sys.stderr)
-    return 2
+        )
+    return _finish_campaign(data["basic"].report)
 
 
 def _cmd_csdp(args: argparse.Namespace) -> int:
@@ -703,7 +701,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep, parser=p)
 
     p = sub.add_parser("figure", help="regenerate a paper figure's series")
-    p.add_argument("number", type=int, help="figure number (3-5, 7-11)")
+    p.add_argument(
+        "number",
+        type=int,
+        choices=(3, 4, 5, 7, 8, 9, 10, 11),
+        help="figure number (3-5, 7-11)",
+    )
     p.add_argument("--replications", type=positive_int, default=5)
     _add_engine(p)
     _add_validate(p)

@@ -50,13 +50,13 @@ class EbsnGenerator(FeedbackHooks):
     Attach as the ``feedback`` of the base station's wireless port
     (the BS→MH direction).  Only failed *TCP data* frames trigger an
     EBSN — the notification is meant for the TCP source; failed
-    control traffic has no one to notify.
+    control traffic has no one to notify.  Every such failure sends
+    one, uncapped, as the paper's base station does.
     """
 
     def __init__(
         self,
         node: Node,
-        max_notifications: Optional[int] = None,
         sim: Optional[Simulator] = None,
         heartbeat_interval: Optional[float] = None,
     ) -> None:
@@ -66,8 +66,6 @@ class EbsnGenerator(FeedbackHooks):
             if heartbeat_interval <= 0:
                 raise ValueError("heartbeat_interval must be positive")
         self._node = node
-        #: Optional cap on total EBSNs (for ablations); None = unlimited.
-        self.max_notifications = max_notifications
         #: Optional heartbeat: while the link is failing, keep sending
         #: EBSNs every ``heartbeat_interval`` seconds *between* ARQ
         #: attempts.  The per-attempt EBSN suffices when the source's
@@ -84,7 +82,6 @@ class EbsnGenerator(FeedbackHooks):
         self._last_source: Optional[str] = None
         self._last_seq: Optional[int] = None
         self.ebsn_sent = 0
-        self.ebsn_suppressed = 0
         self.heartbeats_sent = 0
 
     def on_attempt_failed(self, fragment: Fragment, attempt: int) -> None:
@@ -114,12 +111,6 @@ class EbsnGenerator(FeedbackHooks):
         self._heartbeat_timer.restart(self.heartbeat_interval)
 
     def _emit(self, dst: str, about_seq: Optional[int]) -> None:
-        if (
-            self.max_notifications is not None
-            and self.ebsn_sent >= self.max_notifications
-        ):
-            self.ebsn_suppressed += 1
-            return
         ebsn = datagram(
             self._node.name,
             dst,

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.net.packet import TCP_IP_HEADER_BYTES
+
 #: On-air expansion of a fragment (the WAN link's framing overhead).
 OVERHEAD_FACTOR = 1.5
 
@@ -57,20 +59,17 @@ class PacketSizeAdvisor:
     #: Packet sizes the analytic model chooses among (bytes, ascending).
     candidate_sizes = (128, 256, 384, 512, 640, 768, 1024, 1280, 1536)
 
-    def __init__(self, mtu_bytes: int = 128, header_bytes: int = 40) -> None:
+    def __init__(self, mtu_bytes: int = 128) -> None:
         if mtu_bytes <= 0:
             raise ValueError("MTU must be positive")
-        if header_bytes < 0:
-            raise ValueError("header bytes must be >= 0")
         self.mtu_bytes = mtu_bytes
-        self.header_bytes = header_bytes
         self._table: Dict[ErrorCondition, int] = {}
 
     # -- table management (the paper's mechanism) -----------------------
 
     def learn(self, condition: ErrorCondition, best_packet_size: int) -> None:
         """Record a measured best packet size for an error condition."""
-        if best_packet_size <= self.header_bytes:
+        if best_packet_size <= TCP_IP_HEADER_BYTES:
             raise ValueError(
                 f"packet size {best_packet_size} leaves no payload after header"
             )
@@ -113,7 +112,7 @@ class PacketSizeAdvisor:
         packet delivers its payload only if *all* fragments survive;
         efficiency is payload per on-air byte times that probability.
         """
-        if packet_size <= self.header_bytes:
+        if packet_size <= TCP_IP_HEADER_BYTES:
             return 0.0
         count = self.fragment_count(packet_size)
         survive_all = 1.0
@@ -129,7 +128,7 @@ class PacketSizeAdvisor:
                 + condition.bad_fraction * p_bad
             )
             survive_all *= p
-        payload = packet_size - self.header_bytes
+        payload = packet_size - TCP_IP_HEADER_BYTES
         return survive_all * payload / packet_size
 
     def analytic_best(self, condition: ErrorCondition) -> int:

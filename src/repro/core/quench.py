@@ -26,6 +26,12 @@ from repro.net.packet import (
 )
 from repro.tcp.tahoe import TahoeSender
 
+#: Transmit-queue depth (frames) above which the base station quenches
+#: the source in anticipation of drops.
+QUEUE_THRESHOLD = 8
+#: Minimum gap (s) between two quenches to one source.
+MIN_INTERVAL = 0.5
+
 
 class QuenchGenerator(FeedbackHooks):
     """Base-station hook that emits source-quench messages.
@@ -33,28 +39,16 @@ class QuenchGenerator(FeedbackHooks):
     Two triggers, both from the paper's discussion:
 
     * the transmit queue for the wireless link exceeds
-      ``queue_threshold`` frames (anticipatory congestion signal);
+      :data:`QUEUE_THRESHOLD` frames (anticipatory congestion signal);
     * a link-level attempt failed (the link is visibly struggling).
 
-    Quenches are rate-limited to one per ``min_interval`` seconds per
-    source — RFC-era gateways did the same to avoid quench storms.
+    Quenches are rate-limited to one per :data:`MIN_INTERVAL` seconds
+    per source — RFC-era gateways did the same to avoid quench storms.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        node: Node,
-        queue_threshold: int = 8,
-        min_interval: float = 0.5,
-    ) -> None:
-        if queue_threshold < 1:
-            raise ValueError(f"queue_threshold must be >= 1, got {queue_threshold}")
-        if min_interval < 0:
-            raise ValueError(f"min_interval must be >= 0, got {min_interval}")
+    def __init__(self, sim: Simulator, node: Node) -> None:
         self._sim = sim
         self._node = node
-        self.queue_threshold = queue_threshold
-        self.min_interval = min_interval
         self.quench_sent = 0
         self.quench_suppressed = 0
         self._last_sent: dict[str, float] = {}
@@ -68,7 +62,7 @@ class QuenchGenerator(FeedbackHooks):
 
     def on_queue_depth(self, depth: int) -> None:
         """Anticipatory quench when the transmit queue builds up."""
-        if depth > self.queue_threshold and self._last_data_source is not None:
+        if depth > QUEUE_THRESHOLD and self._last_data_source is not None:
             self._quench(self._last_data_source, None)
 
     def note_data_source(self, src: str) -> None:
@@ -77,7 +71,7 @@ class QuenchGenerator(FeedbackHooks):
 
     def _quench(self, dst: str, datagram: Datagram | None) -> None:
         last = self._last_sent.get(dst)
-        if last is not None and self._sim.now - last < self.min_interval:
+        if last is not None and self._sim.now - last < MIN_INTERVAL:
             self.quench_suppressed += 1
             return
         about_seq = None

@@ -21,6 +21,10 @@ from typing import Callable, Dict, Optional
 from repro.engine import Simulator, Timer
 from repro.net.packet import Datagram, TcpAck, TcpSegment
 
+#: Local retransmissions of one cached segment before snoop leaves its
+#: recovery to the source.
+MAX_LOCAL_RETX = 10
+
 
 class SnoopAgent:
     """Per-connection snoop cache and local-retransmission engine.
@@ -32,7 +36,8 @@ class SnoopAgent:
       :meth:`on_wired_data` (cached, then forwarded via
       ``send_wireless``);
     * TCP ACK datagrams from the mobile host pass through
-      :meth:`on_wireless_ack` (snooped; duplicates may be suppressed;
+      :meth:`on_wireless_ack` (snooped; a duplicate ACK for a cached
+      segment triggers its local retransmission and is suppressed;
       new ACKs forwarded via ``send_wired``).
     """
 
@@ -42,30 +47,21 @@ class SnoopAgent:
         send_wireless: Callable[[Datagram], None],
         send_wired: Callable[[Datagram], None],
         local_timeout: float = 0.6,
-        dupack_threshold: int = 1,
-        max_local_retx: int = 10,
     ) -> None:
         if local_timeout <= 0:
             raise ValueError("local_timeout must be positive")
-        if dupack_threshold < 1:
-            raise ValueError("dupack_threshold must be >= 1")
         self._sim = sim
         self._send_wireless = send_wireless
         self._send_wired = send_wired
         self.local_timeout = local_timeout
-        self.dupack_threshold = dupack_threshold
-        self.max_local_retx = max_local_retx
 
         self._cache: Dict[int, Datagram] = {}
         self._retx_count: Dict[int, int] = {}
         self._last_ack: Optional[int] = None
-        self._dupacks = 0
         self._timer = Timer(sim, self._on_local_timeout, name="snoop")
 
-        self.data_cached = 0
         self.local_retransmissions = 0
         self.dupacks_suppressed = 0
-        self.cache_evictions = 0
 
     # ------------------------------------------------------------------
 
@@ -75,7 +71,6 @@ class SnoopAgent:
         if isinstance(payload, TcpSegment):
             self._cache[payload.seq] = datagram
             self._retx_count.setdefault(payload.seq, 0)
-            self.data_cached += 1
             if not self._timer.pending:
                 self._timer.start(self.local_timeout)
         self._send_wireless(datagram)
@@ -89,15 +84,12 @@ class SnoopAgent:
         ack = payload.ack_seq
         if self._last_ack is None or ack > self._last_ack:
             self._last_ack = ack
-            self._dupacks = 0
             self._clean_below(ack)
             self._rearm_timer()
             self._send_wired(datagram)
             return
         # Duplicate ACK: the segment `ack` is missing at the receiver.
-        self._dupacks += 1
-        cached = self._cache.get(ack)
-        if cached is not None and self._dupacks >= self.dupack_threshold:
+        if ack in self._cache:
             self._local_retransmit(ack)
             self.dupacks_suppressed += 1
             return  # suppressed — the source never sees it
@@ -113,7 +105,6 @@ class SnoopAgent:
         for seq in [s for s in self._cache if s < ack]:
             del self._cache[seq]
             self._retx_count.pop(seq, None)
-            self.cache_evictions += 1
 
     def _rearm_timer(self) -> None:
         if self._cache:
@@ -125,7 +116,7 @@ class SnoopAgent:
         datagram = self._cache.get(seq)
         if datagram is None:
             return
-        if self._retx_count.get(seq, 0) >= self.max_local_retx:
+        if self._retx_count.get(seq, 0) >= MAX_LOCAL_RETX:
             return
         self._retx_count[seq] = self._retx_count.get(seq, 0) + 1
         self.local_retransmissions += 1

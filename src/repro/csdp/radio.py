@@ -5,7 +5,7 @@ destinations, each behind its own independently fading channel.  The
 radio transmits one frame at a time (stop-and-wait at the frame level:
 the outcome — link ACK or silence — is known one turnaround after the
 frame leaves the air, as on a half-duplex MAC).  A failed frame backs
-off and is retried up to ``rtmax`` times; what the radio does *while*
+off and is retried up to :data:`RTMAX` times; what the radio does *while*
 a frame backs off is the scheduler's decision, and that is exactly
 where FIFO loses to round-robin and CSDP.
 """
@@ -22,13 +22,14 @@ from repro.channel import TwoStateChannel
 from repro.csdp.scheduling import FifoScheduler, Scheduler
 from repro.engine import Simulator
 from repro.engine.simulator import Event
-from repro.linklayer import ArqConfig
 from repro.net.ip import Fragmenter, Reassembler
 from repro.net.packet import LINK_ACK_BYTES, Datagram, Fragment
 from repro.net.wireless import WirelessLinkConfig
 
 #: Seconds the radio's reassembler holds a partial datagram.
 REASSEMBLY_TIMEOUT = 60.0
+#: Transmissions of one frame before it is discarded (CDPD's 13).
+RTMAX = 13
 
 
 @dataclass
@@ -38,7 +39,6 @@ class RadioStats:
     frames_accepted: int = 0
     attempts: int = 0
     attempt_failures: int = 0
-    frames_delivered: int = 0
     frames_discarded: int = 0
     siblings_dropped: int = 0
     idle_blocked_time: float = 0.0
@@ -63,7 +63,6 @@ class DownlinkRadio:
         scheduler: Scheduler,
         rng: random.Random,
         deliver: Callable[[Datagram], None],
-        arq: Optional[ArqConfig] = None,
     ) -> None:
         if not channels:
             raise ValueError("need at least one destination channel")
@@ -74,12 +73,8 @@ class DownlinkRadio:
         self._rng = rng
         self.deliver = deliver
         frame_time = self.tx_time(config.mtu_bytes)
-        self.arq = arq or ArqConfig(
-            ack_timeout=1.0,  # unused: outcome is synchronous here
-            rtmax=13,
-            backoff_min=2.5 * frame_time,
-            backoff_max=7.5 * frame_time,
-        )
+        # Bounds (s) of the uniform random backoff before a retry.
+        self._backoff = (2.5 * frame_time, 7.5 * frame_time)
         self.fragmenter = Fragmenter(config.mtu_bytes)
         self.reassembler = Reassembler(sim, timeout=REASSEMBLY_TIMEOUT, name="radio")
         self.queues: Dict[str, Deque[_QueuedFrame]] = {d: deque() for d in channels}
@@ -114,10 +109,6 @@ class DownlinkRadio:
             if isinstance(self.scheduler, FifoScheduler):
                 self.scheduler.note_arrival(dest)
         self._pump()
-
-    def backlog(self, dest: str) -> int:
-        """Frames queued for one destination."""
-        return len(self.queues[dest])
 
     # ------------------------------------------------------------------
 
@@ -197,7 +188,6 @@ class DownlinkRadio:
             # the reassembler's duplicate guard absorbs re-deliveries.
             datagram = self.reassembler.add(queued.fragment)
             if datagram is not None:
-                self.stats.frames_delivered += 1
                 self.deliver(datagram)
 
         if ack_ok:
@@ -205,12 +195,10 @@ class DownlinkRadio:
                 self.scheduler.note_departure(dest)
         else:
             self.stats.attempt_failures += 1
-            if queued.attempts >= self.arq.rtmax:
+            if queued.attempts >= RTMAX:
                 self._discard(dest, queued)
             else:
-                queued.ready_at = self._sim.now + self._rng.uniform(
-                    self.arq.backoff_min, self.arq.backoff_max
-                )
+                queued.ready_at = self._sim.now + self._rng.uniform(*self._backoff)
                 self.queues[dest].appendleft(queued)
         self._pump()
 

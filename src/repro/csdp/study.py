@@ -26,7 +26,7 @@ from repro.csdp.scheduling import (
     RoundRobinScheduler,
     Scheduler,
 )
-from repro.engine import RandomStreams, Simulator
+from repro.engine import MAX_SIM_TIME, RandomStreams, Simulator
 from repro.linklayer import WirelessPort
 from repro.net.link import WiredLink
 from repro.net.node import Node
@@ -43,8 +43,6 @@ WIRELESS = WirelessLinkConfig()
 #: Each mobile host's fading: mean good and bad periods (s).
 GOOD_PERIOD_MEAN = 4.0
 BAD_PERIOD_MEAN = 1.0
-#: Simulation abort horizon (s).
-MAX_SIM_TIME = 50_000.0
 
 
 @dataclass

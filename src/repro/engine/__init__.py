@@ -8,6 +8,7 @@ a simulation draws from its own reproducible sequence.
 """
 
 from repro.engine.simulator import (
+    MAX_SIM_TIME,
     Event,
     Simulator,
     SimulationError,
@@ -17,6 +18,7 @@ from repro.engine.timer import Timer
 from repro.engine.rng import RandomStreams
 
 __all__ = [
+    "MAX_SIM_TIME",
     "Event",
     "Simulator",
     "SimulationError",

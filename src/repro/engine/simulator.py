@@ -14,6 +14,11 @@ import sys
 import time
 from typing import Any, Callable, Optional
 
+#: Simulated-time horizon (s) of every study run: a run still going
+#: at this time stops there and reports itself incomplete, so a stuck
+#: transfer is an error, not a hang.
+MAX_SIM_TIME = 50_000.0
+
 
 class SimulationError(RuntimeError):
     """Raised on misuse of the simulator (e.g. scheduling in the past)."""

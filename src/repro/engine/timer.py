@@ -1,7 +1,7 @@
 """Cancellable, re-armable timers on top of the event loop.
 
-TCP's retransmission timer, the delayed-ACK timer and the link
-layer's resequencing flush timer all need the same primitive: arm for
+TCP's retransmission timer, snoop's local timer and the link layer's
+resequencing flush timer all need the same primitive: arm for
 a delay, possibly re-arm before expiry (superseding the previous
 deadline), and fire a callback on expiry.  The EBSN mechanism is
 literally "re-arm the rtx timer at the current timeout", so this class

@@ -19,7 +19,6 @@ def plot_series(
     x_label: str = "",
     y_label: str = "",
     y_min: Optional[float] = None,
-    y_max: Optional[float] = None,
 ) -> str:
     """Render named (x, y) series as an ASCII chart.
 
@@ -34,7 +33,7 @@ def plot_series(
     ys = [p[1] for p in points]
     x_lo, x_hi = min(xs), max(xs)
     y_lo = y_min if y_min is not None else min(ys)
-    y_hi = y_max if y_max is not None else max(ys)
+    y_hi = max(ys)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:

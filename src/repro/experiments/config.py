@@ -14,8 +14,6 @@ Local-area study (§4.2.4, §5.2):
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.topology import ChannelConfig, ScenarioConfig, Scheme
 from repro.linklayer import ArqConfig
 from repro.net.wireless import WirelessLinkConfig
@@ -91,7 +89,6 @@ def wan_scenario(
     transfer_bytes: int = WAN_TRANSFER_BYTES,
     record_trace: bool = True,
     tcp_variant: str = "tahoe",
-    arq: Optional[ArqConfig] = None,
 ) -> ScenarioConfig:
     """One wide-area run of the §5.1 study."""
     return ScenarioConfig(
@@ -110,7 +107,6 @@ def wan_scenario(
         wireless=wan_wireless(),
         wired_bandwidth_bps=56_000.0,
         wired_prop_delay=0.01,
-        arq=arq,
         tcp_variant=tcp_variant,
         seed=seed,
         record_trace=record_trace,

@@ -132,11 +132,9 @@ class CongestedScenarioConfig:
     # Plain class attributes, so not fields.
     channel = ChannelConfig()
     wireless = WirelessLinkConfig()
-    max_sim_time = 50_000.0
     arq = None
     tcp_variant = "tahoe"
     sender_factory = None
-    delayed_acks = False
     ebsn_heartbeat = None
     record_trace = False
     record_cwnd = False

@@ -42,9 +42,6 @@ FAULT_TIMEOUT = "timeout"
 FAULT_CRASH = "crash"
 FAULT_ERROR = "error"
 
-#: Fault kinds worth retrying (environmental, not deterministic).
-RETRYABLE_FAULTS = frozenset({FAULT_TIMEOUT, FAULT_CRASH})
-
 
 @dataclass(frozen=True)
 class RetryPolicy:

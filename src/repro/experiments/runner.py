@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from typing import TypeVar, Union
 
+from repro.engine import MAX_SIM_TIME
 from repro.experiments.faults import CompletenessReport, UnitFailure
 from repro.experiments.parallel import ParallelRunner, RunSummary
 from repro.experiments.topology import ScenarioConfig
@@ -157,7 +158,7 @@ def _aggregate(
         if not summary.completed:
             raise RuntimeError(
                 f"run with seed {summary.config.seed} did not complete within "
-                f"{summary.config.max_sim_time} simulated seconds "
+                f"{MAX_SIM_TIME} simulated seconds "
                 f"(scheme={summary.config.scheme.value}, "
                 f"packet={summary.config.tcp.packet_size})"
             )
@@ -267,7 +268,6 @@ def sweep(
     values: Iterable[T],
     make_config: Callable[[T], ScenarioConfig],
     replications: int = 5,
-    base_seed: int = 1,
     **campaign,
 ) -> Dict[T, ReplicatedResult]:
     """Run a replicated experiment for every value of a swept parameter.
@@ -286,6 +286,4 @@ def sweep(
     >>> 576 in points
     True
     """
-    return sweep_campaign(
-        values, make_config, replications, base_seed, **campaign
-    ).points
+    return sweep_campaign(values, make_config, replications, **campaign).points

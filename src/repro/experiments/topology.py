@@ -25,7 +25,7 @@ from repro.core.ebsn import EbsnGenerator, install_ebsn_handler
 from repro.core.quench import QuenchGenerator, install_quench_handler
 from repro.core.snoop import SnoopAgent
 from repro.core.split import SplitRelay
-from repro.engine import RandomStreams, Simulator
+from repro.engine import MAX_SIM_TIME, RandomStreams, Simulator
 from repro.linklayer import ArqConfig, LinkLayerMode, WirelessPort
 from repro.metrics import ConnectionMetrics, PacketTrace, compute_metrics
 from repro.metrics.theoretical import theoretical_throughput_bps
@@ -107,11 +107,6 @@ class ScenarioConfig:
     seed: int = 1
     record_trace: bool = True
     record_cwnd: bool = False
-    #: Simulation abort horizon (a stuck run is an error, not a hang).
-    max_sim_time: float = 50_000.0
-    #: RFC 1122 delayed ACKs at the sink (the paper's ns sink ACKed
-    #: every segment; this is the ack-clocking ablation knob).
-    delayed_acks: bool = False
     #: Override the sender class (e.g. MessageSender for interactive
     #: workloads); receives the same constructor arguments the
     #: tcp_variant classes do.  None = use ``tcp_variant``.
@@ -268,10 +263,8 @@ class Scenario:
             self.sim,
             self.mh,
             "BS" if is_split else "FH",
-            header_bytes=config.tcp.header_bytes,
             expected_bytes=config.tcp.transfer_bytes if is_split else None,
             on_complete=self.sim.stop if is_split else None,
-            delayed_acks=config.delayed_acks,
         )
         self.mh.attach_agent(self.sink)
 
@@ -367,7 +360,7 @@ class Scenario:
         spinning until the simulated-time horizon.
         """
         self.sender.start()
-        self.sim.run(until=self.config.max_sim_time, wall_timeout=wall_timeout)
+        self.sim.run(until=MAX_SIM_TIME, wall_timeout=wall_timeout)
         if self.split_relay is not None:
             completed = self.sink.completed
         else:

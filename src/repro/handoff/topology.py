@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.channel import markov_channel
-from repro.engine import RandomStreams, Simulator
+from repro.engine import MAX_SIM_TIME, RandomStreams, Simulator
 from repro.linklayer import WirelessPort
 from repro.metrics import ConnectionMetrics, compute_metrics
 from repro.net.ip import Fragmenter, Reassembler
@@ -52,8 +52,6 @@ WIRELESS = WirelessLinkConfig()
 #: bad periods, s).
 GOOD_PERIOD_MEAN = 1000.0
 BAD_PERIOD_MEAN = 0.01
-#: Simulation abort horizon (s).
-MAX_SIM_TIME = 50_000.0
 
 
 @dataclass

@@ -10,7 +10,6 @@ before being discarded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass
@@ -23,7 +22,7 @@ class ArqConfig:
     reverse link is busy serializing a data frame; topology builders
     compute it from the link parameters.
 
-    Two behaviours are fixed rather than configured:
+    Three behaviours are fixed rather than configured:
 
     * when a fragment is discarded after rtmax attempts, its queued
       sibling fragments are dropped too (the datagram can no longer
@@ -31,7 +30,9 @@ class ArqConfig:
     * frames reach the network layer in link-sequence order, as
       RLP-style local recovery delivers them.  Without this, a retried
       frame overtaken by its successors produces TCP duplicate ACKs and
-      a spurious fast retransmit at the source.
+      a spurious fast retransmit at the source;
+    * the receiver holds out-of-order frames for the transmitter's full
+      retry horizon (:meth:`derived_flush`) before flushing past a gap.
     """
 
     ack_timeout: float = 0.25
@@ -48,10 +49,6 @@ class ArqConfig:
     #: still blocks the queue (the head-of-line behaviour CSDP [9]
     #: observed) rather than dumping everything into the fade.
     window: int = 4
-    #: How long the receiver holds out-of-order frames before flushing
-    #: past a gap (covers the transmitter's full retry horizon).
-    #: None = derive from rtmax/ack_timeout/backoff.
-    resequencing_flush: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.ack_timeout <= 0:
@@ -65,13 +62,9 @@ class ArqConfig:
             )
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.resequencing_flush is not None and self.resequencing_flush <= 0:
-            raise ValueError("resequencing_flush must be positive or None")
 
     def derived_flush(self) -> float:
         """Resequencing flush timeout: the full retry horizon plus margin."""
-        if self.resequencing_flush is not None:
-            return self.resequencing_flush
         return self.rtmax * (self.ack_timeout + self.backoff_max) + 1.0
 
 
@@ -83,10 +76,6 @@ class ArqStats:
     first_transmissions: int = 0
     link_retransmissions: int = 0
     link_acks_received: int = 0
-    stale_link_acks: int = 0
     ack_timeouts: int = 0
     frames_discarded: int = 0
     siblings_dropped: int = 0
-    rx_duplicates: int = 0
-    rx_out_of_order: int = 0
-    rx_gap_flushes: int = 0

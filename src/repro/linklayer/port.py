@@ -321,8 +321,7 @@ class WirelessPort:
         if kind is _LINK_ACK:
             entry = self._outstanding.get(frame.acked_frame_uid or -1)
             if entry is None:
-                self.stats.stale_link_acks += 1
-                return
+                return  # stale: its frame was already acked or discarded
             self.stats.link_acks_received += 1
             self.feedback.on_recovered()
             # Inlined entry.cancel_timers().
@@ -381,12 +380,10 @@ class WirelessPort:
             # A retransmission of something already delivered (its link
             # ACK was lost).  The reassembler's duplicate guard handles
             # any residual effect; nothing to deliver.
-            self.stats.rx_duplicates += 1
             return
         if seq > self._rx_expected:
             if seq not in self._rx_buffer:
                 self._rx_buffer[seq] = fragment
-                self.stats.rx_out_of_order += 1
             if not self._flush_timer.pending:
                 self._flush_timer.start(self._flush_timeout)
             return
@@ -414,7 +411,6 @@ class WirelessPort:
         """Skip a gap whose frame the far transmitter has given up on."""
         if not self._rx_buffer:
             return
-        self.stats.rx_gap_flushes += 1
         self._rx_expected = min(self._rx_buffer)
         self._drain_rx_buffer()
 

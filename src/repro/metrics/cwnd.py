@@ -15,6 +15,9 @@ Sample = Tuple[float, float]
 
 #: Rows of the rendered sawtooth.
 HEIGHT = 12
+#: Windows (segments) below this count as collapsed for
+#: :attr:`CwndSummary.time_below_threshold`.
+LOW_WINDOW = 2.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,17 +29,13 @@ class CwndSummary:
     mean_cwnd: float
     min_cwnd: float
     max_cwnd: float
-    #: Fraction of connection time spent with cwnd strictly below the
-    #: given threshold (computed by time-weighting the samples).
+    #: Fraction of connection time spent with cwnd strictly below
+    #: ``threshold`` (computed by time-weighting the samples).
     time_below_threshold: float
     threshold: float
 
 
-def summarize_cwnd(
-    trace: Sequence[Sample],
-    end_time: float,
-    threshold: float = 2.0,
-) -> CwndSummary:
+def summarize_cwnd(trace: Sequence[Sample], end_time: float) -> CwndSummary:
     """Time-weighted summary of a cwnd trace.
 
     ``end_time`` closes the final segment (normally the connection's
@@ -60,7 +59,7 @@ def summarize_cwnd(
             raise ValueError("cwnd trace is not time-ordered")
         weighted += w * span
         total += span
-        if w < threshold:
+        if w < LOW_WINDOW:
             below += span
     mean = weighted / total if total > 0 else values[0]
     return CwndSummary(
@@ -70,7 +69,7 @@ def summarize_cwnd(
         min_cwnd=min(values),
         max_cwnd=max(values),
         time_below_threshold=below / total if total > 0 else 0.0,
-        threshold=threshold,
+        threshold=LOW_WINDOW,
     )
 
 

@@ -58,10 +58,6 @@ class Fragmenter:
         self.datagrams_fragmented = 0
         self.fragments_produced = 0
 
-    def fragment_count(self, size_bytes: int) -> int:
-        """Number of fragments a datagram of ``size_bytes`` produces."""
-        return -(-size_bytes // self.mtu_bytes)
-
     def fragment(self, datagram: Datagram) -> List[Fragment]:
         """Split ``datagram``; a datagram within the MTU yields one fragment."""
         mtu = self.mtu_bytes

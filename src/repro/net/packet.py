@@ -215,9 +215,9 @@ def datagram(
     """Build a datagram field by field, for the per-packet hot paths.
 
     Skips ``Datagram.__post_init__``, so callers guarantee
-    ``size_bytes >= TCP_IP_HEADER_BYTES``: ``TcpConfig`` and ``TcpSink``
-    reject smaller headers when they are constructed, and ICMP
-    messages are ``ICMP_PACKET_BYTES``.  Draws the next uid, as
+    ``size_bytes >= TCP_IP_HEADER_BYTES``: TCP data and ACKs carry the
+    fixed ``TCP_IP_HEADER_BYTES`` header, and ICMP messages are
+    ``ICMP_PACKET_BYTES``.  Draws the next uid, as
     ``Datagram(...)`` does.
     """
     packet = Datagram.__new__(Datagram)

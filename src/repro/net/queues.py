@@ -21,7 +21,6 @@ class QueueStats:
     enqueued: int = 0
     dequeued: int = 0
     dropped: int = 0
-    enqueued_bytes: int = 0
     dropped_bytes: int = 0
     peak_depth: int = 0
 
@@ -69,7 +68,6 @@ class DropTailQueue(Generic[T]):
             return False
         items.append(item)
         stats.enqueued += 1
-        stats.enqueued_bytes += size_bytes
         depth = len(items)
         if depth > stats.peak_depth:
             stats.peak_depth = depth
@@ -82,10 +80,6 @@ class DropTailQueue(Generic[T]):
             return None
         self.stats.dequeued += 1
         return items.popleft()
-
-    def peek(self) -> Optional[T]:
-        """The head item without removing it, or ``None`` when empty."""
-        return self._items[0] if self._items else None
 
     def clear(self) -> int:
         """Remove everything; returns the number of items discarded."""

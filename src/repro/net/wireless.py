@@ -145,7 +145,6 @@ class WirelessLink:
         else:
             items.append((frame, on_tx_complete))
             stats.enqueued += 1
-            stats.enqueued_bytes += size
             depth = len(items)
             if depth > stats.peak_depth:
                 stats.peak_depth = depth

@@ -45,7 +45,6 @@ class RenoSender(TahoeSender):
 
     def _handle_dupack(self) -> None:
         if self.in_fast_recovery:
-            self.stats.dupacks_received += 1
             self.cwnd += 1.0  # window inflation per extra dupack
             self._send_pending()
             return

@@ -3,8 +3,8 @@
 Implements Jacobson's mean/deviation estimator on a coarse clock: RTT
 samples are quantized to ticks of ``granularity`` seconds (the paper
 uses 100 ms and discusses how granularity interacts with local
-recovery), and the resulting RTO is a whole number of ticks with a
-floor of ``min_ticks``.
+recovery), and the resulting RTO is a whole number of ticks, at least
+:attr:`RttEstimator.MIN_TICKS` of them.
 
 Karn's rule (never sample a retransmitted segment, keep the backed-off
 RTO until an ACK for a fresh segment arrives) lives in the sender; this
@@ -26,19 +26,20 @@ class RttEstimator:
     >>> est.sample(0.35)     # quantized to 4 ticks
     >>> est.srtt is not None
     True
-    >>> est.rto() >= 0.2     # never below min_ticks * granularity
+    >>> est.rto() >= 0.2     # never below MIN_TICKS * granularity
     True
     """
 
     #: Jacobson's gains: srtt ← srtt + err/8, rttvar ← rttvar + (|err|−rttvar)/4.
     SRTT_GAIN = 0.125
     RTTVAR_GAIN = 0.25
+    #: Floor of the RTO in ticks.
+    MIN_TICKS = 2
 
     def __init__(
         self,
         granularity: float = 0.1,
         initial_rto: float = 3.0,
-        min_ticks: int = 2,
         max_rto: float = 64.0,
         k: float = 4.0,
         var_decay_gain: Optional[float] = None,
@@ -47,8 +48,6 @@ class RttEstimator:
             raise ValueError(f"granularity must be positive, got {granularity}")
         if initial_rto <= 0:
             raise ValueError(f"initial_rto must be positive, got {initial_rto}")
-        if min_ticks < 1:
-            raise ValueError(f"min_ticks must be >= 1, got {min_ticks}")
         if max_rto < granularity:
             raise ValueError("max_rto must be at least one tick")
         if k <= 0:
@@ -57,7 +56,6 @@ class RttEstimator:
             raise ValueError("var_decay_gain must be in (0, 1]")
         self.granularity = granularity
         self.initial_rto = initial_rto
-        self.min_ticks = min_ticks
         self.max_rto = max_rto
         #: Variance weight in RTO = srtt + k·rttvar.  Jacobson's 4 is
         #: the default; the §6 "robust timer" ablation raises it so
@@ -98,12 +96,12 @@ class RttEstimator:
 
         Before any sample: the conservative ``initial_rto``.  After:
         ``srtt + k·rttvar`` rounded up to a whole tick, clamped to
-        ``[min_ticks · granularity, max_rto]``.
+        ``[MIN_TICKS · granularity, max_rto]``.
         """
         if self.srtt is None:
             return self.initial_rto
         raw_ticks = self.srtt + self.k * self.rttvar
-        ticks = max(self.min_ticks, math.ceil(raw_ticks - 1e-9))
+        ticks = max(self.MIN_TICKS, math.ceil(raw_ticks - 1e-9))
         return min(self.max_rto, ticks * self.granularity)
 
     def reset(self) -> None:

@@ -1,11 +1,9 @@
 """TCP sink: the receiving agent on the mobile host.
 
-By default, acknowledges every arriving data segment with a cumulative
-ACK (the behaviour of the ns one-way TCP sink the paper used).
-Optionally implements RFC 1122 delayed ACKs (every second segment, or
-a 200 ms timer) for the ack-clocking ablation.  Out-of-order and
-duplicate segments are always acknowledged immediately — duplicate
-ACKs drive the sender's fast retransmit and must not be delayed.
+Acknowledges every arriving data segment at once with a cumulative
+ACK, like the ns one-way TCP sink the paper used.  Out-of-order and
+duplicate segments are acknowledged too: their duplicate ACKs drive
+the sender's fast retransmit.
 """
 
 from __future__ import annotations
@@ -13,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Set
 
-from repro.engine import Simulator, Timer
+from repro.engine import Simulator
 from repro.net.node import Node
 from repro.net.packet import (
     ACK_PACKET_BYTES,
     Address,
     Datagram,
+    TCP_IP_HEADER_BYTES,
     TcpSegment,
     datagram,
     tcp_ack,
@@ -29,7 +28,6 @@ from repro.net.packet import (
 class SinkStats:
     """Receive-side counters used for goodput/throughput."""
 
-    segments_received: int = 0
     duplicate_segments: int = 0
     out_of_order_segments: int = 0
     acks_sent: int = 0
@@ -42,7 +40,6 @@ class SinkStats:
     first_data_at: Optional[float] = None
     last_data_at: Optional[float] = None
     ecn_marks_seen: int = 0
-    delayed_ack_timeouts: int = 0
 
 
 class TcpSink:
@@ -53,22 +50,12 @@ class TcpSink:
         sim: Simulator,
         node: Node,
         src: Address,
-        header_bytes: int = ACK_PACKET_BYTES,
         expected_bytes: Optional[int] = None,
         on_complete: Optional[Callable[[], None]] = None,
-        delayed_acks: bool = False,
-        delack_timeout: float = 0.2,
     ) -> None:
-        if header_bytes < ACK_PACKET_BYTES:
-            raise ValueError(
-                f"header_bytes {header_bytes} is below the {ACK_PACKET_BYTES} B ACK packet"
-            )
-        if delack_timeout <= 0:
-            raise ValueError(f"delack_timeout must be positive, got {delack_timeout}")
         self._sim = sim
         self._node = node
         self.src = src
-        self.header_bytes = header_bytes
         #: When set, ``on_complete`` fires once this much in-order user
         #: data has been delivered — needed by split-connection runs,
         #: where the *sender's* completion happens early (the relay
@@ -86,10 +73,6 @@ class TcpSink:
         #: Congestion-experienced marks awaiting echo (Floyd '94 ECN):
         #: each marked data packet makes the next ACK carry ecn_echo.
         self._ecn_pending = 0
-        self.delayed_acks = delayed_acks
-        self.delack_timeout = delack_timeout
-        self._ack_held = False
-        self._delack_timer = Timer(sim, self._delack_expired, name="delack")
         self.stats = SinkStats()
 
     def receive(self, datagram: Datagram) -> None:
@@ -98,7 +81,6 @@ class TcpSink:
         if not isinstance(segment, TcpSegment):
             # ACKs/ICMP addressed to the sink are a wiring error.
             raise TypeError(f"sink received non-data payload {segment!r}")
-        self.stats.segments_received += 1
         if datagram.ecn_marked:
             self._ecn_pending += 1
             self.stats.ecn_marks_seen += 1
@@ -107,9 +89,7 @@ class TcpSink:
         self.stats.last_data_at = self._sim.now
 
         seq = segment.seq
-        in_order = False
         if seq == self.next_expected:
-            in_order = True
             self._deliver(segment.payload_bytes)
             if self.on_segment is not None:
                 self.on_segment(seq, segment.payload_bytes)
@@ -130,33 +110,11 @@ class TcpSink:
                 self.stats.duplicate_segments += 1
         else:
             self.stats.duplicate_segments += 1
-
-        if not self.delayed_acks or not in_order:
-            # Immediate ACK; duplicates/gaps always ack at once so the
-            # sender's dupack machinery keeps working.
-            self._cancel_held_ack()
-            self._send_ack()
-        elif self._ack_held:
-            # Second in-order segment: ack now (RFC 1122).
-            self._cancel_held_ack()
-            self._send_ack()
-        else:
-            self._ack_held = True
-            self._delack_timer.restart(self.delack_timeout)
-
-    def _cancel_held_ack(self) -> None:
-        if self._ack_held:
-            self._ack_held = False
-            self._delack_timer.cancel()
-
-    def _delack_expired(self) -> None:
-        self._ack_held = False
-        self.stats.delayed_ack_timeouts += 1
         self._send_ack()
 
     def _deliver(self, payload_bytes: int) -> None:
         self.stats.useful_payload_bytes += payload_bytes
-        self.stats.useful_wire_bytes += payload_bytes + self.header_bytes
+        self.stats.useful_wire_bytes += payload_bytes + TCP_IP_HEADER_BYTES
         if (
             not self.completed
             and self.expected_bytes is not None
@@ -174,7 +132,7 @@ class TcpSink:
             self._node.name,
             self.src,
             tcp_ack(self.next_expected, echo),
-            self.header_bytes,
+            ACK_PACKET_BYTES,
             self._sim.now,
         )
         self.stats.acks_sent += 1

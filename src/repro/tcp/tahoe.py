@@ -1,7 +1,8 @@
 """TCP Tahoe bulk-transfer sender.
 
 Segment-numbered (as in the ns TCP the paper used): the unit of
-sequencing is one segment of ``packet_size - header_bytes`` payload.
+sequencing is one segment of ``packet_size - TCP_IP_HEADER_BYTES``
+payload.
 The connection transfers ``transfer_bytes`` and stops.
 
 Algorithms implemented (Jacobson '88 / Stevens):
@@ -66,7 +67,6 @@ class TcpConfig:
 
     #: Wired packet size including the 40 B header — the swept variable.
     packet_size: int = 576
-    header_bytes: int = TCP_IP_HEADER_BYTES
     #: Advertised/receiver window in bytes (4 KB WAN, 64 KB LAN).
     window_bytes: int = 4096
     #: Bulk-transfer size in user-data bytes (100 KB WAN, 4 MB LAN).
@@ -82,15 +82,10 @@ class TcpConfig:
     rto_var_decay_gain: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.header_bytes < TCP_IP_HEADER_BYTES:
-            raise ValueError(
-                f"header_bytes {self.header_bytes} is below the "
-                f"{TCP_IP_HEADER_BYTES} B TCP/IP header"
-            )
-        if self.packet_size <= self.header_bytes:
+        if self.packet_size <= TCP_IP_HEADER_BYTES:
             raise ValueError(
                 f"packet size {self.packet_size} leaves no payload after "
-                f"{self.header_bytes} B header"
+                f"{TCP_IP_HEADER_BYTES} B header"
             )
         if self.window_bytes < self.packet_size:
             raise ValueError("window must hold at least one packet")
@@ -100,7 +95,7 @@ class TcpConfig:
     @property
     def segment_payload(self) -> int:
         """User-data bytes per full segment."""
-        return self.packet_size - self.header_bytes
+        return self.packet_size - TCP_IP_HEADER_BYTES
 
     @property
     def window_segments(self) -> int:
@@ -123,8 +118,6 @@ class SenderStats:
     retransmitted_bytes_wire: int = 0
     timeouts: int = 0
     fast_retransmits: int = 0
-    acks_received: int = 0
-    dupacks_received: int = 0
     ebsn_received: int = 0
     ebsn_timer_rearms: int = 0
     quench_received: int = 0
@@ -259,7 +252,6 @@ class TahoeSender:
     def _handle_ack(self, ack: TcpAck) -> None:
         if self.completed:
             return
-        self.stats.acks_received += 1
         if self.ecn_enabled and ack.ecn_echo:
             self._ecn_response()
         if ack.ack_seq > self.snd_una:
@@ -317,7 +309,6 @@ class TahoeSender:
         self._send_pending()
 
     def _handle_dupack(self) -> None:
-        self.stats.dupacks_received += 1
         self.dupacks += 1
         if self.dupacks == DUPACK_THRESHOLD:
             self._fast_retransmit()
@@ -395,7 +386,7 @@ class TahoeSender:
         is_retx = seq in self._sent_at or seq in self._ever_retransmitted
         payload_bytes = self._segment_payload_bytes(seq)
         now = self._sim.now
-        size = payload_bytes + self.config.header_bytes
+        size = payload_bytes + TCP_IP_HEADER_BYTES
         packet = datagram(
             self._node.name,
             self.dst,

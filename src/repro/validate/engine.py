@@ -13,8 +13,8 @@ A :class:`Validator` wires a set of :class:`InvariantChecker` objects
 into a built-but-not-yet-run
 :class:`~repro.experiments.topology.Scenario`.  Checkers observe only
 — they never consume randomness or change timing, so a validated run
-is bit-identical to an unvalidated one.  On the first violation the
-run aborts with :class:`InvariantViolationError`;
+is bit-identical to an unvalidated one.  The first violation always
+aborts the run with :class:`InvariantViolationError`;
 :func:`run_validated` then emits a *replay bundle* (see
 :mod:`repro.validate.bundle`) from which ``repro replay`` reproduces
 the failure deterministically.
@@ -134,13 +134,10 @@ class InvariantChecker:
 
 
 class Validator:
-    """Attaches checkers to one scenario and collects violations."""
+    """Attaches checkers to one scenario; the first violation aborts it."""
 
-    def __init__(
-        self, checkers: Sequence[InvariantChecker], fail_fast: bool = True
-    ) -> None:
+    def __init__(self, checkers: Sequence[InvariantChecker]) -> None:
         self.checkers = list(checkers)
-        self.fail_fast = fail_fast
         self.violations: List[Violation] = []
         self._scenario = None
 
@@ -161,11 +158,10 @@ class Validator:
             now = self._scenario.sim.now if self._scenario is not None else 0.0
             violation = Violation(checker=checker.name, time=now, message=message)
             self.violations.append(violation)
-            if self.fail_fast:
-                raise InvariantViolationError(
-                    f"invariant violated {violation.describe()}",
-                    violations=tuple(self.violations),
-                )
+            raise InvariantViolationError(
+                f"invariant violated {violation.describe()}",
+                violations=tuple(self.violations),
+            )
 
         return report
 

@@ -27,6 +27,8 @@ from repro.tcp import MessageSender
 KEYSTROKE_BYTES = 8
 #: The session's mean bad period (s); the good period is the WAN study's.
 BAD_PERIOD_MEAN = 2.0
+#: Mean think time between keystrokes (s).
+THINK_TIME_MEAN = 0.5
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,6 @@ class InteractiveConfig:
 
     scheme: Scheme = Scheme.BASIC
     keystrokes: int = 300
-    #: Mean think time between keystrokes (s); a Poisson typist.
-    think_time_mean: float = 0.5
     #: EBSN heartbeat interval (s), forwarded to the scenario; only
     #: meaningful with Scheme.EBSN.  See EbsnGenerator.
     ebsn_heartbeat: "float | None" = None
@@ -75,8 +75,6 @@ class InteractiveConfig:
     def __post_init__(self) -> None:
         if self.keystrokes < 1:
             raise ValueError("need at least one keystroke")
-        if not self.think_time_mean > 0:  # NaN fails too
-            raise ValueError("think time must be positive")
 
 
 @dataclass
@@ -126,11 +124,11 @@ def run_interactive_session(
         typed_at[seq] = sim.now
         remaining["count"] -= 1
         if remaining["count"] > 0:
-            sim.schedule(rng.expovariate(1.0 / config.think_time_mean), type_key)
+            sim.schedule(rng.expovariate(1.0 / THINK_TIME_MEAN), type_key)
         else:
             sender.close()
 
-    sim.schedule(rng.expovariate(1.0 / config.think_time_mean), type_key)
+    sim.schedule(rng.expovariate(1.0 / THINK_TIME_MEAN), type_key)
     result = scenario.run(wall_timeout=wall_timeout)
 
     return InteractiveResult(

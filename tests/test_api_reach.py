@@ -5,8 +5,10 @@ Every top-level function or class, and every public method, under
 line: in the library, the benchmarks, the examples, perfbench, the
 docs or the top-level design documents.  In Python files only code
 counts (see :func:`_words`): a comment or docstring that mentions a
-name does not keep it alive.  The test suite does not count, so code
-kept alive only by its own tests fails here.  The few definitions kept
+name does not keep it alive, and a method counts as named only by an
+attribute access (``obj.name``), not by a local variable that shares
+its name.  The test suite does not count, so code kept alive only by
+its own tests fails here.  The few definitions kept
 on purpose are listed in :data:`ALLOWED` with the reason.
 """
 
@@ -44,8 +46,6 @@ ALLOWED = {
     "Timer.expiry_time": "read by tests of retained behaviour",
     "DropTailQueue.is_empty": "read by tests of retained behaviour",
     "DropTailQueue.is_full": "read by a test of retained behaviour",
-    "DropTailQueue.peek": "test-only API pinned by its own two tests; a "
-    "candidate for deletion",
     "QueueStats.drop_rate": "read by a test of retained behaviour",
     "SnoopAgent.cached_segments": "read by a test of retained behaviour",
     "Fragment.is_last": "read by tests of retained behaviour",
@@ -59,9 +59,9 @@ WORD = re.compile(r"\w+")
 QUALNAME = re.compile(r"""(['"])[\w.]+:[\w.]+\1""")
 
 
-def _definitions():
+def _definitions(package=PACKAGE):
     """(path, line, name, qualname) of every checked definition."""
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in sorted(package.rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -77,42 +77,59 @@ def _definitions():
 
 
 def _words(path):
-    """(line, word) pairs that name something in ``path``.
+    """(line, word, attribute) triples that name something in ``path``.
 
     Markdown counts every word.  Python counts only NAME tokens,
     ``"module:qualname"`` strings and doctest (``>>>``) lines.
+    ``attribute`` is true where the word can name a method: a NAME
+    token right after ``.``, or any word of the other kinds.
     """
     text = path.read_text()
     if path.suffix != ".py":
-        return [(n, w) for n, line in enumerate(text.splitlines(), 1)
+        return [(n, w, True) for n, line in enumerate(text.splitlines(), 1)
                 for w in WORD.findall(line)]
-    pairs = []
+    triples = []
+    after_dot = False
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type == tokenize.NAME:
-            pairs.append((tok.start[0], tok.string))
+            triples.append((tok.start[0], tok.string, after_dot))
         elif tok.type == tokenize.STRING:
             for n, line in enumerate(tok.string.splitlines(), tok.start[0]):
                 if QUALNAME.fullmatch(line) or line.lstrip().startswith(">>>"):
-                    pairs += [(n, w) for w in WORD.findall(line)]
-    return pairs
+                    triples += [(n, w, True) for w in WORD.findall(line)]
+        after_dot = tok.type == tokenize.OP and tok.string == "."
+    return triples
 
 
-def _unreached():
-    """Qualnames never named outside their own definition line."""
+def _unreached(root=ROOT):
+    """Qualnames never named outside their own definition line.
+
+    A method (``Class.name``) counts only the words that can name a
+    method; a top-level definition counts every word.
+    """
     paths = [
         p
         for d in REACH_DIRS
-        for p in (ROOT / d).rglob("*")
+        for p in (root / d).rglob("*")
         if p.is_file() and p.suffix in (".py", ".md")
     ]
-    paths += [ROOT / name for name in REACH_FILES]
+    paths += [root / name for name in REACH_FILES]
     texts = {p: _words(p) for p in paths}
-    words = Counter(w for pairs in texts.values() for _, w in pairs)
-    return {
-        qual
-        for path, line, name, qual in _definitions()
-        if words[name] <= texts[path].count((line, name))
-    }
+    words = Counter(w for triples in texts.values() for _, w, _ in triples)
+    attributes = Counter(
+        w for triples in texts.values() for _, w, attr in triples if attr
+    )
+    unreached = set()
+    for path, line, name, qual in _definitions(root / "src" / "repro"):
+        method = "." in qual
+        counts = attributes if method else words
+        own = sum(
+            1 for n, w, attr in texts[path]
+            if n == line and w == name and (attr or not method)
+        )
+        if counts[name] <= own:
+            unreached.add(qual)
+    return unreached
 
 
 class TestApiReach:
@@ -126,3 +143,23 @@ class TestApiReach:
         """An entry for code that is now used, or gone, must be dropped."""
         stale = sorted(ALLOWED.keys() - _unreached())
         assert not stale, f"stale ALLOWED entries: {stale}"
+
+    def test_a_local_variable_does_not_reach_a_method(self, tmp_path):
+        """Only ``obj.name`` reaches a method; a bare ``name`` does not."""
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        for name in REACH_FILES:
+            (tmp_path / name).write_text("")
+        (package / "queue.py").write_text(
+            "class Queue:\n"
+            "    def backlog(self):\n"
+            "        return 0\n"
+            "\n"
+            "    def depth(self):\n"
+            "        return 0\n"
+            "\n"
+            "def report(queue):\n"
+            "    backlog = queue.depth()\n"
+            "    return Queue, backlog\n"
+        )
+        assert _unreached(tmp_path) == {"Queue.backlog", "report"}

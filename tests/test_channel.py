@@ -177,14 +177,6 @@ class TestCorruption:
 
 
 class TestGoodFraction:
-    def test_deterministic_good_fraction(self):
-        channel = deterministic_channel(10.0, 4.0)
-        assert channel.good_fraction() == pytest.approx(10.0 / 14.0)
-
-    def test_markov_good_fraction(self, rng):
-        channel = markov_channel(10.0, 1.0, rng)
-        assert channel.good_fraction() == pytest.approx(10.0 / 11.0)
-
     def test_empirical_matches_steady_state(self, rng):
         channel = markov_channel(10.0, 2.0, rng)
         horizon = 40_000.0

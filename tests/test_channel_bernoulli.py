@@ -19,9 +19,6 @@ class TestChannel:
         channel = BernoulliLossChannel(0.0, random.Random(1))
         assert not any(channel.corrupts(0, 0.1, 100) for _ in range(100))
 
-    def test_good_fraction(self):
-        assert BernoulliLossChannel(0.25, random.Random(1)).good_fraction() == 0.75
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BernoulliLossChannel(1.0, random.Random(1))

@@ -62,6 +62,8 @@ class TestParser:
             ["trace", "--width", "9"],
             ["trace", "--t-max", "0"],
             ["run", "--bad-period", "inf"],
+            ["sweep", "--workers", "-3"],
+            ["figure", "8", "--workers", "-1"],
         ],
     )
     def test_bad_counts_and_configs_are_usage_errors(self, argv, capsys):
@@ -219,8 +221,17 @@ class TestFigure:
         assert "Figure 4" in out
 
     def test_unknown_figure(self, capsys):
-        code = main(["figure", "99"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "99"])
+        assert exc.value.code == 2
+
+    def test_unknown_figure_leaves_no_journal(self, tmp_path, capsys):
+        """The number is rejected before ``--resume`` creates the journal."""
+        journal = tmp_path / "j.journal"
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "6", "--resume", str(journal)])
+        assert exc.value.code == 2
+        assert not journal.exists()
 
 
 class TestCsdp:

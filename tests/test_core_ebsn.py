@@ -62,15 +62,6 @@ class TestEbsnGenerator:
         gen.on_attempt_failed(ack_fragment(), attempt=1)
         assert sent == []
 
-    def test_notification_cap(self):
-        node, sent = self.make_bs()
-        gen = EbsnGenerator(node, max_notifications=2)
-        frag = data_fragment()
-        for attempt in range(1, 5):
-            gen.on_attempt_failed(frag, attempt)
-        assert len(sent) == 2
-        assert gen.ebsn_suppressed == 2
-
 
 class SenderHarness:
     def __init__(self, sim, **cfg):

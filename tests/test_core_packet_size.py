@@ -44,7 +44,7 @@ class TestLearnedTable:
         assert best in advisor.candidate_sizes
 
     def test_learn_validates_size(self):
-        advisor = PacketSizeAdvisor(header_bytes=40)
+        advisor = PacketSizeAdvisor()
         with pytest.raises(ValueError):
             advisor.learn(condition(), 40)
 

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.quench import QuenchGenerator, install_quench_handler
+from repro.core.quench import (
+    QUEUE_THRESHOLD,
+    QuenchGenerator,
+    install_quench_handler,
+)
 from repro.engine import Simulator
 from repro.net.node import Node
 from repro.net.packet import (
@@ -24,11 +28,11 @@ def data_fragment(seq=3):
 
 
 class TestQuenchGenerator:
-    def make_bs(self, sim, **kwargs):
+    def make_bs(self, sim):
         node = Node("BS")
         sent = []
         node.add_interface("wired", sent.append, "FH")
-        return QuenchGenerator(sim, node, **kwargs), sent
+        return QuenchGenerator(sim, node), sent
 
     def test_failed_attempt_sends_quench(self, sim):
         gen, sent = self.make_bs(sim)
@@ -37,7 +41,7 @@ class TestQuenchGenerator:
         assert sent[0].payload.icmp_type is IcmpType.SOURCE_QUENCH
 
     def test_rate_limited(self, sim):
-        gen, sent = self.make_bs(sim, min_interval=0.5)
+        gen, sent = self.make_bs(sim)
         frag = data_fragment()
         gen.on_attempt_failed(frag, 1)
         gen.on_attempt_failed(frag, 2)  # same instant: suppressed
@@ -45,7 +49,7 @@ class TestQuenchGenerator:
         assert gen.quench_suppressed == 1
 
     def test_rate_limit_expires(self, sim):
-        gen, sent = self.make_bs(sim, min_interval=0.5)
+        gen, sent = self.make_bs(sim)
         frag = data_fragment()
         gen.on_attempt_failed(frag, 1)
         sim.schedule(1.0, gen.on_attempt_failed, frag, 2)
@@ -53,28 +57,21 @@ class TestQuenchGenerator:
         assert len(sent) == 2
 
     def test_queue_depth_trigger(self, sim):
-        gen, sent = self.make_bs(sim, queue_threshold=4)
+        gen, sent = self.make_bs(sim)
         gen.note_data_source("FH")
-        gen.on_queue_depth(5)
+        gen.on_queue_depth(QUEUE_THRESHOLD + 1)
         assert len(sent) == 1
 
     def test_depth_below_threshold_no_quench(self, sim):
-        gen, sent = self.make_bs(sim, queue_threshold=4)
+        gen, sent = self.make_bs(sim)
         gen.note_data_source("FH")
-        gen.on_queue_depth(4)
+        gen.on_queue_depth(QUEUE_THRESHOLD)
         assert sent == []
 
     def test_depth_without_known_source_no_quench(self, sim):
-        gen, sent = self.make_bs(sim, queue_threshold=4)
+        gen, sent = self.make_bs(sim)
         gen.on_queue_depth(100)
         assert sent == []
-
-    def test_validation(self, sim):
-        node = Node("BS")
-        with pytest.raises(ValueError):
-            QuenchGenerator(sim, node, queue_threshold=0)
-        with pytest.raises(ValueError):
-            QuenchGenerator(sim, node, min_interval=-1)
 
 
 class TestSourceResponse:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.snoop import SnoopAgent
+from repro.core.snoop import MAX_LOCAL_RETX, SnoopAgent
 from repro.engine import Simulator
 from repro.net.packet import Datagram, TcpAck, TcpSegment
 
@@ -58,7 +58,7 @@ class TestCaching:
 
 class TestLocalRetransmission:
     def test_dupack_triggers_local_retransmit_and_suppression(self, sim):
-        h = Harness(sim, dupack_threshold=1)
+        h = Harness(sim)
         h.data(0)
         h.data(1)
         h.ack(1)          # new ack
@@ -70,7 +70,7 @@ class TestLocalRetransmission:
         assert h.wireless[-1].payload.seq == 1
 
     def test_dupack_without_cached_segment_passes_through(self, sim):
-        h = Harness(sim, dupack_threshold=1)
+        h = Harness(sim)
         h.data(0)
         h.ack(1)   # cache empty now
         dup = h.ack(1)
@@ -98,13 +98,11 @@ class TestLocalRetransmission:
         assert h.agent.local_retransmissions == 0
 
     def test_max_local_retx_cap(self, sim):
-        h = Harness(sim, local_timeout=0.1, max_local_retx=3)
+        h = Harness(sim, local_timeout=0.1)
         h.data(0)
         sim.run(until=5.0)
-        assert h.agent.local_retransmissions == 3
+        assert h.agent.local_retransmissions == MAX_LOCAL_RETX
 
     def test_validation(self, sim):
         with pytest.raises(ValueError):
             SnoopAgent(sim, lambda d: None, lambda d: None, local_timeout=0)
-        with pytest.raises(ValueError):
-            SnoopAgent(sim, lambda d: None, lambda d: None, dupack_threshold=0)

@@ -8,7 +8,6 @@ import pytest
 
 from repro.channel import deterministic_channel
 from repro.csdp import DownlinkRadio, FifoScheduler, RoundRobinScheduler
-from repro.linklayer import ArqConfig
 from repro.net.packet import Datagram, TcpSegment
 from repro.net.wireless import WirelessLinkConfig
 
@@ -18,7 +17,7 @@ def datagram(dst="MH0", size=128):
 
 
 class Harness:
-    def __init__(self, sim, dests=("MH0", "MH1"), good=1000.0, bad=0.01, arq=None):
+    def __init__(self, sim, dests=("MH0", "MH1"), good=1000.0, bad=0.01):
         self.channels = {d: deterministic_channel(good, bad) for d in dests}
         self.delivered = []
         self.radio = DownlinkRadio(
@@ -28,7 +27,6 @@ class Harness:
             RoundRobinScheduler(),
             rng=random.Random(5),
             deliver=self.delivered.append,
-            arq=arq,
         )
 
 
@@ -74,8 +72,7 @@ class TestRetriesAndDiscard:
         assert len(h.delivered) == 1  # eventually crosses in a good window
 
     def test_rtmax_discard_and_sibling_drop(self, sim):
-        arq = ArqConfig(ack_timeout=1.0, rtmax=2, backoff_min=0.01, backoff_max=0.02)
-        h = Harness(sim, dests=("MH0",), good=0.05, bad=1e6, arq=arq)
+        h = Harness(sim, dests=("MH0",), good=0.05, bad=1e6)
         sim.schedule(0.1, h.radio.send_datagram, datagram("MH0", size=576))
         sim.run(until=60.0)
         assert h.radio.stats.frames_discarded >= 1
@@ -113,7 +110,6 @@ class TestFifoBlocking:
             FifoScheduler(),
             rng=random.Random(2),
             deliver=delivered.append,
-            arq=ArqConfig(ack_timeout=1.0, rtmax=13, backoff_min=0.05, backoff_max=0.1),
         )
         sim.schedule(0.1, radio.send_datagram, datagram("MH0"))
         sim.schedule(0.1, radio.send_datagram, datagram("MH1"))

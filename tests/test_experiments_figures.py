@@ -86,8 +86,8 @@ class TestAsciiPlot:
         assert "flat" in out
 
     def test_plot_respects_y_bounds(self):
-        out = plot_series({"a": [(0, 5)]}, y_min=0.0, y_max=10.0, height=5)
-        assert "10" in out and "0" in out
+        out = plot_series({"a": [(0, 5)]}, y_min=0.0, height=5)
+        assert "5" in out and "0" in out
 
     def test_format_table_alignment(self):
         out = format_table(["col", "x"], [["a", 1], ["bbbb", 22]], title="t")

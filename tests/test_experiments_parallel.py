@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 
 import pytest
@@ -112,12 +111,11 @@ class TestParallelMatchesSerial:
         assert all(isinstance(r, RunSummary) for r in result.results)
         assert all(r.trace is None for r in result.results)
 
-    def test_incomplete_run_raises_from_pool(self):
-        config = dataclasses.replace(
-            wan_scenario(transfer_bytes=TINY), max_sim_time=0.01
-        )
+    def test_incomplete_run_raises_from_pool(self, monkeypatch):
+        # Forked workers inherit the patched horizon.
+        monkeypatch.setattr(topology, "MAX_SIM_TIME", 0.01)
         with pytest.raises(RuntimeError, match="did not complete"):
-            run_replicated(config, replications=2, workers=2)
+            run_replicated(wan_scenario(transfer_bytes=TINY), replications=2, workers=2)
 
     def test_workers_one_never_builds_a_pool(self, monkeypatch):
         def boom(*args, **kwargs):  # pragma: no cover - guard

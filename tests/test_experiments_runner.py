@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import figures
+from repro.experiments import figures, topology
 from repro.experiments.config import wan_scenario
 from repro.experiments.runner import run_replicated, sweep, sweep_campaign
 from repro.experiments.topology import Scheme
@@ -46,13 +46,10 @@ class TestRunReplicated:
             result.throughput_bps_mean / 1e6
         )
 
-    def test_incomplete_run_raises(self):
-        config = wan_scenario(transfer_bytes=TINY)
-        from dataclasses import replace
-
-        config = replace(config, max_sim_time=0.01)  # cannot finish
+    def test_incomplete_run_raises(self, monkeypatch):
+        monkeypatch.setattr(topology, "MAX_SIM_TIME", 0.01)  # cannot finish
         with pytest.raises(RuntimeError):
-            run_replicated(config, replications=1)
+            run_replicated(wan_scenario(transfer_bytes=TINY), replications=1)
 
 
 class TestSweep:
@@ -121,9 +118,9 @@ class TestSweepOrderAndDuplicates:
     def test_matches_individual_run_replicated(self):
         """The flattened batch must aggregate exactly like point-by-point."""
         make = lambda size: wan_scenario(packet_size=size, transfer_bytes=TINY)
-        points = sweep([256, 576], make, replications=2, base_seed=4)
+        points = sweep([256, 576], make, replications=2)
         for size in (256, 576):
-            direct = run_replicated(make(size), replications=2, base_seed=4)
+            direct = run_replicated(make(size), replications=2)
             assert (
                 points[size].throughput_bps_mean == direct.throughput_bps_mean
             )
@@ -134,8 +131,6 @@ class TestSweepCampaign:
     @pytest.fixture()
     def broken(self, monkeypatch, tmp_path):
         """Make ``run_scenario`` raise for the configs ``predicate`` picks."""
-        from repro.experiments import topology
-
         monkeypatch.setenv("REPRO_BUNDLE_DIR", str(tmp_path / "bundles"))
         original = topology.run_scenario
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.config import lan_scenario, wan_scenario
@@ -28,7 +30,7 @@ class TestDerivedArq:
 
     def test_explicit_arq_passes_through(self):
         custom = ArqConfig(ack_timeout=0.5, rtmax=3)
-        config = wan_scenario(arq=custom)
+        config = replace(wan_scenario(), arq=custom)
         assert config.derived_arq() is custom
 
     def test_lan_uses_its_own_arq(self):
@@ -85,7 +87,6 @@ class TestChannelConfig:
         channel = ChannelConfig(deterministic=True, good_period_mean=2.0,
                                 bad_period_mean=1.0).build(streams)
         assert channel.deterministic_errors
-        assert channel.good_fraction() == pytest.approx(2 / 3)
 
     def test_stochastic_build(self, streams):
         channel = ChannelConfig(good_period_mean=2.0, bad_period_mean=1.0).build(
@@ -95,8 +96,6 @@ class TestChannelConfig:
 
     def test_unknown_variant_rejected(self):
         config = wan_scenario(transfer_bytes=1024)
-        from dataclasses import replace
-
         with pytest.raises(KeyError):
             Scenario(replace(config, tcp_variant="vegas"))
 

@@ -313,32 +313,3 @@ class TestRenoVariant:
         ratio = reno.metrics.throughput_bps / tahoe.metrics.throughput_bps
         assert 0.5 < ratio < 1.5
 
-
-class TestDelayedAcks:
-    def test_lan_delayed_acks_halve_ack_traffic(self):
-        """At LAN speeds segments arrive well inside the 200 ms delack
-        timer, so most ACKs cover two segments."""
-        from dataclasses import replace
-
-        base = lan_scenario(transfer_bytes=512 * 1024, bad_period_mean=0.8)
-        immediate = run_scenario(base)
-        delayed = run_scenario(replace(base, delayed_acks=True))
-        assert delayed.completed
-        assert (
-            delayed.sink.stats.acks_sent < 0.7 * immediate.sink.stats.acks_sent
-        )
-
-    def test_wan_delayed_acks_fall_back_to_the_timer(self):
-        """At 12.8 kbps a segment takes ~0.45 s — longer than the
-        delack timer — so delayed ACKs degenerate to timer-driven ACKs
-        and mostly just add latency (the era advice against delack on
-        slow links)."""
-        from dataclasses import replace
-
-        base = wan_scenario(transfer_bytes=SMALL, bad_period_mean=1.0)
-        immediate = run_scenario(base)
-        delayed = run_scenario(replace(base, delayed_acks=True))
-        assert delayed.completed
-        assert delayed.sink.stats.useful_payload_bytes == SMALL
-        assert delayed.sink.stats.delayed_ack_timeouts > 10
-        assert delayed.metrics.duration >= immediate.metrics.duration * 0.95

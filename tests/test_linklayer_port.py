@@ -264,7 +264,6 @@ class TestInOrderDelivery:
             backoff_min=0.01,
             backoff_max=0.02,
             window=4,
-            resequencing_flush=2.0,
         )
         hop = Hop(sim, good=0.45, bad=10.0, arq=arq)
         # Four single-fragment datagrams: some cross before the fade,

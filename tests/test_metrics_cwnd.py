@@ -21,7 +21,7 @@ class TestSummary:
 
     def test_time_below_threshold(self):
         trace = [(0.0, 1.0), (2.0, 8.0)]  # below 2.0 for 2 of 10 s
-        summary = summarize_cwnd(trace, end_time=10.0, threshold=2.0)
+        summary = summarize_cwnd(trace, end_time=10.0)
         assert summary.time_below_threshold == pytest.approx(0.2)
 
     def test_validation(self):

@@ -30,12 +30,6 @@ class TestRoutingTable:
 
 
 class TestFragmenter:
-    def test_fragment_count(self):
-        f = Fragmenter(128)
-        assert f.fragment_count(576) == 5
-        assert f.fragment_count(128) == 1
-        assert f.fragment_count(129) == 2
-
     def test_fragment_sizes(self):
         f = Fragmenter(128)
         frags = f.fragment(make_datagram(576))
@@ -71,7 +65,7 @@ class TestFragmenter:
         frags = f.fragment(make_datagram(size))
         assert sum(x.size_bytes for x in frags) == size
         assert all(x.size_bytes <= mtu for x in frags)
-        assert len(frags) == f.fragment_count(size)
+        assert len(frags) == -(-size // mtu)
 
 
 class TestReassembler:

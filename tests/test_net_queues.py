@@ -18,15 +18,6 @@ class TestBasics:
     def test_poll_empty_returns_none(self):
         assert DropTailQueue().poll() is None
 
-    def test_peek_does_not_remove(self):
-        q = DropTailQueue()
-        q.offer("x")
-        assert q.peek() == "x"
-        assert len(q) == 1
-
-    def test_peek_empty(self):
-        assert DropTailQueue().peek() is None
-
     def test_clear(self):
         q = DropTailQueue()
         for i in range(3):

@@ -3,8 +3,9 @@
 Every defaulted field of a ``*Config`` dataclass, and every defaulted
 parameter of a public function or of a public class's ``__init__``,
 under ``src/repro`` must be set somewhere in the library, the
-benchmarks, the examples, perfbench or the tests.  Setting an option
-means passing it to its owner:
+benchmarks, the examples or perfbench.  The test suite does not
+count: an option only its own tests set is a constant no run varies.
+Setting an option means passing it to its owner:
 
 * a keyword, or an argument in its position, in a call that names the
   owner, including ``functools.partial(owner, ...)``.  A subclass that
@@ -17,8 +18,8 @@ means passing it to its owner:
 
 An option nobody sets is a constant in disguise: make it one.  The few
 options reached only through a call this scan cannot name (a callable
-passed as a value and called later) are listed in :data:`ALLOWED` with
-the reason.
+passed as a value and called later), and the test seams that tests
+must be able to set, are listed in :data:`ALLOWED` with the reason.
 """
 
 from __future__ import annotations
@@ -31,14 +32,21 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 
 #: Where a call must appear for its options to count as set.
-REACH_DIRS = ("src", "benchmarks", "examples", "perfbench", "tests")
+REACH_DIRS = ("src", "benchmarks", "examples", "perfbench")
+
+_ORACLE = "reference oracle: tests compare runs against it at their own sizes"
+_GRID = (
+    "same grid signature as figure_8, which perfbench sets; tier-1 runs "
+    "reduced grids through it"
+)
 
 _REGISTRY = (
     "ParallelRunner calls every unit as resolve(run)(config, wall_timeout, "
     "validate) through the config-type registry"
 )
 
-#: Options set only through a call the scan cannot name.
+#: Options set only through a call the scan cannot name, or on purpose
+#: only by tests.
 ALLOWED = {
     "run_unit.wall_timeout": _REGISTRY,
     "run_congested_scenario.wall_timeout": _REGISTRY,
@@ -49,6 +57,25 @@ ALLOWED = {
     "_study_config(args, lan_scenario, **fields), which calls cls(**fields)",
     "TahoeSender.record_cwnd": "Scenario builds the sender as "
     "sender_cls(...), the class picked by tcp_variant or sender_factory",
+    "lan_scenario.seed": "`repro run --lan --seed N` passes it as "
+    "_study_config(args, lan_scenario, **fields), which calls cls(**fields)",
+    "InvariantViolationError.bundle_path": "__reduce__ passes it back "
+    "when the error is unpickled",
+    # Test seams: set only by tests, on purpose.
+    "code_version_token.package_root": "tests hash a scratch tree",
+    "main.argv": "tests drive the CLI in-process",
+    "run_validated.checkers": "tests substitute checker doubles",
+    "run_scenario.bundle_dir": "keeps test bundles out of the user's "
+    "cache, which CI checks stays empty",
+    "assert_serial_parallel_identical.config": _ORACLE,
+    "assert_serial_parallel_identical.replications": _ORACLE,
+    "assert_serial_parallel_identical.workers": _ORACLE,
+    "assert_variants_agree_on_clean_channel.transfer_bytes": _ORACLE,
+    "figure_7.bad_periods": _GRID,
+    "figure_7.packet_sizes": _GRID,
+    "figure_9.bad_periods": _GRID,
+    "figure_9.packet_sizes": _GRID,
+    "figure_10.bad_periods": _GRID,
 }
 
 

@@ -147,18 +147,12 @@ class TestInteractiveWorkload:
         scheme=st.sampled_from([Scheme.BASIC, Scheme.LOCAL_RECOVERY, Scheme.EBSN]),
         seed=st.integers(min_value=1, max_value=10_000),
         keystrokes=st.integers(min_value=5, max_value=40),
-        think=st.sampled_from([0.1, 0.5, 1.0]),
     )
     def test_every_keystroke_delivered_with_sane_latency(
-        self, scheme, seed, keystrokes, think
+        self, scheme, seed, keystrokes
     ):
         result = run_interactive_session(
-            InteractiveConfig(
-                scheme=scheme,
-                keystrokes=keystrokes,
-                think_time_mean=think,
-                seed=seed,
-            )
+            InteractiveConfig(scheme=scheme, keystrokes=keystrokes, seed=seed)
         )
         assert result.completed
         # One latency sample per keystroke — none lost, none duplicated.

@@ -20,8 +20,6 @@ class TestInitialState:
         with pytest.raises(ValueError):
             RttEstimator(initial_rto=-1)
         with pytest.raises(ValueError):
-            RttEstimator(min_ticks=0)
-        with pytest.raises(ValueError):
             RttEstimator(granularity=1.0, max_rto=0.5)
 
 
@@ -46,11 +44,11 @@ class TestSampling:
         for _ in range(100):
             est.sample(0.5)
         # variance decays toward zero; RTO approaches srtt rounded up,
-        # floored at min_ticks.
+        # floored at MIN_TICKS.
         assert est.rto() <= 0.7
 
     def test_rto_floor(self):
-        est = RttEstimator(granularity=0.1, min_ticks=2)
+        est = RttEstimator(granularity=0.1)
         for _ in range(200):
             est.sample(0.01)  # sub-tick RTTs quantize to 1 tick
         assert est.rto() >= 0.2
@@ -106,8 +104,8 @@ class TestGranularity:
 
     def test_coarse_clock_gives_larger_min_rto(self):
         """Why coarse-timer TCPs don't see local-recovery timeouts (§4.2.1)."""
-        fine = RttEstimator(granularity=0.1, min_ticks=2)
-        coarse = RttEstimator(granularity=0.5, min_ticks=2)
+        fine = RttEstimator(granularity=0.1)
+        coarse = RttEstimator(granularity=0.5)
         for _ in range(50):
             fine.sample(0.05)
             coarse.sample(0.05)
@@ -118,7 +116,7 @@ class TestPropertyBased:
     @given(st.lists(st.floats(min_value=0.0, max_value=30.0), min_size=1, max_size=100))
     @settings(max_examples=80)
     def test_rto_always_within_bounds(self, samples):
-        est = RttEstimator(granularity=0.1, min_ticks=2, max_rto=64.0)
+        est = RttEstimator(granularity=0.1, max_rto=64.0)
         for s in samples:
             est.sample(s)
         assert 0.2 <= est.rto() <= 64.0

@@ -101,69 +101,3 @@ class TestErrors:
             h.data(i)
         assert h.sink.stats.acks_sent == 5
 
-
-class DelayedHarness(Harness):
-    def __init__(self, sim, **kwargs):
-        from repro.net.node import Node
-        from repro.tcp import TcpSink
-
-        self.node = Node("MH")
-        self.acks = []
-        self.node.add_interface("capture", self.acks.append, "FH")
-        self.sink = TcpSink(sim, self.node, "FH", delayed_acks=True, **kwargs)
-        self.node.attach_agent(self.sink)
-
-
-class TestDelayedAcks:
-    def test_every_second_segment_acked(self, sim):
-        h = DelayedHarness(sim)
-        h.data(0)
-        assert h.ack_seqs() == []  # held
-        h.data(1)
-        assert h.ack_seqs() == [2]
-
-    def test_timer_flushes_lone_segment(self, sim):
-        h = DelayedHarness(sim, delack_timeout=0.2)
-        sim.schedule(1.0, h.data, 0)
-        sim.run()
-        assert h.ack_seqs() == [1]
-        assert sim.now == pytest.approx(1.2)
-        assert h.sink.stats.delayed_ack_timeouts == 1
-
-    def test_out_of_order_acks_immediately(self, sim):
-        """Dupacks must never be delayed (fast retransmit depends on them)."""
-        h = DelayedHarness(sim)
-        h.data(0)          # held
-        h.data(2)          # gap: immediate dupack, held ack flushed
-        assert h.ack_seqs() == [1]
-        h.data(3)
-        assert h.ack_seqs() == [1, 1]
-
-    def test_duplicate_acks_immediately(self, sim):
-        h = DelayedHarness(sim)
-        h.data(0)
-        h.data(1)
-        h.data(0)  # duplicate
-        assert h.ack_seqs() == [2, 2]
-
-    def test_fewer_acks_than_segments(self, sim):
-        h = DelayedHarness(sim)
-        for i in range(10):
-            h.data(i)
-        sim.run()
-        assert h.sink.stats.acks_sent == 5
-
-    def test_validation(self, sim):
-        from repro.net.node import Node
-        from repro.tcp import TcpSink
-
-        with pytest.raises(ValueError):
-            TcpSink(sim, Node("MH"), "FH", delayed_acks=True, delack_timeout=0)
-
-    def test_header_smaller_than_ack_packet_rejected(self, sim):
-        """The sink's ACK builder relies on this check."""
-        from repro.net.node import Node
-        from repro.tcp import TcpSink
-
-        with pytest.raises(ValueError, match="header_bytes 39"):
-            TcpSink(sim, Node("MH"), "FH", header_bytes=39)

@@ -243,11 +243,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TcpConfig(packet_size=40)
 
-    def test_header_smaller_than_tcp_ip_header_rejected(self):
-        """The sender's datagram builder relies on this check."""
-        with pytest.raises(ValueError, match="header_bytes 39"):
-            TcpConfig(header_bytes=39)
-
     def test_window_smaller_than_packet_rejected(self):
         with pytest.raises(ValueError):
             TcpConfig(packet_size=576, window_bytes=500)

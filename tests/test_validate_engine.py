@@ -28,13 +28,11 @@ from repro.metrics import eventlog
 from repro.validate import engine
 from repro.validate.engine import (
     InvariantViolationError,
-    Validator,
     Violation,
     run_validated,
     set_default_validation,
     validation_default,
 )
-from repro.validate.checkers import default_checkers
 from repro.validate.testing import (
     BackwardsAckSender,
     CwndMutatingEbsnSender,
@@ -170,21 +168,6 @@ class TestFaultInjection:
 
 
 class TestValidatorMachinery:
-    def test_non_fail_fast_collects_all_violations(self):
-        validator = Validator(default_checkers(None), fail_fast=False)
-
-        class FakeSim:
-            now = 1.0
-
-        class FakeScenario:
-            sim = FakeSim()
-
-        validator._scenario = FakeScenario()
-        report = validator._reporter(validator.checkers[0])
-        report("first")
-        report("second")
-        assert [v.message for v in validator.violations] == ["first", "second"]
-
     def test_error_survives_pickling(self):
         import pickle
 
