@@ -1,6 +1,6 @@
 """Unit-paired CPU A/B: a git revision against the working tree.
 
-    python benchmarks/ab.py PARENT_REV [--grid fig8|lan|wan] [--reps N] [--units N]
+    python benchmarks/ab.py PARENT_REV [--grid fig8|lan|wan|studies] [--reps N] [--units N]
 
 Whole-pass timings on a shared host swing too widely to resolve a
 10% change: identical fig8-pool passes on a 2-vCPU Xeon ranged from
@@ -28,7 +28,11 @@ EBSN on the LAN at 7 bad periods, 4 MB each, 14 units) and the WAN
 scheme set (seeds 1-4 x all 6 schemes at 576 B and bad period 2.0,
 100 KB each, 24 units: the only grid with the snoop, split and quench
 paths; the units of perfbench's ``wan-observed``, run without its
-observers).  ``--units N`` keeps the first N units of the grid, so
+observers).  The studies grid is perfbench's ``studies-mix``: the 4
+handoff schemes, the 3 CSDP schedulers, and BASIC and EBSN with ECN
+off and on at 0.9 cross load, 11 units run through the campaign
+layer's ``run_unit``; their outputs are the ``repr`` of each unit's
+summary.  ``--units N`` keeps the first N units of the grid, so
 ``--grid wan --units 6`` runs each scheme once.
 
 Per rep it prints the CPU ratio, working tree over parent, summed over
@@ -48,7 +52,7 @@ import tempfile
 import time
 from pathlib import Path
 
-GRIDS = ("fig8", "lan", "wan")
+GRIDS = ("fig8", "lan", "wan", "studies")
 
 
 # ----------------------------------------------------------------------
@@ -73,6 +77,20 @@ def grid_configs(grid: str) -> list:
             for size in config.WAN_PACKET_SIZES
             for seed in (1, 2, 3)
         ]
+    if grid == "studies":
+        from repro.csdp import CsdpStudyConfig
+        from repro.experiments.congestion import CongestedScenarioConfig
+        from repro.handoff import HandoffConfig, HandoffScheme
+
+        return (
+            [HandoffConfig(scheme=scheme) for scheme in HandoffScheme]
+            + [CsdpStudyConfig(scheduler=name) for name in ("fifo", "rr", "csdp")]
+            + [
+                CongestedScenarioConfig(scheme=scheme, ecn=ecn, cross_load=0.9)
+                for scheme in (Scheme.BASIC, Scheme.EBSN)
+                for ecn in (False, True)
+            ]
+        )
     if grid == "wan":
         return [
             config.wan_scenario(
@@ -95,27 +113,41 @@ def grid_configs(grid: str) -> list:
 def child(grid: str, tree: str) -> None:
     """Serve unit indices from stdin; answer one JSON line per unit."""
     import repro
+    from repro.engine.simulator import Simulator
+    from repro.experiments.parallel import run_unit
     from repro.experiments.topology import Scenario
 
     if not Path(repro.__file__).resolve().is_relative_to(Path(tree).resolve()):
         raise SystemExit(f"imported {repro.__file__}, not the export under {tree}")
+    # Keep every simulator a unit builds, to sum its heap pushes.
+    sims = []
+    build = Simulator.__init__
+
+    def keeping(sim, *args, **kwargs):
+        build(sim, *args, **kwargs)
+        sims.append(sim)
+
+    Simulator.__init__ = keeping
     configs = grid_configs(grid)
     print(json.dumps({"units": len(configs)}), flush=True)
     for line in sys.stdin:
         cfg = configs[int(line)]
+        sims.clear()
         start = time.process_time()
-        scenario = Scenario(cfg)
-        result = scenario.run()
+        if grid == "studies":
+            output = repr(run_unit(cfg))
+        else:
+            result = Scenario(cfg).run()
+            m = result.metrics
+            output = repr((
+                m.throughput_bps, m.retransmitted_kbytes, m.timeouts,
+                m.segments_sent, result.completed, m.duration,
+            ))
         cpu = time.process_time() - start
-        m = result.metrics
-        output = repr((
-            m.throughput_bps, m.retransmitted_kbytes, m.timeouts,
-            m.segments_sent, result.completed, m.duration,
-        ))
         print(json.dumps({
             "cpu": cpu,
             "output": output,
-            "heap_pushes": scenario.sim.heap_pushes,
+            "heap_pushes": sum(sim.heap_pushes for sim in sims),
         }), flush=True)
 
 

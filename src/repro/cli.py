@@ -169,8 +169,14 @@ def _engine_cache(args: argparse.Namespace) -> Optional[ResultCache]:
 
 
 def _engine_journal(args: argparse.Namespace) -> Optional[CampaignJournal]:
-    """The checkpoint journal to use, honoring ``--resume``."""
-    return CampaignJournal(args.resume) if args.resume else None
+    """The checkpoint journal to use, honoring ``--resume``; a journal
+    that cannot be opened is a usage error."""
+    if not args.resume:
+        return None
+    try:
+        return CampaignJournal(args.resume)
+    except OSError as err:
+        args.parser.error(f"--resume: cannot open journal {args.resume}: {err.strerror}")
 
 
 def _engine_kwargs(args: argparse.Namespace, journal) -> dict:
@@ -531,18 +537,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.experiments.parallel import checked_topology
     from repro.validate.bundle import load_bundle, replay_bundle
 
     try:
         bundle = load_bundle(args.bundle)
-        checked_topology(bundle.config)  # only a checked type replays
     except (OSError, ValueError) as err:
         print(f"cannot load bundle {args.bundle}: {err}", file=sys.stderr)
         return 2
     print(f"bundle    : {args.bundle}")
     print(f"captured  : {len(bundle.violations)} violation(s), "
-          f"seed {bundle.config.seed}, scheme {bundle.config.scheme.value}")
+          f"seed {bundle.config.seed}, {type(bundle.config).__name__}")
     for violation in bundle.violations:
         print(f"  - {violation.describe()}")
     outcome = replay_bundle(args.bundle)
@@ -710,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=positive_int, default=5)
     _add_engine(p)
     _add_validate(p)
-    p.set_defaults(func=_cmd_figure)
+    p.set_defaults(func=_cmd_figure, parser=p)
 
     p = sub.add_parser("csdp", help="multi-connection scheduling study")
     p.add_argument("--connections", type=positive_int, default=4)

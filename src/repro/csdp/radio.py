@@ -19,7 +19,7 @@ from typing import Callable, Deque, Dict, Optional
 import random
 
 from repro.channel import TwoStateChannel
-from repro.csdp.scheduling import FifoScheduler, Scheduler
+from repro.csdp.scheduling import Scheduler
 from repro.engine import Simulator
 from repro.engine.simulator import Event
 from repro.net.ip import Fragmenter, Reassembler
@@ -106,8 +106,7 @@ class DownlinkRadio:
         for fragment in self.fragmenter.fragment(datagram):
             self.queues[dest].append(_QueuedFrame(fragment))
             self.stats.frames_accepted += 1
-            if isinstance(self.scheduler, FifoScheduler):
-                self.scheduler.note_arrival(dest)
+            self.scheduler.note_arrival(dest)
         self._pump()
 
     # ------------------------------------------------------------------
@@ -191,8 +190,7 @@ class DownlinkRadio:
                 self.deliver(datagram)
 
         if ack_ok:
-            if isinstance(self.scheduler, FifoScheduler):
-                self.scheduler.note_departure(dest)
+            self.scheduler.note_departure(dest)
         else:
             self.stats.attempt_failures += 1
             if queued.attempts >= RTMAX:
@@ -204,8 +202,7 @@ class DownlinkRadio:
 
     def _discard(self, dest: str, queued: _QueuedFrame) -> None:
         self.stats.frames_discarded += 1
-        if isinstance(self.scheduler, FifoScheduler):
-            self.scheduler.note_departure(dest)
+        self.scheduler.note_departure(dest)
         uid = queued.fragment.datagram.uid
         queue = self.queues[dest]
         before = len(queue)
@@ -214,6 +211,5 @@ class DownlinkRadio:
         )
         dropped = before - len(self.queues[dest])
         self.stats.siblings_dropped += dropped
-        if isinstance(self.scheduler, FifoScheduler):
-            for _ in range(dropped):
-                self.scheduler.note_departure(dest)
+        for _ in range(dropped):
+            self.scheduler.note_departure(dest)

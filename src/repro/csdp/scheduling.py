@@ -28,6 +28,12 @@ class Scheduler(abc.ABC):
         idle when every ready destination is predicted faded.
         """
 
+    def note_arrival(self, dest: str) -> None:
+        """A frame for ``dest`` joined the radio's queues."""
+
+    def note_departure(self, dest: str) -> None:
+        """A frame for ``dest`` left them (acknowledged or discarded)."""
+
     def on_result(self, dest: str, success: bool, now: float) -> None:
         """Observe the outcome of one link-level attempt."""
 

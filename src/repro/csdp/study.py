@@ -16,7 +16,7 @@ defaults (576 B packets, 4 KB window) at every source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.channel import markov_channel
 from repro.csdp.radio import DownlinkRadio, RadioStats
@@ -27,6 +27,7 @@ from repro.csdp.scheduling import (
     Scheduler,
 )
 from repro.engine import MAX_SIM_TIME, RandomStreams, Simulator
+from repro.experiments.topology import run_built
 from repro.linklayer import WirelessPort
 from repro.net.link import WiredLink
 from repro.net.node import Node
@@ -90,106 +91,128 @@ class CsdpStudyResult:
         return total * total / (len(xs) * squares)
 
 
-def run_csdp_study(
-    config: CsdpStudyConfig, wall_timeout: Optional[float] = None
-) -> CsdpStudyResult:
-    """Build the N-connection topology and run all transfers
-    (``wall_timeout``: the engine's wall-clock watchdog)."""
-    sim = Simulator()
-    streams = RandomStreams(config.seed)
-    n = config.n_connections
-    mh_names = [f"MH{i}" for i in range(n)]
+class CsdpStudy:
+    """The N-connection topology for one :class:`CsdpStudyConfig`."""
 
-    bs = Node("BS")
+    def __init__(self, config: CsdpStudyConfig) -> None:
+        self.config = config
+        sim = self.sim = Simulator()
+        self.streams = RandomStreams(config.seed)
+        n = config.n_connections
+        mh_names = [f"MH{i}" for i in range(n)]
 
-    # Independent fading per mobile host.
-    channels = {
-        name: markov_channel(
-            GOOD_PERIOD_MEAN,
-            BAD_PERIOD_MEAN,
-            rng=streams.stream(f"errors-{name}"),
-            sojourn_rng=streams.stream(f"sojourns-{name}"),
-        )
-        for name in mh_names
-    }
+        self.bs = Node("BS")
 
-    mh_nodes: Dict[str, Node] = {name: Node(name) for name in mh_names}
-    radio = DownlinkRadio(
-        sim,
-        WIRELESS,
-        channels,
-        config.build_scheduler(),
-        rng=streams.stream("radio-backoff"),
-        deliver=lambda dg: mh_nodes[dg.dst].receive(dg),
-    )
+        # Independent fading per mobile host.
+        self.channels = {
+            name: markov_channel(
+                GOOD_PERIOD_MEAN,
+                BAD_PERIOD_MEAN,
+                rng=self.streams.stream(f"errors-{name}"),
+                sojourn_rng=self.streams.stream(f"sojourns-{name}"),
+            )
+            for name in mh_names
+        }
 
-    senders: List[TahoeSender] = []
-    sinks: List[TcpSink] = []
-    remaining = {"count": n}
-
-    def one_done() -> None:
-        remaining["count"] -= 1
-        if remaining["count"] == 0:
-            sim.stop()
-
-    for i, mh_name in enumerate(mh_names):
-        fh_name = f"FH{i}"
-        fh = Node(fh_name)
-        mh = mh_nodes[mh_name]
-
-        wired_down = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"{fh_name}->BS")
-        wired_up = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"BS->{fh_name}")
-        wired_down.connect(bs.receive)
-        wired_up.connect(fh.receive)
-        fh.add_interface("wired", wired_down.send, mh_name, "BS")
-        bs.add_interface(f"wired-{i}", wired_up.send, fh_name)
-
-        # Plain per-MH uplink for TCP ACKs (shares the MH's fading).  A
-        # PLAIN port fragments onto its link and reassembles what the
-        # link delivers, so one port spans both ends of the uplink.
-        uplink = WirelessLink(sim, WIRELESS, channels[mh_name], name=f"{mh_name}->BS")
-        up_port = WirelessPort(
-            sim, f"up-{mh_name}", out_link=uplink, deliver=bs.receive,
-            reassembly_timeout=60.0,
-        )
-        uplink.connect(up_port.receive_frame)
-        mh.add_interface("uplink", up_port.send_datagram, fh_name, "BS")
-
-        sender = TahoeSender(
+        self.mh_nodes: Dict[str, Node] = {name: Node(name) for name in mh_names}
+        self.radio = DownlinkRadio(
             sim,
-            fh,
-            mh_name,
-            config=TcpConfig(transfer_bytes=config.transfer_bytes),
-            on_complete=one_done,
+            WIRELESS,
+            self.channels,
+            config.build_scheduler(),
+            rng=self.streams.stream("radio-backoff"),
+            deliver=self._deliver,
         )
-        fh.attach_agent(sender)
-        sink = TcpSink(sim, mh, fh_name)
-        mh.attach_agent(sink)
-        senders.append(sender)
-        sinks.append(sink)
 
-    bs.add_interface("radio", radio.send_datagram, *mh_names)
+        # The fixed hosts and links, kept for the event log.
+        self.fh_nodes, self.links = [], []
+        self.ports: List[WirelessPort] = []
+        self.connections: List[Tuple[TahoeSender, TcpSink]] = []
+        self.remaining = n
 
-    for sender in senders:
-        sender.start()
-    sim.run(until=MAX_SIM_TIME, wall_timeout=wall_timeout)
+        for i, mh_name in enumerate(mh_names):
+            fh_name = f"FH{i}"
+            fh = Node(fh_name)
+            mh = self.mh_nodes[mh_name]
+            self.fh_nodes.append(fh)
 
-    completion_times = [
-        s.stats.completed_at if s.stats.completed_at is not None else sim.now
-        for s in senders
-    ]
-    per_conn = [
-        (sink.stats.useful_payload_bytes * 8 / t) if t > 0 else 0.0
-        for sink, t in zip(sinks, completion_times)
-    ]
-    total_payload = sum(sink.stats.useful_payload_bytes for sink in sinks)
-    span = max(completion_times) if completion_times else 0.0
-    return CsdpStudyResult(
-        config=config,
-        aggregate_throughput_bps=total_payload * 8 / span if span > 0 else 0.0,
-        per_connection_throughput_bps=per_conn,
-        completion_times=completion_times,
-        total_timeouts=sum(s.stats.timeouts for s in senders),
-        radio=radio.stats,
-        all_completed=all(s.completed for s in senders),
-    )
+            wired_down = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"{fh_name}->BS")
+            wired_up = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"BS->{fh_name}")
+            wired_down.connect(self.bs.receive)
+            wired_up.connect(fh.receive)
+            fh.add_interface(wired_down.send, mh_name, "BS")
+            self.bs.add_interface(wired_up.send, fh_name)
+
+            # Plain per-MH uplink for TCP ACKs (shares the MH's fading).  A
+            # PLAIN port fragments onto its link and reassembles what the
+            # link delivers, so one port spans both ends of the uplink.
+            uplink = WirelessLink(sim, WIRELESS, self.channels[mh_name], name=f"{mh_name}->BS")
+            up_port = WirelessPort(
+                sim, f"up-{mh_name}", out_link=uplink, deliver=self.bs.receive,
+                reassembly_timeout=60.0,
+            )
+            uplink.connect(up_port.receive_frame)
+            mh.add_interface(up_port.send_datagram, fh_name, "BS")
+            self.links += [wired_down, wired_up, uplink]
+            self.ports.append(up_port)
+
+            sender = TahoeSender(
+                sim,
+                fh,
+                mh_name,
+                config=TcpConfig(transfer_bytes=config.transfer_bytes),
+                on_complete=self._one_done,
+            )
+            fh.attach_agent(sender)
+            sink = TcpSink(sim, mh, fh_name)
+            mh.attach_agent(sink)
+            self.connections.append((sender, sink))
+
+        self.bs.add_interface(self.radio.send_datagram, *mh_names)
+
+    def _deliver(self, datagram) -> None:
+        self.mh_nodes[datagram.dst].receive(datagram)
+
+    def _one_done(self) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:
+            self.sim.stop()
+
+    def run(self, wall_timeout: Optional[float] = None) -> CsdpStudyResult:
+        """Run all transfers (``wall_timeout``: the engine's wall-clock
+        watchdog)."""
+        senders, sinks = zip(*self.connections)
+        for sender in senders:
+            sender.start()
+        self.sim.run(until=MAX_SIM_TIME, wall_timeout=wall_timeout)
+
+        completion_times = [
+            s.stats.completed_at if s.stats.completed_at is not None else self.sim.now
+            for s in senders
+        ]
+        per_conn = [
+            (sink.stats.useful_payload_bytes * 8 / t) if t > 0 else 0.0
+            for sink, t in zip(sinks, completion_times)
+        ]
+        total_payload = sum(sink.stats.useful_payload_bytes for sink in sinks)
+        span = max(completion_times) if completion_times else 0.0
+        return CsdpStudyResult(
+            config=self.config,
+            aggregate_throughput_bps=total_payload * 8 / span if span > 0 else 0.0,
+            per_connection_throughput_bps=per_conn,
+            completion_times=completion_times,
+            total_timeouts=sum(s.stats.timeouts for s in senders),
+            radio=self.radio.stats,
+            all_completed=all(s.completed for s in senders),
+        )
+
+    def outcome(self, result: CsdpStudyResult) -> CsdpStudyResult:
+        """The campaign summary: the study's result as it stands."""
+        return result
+
+
+def run_csdp_study(config: CsdpStudyConfig) -> CsdpStudyResult:
+    """Build the N-connection topology and run all transfers, validated
+    as :func:`~repro.experiments.topology.run_built` says."""
+    study = CsdpStudy(config)
+    return study.outcome(run_built(study))

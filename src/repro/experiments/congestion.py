@@ -31,13 +31,12 @@ from repro.metrics import ConnectionMetrics
 from repro.net.link import WiredLink
 from repro.net.node import Node
 from repro.net.packet import Datagram, TcpSegment
-from repro.net.wireless import WirelessLinkConfig
 from repro.experiments.topology import (
-    ChannelConfig,
     Scenario,
-    ScenarioConfig,
+    ScenarioDefaults,
     ScenarioResult,
     Scheme,
+    run_built,
 )
 from repro.tcp import TcpConfig
 
@@ -114,7 +113,7 @@ class CbrSink:
 
 
 @dataclass
-class CongestedScenarioConfig:
+class CongestedScenarioConfig(ScenarioDefaults):
     """One run of the congestion/ECN/EBSN interaction experiment."""
 
     scheme: Scheme = Scheme.BASIC  # BASIC or EBSN
@@ -126,19 +125,6 @@ class CongestedScenarioConfig:
         default_factory=lambda: TcpConfig(transfer_bytes=60 * 1024)
     )
     seed: int = 1
-
-    # The rest of what Scenario reads, held fixed by this study: one
-    # Tahoe bulk transfer with ARQ derived from the link, no trace.
-    # Plain class attributes, so not fields.
-    channel = ChannelConfig()
-    wireless = WirelessLinkConfig()
-    arq = None
-    tcp_variant = "tahoe"
-    sender_factory = None
-    ebsn_heartbeat = None
-    record_trace = False
-    record_cwnd = False
-    derived_arq = ScenarioConfig.derived_arq
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.cross_load < 1.5:
@@ -208,11 +194,11 @@ class CongestedScenario(Scenario):
         self.wired_down.connect(self._bs_wired_arrival)
         r_fh.connect(self.fh.receive)
 
-        self.fh.add_interface("wired", fh_r.send, "MH", "BS", "R")
-        self.xs.add_interface("wired", xs_r.send, "BS")
-        self.router.add_interface("down", self.wired_down.send, "MH", "BS")
-        self.router.add_interface("up", r_fh.send, "FH")
-        self.bs.add_interface("up", self.wired_up.send, "FH")
+        self.fh.add_interface(fh_r.send, "MH", "BS", "R")
+        self.xs.add_interface(xs_r.send, "BS")
+        self.router.add_interface(self.wired_down.send, "MH", "BS")
+        self.router.add_interface(r_fh.send, "FH")
+        self.bs.add_interface(self.wired_up.send, "FH")
         self.cross_sink = CbrSink()
         self.bs.attach_agent(self.cross_sink)
 
@@ -238,10 +224,8 @@ class CongestedScenario(Scenario):
         )
 
 
-def run_congested_scenario(
-    config: CongestedScenarioConfig, wall_timeout: Optional[float] = None
-) -> CongestedScenarioResult:
-    """Build and run the FH/XS → R → BS → MH topology
-    (``wall_timeout``: the engine's wall-clock watchdog)."""
+def run_congested_scenario(config: CongestedScenarioConfig) -> CongestedScenarioResult:
+    """Build and run the FH/XS → R → BS → MH topology, validated as
+    :func:`~repro.experiments.topology.run_built` says."""
     scenario = CongestedScenario(config)
-    return scenario.outcome(scenario.run(wall_timeout=wall_timeout))
+    return scenario.outcome(run_built(scenario))

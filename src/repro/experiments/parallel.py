@@ -39,6 +39,12 @@ The supervision layer is what makes long campaigns survivable:
   :class:`~repro.experiments.faults.CampaignInterrupted` after
   flushing, so an interrupted campaign resumes instead of restarting.
 
+Every registered type is built on a topology class — the Fig. 2
+:class:`~repro.experiments.topology.Scenario` or a study's — that names
+the connections and wireless ports the invariant checkers watch, so a
+``validate=True`` campaign checks every study, and ``repro replay``
+re-runs any unit's bundle on the topology that produced it.
+
 Workers return each unit's picklable summary: a :class:`RunSummary`
 (the metrics the aggregation layer reads) for a ``ScenarioConfig``, and
 the study's own result dataclass for every other type.  Results come
@@ -119,33 +125,36 @@ def summarize(result: ScenarioResult) -> RunSummary:
 
 
 #: Config type -> (the function that runs one seeded config to its
-#: picklable summary, the scenario class the invariant checkers attach
-#: to or ``None``), all as import paths resolved on use, so a campaign
-#: imports only the modules its own configs need.  A checked type's
-#: function takes ``(config, validate, wall_timeout)``, any other's
-#: ``(config, wall_timeout=None)``.
-UNITS: Dict[str, Tuple[str, Optional[str]]] = {
+#: picklable summary, the topology class it is built on), both as
+#: import paths resolved on use, so a campaign imports only the modules
+#: its own configs need.  Every function takes ``(config, validate,
+#: wall_timeout)``; every topology takes the invariant checkers, the
+#: event log and ``repro replay``.
+UNITS: Dict[str, Tuple[str, str]] = {
     "repro.experiments.topology:ScenarioConfig": (
         "repro.experiments.parallel:_run_scenario",
         "repro.experiments.topology:Scenario",
     ),
     "repro.experiments.congestion:CongestedScenarioConfig": (
-        "repro.experiments.parallel:_run_congested",
+        "repro.experiments.parallel:_run_topology",
         "repro.experiments.congestion:CongestedScenario",
     ),
     "repro.handoff.topology:HandoffConfig": (
-        "repro.handoff.topology:run_handoff_scenario",
-        None,
+        "repro.experiments.parallel:_run_topology",
+        "repro.handoff.topology:HandoffScenario",
     ),
-    "repro.csdp.study:CsdpStudyConfig": ("repro.csdp.study:run_csdp_study", None),
+    "repro.csdp.study:CsdpStudyConfig": (
+        "repro.experiments.parallel:_run_topology",
+        "repro.csdp.study:CsdpStudy",
+    ),
     "repro.workloads.interactive:InteractiveConfig": (
-        "repro.workloads.interactive:run_interactive_session",
-        None,
+        "repro.experiments.parallel:_run_topology",
+        "repro.workloads.interactive:InteractiveSession",
     ),
 }
 
 
-def _unit_of(config: Any) -> Tuple[str, Optional[str]]:
+def _unit_of(config: Any) -> Tuple[str, str]:
     try:
         return UNITS[qualify(type(config))]
     except KeyError:
@@ -153,14 +162,10 @@ def _unit_of(config: Any) -> Tuple[str, Optional[str]]:
         raise TypeError(f"{name} is not a registered campaign unit") from None
 
 
-def checked_topology(config: Any) -> type:
-    """The scenario class the invariant checkers run ``config`` on;
-    ``ValueError`` naming the config's type when it has none."""
-    path = _unit_of(config)[1]
-    if path is None:
-        name = type(config).__qualname__
-        raise ValueError(f"{name} runs have no invariant checkers")
-    return resolve(path)
+def topology_of(config: Any) -> type:
+    """The topology class ``config`` is built on; ``TypeError`` naming
+    the config's type when it is not a registered campaign unit."""
+    return resolve(_unit_of(config)[1])
 
 
 def run_unit(
@@ -168,28 +173,25 @@ def run_unit(
 ) -> Any:
     """Worker entry point: run one seeded config, return its summary.
 
-    ``validate=None`` follows the process default (types without
-    checkers run plain); ``wall_timeout`` arms the engine's watchdog.
+    ``validate=None`` follows the process default; ``wall_timeout``
+    arms the engine's watchdog.
     """
-    run, checked = _unit_of(config)
-    if checked is not None:
-        return resolve(run)(config, validate, wall_timeout)
-    if validate:
-        checked_topology(config)  # raises: there is nothing to validate with
-    return resolve(run)(config, wall_timeout=wall_timeout)
+    return resolve(_unit_of(config)[0])(config, validate, wall_timeout)
 
 
 def _run_scenario(config, validate, wall_timeout) -> RunSummary:
     """The ``ScenarioConfig`` unit.  ``run_scenario`` is looked up on
-    :mod:`repro.experiments.topology` per call, so tests can patch it."""
+    :mod:`repro.experiments.topology` per call, so a patch of it
+    reaches forked workers."""
     return summarize(
         topology.run_scenario(config, validate=validate, wall_timeout=wall_timeout)
     )
 
 
-def _run_congested(config, validate, wall_timeout):
-    """The ``CongestedScenarioConfig`` unit, validated as a scenario is."""
-    scenario = checked_topology(config)(config)
+def _run_topology(config, validate, wall_timeout):
+    """Every other unit: build the config's topology, run it (validated
+    as a scenario is) and return its outcome."""
+    scenario = topology_of(config)(config)
     result = topology.run_built(scenario, validate, wall_timeout=wall_timeout)
     return scenario.outcome(result)
 
@@ -419,9 +421,8 @@ class ParallelRunner:
         and fresh results are written back per unit, immediately.
     validate:
         Run every simulated unit under the invariant engine
-        (:mod:`repro.validate`); a unit whose type has no checkers
-        fails.  Cache hits skip simulation and are therefore not
-        re-validated.
+        (:mod:`repro.validate`), whatever its type.  Cache hits skip
+        simulation and are therefore not re-validated.
     timeout:
         Per-unit wall-clock budget in seconds; ``None`` disables the
         watchdogs.  In pool mode a unit that overshoots is aborted

@@ -111,9 +111,11 @@ class ScenarioConfig:
     #: workloads); receives the same constructor arguments the
     #: tcp_variant classes do.  None = use ``tcp_variant``.
     sender_factory: Optional[type] = None
-    #: EBSN heartbeat interval (s): keep notifying between ARQ attempts
-    #: while the link is failing.  None = per-attempt only (the paper).
-    ebsn_heartbeat: Optional[float] = None
+
+    #: EBSN heartbeat interval (s) between ARQ attempts while the link
+    #: fails: none, per-attempt only (the paper).  Not a field; the
+    #: interactive study's config has one.
+    ebsn_heartbeat = None
 
     def derived_arq(self) -> ArqConfig:
         """ARQ parameters scaled to the wireless link's timescales.
@@ -146,6 +148,25 @@ class ScenarioConfig:
         )
 
 
+class ScenarioDefaults:
+    """What :class:`Scenario` reads beyond a study config's own fields,
+    at the Fig. 2 defaults: one Tahoe bulk transfer with ARQ derived
+    from the link, no trace.  A study's config dataclass inherits these
+    as plain class attributes, so they are not its fields."""
+
+    channel = ChannelConfig()
+    wireless = WirelessLinkConfig()
+    wired_bandwidth_bps = 56_000.0
+    wired_prop_delay = 0.01
+    arq = None
+    tcp_variant = "tahoe"
+    sender_factory = None
+    ebsn_heartbeat = None
+    record_trace = False
+    record_cwnd = False
+    derived_arq = ScenarioConfig.derived_arq
+
+
 @dataclass
 class ScenarioResult:
     """Output of one scenario run."""
@@ -169,7 +190,11 @@ class ScenarioResult:
 
 
 class Scenario:
-    """Builds the Fig. 2 topology for a config and runs it."""
+    """Builds the Fig. 2 topology for a config and runs it.
+
+    Like every topology a campaign runs, it lists the ``connections``
+    (sender, sink) and wireless ``ports`` the invariant checkers watch.
+    """
 
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
@@ -233,8 +258,8 @@ class Scenario:
         self.downlink.connect(self.mh_port.receive_frame)
         self.uplink.connect(self.bs_port.receive_frame)
 
-        self.bs.add_interface("wireless", self._bs_send_wireless, "MH")
-        self.mh.add_interface("wireless", self.mh_port.send_datagram, "FH", "BS")
+        self.bs.add_interface(self._bs_send_wireless, "MH")
+        self.mh.add_interface(self.mh_port.send_datagram, "FH", "BS")
 
         # Transport.  For a split connection the fixed host's sender
         # finishes early (the relay ACKs on arrival at the BS), so the
@@ -292,6 +317,8 @@ class Scenario:
                 clock_granularity=config.tcp.clock_granularity,
             )
             self.bs.attach_agent(self.split_relay)
+        self.connections = [(self.sender, self.sink)]
+        self.ports = [self.bs_port, self.mh_port]
 
     def _build_wired(self) -> None:
         """Wire the FH<->BS hop: the one override point for a study's
@@ -312,8 +339,8 @@ class Scenario:
         )
         self.wired_down.connect(self._bs_wired_arrival)
         self.wired_up.connect(self.fh.receive)
-        self.fh.add_interface("wired", self.wired_down.send, "MH", "BS")
-        self.bs.add_interface("wired", self.wired_up.send, "FH")
+        self.fh.add_interface(self.wired_down.send, "MH", "BS")
+        self.bs.add_interface(self.wired_up.send, "FH")
 
     # -- BS plumbing -----------------------------------------------------
 
@@ -420,12 +447,14 @@ def run_scenario(
 
 
 def run_built(
-    scenario: Scenario,
+    scenario,
     validate: "Optional[bool]" = None,
     bundle_dir=None,
     wall_timeout: Optional[float] = None,
-) -> ScenarioResult:
-    """Run a built scenario, validated as :func:`run_scenario` says."""
+):
+    """Run a built topology — a :class:`Scenario` or a study's — and
+    return what its ``run`` returns, validated as :func:`run_scenario`
+    says."""
     # Imported lazily: repro.validate pulls in the bundle/cache layers,
     # which this module's import-time dependencies must not require.
     from repro.validate.engine import run_validated, validation_default

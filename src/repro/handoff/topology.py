@@ -19,12 +19,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import partial
+from typing import List, Optional
 
 from repro.channel import markov_channel
 from repro.engine import MAX_SIM_TIME, RandomStreams, Simulator
+from repro.experiments.topology import run_built
 from repro.linklayer import WirelessPort
-from repro.metrics import ConnectionMetrics, compute_metrics
+from repro.metrics import ConnectionMetrics, PacketTrace, compute_metrics
 from repro.net.ip import Fragmenter, Reassembler
 from repro.net.link import WiredLink
 from repro.net.node import Node
@@ -154,172 +156,191 @@ class HandoffResult:
     stall_time_total: float
 
 
-def run_handoff_scenario(
-    config: HandoffConfig, wall_timeout: Optional[float] = None
-) -> HandoffResult:
-    """Run one transfer across periodic handoffs
-    (``wall_timeout``: the engine's wall-clock watchdog)."""
-    sim = Simulator()
-    streams = RandomStreams(config.seed)
+class HandoffScenario:
+    """The two-cell topology for one :class:`HandoffConfig`.
 
-    fh, router, mh = Node("FH"), Node("R"), Node("MH")
-    bs_nodes = {name: Node(name) for name in ("BS1", "BS2")}
+    ``cell`` is the base station the mobile host listens to (``None``
+    during an outage); ``serving`` is the one the router sends its
+    traffic to, which moves only when the host reattaches.
+    """
 
-    # Wired mesh.
-    fh_r = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name="FH->R")
-    r_fh = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name="R->FH")
-    fh_r.connect(router.receive)
-    r_fh.connect(fh.receive)
-    fh.add_interface("wired", fh_r.send, "MH", "R")
-    router.add_interface("up", r_fh.send, "FH")
+    def __init__(self, config: HandoffConfig) -> None:
+        self.config = config
+        sim = self.sim = Simulator()
+        streams = self.streams = RandomStreams(config.seed)
 
-    # Per-BS wired spurs and wireless cells (independent channels).
-    ports: Dict[str, CellPort] = {}
-    r_to_bs: Dict[str, WiredLink] = {}
-    mh_uplinks: Dict[str, WirelessPort] = {}
-    mh_reassembler = Reassembler(sim, timeout=30.0, name="mh")
+        self.fh, self.router, self.mh = Node("FH"), Node("R"), Node("MH")
+        self.bs_nodes = {name: Node(name) for name in ("BS1", "BS2")}
 
-    mh_attached_to: Dict[str, Optional[str]] = {"cell": None}
+        # Wired mesh.
+        fh_r = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name="FH->R")
+        r_fh = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name="R->FH")
+        fh_r.connect(self.router.receive)
+        r_fh.connect(self.fh.receive)
+        self.fh.add_interface(fh_r.send, "MH", "R")
+        self.router.add_interface(r_fh.send, "FH")
 
-    def mh_receive_frame(frame, cell_name: str) -> None:
-        if mh_attached_to["cell"] != cell_name:
+        # Per-BS wired spurs and wireless cells (independent channels),
+        # keyed by BS; ``links`` keeps the rest for the event log.
+        self.channels, self.cells, self.up_ports, self.spurs_down = {}, {}, {}, {}
+        self.links = [fh_r, r_fh]
+        self.mh_reassembler = Reassembler(sim, timeout=30.0, name="mh")
+        self.cell: Optional[str] = None
+
+        for name, bs in self.bs_nodes.items():
+            channel = self.channels[name] = markov_channel(
+                GOOD_PERIOD_MEAN,
+                BAD_PERIOD_MEAN,
+                rng=streams.stream(f"errors-{name}"),
+                sojourn_rng=streams.stream(f"sojourns-{name}"),
+            )
+            down = WirelessLink(sim, WIRELESS, channel, name=f"{name}->MH")
+            up = WirelessLink(sim, WIRELESS, channel, name=f"MH->{name}")
+            down.connect(partial(self._mh_receive_frame, name))
+            # A PLAIN port fragments onto its link and reassembles what the
+            # link delivers, so one port spans both ends of the uplink.
+            port = self.up_ports[name] = WirelessPort(
+                sim, f"{name}.up", out_link=up, deliver=bs.receive
+            )
+            up.connect(port.receive_frame)
+
+            self.cells[name] = CellPort(sim, name, down, WIRELESS.mtu_bytes)
+            bs.add_interface(self.cells[name].send_datagram, "MH")
+
+            spur_down = self.spurs_down[name] = WiredLink(
+                sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"R->{name}"
+            )
+            spur_up = WiredLink(
+                sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"{name}->R"
+            )
+            self.links += [down, up, spur_up]
+            spur_down.connect(bs.receive)
+            spur_up.connect(self.router.receive)
+            bs.add_interface(spur_up.send, "FH", "R", "BS1", "BS2")
+
+        # The router forwards MH traffic toward the serving cell; during a
+        # disconnection it keeps pointing at the *old* cell (binding
+        # updates arrive only on reattachment), so packets sent during the
+        # outage pile up at the old base station.
+        self.serving = "BS1"
+        self.router.add_interface(self.spurs_down["BS1"].send, "MH", "BS1")
+        self.router.add_interface(self.spurs_down["BS2"].send, "BS2")
+
+        # MH's uplink follows its attachment.
+        self.mh.add_interface(self._mh_send, "FH", "R")
+
+        # Transport.
+        self.trace = PacketTrace()
+        self.sender = TahoeSender(
+            sim,
+            self.fh,
+            "MH",
+            config=TcpConfig(transfer_bytes=config.transfer_bytes),
+            on_complete=sim.stop,
+            trace=self.trace,
+        )
+        self.fh.attach_agent(self.sender)
+        self.sink = TcpSink(sim, self.mh, "FH")
+        self.mh.attach_agent(self.sink)
+        self.connections = [(self.sender, self.sink)]
+        self.ports = list(self.up_ports.values())
+
+        # Handoff machinery.
+        self.handoffs = 0
+        self._forward_queue = config.scheme in (
+            HandoffScheme.FORWARD, HandoffScheme.FAST_RTX_FORWARD
+        )
+        self._force_fast_rtx = config.scheme in (
+            HandoffScheme.FAST_RTX, HandoffScheme.FAST_RTX_FORWARD
+        )
+
+    def _mh_receive_frame(self, cell: str, frame) -> None:
+        if self.cell != cell:
             return  # out of range: the MH is not listening to this cell
-        datagram = mh_reassembler.add(frame.fragment)
+        datagram = self.mh_reassembler.add(frame.fragment)
         if datagram is not None:
-            mh.receive(datagram)
+            self.mh.receive(datagram)
 
-    for name in ("BS1", "BS2"):
-        channel = markov_channel(
-            GOOD_PERIOD_MEAN,
-            BAD_PERIOD_MEAN,
-            rng=streams.stream(f"errors-{name}"),
-            sojourn_rng=streams.stream(f"sojourns-{name}"),
-        )
-        down = WirelessLink(sim, WIRELESS, channel, name=f"{name}->MH")
-        up = WirelessLink(sim, WIRELESS, channel, name=f"MH->{name}")
-        down.connect(lambda frame, cell=name: mh_receive_frame(frame, cell))
-        # A PLAIN port fragments onto its link and reassembles what the
-        # link delivers, so one port spans both ends of the uplink.
-        mh_uplinks[name] = WirelessPort(
-            sim, f"{name}.up", out_link=up, deliver=bs_nodes[name].receive
-        )
-        up.connect(mh_uplinks[name].receive_frame)
-
-        ports[name] = CellPort(sim, name, down, WIRELESS.mtu_bytes)
-        bs_nodes[name].add_interface("radio", ports[name].send_datagram, "MH")
-
-        spur_down = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"R->{name}")
-        spur_up = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"{name}->R")
-        spur_down.connect(bs_nodes[name].receive)
-        spur_up.connect(router.receive)
-        bs_nodes[name].add_interface("wired", spur_up.send, "FH", "R", "BS1", "BS2")
-        r_to_bs[name] = spur_down
-
-    # The router forwards MH traffic toward the serving cell; during a
-    # disconnection it keeps pointing at the *old* cell (binding
-    # updates arrive only on reattachment), so packets sent during the
-    # outage pile up at the old base station.
-    route_state = {"target": "BS1"}
-    router.routing.add_route("MH", lambda dg: r_to_bs[route_state["target"]].send(dg))
-    router.routing.add_route("BS1", r_to_bs["BS1"].send)
-    router.routing.add_route("BS2", r_to_bs["BS2"].send)
-
-    # MH's uplink follows its attachment.
-    def mh_send(datagram: Datagram) -> None:
-        cell = mh_attached_to["cell"]
-        if cell is None:
+    def _mh_send(self, datagram: Datagram) -> None:
+        if self.cell is None:
             return  # disconnected: ack lost
-        mh_uplinks[cell].send_datagram(datagram)
+        self.up_ports[self.cell].send_datagram(datagram)
 
-    mh.add_interface("uplink", mh_send, "FH", "R")
-
-    # Transport.
-    from repro.metrics import PacketTrace
-
-    trace = PacketTrace()
-    sender = TahoeSender(
-        sim,
-        fh,
-        "MH",
-        config=TcpConfig(transfer_bytes=config.transfer_bytes),
-        on_complete=sim.stop,
-        trace=trace,
-    )
-    fh.attach_agent(sender)
-    sink = TcpSink(sim, mh, "FH")
-    mh.attach_agent(sink)
-
-    # Handoff machinery.
-    counters = {"handoffs": 0}
-    forward_queue = config.scheme in (
-        HandoffScheme.FORWARD,
-        HandoffScheme.FAST_RTX_FORWARD,
-    )
-    force_fast_rtx = config.scheme in (
-        HandoffScheme.FAST_RTX,
-        HandoffScheme.FAST_RTX_FORWARD,
-    )
-
-    def flush_old_cell(old: str, new: str) -> None:
+    def _flush_old_cell(self, old: str, new: str) -> None:
         """Dispose of datagrams stranded at the old base station."""
-        if forward_queue:
-            stranded = ports[old].take_queue()
-            ports[old].datagrams_forwarded += len(stranded)
+        if self._forward_queue:
+            stranded = self.cells[old].take_queue()
+            self.cells[old].datagrams_forwarded += len(stranded)
             # BS-to-BS forwarding crosses the wired mesh (two hops).
             for i, datagram in enumerate(stranded):
                 delay = 2 * WIRED_PROP_DELAY + (i + 1) * (
                     datagram.size_bytes * 8 / WIRED_BANDWIDTH_BPS
                 )
-                sim.schedule(delay, ports[new].send_datagram, datagram)
+                self.sim.schedule(delay, self.cells[new].send_datagram, datagram)
         else:
-            ports[old].drop_queue()
+            self.cells[old].drop_queue()
 
-    def attach(cell: str) -> None:
-        old = route_state["target"]
-        mh_attached_to["cell"] = cell
-        route_state["target"] = cell  # binding update reaches the router
-        ports[cell].attach()
+    def _attach(self, cell: str) -> None:
+        old = self.serving
+        self.cell = cell
+        # The binding update reaches the router.
+        self.serving = cell
+        self.router.add_interface(self.spurs_down[cell].send, "MH")
+        self.cells[cell].attach()
         if old != cell:
             # Anything that arrived at the old cell during the outage.
-            flush_old_cell(old, cell)
-        if force_fast_rtx and counters["handoffs"] > 0:
+            self._flush_old_cell(old, cell)
+        if self._force_fast_rtx and self.handoffs > 0:
             # Caceres-Iftode: the MH re-sends its current cumulative
             # ACK three times, forcing the source's fast retransmit.
             for _ in range(3):
                 ack = Datagram(
-                    "MH", "FH", TcpAck(ack_seq=sink.next_expected), 40
+                    "MH", "FH", TcpAck(ack_seq=self.sink.next_expected), 40
                 )
-                mh.send(ack)
+                self.mh.send(ack)
 
-    def handoff() -> None:
-        if sender.completed:
+    def _handoff(self) -> None:
+        if self.sender.completed:
             return
-        old = mh_attached_to["cell"]
+        old = self.cell
         new = "BS2" if old == "BS1" else "BS1"
-        counters["handoffs"] += 1
-        mh_attached_to["cell"] = None
-        ports[old].detach()
-        flush_old_cell(old, new)
-        sim.schedule(config.disconnect_time, attach, new)
-        sim.schedule(config.handoff_interval, handoff)
+        self.handoffs += 1
+        self.cell = None
+        self.cells[old].detach()
+        self._flush_old_cell(old, new)
+        self.sim.schedule(self.config.disconnect_time, self._attach, new)
+        self.sim.schedule(self.config.handoff_interval, self._handoff)
 
-    attach("BS1")
-    sim.schedule(config.handoff_interval, handoff)
-    sender.start()
-    sim.run(until=MAX_SIM_TIME, wall_timeout=wall_timeout)
+    def run(self, wall_timeout: Optional[float] = None) -> HandoffResult:
+        """Run the transfer across periodic handoffs
+        (``wall_timeout``: the engine's wall-clock watchdog)."""
+        self._attach("BS1")
+        self.sim.schedule(self.config.handoff_interval, self._handoff)
+        self.sender.start()
+        self.sim.run(until=MAX_SIM_TIME, wall_timeout=wall_timeout)
 
-    metrics = compute_metrics(sender, sink)
-    stall_threshold = max(0.5, 2 * config.disconnect_time)
-    stalls = trace.idle_gaps(min_gap=stall_threshold)
-    return HandoffResult(
-        metrics=metrics,
-        completed=sender.completed,
-        handoffs=counters["handoffs"],
-        timeouts=sender.stats.timeouts,
-        fast_retransmits=sender.stats.fast_retransmits,
-        datagrams_dropped_in_handoffs=sum(
-            p.datagrams_dropped_in_handoff for p in ports.values()
-        ),
-        datagrams_forwarded=sum(p.datagrams_forwarded for p in ports.values()),
-        stall_time_total=sum(b - a for a, b in stalls),
-    )
+        stall_threshold = max(0.5, 2 * self.config.disconnect_time)
+        stalls = self.trace.idle_gaps(min_gap=stall_threshold)
+        return HandoffResult(
+            metrics=compute_metrics(self.sender, self.sink),
+            completed=self.sender.completed,
+            handoffs=self.handoffs,
+            timeouts=self.sender.stats.timeouts,
+            fast_retransmits=self.sender.stats.fast_retransmits,
+            datagrams_dropped_in_handoffs=sum(
+                c.datagrams_dropped_in_handoff for c in self.cells.values()
+            ),
+            datagrams_forwarded=sum(c.datagrams_forwarded for c in self.cells.values()),
+            stall_time_total=sum(b - a for a, b in stalls),
+        )
+
+    def outcome(self, result: HandoffResult) -> HandoffResult:
+        """The campaign summary: the study's result as it stands."""
+        return result
+
+
+def run_handoff_scenario(config: HandoffConfig) -> HandoffResult:
+    """Run one transfer across periodic handoffs, validated as
+    :func:`~repro.experiments.topology.run_built` says."""
+    scenario = HandoffScenario(config)
+    return scenario.outcome(run_built(scenario))

@@ -23,7 +23,10 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, TextIO
 
+from repro.channel import BernoulliLossChannel, TwoStateChannel
+from repro.net.link import WiredLink
 from repro.net.node import Node
+from repro.net.wireless import WirelessLink
 
 
 class TraceParseError(ValueError):
@@ -156,11 +159,12 @@ class EventLog:
 
 
 def attach_to_scenario(scenario) -> EventLog:
-    """Instrument a built (not yet run) Scenario with an event log.
+    """Instrument a built (not yet run) topology with an event log.
 
-    Wraps the wired links' ``send``, the wireless links' ``send`` and
-    delivery callbacks, and the channel's corruption test.  Must be
-    called before :meth:`Scenario.run`.
+    Wraps the ``send`` and delivery callbacks of every wired and
+    wireless link the topology holds, and the corruption test of every
+    channel: its attributes, and the items of its list, tuple and dict
+    attributes.  Must be called before the topology's ``run``.
 
     Instrumentation is strictly opt-in: the wrappers below exist only
     on scenarios this function was called on.  An uninstrumented run
@@ -172,7 +176,8 @@ def attach_to_scenario(scenario) -> EventLog:
     """
     log = EventLog()
     sim = scenario.sim
-    nodes = [part for part in vars(scenario).values() if isinstance(part, Node)]
+    parts = list({id(part): part for part in _parts(scenario)}.values())
+    nodes = [part for part in parts if isinstance(part, Node)]
 
     def wrap_wired(link):
         original_send = link.send
@@ -187,13 +192,14 @@ def attach_to_scenario(scenario) -> EventLog:
             return accepted
 
         link.send = send
-        # Interfaces created before instrumentation captured the bound
+        # Routes installed before instrumentation hold the bound
         # method, on whichever node sends into the link; rebind them to
         # the wrapper.
         for node in nodes:
-            for forward in node.routing._routes.values():
-                if getattr(forward, "_send", None) == original_send:
-                    forward._send = send
+            routes = node.routing._routes
+            for dst, forward in routes.items():
+                if forward == original_send:
+                    routes[dst] = send
         original_receiver = link._receiver
         if original_receiver is not None:
 
@@ -243,12 +249,25 @@ def attach_to_scenario(scenario) -> EventLog:
 
         channel.corrupts = corrupts
 
-    wrap_wired(scenario.wired_down)
-    wrap_wired(scenario.wired_up)
-    wrap_wireless(scenario.downlink)
-    wrap_wireless(scenario.uplink)
-    wrap_channel(scenario.channel)
+    for part in parts:
+        if isinstance(part, WiredLink):
+            wrap_wired(part)
+        elif isinstance(part, WirelessLink):
+            wrap_wireless(part)
+        elif isinstance(part, (TwoStateChannel, BernoulliLossChannel)):
+            wrap_channel(part)
     return log
+
+
+def _parts(scenario):
+    """A topology's attributes, and the items of its containers."""
+    for value in vars(scenario).values():
+        if isinstance(value, dict):
+            yield from value.values()
+        elif isinstance(value, (list, tuple)):
+            yield from value
+        else:
+            yield value
 
 
 class EventLogAnalyzer:

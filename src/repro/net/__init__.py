@@ -28,7 +28,7 @@ from repro.net.queues import DropTailQueue, QueueStats
 from repro.net.link import WiredLink
 from repro.net.wireless import WirelessLink, WirelessLinkConfig
 from repro.net.ip import Fragmenter, Reassembler, RoutingTable
-from repro.net.node import Interface, Node
+from repro.net.node import Node
 
 __all__ = [
     "Address",
@@ -48,6 +48,5 @@ __all__ = [
     "Fragmenter",
     "Reassembler",
     "RoutingTable",
-    "Interface",
     "Node",
 ]

@@ -1,10 +1,9 @@
-"""Nodes and interfaces.
+"""Nodes.
 
 A :class:`Node` is a named endpoint/router: datagrams addressed to it
 are handed to its attached agent (a TCP source, a TCP sink, ...);
-anything else is forwarded via its routing table.  An
-:class:`Interface` is the thin glue binding a node's routing entry to
-a link's ``send`` method while counting per-interface traffic.
+anything else is forwarded via its routing table, whose entries are
+the outgoing links' ``send`` methods themselves.
 """
 
 from __future__ import annotations
@@ -23,21 +22,6 @@ class Agent(Protocol):
         ...  # pragma: no cover - protocol
 
 
-class Interface:
-    """A node's attachment point to one outgoing link."""
-
-    def __init__(self, name: str, send: Callable[[Datagram], None]) -> None:
-        self.name = name
-        self._send = send
-        self.datagrams_out = 0
-        self.bytes_out = 0
-
-    def __call__(self, datagram: Datagram) -> None:
-        self.datagrams_out += 1
-        self.bytes_out += datagram.size_bytes
-        self._send(datagram)
-
-
 class Node:
     """A host or router in the simulated topology."""
 
@@ -45,33 +29,27 @@ class Node:
         self.name = name
         self.routing = RoutingTable(name)
         self.agent: Optional[Agent] = None
-        self.datagrams_received = 0
-        self.datagrams_forwarded = 0
 
     def attach_agent(self, agent: Agent) -> None:
         """Install the transport-layer agent living on this node."""
         self.agent = agent
 
     def add_interface(
-        self, name: str, send: Callable[[Datagram], None], *destinations: Address
-    ) -> Interface:
-        """Create an interface and route the given destinations through it."""
-        interface = Interface(name, send)
+        self, send: Callable[[Datagram], None], *destinations: Address
+    ) -> None:
+        """Route the given destinations out through ``send``."""
         for dst in destinations:
-            self.routing.add_route(dst, interface)
-        return interface
+            self.routing.add_route(dst, send)
 
     def receive(self, datagram: Datagram) -> None:
         """Entry point for datagrams arriving from any link."""
         if datagram.dst == self.name:
-            self.datagrams_received += 1
             if self.agent is None:
                 raise RuntimeError(
                     f"node {self.name!r} received a datagram but has no agent"
                 )
             self.agent.receive(datagram)
         else:
-            self.datagrams_forwarded += 1
             self.routing.forward(datagram)
 
     def send(self, datagram: Datagram) -> None:

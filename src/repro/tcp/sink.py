@@ -9,7 +9,7 @@ the sender's fast retransmit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Set
+from typing import Callable, Dict, Optional
 
 from repro.engine import Simulator
 from repro.net.node import Node
@@ -68,8 +68,8 @@ class TcpSink:
         self.on_segment: Optional[Callable[[int, int], None]] = None
         self.completed = False
         self.next_expected = 0
-        self._buffered: Set[int] = set()
-        self._buffered_sizes = {}
+        #: Out-of-order segments held for in-order delivery: seq -> payload bytes.
+        self._buffered: Dict[int, int] = {}
         #: Congestion-experienced marks awaiting echo (Floyd '94 ECN):
         #: each marked data packet makes the next ACK carry ecn_echo.
         self._ecn_pending = 0
@@ -95,8 +95,7 @@ class TcpSink:
                 self.on_segment(seq, segment.payload_bytes)
             self.next_expected += 1
             while self.next_expected in self._buffered:
-                self._buffered.discard(self.next_expected)
-                size = self._buffered_sizes.pop(self.next_expected)
+                size = self._buffered.pop(self.next_expected)
                 self._deliver(size)
                 if self.on_segment is not None:
                     self.on_segment(self.next_expected, size)
@@ -104,8 +103,7 @@ class TcpSink:
         elif seq > self.next_expected:
             if seq not in self._buffered:
                 self.stats.out_of_order_segments += 1
-                self._buffered.add(seq)
-                self._buffered_sizes[seq] = segment.payload_bytes
+                self._buffered[seq] = segment.payload_bytes
             else:
                 self.stats.duplicate_segments += 1
         else:

@@ -103,7 +103,13 @@ def write_bundle(config, violations: Sequence[Violation], log, bundle_dir=None) 
 
 
 def load_bundle(path) -> ReplayBundle:
-    """Load and decode one replay bundle."""
+    """Load and decode one replay bundle.
+
+    ``ValueError`` when the file is not a bundle of this format, or
+    its config's type is not a registered campaign unit.
+    """
+    from repro.experiments.parallel import topology_of
+
     path = Path(path)
     payload = json.loads(path.read_text())
     if payload.get("kind") != "repro-replay-bundle":
@@ -113,8 +119,13 @@ def load_bundle(path) -> ReplayBundle:
             f"{path}: bundle format {payload.get('format')!r} is not "
             f"supported (expected {BUNDLE_FORMAT})"
         )
+    config = decode_value(payload["config"])
+    try:
+        topology_of(config)
+    except TypeError as err:
+        raise ValueError(f"{path}: {err}") from None
     return ReplayBundle(
-        config=decode_value(payload["config"]),
+        config=config,
         seed=payload["seed"],
         digest=payload["digest"],
         code_token=payload["code_token"],
@@ -143,14 +154,12 @@ class ReplayOutcome:
 
 
 def replay_bundle(path) -> ReplayOutcome:
-    """Re-run a bundle's scenario under validation and compare.
-
-    Raises ``ValueError`` naming the config's type if it has no checkers.
-    """
-    from repro.experiments.parallel import checked_topology
+    """Re-run a bundle's config under validation, on the topology its
+    type is registered with, and compare."""
+    from repro.experiments.parallel import topology_of
 
     bundle = load_bundle(path)
-    topology = checked_topology(bundle.config)
+    topology = topology_of(bundle.config)
     code_matches = bundle.code_token == code_version_token()
     violations: Tuple[Violation, ...] = ()
     try:

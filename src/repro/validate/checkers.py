@@ -19,6 +19,8 @@ rest on:
 * :class:`ConservationChecker` — end of run: every transferred byte
   was delivered exactly once, and the accounting counters agree.
 
+Checkers read a topology's ``connections`` (sender, sink pairs) and
+its wireless ``ports``, so one set covers every study a campaign runs.
 All checkers are pure observers: they wrap existing callbacks, draw no
 randomness, and schedule nothing, so validated runs are bit-identical
 to unvalidated ones.
@@ -88,9 +90,8 @@ class TcpStateChecker(InvariantChecker):
 
     name = "tcp-state"
 
-    def attach(self, scenario, report) -> None:
+    def watch(self, sender, sink, report) -> None:
         """Wrap the source's receive path and retransmission timer."""
-        sender = scenario.sender
         max_growth = DUPACK_THRESHOLD + 1 + _EPS
         original_receive = sender.receive
 
@@ -145,8 +146,8 @@ class ArqBoundChecker(InvariantChecker):
     name = "arq-rtmax"
 
     def attach(self, scenario, report) -> None:
-        """Wrap both wireless ports' transmit path."""
-        for port in (scenario.bs_port, scenario.mh_port):
+        """Wrap every wireless port's transmit path."""
+        for port in scenario.ports:
             self._wrap(port, report)
 
     @staticmethod
@@ -177,9 +178,8 @@ class EbsnWindowChecker(InvariantChecker):
 
     name = "ebsn-no-window-action"
 
-    def attach(self, scenario, report) -> None:
+    def watch(self, sender, sink, report) -> None:
         """Wrap the source's ICMP handler with a window snapshot."""
-        sender = scenario.sender
         original_handle = sender._handle_icmp
 
         def handle_icmp(message: IcmpMessage):
@@ -208,15 +208,13 @@ class DeliveryChecker(InvariantChecker):
 
     name = "delivery"
 
-    def attach(self, scenario, report) -> None:
+    def watch(self, sender, sink, report) -> None:
         """Wrap the sink's in-order delivery callback."""
-        sink = scenario.sink
-        sender = scenario.sender
         original_deliver = sink._deliver
         # Under SPLIT the source legitimately completes (relay ACKed
         # everything) while the relay is still draining to the sink, so
         # only the sink's own FIN bounds deliveries there.
-        watch_sender = scenario.split_relay is None
+        watch_sender = not _split(sink)
 
         def deliver(payload_bytes):
             if sink.completed or (watch_sender and sender.completed):
@@ -240,17 +238,25 @@ class DeliveryChecker(InvariantChecker):
 
 
 class ConservationChecker(InvariantChecker):
-    """End-of-run byte/packet conservation and counter consistency."""
+    """End-of-run byte/packet conservation and counter consistency,
+    per connection, from the sender's and sink's own counters."""
 
     name = "conservation"
 
     def finalize(self, scenario, result, report) -> None:
         """Check byte conservation and counter consistency at end of run."""
-        sender = scenario.sender
-        sink = scenario.sink
-        metrics = result.metrics
+        for sender, sink in scenario.connections:
+            self._check(sender, sink, report)
 
-        if result.completed:
+    @staticmethod
+    def _check(sender, sink, report) -> None:
+        split = _split(sink)
+        completed = sink.completed if split else sender.completed
+        stats = sender.stats
+        useful_wire = sink.stats.useful_wire_bytes
+        goodput = useful_wire / stats.bytes_sent_wire if stats.bytes_sent_wire else 0.0
+
+        if completed:
             expected = getattr(sender, "transfer_bytes", None)
             delivered = sink.stats.useful_payload_bytes
             if expected is not None and delivered != expected:
@@ -259,17 +265,16 @@ class ConservationChecker(InvariantChecker):
                     f"but the source produced {expected} B"
                 )
 
-        if result.completed and metrics.goodput <= 0.0:
+        if completed and goodput <= 0.0:
             report("completed transfer reports zero goodput")
 
-        stats = sender.stats
         if stats.retransmitted_bytes_wire > stats.bytes_sent_wire:
             report(
                 f"retransmitted wire bytes ({stats.retransmitted_bytes_wire}) "
                 f"exceed total wire bytes ({stats.bytes_sent_wire})"
             )
         expected_retx = stats.segments_sent - sender.total_segments
-        if result.completed and stats.retransmissions != expected_retx:
+        if completed and stats.retransmissions != expected_retx:
             report(
                 f"retransmission accounting broke: counter says "
                 f"{stats.retransmissions}, sends minus segments says "
@@ -278,19 +283,25 @@ class ConservationChecker(InvariantChecker):
         # The split relay re-segments onto the wireless hop with its
         # own headers, so the source's wire bytes don't bound the
         # sink's (and goodput — their ratio — can exceed 1); every
-        # other scheme forwards the source's packets unchanged.
-        if scenario.split_relay is None:
-            if metrics.goodput > 1.0 + _EPS:
-                report(f"goodput exceeds 1: {metrics.goodput:.6f}")
-            if metrics.useful_wire_bytes > metrics.bytes_sent_wire:
+        # other connection forwards the source's packets unchanged.
+        if not split:
+            if goodput > 1.0 + _EPS:
+                report(f"goodput exceeds 1: {goodput:.6f}")
+            if useful_wire > stats.bytes_sent_wire:
                 report(
-                    f"useful wire bytes ({metrics.useful_wire_bytes}) exceed "
-                    f"bytes the source sent ({metrics.bytes_sent_wire})"
+                    f"useful wire bytes ({useful_wire}) exceed "
+                    f"bytes the source sent ({stats.bytes_sent_wire})"
                 )
 
 
+def _split(sink) -> bool:
+    """Whether ``sink`` ends a split connection: only there is a sink
+    told the transfer size, since the source completes early."""
+    return sink.expected_bytes is not None
+
+
 def default_checkers(scenario):
-    """The standard checker set for one scenario run."""
+    """The standard checker set for one run of any topology."""
     return [
         TimerSanityChecker(),
         TcpStateChecker(),

@@ -10,8 +10,10 @@ callbacks, the wireless ports' ARQ machinery, the sink's delivery
 path).
 
 A :class:`Validator` wires a set of :class:`InvariantChecker` objects
-into a built-but-not-yet-run
-:class:`~repro.experiments.topology.Scenario`.  Checkers observe only
+into a built-but-not-yet-run topology: the Fig. 2
+:class:`~repro.experiments.topology.Scenario` or any study's topology
+registered in :data:`~repro.experiments.parallel.UNITS`, through the
+``connections`` and ``ports`` it lists.  Checkers observe only
 — they never consume randomness or change timing, so a validated run
 is bit-identical to an unvalidated one.  The first violation always
 aborts the run with :class:`InvariantViolationError`;
@@ -116,8 +118,9 @@ class InvariantChecker:
     """Base class for pluggable invariant checkers.
 
     ``attach`` wires the checker's observers into a built scenario
-    before it runs; ``finalize`` runs end-of-run checks over the
-    result.  Both receive a ``report(message)`` callable that records
+    before it runs — by default, :meth:`watch` on each of its
+    ``connections``; ``finalize`` runs end-of-run checks over the
+    result.  Each receives a ``report(message)`` callable that records
     the violation (and, in fail-fast mode, aborts the run by raising).
     Checkers must be pure observers: no RNG draws, no scheduling, no
     state mutation visible to the system under test.
@@ -128,6 +131,11 @@ class InvariantChecker:
 
     def attach(self, scenario, report) -> None:
         """Install observers on a built, not-yet-run scenario."""
+        for sender, sink in scenario.connections:
+            self.watch(sender, sink, report)
+
+    def watch(self, sender, sink, report) -> None:
+        """Install observers on one connection's sender and sink."""
 
     def finalize(self, scenario, result, report) -> None:
         """Check end-of-run invariants over the completed result."""
@@ -227,20 +235,20 @@ def _rebuild_log(config, checkers, wall_timeout):
 
     Returns the log and the violations the re-run raised (empty when
     it raised none).  The config's type picks the topology
-    (:func:`~repro.experiments.parallel.checked_topology`).  Uids are
+    (:func:`~repro.experiments.parallel.topology_of`).  Uids are
     pinned, so the log depends only on the config and the code.
     ``checkers`` are fresh, unattached checkers (``None`` = the
     default set).  If the re-run runs out of ``wall_timeout``, the log
     holds what was recorded up to that point.
     """
     from repro.engine.simulator import WallClockExceeded
-    from repro.experiments.parallel import checked_topology
+    from repro.experiments.parallel import topology_of
     from repro.metrics.eventlog import attach_to_scenario
     from repro.net.packet import pinned_uids
     from repro.validate.checkers import default_checkers
 
     with pinned_uids():
-        replay = checked_topology(config)(config)
+        replay = topology_of(config)(config)
         log = attach_to_scenario(replay)
         validator = Validator(
             checkers if checkers is not None else default_checkers(replay)

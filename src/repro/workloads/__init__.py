@@ -13,12 +13,10 @@ from repro.workloads.interactive import (
     InteractiveConfig,
     InteractiveResult,
     LatencyStats,
-    run_interactive_session,
 )
 
 __all__ = [
     "InteractiveConfig",
     "InteractiveResult",
     "LatencyStats",
-    "run_interactive_session",
 ]

@@ -18,7 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.experiments.topology import Scenario, Scheme
+from repro.experiments.topology import (
+    Scenario,
+    ScenarioDefaults,
+    ScenarioResult,
+    Scheme,
+)
 from repro.experiments.config import wan_scenario
 from repro.tcp import MessageSender
 
@@ -61,8 +66,23 @@ class LatencyStats:
         )
 
 
+#: The scenario a session types over: the WAN study's, with MSS-sized
+#: segments (keystroke segments are far smaller), the session's fades
+#: and the keystroke sender.  ``transfer_bytes`` is a placeholder:
+#: MessageSender resets its totals.
+SESSION_SCENARIO = replace(
+    wan_scenario(
+        packet_size=576,
+        bad_period_mean=BAD_PERIOD_MEAN,
+        transfer_bytes=1,
+        record_trace=False,
+    ),
+    sender_factory=MessageSender,
+)
+
+
 @dataclass
-class InteractiveConfig:
+class InteractiveConfig(ScenarioDefaults):
     """One interactive session."""
 
     scheme: Scheme = Scheme.BASIC
@@ -71,6 +91,12 @@ class InteractiveConfig:
     #: meaningful with Scheme.EBSN.  See EbsnGenerator.
     ebsn_heartbeat: "float | None" = None
     seed: int = 1
+
+    # Where the session scenario departs from the defaults.
+    tcp = SESSION_SCENARIO.tcp
+    channel = SESSION_SCENARIO.channel
+    wireless = SESSION_SCENARIO.wireless
+    sender_factory = SESSION_SCENARIO.sender_factory
 
     def __post_init__(self) -> None:
         if self.keystrokes < 1:
@@ -87,53 +113,49 @@ class InteractiveResult:
     completed: bool
 
 
-def run_interactive_session(
-    config: InteractiveConfig, wall_timeout: Optional[float] = None
-) -> InteractiveResult:
-    """Type ``keystrokes`` keystrokes across the wireless path
-    (``wall_timeout``: the engine's wall-clock watchdog)."""
-    scenario_config = wan_scenario(
-        scheme=config.scheme,
-        packet_size=576,  # MSS; keystroke segments are far smaller
-        bad_period_mean=BAD_PERIOD_MEAN,
-        transfer_bytes=1,  # placeholder; MessageSender resets totals
-        seed=config.seed,
-        record_trace=False,
-    )
-    scenario_config = replace(
-        scenario_config,
-        sender_factory=MessageSender,
-        ebsn_heartbeat=config.ebsn_heartbeat,
-    )
-    scenario = Scenario(scenario_config)
-    sim = scenario.sim
-    sender: MessageSender = scenario.sender  # type: ignore[assignment]
-    rng = scenario.streams.stream("typist")
+class InteractiveSession(Scenario):
+    """The Fig. 2 scenario with a typist at the fixed host.
 
-    typed_at: Dict[int, float] = {}
-    latencies: List[float] = []
-    remaining = {"count": config.keystrokes}
+    Each keystroke is one small segment; the sink records when it is
+    delivered in order.
+    """
 
-    def deliver_hook(seq: int, payload_bytes: int) -> None:
-        latencies.append(sim.now - typed_at[seq])
+    config: InteractiveConfig
 
-    scenario.sink.on_segment = deliver_hook
+    def __init__(self, config: InteractiveConfig) -> None:
+        super().__init__(config)
+        self.typist = self.streams.stream("typist")
+        self.typed_at: Dict[int, float] = {}
+        self.latencies: List[float] = []
+        self.remaining = config.keystrokes
+        self.sink.on_segment = self._delivered
 
-    def type_key() -> None:
-        seq = sender.send_message(KEYSTROKE_BYTES)
-        typed_at[seq] = sim.now
-        remaining["count"] -= 1
-        if remaining["count"] > 0:
-            sim.schedule(rng.expovariate(1.0 / THINK_TIME_MEAN), type_key)
+    def _delivered(self, seq: int, payload_bytes: int) -> None:
+        self.latencies.append(self.sim.now - self.typed_at[seq])
+
+    def _think(self) -> None:
+        self.sim.schedule(self.typist.expovariate(1.0 / THINK_TIME_MEAN), self._type_key)
+
+    def _type_key(self) -> None:
+        seq = self.sender.send_message(KEYSTROKE_BYTES)
+        self.typed_at[seq] = self.sim.now
+        self.remaining -= 1
+        if self.remaining > 0:
+            self._think()
         else:
-            sender.close()
+            self.sender.close()
 
-    sim.schedule(rng.expovariate(1.0 / THINK_TIME_MEAN), type_key)
-    result = scenario.run(wall_timeout=wall_timeout)
+    def run(self, wall_timeout: Optional[float] = None) -> ScenarioResult:
+        """Type ``keystrokes`` keystrokes across the wireless path
+        (``wall_timeout``: the engine's wall-clock watchdog)."""
+        self._think()
+        return super().run(wall_timeout=wall_timeout)
 
-    return InteractiveResult(
-        latency=LatencyStats.from_samples(latencies),
-        timeouts=result.sender.stats.timeouts,
-        duration=result.metrics.duration,
-        completed=result.completed,
-    )
+    def outcome(self, result: ScenarioResult) -> InteractiveResult:
+        """The session's result for its finished ``result``."""
+        return InteractiveResult(
+            latency=LatencyStats.from_samples(self.latencies),
+            timeouts=result.sender.stats.timeouts,
+            duration=result.metrics.duration,
+            completed=result.completed,
+        )

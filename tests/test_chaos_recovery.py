@@ -103,9 +103,9 @@ class TestWorkerCrashRecovery:
         baseline = handoff_campaign().points[0]
         flag = tmp_path / "killed-once"
         parent_pid = os.getpid()
-        original = handoff_topology.run_handoff_scenario
+        original = handoff_topology.HandoffScenario.run
 
-        def chaotic(cfg, **kwargs):
+        def chaotic(scenario, **kwargs):
             if os.getpid() != parent_pid:
                 try:
                     fd = os.open(flag, os.O_CREAT | os.O_EXCL)
@@ -114,9 +114,9 @@ class TestWorkerCrashRecovery:
                 else:
                     os.close(fd)
                     os.kill(os.getpid(), signal.SIGKILL)
-            return original(cfg, **kwargs)
+            return original(scenario, **kwargs)
 
-        monkeypatch.setattr(handoff_topology, "run_handoff_scenario", chaotic)
+        monkeypatch.setattr(handoff_topology.HandoffScenario, "run", chaotic)
         recovered = handoff_campaign(workers=3).points[0]
         assert flag.exists(), "the chaos SIGKILL never fired"
         assert recovered.results == baseline.results
@@ -273,14 +273,14 @@ class TestDeterministicErrors:
         scheduler, and the point keeps its surviving seeds in order."""
         from repro.csdp import CsdpStudyConfig, study
 
-        original = study.run_csdp_study
+        original = study.CsdpStudy.run
 
-        def broken_seed(cfg, **kwargs):
-            if cfg.seed == 2:
+        def broken_seed(scenario, **kwargs):
+            if scenario.config.seed == 2:
                 raise ValueError("deterministically broken unit")
-            return original(cfg, **kwargs)
+            return original(scenario, **kwargs)
 
-        monkeypatch.setattr(study, "run_csdp_study", broken_seed)
+        monkeypatch.setattr(study.CsdpStudy, "run", broken_seed)
         point = sweep_campaign(
             ["rr"],
             lambda sched: CsdpStudyConfig(
@@ -364,13 +364,13 @@ class TestInterruptAndResume:
             handoff_campaign(replications=2, journal=journal)
 
         calls = []
-        original = handoff_topology.run_handoff_scenario
+        original = handoff_topology.HandoffScenario.run
 
-        def counting(cfg, **kwargs):
-            calls.append(cfg.seed)
-            return original(cfg, **kwargs)
+        def counting(scenario, **kwargs):
+            calls.append(scenario.config.seed)
+            return original(scenario, **kwargs)
 
-        monkeypatch.setattr(handoff_topology, "run_handoff_scenario", counting)
+        monkeypatch.setattr(handoff_topology.HandoffScenario, "run", counting)
         with CampaignJournal(journal_path) as journal:
             resumed = handoff_campaign(journal=journal)
         assert calls == [5, 6]  # the superset's new seeds only

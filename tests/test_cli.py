@@ -163,6 +163,19 @@ class TestSweep:
         assert "0 simulated" in second
         assert "9 from journal" in second
 
+    @pytest.mark.parametrize(
+        "command", [["sweep", "--transfer-kb", "10"], ["figure", "8"]]
+    )
+    def test_resume_naming_a_directory_is_a_usage_error(
+        self, command, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--no-cache", "--resume", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot open journal {tmp_path}: Is a directory" in err
+        assert "Traceback" not in err
+
     def test_partial_campaign_reports_and_exits_one(
         self, capsys, monkeypatch, tmp_path
     ):

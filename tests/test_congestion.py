@@ -57,7 +57,7 @@ class TestEcnEcho:
     def make_sink(self, sim):
         node = Node("MH")
         acks = []
-        node.add_interface("cap", acks.append, "FH")
+        node.add_interface(acks.append, "FH")
         sink = TcpSink(sim, node, "FH")
         node.attach_agent(sink)
         return sink, acks
@@ -80,7 +80,7 @@ class TestEcnEcho:
 class TestEcnResponse:
     def make_sender(self, sim, ecn=True):
         node = Node("FH")
-        node.add_interface("cap", lambda d: None, "MH")
+        node.add_interface(lambda d: None, "MH")
         sender = TahoeSender(
             sim,
             node,
@@ -139,7 +139,7 @@ class TestCbr:
     def test_rate(self, sim):
         node = Node("XS")
         sent = []
-        node.add_interface("x", sent.append, "BS")
+        node.add_interface(sent.append, "BS")
         source = CbrSource(sim, node, "BS", rate_bps=57_600, packet_size=576)
         source.start()
         sim.run(until=10.0)
@@ -148,7 +148,7 @@ class TestCbr:
 
     def test_stop(self, sim):
         node = Node("XS")
-        node.add_interface("x", lambda d: None, "BS")
+        node.add_interface(lambda d: None, "BS")
         source = CbrSource(sim, node, "BS", rate_bps=57_600)
         source.start()
         sim.schedule(1.0, source.stop)

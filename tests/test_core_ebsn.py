@@ -34,7 +34,7 @@ class TestEbsnGenerator:
     def make_bs(self):
         node = Node("BS")
         sent = []
-        node.add_interface("wired", sent.append, "FH")
+        node.add_interface(sent.append, "FH")
         return node, sent
 
     def test_failed_data_attempt_sends_ebsn_to_source(self):
@@ -69,7 +69,7 @@ class SenderHarness:
         defaults.update(cfg)
         self.node = Node("FH")
         self.sent = []
-        self.node.add_interface("capture", self.sent.append, "MH")
+        self.node.add_interface(self.sent.append, "MH")
         self.sender = TahoeSender(sim, self.node, "MH", config=TcpConfig(**defaults))
         self.node.attach_agent(self.sender)
 

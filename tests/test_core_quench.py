@@ -31,7 +31,7 @@ class TestQuenchGenerator:
     def make_bs(self, sim):
         node = Node("BS")
         sent = []
-        node.add_interface("wired", sent.append, "FH")
+        node.add_interface(sent.append, "FH")
         return QuenchGenerator(sim, node), sent
 
     def test_failed_attempt_sends_quench(self, sim):
@@ -77,7 +77,7 @@ class TestQuenchGenerator:
 class TestSourceResponse:
     def make_sender(self, sim):
         node = Node("FH")
-        node.add_interface("capture", lambda d: None, "MH")
+        node.add_interface(lambda d: None, "MH")
         sender = TahoeSender(
             sim,
             node,

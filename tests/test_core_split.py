@@ -13,7 +13,7 @@ from repro.tcp import TcpConfig
 
 def stream_sender(sim, captured):
     node = Node("BS")
-    node.add_interface("capture", captured.append, "MH")
+    node.add_interface(captured.append, "MH")
     sender = StreamSender(
         sim,
         node,
@@ -91,8 +91,8 @@ class TestSplitRelay:
     def make_relay(self, sim, transfer=3 * 536):
         node = Node("BS")
         wired_out, wireless_out = [], []
-        node.add_interface("wired", wired_out.append, "FH")
-        node.add_interface("wireless", wireless_out.append, "MH")
+        node.add_interface(wired_out.append, "FH")
+        node.add_interface(wireless_out.append, "MH")
         relay = SplitRelay(sim, node, transfer_bytes=transfer)
         node.attach_agent(relay)
         return relay, wired_out, wireless_out

@@ -111,7 +111,7 @@ class TestConnectionMetrics:
         from repro.tcp import TahoeSender, TcpConfig, TcpSink
 
         node = Node("FH")
-        node.add_interface("x", lambda d: None, "MH")
+        node.add_interface(lambda d: None, "MH")
         sender = TahoeSender(sim, node, "MH", config=TcpConfig())
         sink = TcpSink(sim, node, "FH")
         with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
-"""Unit tests for nodes and interfaces."""
+"""Unit tests for nodes."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.net.node import Interface, Node
+from repro.net.node import Node
 from repro.net.packet import Datagram, TcpSegment
 
 
@@ -20,17 +20,6 @@ class RecordingAgent:
         self.received.append(datagram)
 
 
-class TestInterface:
-    def test_counts_traffic(self):
-        sent = []
-        iface = Interface("wired", sent.append)
-        iface(make_datagram())
-        iface(make_datagram())
-        assert iface.datagrams_out == 2
-        assert iface.bytes_out == 1152
-        assert len(sent) == 2
-
-
 class TestNode:
     def test_local_delivery_to_agent(self):
         node = Node("MH")
@@ -38,7 +27,6 @@ class TestNode:
         node.attach_agent(agent)
         node.receive(make_datagram(dst="MH"))
         assert len(agent.received) == 1
-        assert node.datagrams_received == 1
 
     def test_local_delivery_without_agent_raises(self):
         with pytest.raises(RuntimeError):
@@ -47,15 +35,14 @@ class TestNode:
     def test_forwarding(self):
         node = Node("BS")
         out = []
-        node.add_interface("wireless", out.append, "MH")
+        node.add_interface(out.append, "MH")
         node.receive(make_datagram(dst="MH"))
         assert len(out) == 1
-        assert node.datagrams_forwarded == 1
 
     def test_add_interface_installs_routes(self):
         node = Node("FH")
         out = []
-        node.add_interface("wired", out.append, "BS", "MH")
+        node.add_interface(out.append, "BS", "MH")
         node.send(make_datagram(dst="BS"))
         node.send(make_datagram(dst="MH"))
         assert len(out) == 2
@@ -68,6 +55,6 @@ class TestNode:
     def test_send_originates_via_routing(self):
         node = Node("FH")
         out = []
-        node.add_interface("wired", out.append, "MH")
+        node.add_interface(out.append, "MH")
         node.send(make_datagram())
         assert len(out) == 1

@@ -49,10 +49,6 @@ _REGISTRY = (
 #: only by tests.
 ALLOWED = {
     "run_unit.wall_timeout": _REGISTRY,
-    "run_congested_scenario.wall_timeout": _REGISTRY,
-    "run_csdp_study.wall_timeout": _REGISTRY,
-    "run_handoff_scenario.wall_timeout": _REGISTRY,
-    "run_interactive_session.wall_timeout": _REGISTRY,
     "lan_scenario.record_trace": "`repro profile --lan` passes it as "
     "_study_config(args, lan_scenario, **fields), which calls cls(**fields)",
     "TahoeSender.record_cwnd": "Scenario builds the sender as "

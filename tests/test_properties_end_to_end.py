@@ -19,7 +19,8 @@ from hypothesis import given, strategies as st
 
 from repro.experiments.config import wan_scenario
 from repro.experiments.topology import Scheme, run_scenario
-from repro.workloads.interactive import InteractiveConfig, run_interactive_session
+from repro.experiments.parallel import run_unit
+from repro.workloads.interactive import InteractiveConfig
 
 TRANSFER = 8 * 1024  # small transfers keep each example fast
 
@@ -151,7 +152,7 @@ class TestInteractiveWorkload:
     def test_every_keystroke_delivered_with_sane_latency(
         self, scheme, seed, keystrokes
     ):
-        result = run_interactive_session(
+        result = run_unit(
             InteractiveConfig(scheme=scheme, keystrokes=keystrokes, seed=seed)
         )
         assert result.completed
@@ -168,8 +169,8 @@ class TestInteractiveWorkload:
         config = InteractiveConfig(
             scheme=Scheme.EBSN, keystrokes=10, seed=seed
         )
-        a = run_interactive_session(config)
-        b = run_interactive_session(config)
+        a = run_unit(config)
+        b = run_unit(config)
         assert a.latency == b.latency
         assert a.duration == b.duration
         assert a.timeouts == b.timeouts

@@ -14,7 +14,7 @@ class Harness:
     def __init__(self, sim):
         self.node = Node("FH")
         self.sent = []
-        self.node.add_interface("capture", self.sent.append, "MH")
+        self.node.add_interface(self.sent.append, "MH")
         self.sender = NewRenoSender(
             sim,
             self.node,

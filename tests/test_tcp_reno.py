@@ -17,7 +17,7 @@ class Harness:
         self.sim = sim
         self.node = Node("FH")
         self.sent = []
-        self.node.add_interface("capture", self.sent.append, "MH")
+        self.node.add_interface(self.sent.append, "MH")
         self.sender = RenoSender(sim, self.node, "MH", config=TcpConfig(**defaults))
         self.node.attach_agent(self.sender)
 
@@ -92,7 +92,7 @@ class TestFastRecovery:
         for cls in (TahoeSender, RenoSender):
             local_sim = Simulator()
             node = Node("FH")
-            node.add_interface("capture", lambda d: None, "MH")
+            node.add_interface(lambda d: None, "MH")
             sender = cls(
                 local_sim,
                 node,

@@ -14,7 +14,7 @@ class Harness:
     def __init__(self, sim):
         self.node = Node("MH")
         self.acks = []
-        self.node.add_interface("capture", self.acks.append, "FH")
+        self.node.add_interface(self.acks.append, "FH")
         self.sink = TcpSink(sim, self.node, "FH")
         self.node.attach_agent(self.sink)
 

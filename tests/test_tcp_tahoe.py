@@ -19,7 +19,7 @@ class Harness:
         self.sim = sim
         self.node = Node("FH")
         self.sent = []
-        self.node.add_interface("capture", self.sent.append, "MH")
+        self.node.add_interface(self.sent.append, "MH")
         self.sender = TahoeSender(sim, self.node, "MH", config=TcpConfig(**defaults))
         self.node.attach_agent(self.sender)
 

@@ -297,7 +297,9 @@ class TestCongestedReplay:
         assert "no violation reproduced" in capsys.readouterr().out
         assert len(runs) == 1
 
-    def test_cli_replay_of_a_type_without_checkers_exits_2(self, tmp_path, capsys):
+    def test_cli_replay_of_a_handoff_watchdog_bundle_exits_1(self, tmp_path, capsys):
+        """A study's hang bundle replays on its own topology, under the
+        checkers; the clean re-run reproduces no violation."""
         from repro.cli import main
         from repro.handoff import HandoffConfig
         from repro.validate.bundle import write_bundle
@@ -305,8 +307,25 @@ class TestCongestedReplay:
         path = write_bundle(
             HandoffConfig(), [Violation("watchdog", 1.0, "hung")], None, tmp_path
         )
+        assert main(["replay", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "seed 1, HandoffConfig" in out
+        assert "no violation reproduced" in out
+
+    def test_cli_replay_of_an_unregistered_type_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.handoff import HandoffConfig
+        from repro.tcp import TcpConfig
+        from repro.validate.bundle import write_bundle
+
+        path = write_bundle(
+            HandoffConfig(), [Violation("watchdog", 1.0, "hung")], None, tmp_path
+        )
+        payload = json.loads(path.read_text())
+        payload["config"] = encode_value(TcpConfig())
+        path.write_text(json.dumps(payload))
         assert main(["replay", str(path)]) == 2
-        assert "HandoffConfig runs have no invariant checkers" in capsys.readouterr().err
+        assert "TcpConfig is not a registered campaign unit" in capsys.readouterr().err
 
 
 class TestEncoding:

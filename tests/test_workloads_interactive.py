@@ -9,14 +9,15 @@ from repro.experiments.topology import Scheme
 from repro.net.node import Node
 from repro.net.packet import Datagram, TcpAck
 from repro.tcp import MessageSender, TcpConfig
-from repro.workloads import InteractiveConfig, LatencyStats, run_interactive_session
+from repro.experiments.parallel import run_unit
+from repro.workloads import InteractiveConfig, LatencyStats
 
 
 class MessageHarness:
     def __init__(self, sim):
         self.node = Node("FH")
         self.sent = []
-        self.node.add_interface("capture", self.sent.append, "MH")
+        self.node.add_interface(self.sent.append, "MH")
         self.sender = MessageSender(
             sim,
             self.node,
@@ -97,7 +98,7 @@ class TestLatencyStats:
 
 class TestInteractiveSession:
     def test_session_completes_and_measures_everything(self):
-        result = run_interactive_session(
+        result = run_unit(
             InteractiveConfig(scheme=Scheme.BASIC, keystrokes=50, seed=2)
         )
         assert result.completed
@@ -108,7 +109,7 @@ class TestInteractiveSession:
         def totals(**kwargs):
             timeouts, mean = 0, 0.0
             for seed in range(1, 4):
-                r = run_interactive_session(
+                r = run_unit(
                     InteractiveConfig(keystrokes=150, seed=seed, **kwargs)
                 )
                 timeouts += r.timeouts
@@ -126,7 +127,7 @@ class TestInteractiveSession:
         heartbeat fixes it."""
         def timeouts(**kwargs):
             return sum(
-                run_interactive_session(
+                run_unit(
                     InteractiveConfig(
                         scheme=Scheme.EBSN, keystrokes=150, seed=s, **kwargs
                     )
@@ -154,7 +155,7 @@ class TestHeartbeatGenerator:
 
         node = Node("BS")
         sent = []
-        node.add_interface("wired", sent.append, "FH")
+        node.add_interface(sent.append, "FH")
         gen = EbsnGenerator(node, sim=sim, heartbeat_interval=0.1)
         seg = TcpSegment(3, 100, 0.0)
         frag = Fragment(Datagram("FH", "MH", seg, 140), 0, 1, 140)
@@ -170,7 +171,7 @@ class TestHeartbeatGenerator:
 
         node = Node("BS")
         sent = []
-        node.add_interface("wired", sent.append, "FH")
+        node.add_interface(sent.append, "FH")
         gen = EbsnGenerator(node, sim=sim, heartbeat_interval=0.1)
         seg = TcpSegment(3, 100, 0.0)
         frag = Fragment(Datagram("FH", "MH", seg, 140), 0, 1, 140)
