@@ -5,7 +5,8 @@ series it produces to ``benchmarks/out/<name>.txt`` (so the numbers
 survive the run), echoes them to stdout, and asserts the qualitative
 shape the paper reports.  pytest-benchmark wraps the whole figure
 computation, so `pytest benchmarks/ --benchmark-only` both regenerates
-every figure and reports how long each takes.
+every figure and reports how long each takes.  Figs 7-11 share one
+campaign (see :func:`paper_figure`).
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import os
 from pathlib import Path
 
 import pytest
+
+from repro.experiments.figures import FIGURES, paper_figures
 
 OUT_DIR = Path(__file__).parent / "out"
 
@@ -69,3 +72,35 @@ def report(out_dir):
 def run_once(benchmark, fn):
     """Run a figure computation exactly once under pytest-benchmark."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+@pytest.fixture(scope="session")
+def _paper_results():
+    """The results of Figs 7-11's shared campaign, once it has run."""
+    return {}
+
+
+@pytest.fixture
+def paper_figure(benchmark, _paper_results):
+    """``paper_figure(n)``: Fig ``n``'s table and the results it reads.
+
+    Figs 7-11 run as one campaign (:func:`paper_figures`).  The first of
+    their benchmarks in a session runs it, and its time is the whole
+    campaign's; each later one times only its own render.
+    """
+
+    def figure(number):
+        if not _paper_results:
+            texts, campaign = run_once(
+                benchmark,
+                lambda: paper_figures(FIGURES, SCALE, DEFAULT_REPS, workers=WORKERS),
+            )
+            _paper_results.update(campaign.points)
+            return texts[number], _paper_results
+        text = run_once(
+            benchmark,
+            lambda: FIGURES[number].render(_paper_results, SCALE, DEFAULT_REPS),
+        )
+        return text, _paper_results
+
+    return figure

@@ -12,57 +12,26 @@
 
 from __future__ import annotations
 
-from conftest import DEFAULT_REPS, SCALE, STRICT, WORKERS, run_once
+from conftest import SCALE, STRICT
 
-from repro.experiments.ascii_plot import plot_series
 from repro.experiments.config import LAN_BAD_PERIODS
-from repro.experiments.figures import figure_10, lan_theoretical_mbps
+from repro.experiments.figures import lan_theoretical_mbps
+from repro.experiments.topology import Scheme
 
 
-def _format(data):
-    lines = [
-        "Figure 10: LAN throughput (Mbps) vs mean bad period, 4 MB transfer",
-        f"(transfer scale {SCALE:g}, {DEFAULT_REPS} replications/point)",
-        "",
-        "bad(s)   theoretical   basic TCP   EBSN    EBSN/basic",
-    ]
-    for bad in LAN_BAD_PERIODS:
-        basic = data["basic"].points[bad].throughput_mbps
-        ebsn = data["ebsn"].points[bad].throughput_mbps
-        lines.append(
-            f"{bad:6.1f}   {lan_theoretical_mbps(bad):11.3f}   {basic:9.3f}"
-            f"   {ebsn:5.3f}   {ebsn / basic:9.2f}x"
-        )
-    curves = {
-        "theoretical": [(b, lan_theoretical_mbps(b)) for b in LAN_BAD_PERIODS],
-        "EBSN": [(b, data["ebsn"].points[b].throughput_mbps) for b in LAN_BAD_PERIODS],
-        "basic": [(b, data["basic"].points[b].throughput_mbps) for b in LAN_BAD_PERIODS],
-    }
-    lines.append("")
-    lines.append(
-        plot_series(curves, width=64, height=14, x_label="mean bad period (s)",
-                    y_label="throughput (Mbps)", y_min=0.0)
-    )
-    return "\n".join(lines)
-
-
-def test_fig10_lan_throughput(benchmark, report):
-    transfer = int(4 * 1024 * 1024 * SCALE)
-    data = run_once(
-        benchmark,
-        lambda: figure_10(
-            replications=DEFAULT_REPS, transfer_bytes=transfer, workers=WORKERS
-        ),
-    )
-    report("fig10_lan_tput", _format(data))
+def test_fig10_lan_throughput(paper_figure, report):
+    text, results = paper_figure(10)
+    report("fig10_lan_tput", text)
     if not STRICT:
         # Smoke scale: the figure above is regenerated and saved, but
         # the paper-shape margins only hold at full scale.
         return
 
+    def tput(scheme, bad):
+        return results["lan", scheme, bad].throughput_mbps
 
-    basic = {b: data["basic"].points[b].throughput_mbps for b in LAN_BAD_PERIODS}
-    ebsn = {b: data["ebsn"].points[b].throughput_mbps for b in LAN_BAD_PERIODS}
+    basic = {b: tput(Scheme.BASIC, b) for b in LAN_BAD_PERIODS}
+    ebsn = {b: tput(Scheme.EBSN, b) for b in LAN_BAD_PERIODS}
 
     for bad in LAN_BAD_PERIODS:
         # EBSN wins everywhere and never exceeds the theoretical max.

@@ -12,55 +12,19 @@ One curve per mean bad-period length (1-4 s), mean good period 10 s,
 
 from __future__ import annotations
 
-from conftest import DEFAULT_REPS, SCALE, WORKERS, run_once
+from conftest import SCALE
 
-from repro.experiments.ascii_plot import plot_series
 from repro.experiments.config import WAN_BAD_PERIODS, WAN_PACKET_SIZES
-from repro.experiments.figures import figure_7, wan_theoretical_kbps
+from repro.experiments.figures import wan_theoretical_kbps
+from repro.experiments.topology import Scheme
 
 
-def _format(series):
-    lines = [
-        "Figure 7: Basic TCP (wide-area): throughput (kbps) vs packet size",
-        f"(transfer scale {SCALE:g}, {DEFAULT_REPS} replications/point)",
-        "",
-        "size(B)  " + "  ".join(f"bad={b:g}s" for b in WAN_BAD_PERIODS),
-    ]
-    for size in WAN_PACKET_SIZES:
-        row = [f"{size:7d}"]
-        for bad in WAN_BAD_PERIODS:
-            row.append(f"{series[bad].points[size].throughput_kbps:7.2f}")
-        lines.append("  ".join(row))
-    lines.append(
-        "tput_th  "
-        + "  ".join(f"{wan_theoretical_kbps(b):7.2f}" for b in WAN_BAD_PERIODS)
-    )
-    curves = {
-        f"bad={b:g}s": [
-            (size, series[b].points[size].throughput_kbps)
-            for size in WAN_PACKET_SIZES
-        ]
-        for b in WAN_BAD_PERIODS
-    }
-    lines.append("")
-    lines.append(
-        plot_series(curves, width=72, height=14, x_label="packet size (B)",
-                    y_label="throughput (kbps)", y_min=0.0)
-    )
-    return "\n".join(lines)
-
-
-def test_fig7_throughput_vs_packet_size(benchmark, report):
-    transfer = int(100 * 1024 * SCALE)
-    series = run_once(
-        benchmark, lambda: figure_7(
-            replications=DEFAULT_REPS, transfer_bytes=transfer, workers=WORKERS
-        )
-    )
-    report("fig7_wan_basic", _format(series))
+def test_fig7_throughput_vs_packet_size(paper_figure, report):
+    text, results = paper_figure(7)
+    report("fig7_wan_basic", text)
 
     def tput(bad, size):
-        return series[bad].points[size].throughput_kbps
+        return results["wan", Scheme.BASIC, size, bad].throughput_kbps
 
     def curve_mean(bad):
         return sum(tput(bad, s) for s in WAN_PACKET_SIZES) / len(WAN_PACKET_SIZES)

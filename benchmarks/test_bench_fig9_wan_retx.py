@@ -11,40 +11,16 @@ reading:
 
 from __future__ import annotations
 
-from conftest import DEFAULT_REPS, SCALE, WORKERS, run_once
-
 from repro.experiments.config import WAN_BAD_PERIODS, WAN_PACKET_SIZES
-from repro.experiments.figures import figure_9
+from repro.experiments.topology import Scheme
 
 
-def _format(data):
-    lines = [
-        "Figure 9: data retransmitted (KB) vs packet size, 100 KB transfer",
-        f"(transfer scale {SCALE:g}, {DEFAULT_REPS} replications/point)",
-    ]
-    for label, series in data.items():
-        lines.append("")
-        lines.append(f"-- {label} --")
-        lines.append("size(B)  " + "  ".join(f"bad={b:g}s" for b in WAN_BAD_PERIODS))
-        for size in WAN_PACKET_SIZES:
-            row = [f"{size:7d}"]
-            for bad in WAN_BAD_PERIODS:
-                row.append(f"{series[bad].points[size].retransmitted_kbytes_mean:7.1f}")
-            lines.append("  ".join(row))
-    return "\n".join(lines)
-
-
-def test_fig9_retransmitted_data(benchmark, report):
-    transfer = int(100 * 1024 * SCALE)
-    data = run_once(
-        benchmark, lambda: figure_9(
-            replications=DEFAULT_REPS, transfer_bytes=transfer, workers=WORKERS
-        )
-    )
-    report("fig9_wan_retx", _format(data))
+def test_fig9_retransmitted_data(paper_figure, report):
+    text, results = paper_figure(9)
+    report("fig9_wan_retx", text)
 
     def retx(scheme, bad, size):
-        return data[scheme][bad].points[size].retransmitted_kbytes_mean
+        return results["wan", Scheme(scheme), size, bad].retransmitted_kbytes_mean
 
     sizes = WAN_PACKET_SIZES
 

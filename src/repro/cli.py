@@ -5,7 +5,7 @@ Commands:
 * ``run``    — one transfer under a chosen scheme; print metrics.
 * ``trace``  — render the paper's Fig 3/4/5 trace plots.
 * ``sweep``  — packet-size (WAN) or bad-period (LAN) sweep.
-* ``figure`` — regenerate a paper figure's data series (7-11).
+* ``figure`` — print a paper figure: its trace (3-5) or table (7-11).
 * ``csdp``   — the multi-connection scheduling study.
 * ``handoff``— the two-cell handoff study.
 * ``congestion`` — the wired-congestion / ECN / EBSN interaction.
@@ -40,19 +40,14 @@ from repro.csdp import CsdpStudyConfig
 from repro.experiments.ascii_plot import format_table
 from repro.experiments.config import (
     LAN_BAD_PERIODS,
-    WAN_BAD_PERIODS,
     WAN_PACKET_SIZES,
     lan_scenario,
     trace_example_scenario,
     wan_scenario,
 )
 from repro.experiments.figures import (
-    figure_7,
-    figure_8,
-    figure_9,
-    figure_10,
-    figure_11,
     lan_theoretical_mbps,
+    paper_figures,
     trace_figure,
     wan_theoretical_kbps,
 )
@@ -338,79 +333,14 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         return 0
     journal = _engine_journal(args)
     try:
-        return _run_figure(args, journal)
+        texts, campaign = paper_figures(
+            [n], replications=args.replications, **_engine_kwargs(args, journal)
+        )
     finally:
         if journal is not None:
             journal.close()
-
-
-def _run_figure(args: argparse.Namespace, journal) -> int:
-    n = args.number
-    reps = args.replications
-    engine = _engine_kwargs(args, journal)
-    if n == 7 or n == 8:
-        series = (figure_7 if n == 7 else figure_8)(replications=reps, **engine)
-        header = ["size(B)"] + [f"bad={b:g}s" for b in WAN_BAD_PERIODS]
-        rows = [
-            [str(size)]
-            + [f"{series[b].points[size].throughput_kbps:.2f}" for b in WAN_BAD_PERIODS]
-            for size in WAN_PACKET_SIZES
-        ]
-        rows.append(["tput_th"] + [f"{wan_theoretical_kbps(b):.2f}" for b in WAN_BAD_PERIODS])
-        print(format_table(header, rows, title=f"Figure {n} (throughput, kbps):"))
-        return _finish_campaign(series[WAN_BAD_PERIODS[0]].report)
-    if n == 9:
-        data = figure_9(replications=reps, **engine)
-        for label, series in data.items():
-            header = ["size(B)"] + [f"bad={b:g}s" for b in WAN_BAD_PERIODS]
-            rows = [
-                [str(size)]
-                + [
-                    f"{series[b].points[size].retransmitted_kbytes_mean:.1f}"
-                    for b in WAN_BAD_PERIODS
-                ]
-                for size in WAN_PACKET_SIZES
-            ]
-            print(format_table(header, rows, title=f"Figure 9, {label} (KB retransmitted):"))
-        return _finish_campaign(data["basic"][WAN_BAD_PERIODS[0]].report)
-    # Figure 10 or 11: the parser admits no other number.
-    data = (
-        figure_10(replications=reps, **engine)
-        if n == 10
-        else figure_11(replications=reps, **engine)
-    )
-    if n == 10:
-        rows = [
-            [
-                f"{bad:g}",
-                f"{lan_theoretical_mbps(bad):.3f}",
-                f"{data['basic'].points[bad].throughput_mbps:.3f}",
-                f"{data['ebsn'].points[bad].throughput_mbps:.3f}",
-            ]
-            for bad in LAN_BAD_PERIODS
-        ]
-        print(
-            format_table(
-                ["bad(s)", "tput_th", "basic(Mbps)", "ebsn(Mbps)"],
-                rows,
-                title="Figure 10:",
-            )
-        )
-    else:
-        rows = [
-            [
-                f"{bad:g}",
-                f"{data['basic'].points[bad].retransmitted_kbytes_mean:.1f}",
-                f"{data['ebsn'].points[bad].retransmitted_kbytes_mean:.1f}",
-            ]
-            for bad in LAN_BAD_PERIODS
-        ]
-        print(
-            format_table(
-                ["bad(s)", "basic(KB)", "ebsn(KB)"], rows, title="Figure 11:"
-            )
-        )
-    return _finish_campaign(data["basic"].report)
+    print(texts[n])
+    return _finish_campaign(campaign.report)
 
 
 def _cmd_csdp(args: argparse.Namespace) -> int:
@@ -549,7 +479,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
           f"seed {bundle.config.seed}, {type(bundle.config).__name__}")
     for violation in bundle.violations:
         print(f"  - {violation.describe()}")
-    outcome = replay_bundle(args.bundle)
+    outcome = replay_bundle(bundle)
     if not outcome.code_matches:
         print("note      : code has changed since capture "
               "(digest mismatch); replay may diverge")

@@ -12,51 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from repro.csdp import CsdpStudyConfig
-from repro.experiments.config import lan_scenario, trace_example_scenario, wan_scenario
-from repro.experiments.congestion import CongestedScenarioConfig
-from repro.experiments.runner import sweep_campaign
+from repro.experiments.config import trace_example_scenario, wan_scenario
+from repro.experiments.figures import lan_theoretical_mbps, wan_theoretical_kbps
+from repro.experiments.points import Point, run_points
 from repro.experiments.topology import Scheme, run_scenario
-from repro.handoff import HandoffConfig, HandoffScheme
-from repro.metrics.theoretical import theoretical_throughput_bps
-from repro.tcp import TcpConfig
-
-#: A simulated point a claim reads: its study (a key of ``_CONFIGS``)
-#: followed by that study's arguments.  A WAN point is
-#: ``("wan", scheme, packet_size, bad_period)``, a LAN point
-#: ``("lan", scheme, bad_period)``.
-Point = Tuple
-
-
-#: Per study: the config of a point at a transfer scale, from
-#: ``(scale, *point[1:])``.
-_CONFIGS: Dict[str, Callable] = {
-    "wan": lambda scale, scheme, packet_size, bad_period: wan_scenario(
-        scheme=scheme,
-        packet_size=packet_size,
-        bad_period_mean=bad_period,
-        transfer_bytes=int(100 * 1024 * scale),
-    ),
-    "lan": lambda scale, scheme, bad_period: lan_scenario(
-        scheme=scheme,
-        bad_period_mean=bad_period,
-        transfer_bytes=int(4 * 1024 * 1024 * scale),
-    ),
-    "csdp": lambda scale, scheduler: CsdpStudyConfig(
-        scheduler=scheduler, transfer_bytes=int(50 * 1024 * scale)
-    ),
-    "hand": lambda scale, scheme: HandoffConfig(
-        scheme=scheme, handoff_interval=6.0, transfer_bytes=int(60 * 1024 * scale)
-    ),
-    "cong": lambda scale, ecn: CongestedScenarioConfig(
-        scheme=Scheme.BASIC,
-        ecn=ecn,
-        cross_load=0.9,
-        tcp=TcpConfig(transfer_bytes=int(60 * 1024 * scale)),
-    ),
-}
+from repro.handoff import HandoffScheme
 
 
 @dataclass(frozen=True)
@@ -87,21 +49,10 @@ class Claim:
         """Run this claim's check (and only its own points) at the given scale."""
         if not self.points:
             return self.check(scale, seeds)
-        return self._judge(_run_points(self.points, scale, seeds), seeds)
+        return self._judge(run_points(self.points, scale, seeds).points, seeds)
 
     def _judge(self, results: Dict[Point, object], seeds: int) -> ClaimResult:
         return self.check([results[point] for point in self.points], seeds)
-
-
-def _run_points(
-    points: Iterable[Point], scale: float, seeds: int
-) -> Dict[Point, object]:
-    """Every distinct point over ``seeds`` seeds, as one campaign."""
-    return sweep_campaign(
-        dict.fromkeys(points),
-        lambda point: _CONFIGS[point[0]](scale, *point[1:]),
-        seeds,
-    ).points
 
 
 def _wan(scheme: Scheme, packet_size: int = 576) -> Point:
@@ -168,7 +119,7 @@ def _check_packet_size_optimum(points, seeds) -> ClaimResult:
 
 def _check_ebsn_large_packets(points, seeds) -> ClaimResult:
     small, large = (point.throughput_bps_mean for point in points)
-    tput_th = theoretical_throughput_bps(12_800, 10.0, 4.0)
+    tput_th = wan_theoretical_kbps(4.0) * 1e3
     ok = large > 1.15 * small and large > 0.7 * tput_th
     return ClaimResult(
         ok,
@@ -193,7 +144,7 @@ def _check_ebsn_low_retx(points, seeds) -> ClaimResult:
 
 def _check_lan(points, seeds) -> ClaimResult:
     basic, ebsn = (point.throughput_bps_mean for point in points)
-    tput_th = theoretical_throughput_bps(2e6, 4.0, 1.6)
+    tput_th = lan_theoretical_mbps(1.6) * 1e6
     ok = ebsn > 1.1 * basic and ebsn > 0.8 * tput_th
     return ClaimResult(
         ok,
@@ -282,7 +233,9 @@ def validate_all(
     Every simulated claim's points, deduplicated, run as one campaign
     first.
     """
-    results = _run_points((p for claim in CLAIMS for p in claim.points), scale, seeds)
+    results = run_points(
+        (p for claim in CLAIMS for p in claim.points), scale, seeds
+    ).points
     return [
         (claim, claim._judge(results, seeds) if claim.points else claim.check(scale, seeds))
         for claim in CLAIMS

@@ -1,62 +1,51 @@
-"""One entry point per paper figure.
+"""One spec per paper figure.
 
-Each ``figure_N`` function runs the experiment behind that figure and
-returns the plotted data series (plus the theoretical-maximum lines
-where the paper draws them).  The benchmark harness calls these and
-prints the same rows the paper plots; EXPERIMENTS.md records the
-comparison.
+Figs 3-5 are single deterministic runs (:func:`trace_figure`).  Each of
+Figs 7-11 is a :class:`FigureSpec`: the points it plots, in the point
+vocabulary the claims use (:mod:`repro.experiments.points`), and the
+renderer that prints them as its ``benchmarks/out`` table.
+:func:`paper_figures` runs the union of the requested figures' points
+as one campaign, so a point two figures share (every point of Fig 9
+is one of Fig 7's or Fig 8's; Fig 11 plots Fig 10's) is simulated
+once.
 
-Transfer sizes can be scaled down (``transfer_bytes``) to trade
-fidelity for runtime; defaults are the paper's.  Each of Figs 7-11
-submits every seeded unit of every plotted point as one campaign
-(:func:`~repro.experiments.runner.sweep_campaign`) and forwards its
-``**campaign`` keywords to
-:class:`~repro.experiments.parallel.ParallelRunner`.
+Transfer sizes can be scaled down (``scale``) to trade fidelity for
+runtime; 1.0 is the paper's.  :func:`figure_8` keeps Fig 8's grid as
+its own campaign over any sizes and bad periods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.experiments.ascii_plot import plot_series
 from repro.experiments.config import (
     LAN_BAD_PERIODS,
     LAN_GOOD_PERIOD,
-    LAN_TRANSFER_BYTES,
     WAN_BAD_PERIODS,
     WAN_GOOD_PERIOD,
     WAN_PACKET_SIZES,
     WAN_TRANSFER_BYTES,
-    lan_scenario,
     trace_example_scenario,
-    wan_scenario,
 )
-from repro.experiments.faults import CompletenessReport
-from repro.experiments.runner import ReplicatedResult, sweep_campaign
+from repro.experiments.points import Point, run_points, wan_point
+from repro.experiments.runner import ReplicatedResult, SweepCampaign, sweep_campaign
 from repro.experiments.topology import ScenarioResult, Scheme, run_scenario
 from repro.metrics.theoretical import theoretical_throughput_bps
 
 
-@dataclass
-class SweepSeries:
-    """One plotted curve: x values → aggregated results."""
+def wan_theoretical_kbps(bad_period_mean: float) -> float:
+    """tput_th for the WAN study (12.8 kbps effective), in kbit/s."""
+    return (
+        theoretical_throughput_bps(12_800.0, WAN_GOOD_PERIOD, bad_period_mean) / 1000.0
+    )
 
-    label: str
-    points: Dict[float, ReplicatedResult] = field(default_factory=dict)
 
-    @property
-    def report(self) -> Optional[CompletenessReport]:
-        """Completeness of the campaign behind this curve; every curve
-        of one figure shares it."""
-        return next((r.report for r in self.points.values()), None)
-
-    def throughputs_kbps(self) -> List[float]:
-        """The curve's y-values in kbit/s, in x order."""
-        return [r.throughput_kbps for r in self.points.values()]
-
-    def retransmitted_kbytes(self) -> List[float]:
-        """The curve's retransmitted-KB values, in x order."""
-        return [r.retransmitted_kbytes_mean for r in self.points.values()]
+def lan_theoretical_mbps(bad_period_mean: float) -> float:
+    """tput_th for the LAN study (2 Mbps), in Mbit/s."""
+    return theoretical_throughput_bps(2e6, LAN_GOOD_PERIOD, bad_period_mean) / 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -81,67 +70,190 @@ def trace_figure(
 
 
 # ---------------------------------------------------------------------------
-# Figures 7-9: WAN packet-size sweeps
+# Figures 7-11: the WAN packet-size and LAN bad-period sweeps
 # ---------------------------------------------------------------------------
 
+Results = Dict[Point, ReplicatedResult]
 
-def _wan_packet_sweep(
-    schemes: List[Scheme],
-    bad_periods: List[float],
-    packet_sizes: List[int],
-    replications: int,
-    transfer_bytes: int,
-    **campaign,
-) -> Dict[str, Dict[float, SweepSeries]]:
-    """Every ``(scheme, bad, size)`` point as one campaign, regrouped
-    into one curve per bad period for each scheme (keyed by name)."""
-    grid = [
-        (s, bad, size) for s in schemes for bad in bad_periods for size in packet_sizes
-    ]
-    points = sweep_campaign(
-        grid,
-        lambda point: wan_scenario(
-            scheme=point[0],
-            bad_period_mean=point[1],
-            packet_size=point[2],
-            transfer_bytes=transfer_bytes,
-            record_trace=False,
-        ),
-        replications,
-        **campaign,
-    ).points
-    return {
-        s.value: {
-            bad: SweepSeries(
-                label=f"bad period = {bad:g} sec",
-                points={size: points[s, bad, size] for size in packet_sizes},
-            )
-            for bad in bad_periods
-        }
+
+@dataclass(frozen=True)
+class FigureSpec:
+    """One plotted figure: the points it reads, and
+    ``render(results, scale, replications)``, which prints their
+    results (a mapping that holds at least those points) as the
+    figure's table."""
+
+    points: Tuple[Point, ...]
+    render: Callable[[Results, float, int], str]
+
+
+def _wan_points(*schemes: Scheme) -> Tuple[Point, ...]:
+    return tuple(
+        ("wan", s, size, bad)
         for s in schemes
+        for bad in WAN_BAD_PERIODS
+        for size in WAN_PACKET_SIZES
+    )
+
+
+def _lan_points() -> Tuple[Point, ...]:
+    return tuple(
+        ("lan", s, bad) for s in (Scheme.BASIC, Scheme.EBSN) for bad in LAN_BAD_PERIODS
+    )
+
+
+def _heading(title: str, scale: float, replications: int) -> List[str]:
+    return [title, f"(transfer scale {scale:g}, {replications} replications/point)"]
+
+
+def _wan_size_header() -> str:
+    return "size(B)  " + "  ".join(f"bad={b:g}s" for b in WAN_BAD_PERIODS)
+
+
+def _render_wan_throughput(
+    scheme: Scheme, title: str, results: Results, scale: float, replications: int
+) -> str:
+    """Figs 7 and 8: kbps per packet size (rows) and bad period (columns),
+    tput_th, and the curves."""
+
+    def tput(bad, size):
+        return results["wan", scheme, size, bad].throughput_kbps
+
+    lines = _heading(title, scale, replications) + ["", _wan_size_header()]
+    for size in WAN_PACKET_SIZES:
+        row = [f"{size:7d}"] + [f"{tput(bad, size):7.2f}" for bad in WAN_BAD_PERIODS]
+        lines.append("  ".join(row))
+    lines.append(
+        "tput_th  "
+        + "  ".join(f"{wan_theoretical_kbps(b):7.2f}" for b in WAN_BAD_PERIODS)
+    )
+    curves = {
+        f"bad={b:g}s": [(size, tput(b, size)) for size in WAN_PACKET_SIZES]
+        for b in WAN_BAD_PERIODS
     }
+    lines.append("")
+    lines.append(
+        plot_series(curves, width=72, height=14, x_label="packet size (B)",
+                    y_label="throughput (kbps)", y_min=0.0)
+    )
+    return "\n".join(lines)
 
 
-def figure_7(
-    replications: int = 3,
-    packet_sizes: Optional[List[int]] = None,
-    bad_periods: Optional[List[float]] = None,
-    transfer_bytes: int = WAN_TRANSFER_BYTES,
-    **campaign,
-) -> Dict[float, SweepSeries]:
-    """Fig 7: basic TCP throughput vs packet size, one curve per bad period.
-
-    The whole figure is one campaign; ``**campaign`` is forwarded to
-    :class:`~repro.experiments.parallel.ParallelRunner`.
-    """
-    return _wan_packet_sweep(
-        [Scheme.BASIC],
-        bad_periods or WAN_BAD_PERIODS,
-        packet_sizes or WAN_PACKET_SIZES,
+def _render_fig9(results: Results, scale: float, replications: int) -> str:
+    lines = _heading(
+        "Figure 9: data retransmitted (KB) vs packet size, 100 KB transfer",
+        scale,
         replications,
-        transfer_bytes,
+    )
+    for scheme in (Scheme.BASIC, Scheme.EBSN):
+        lines += ["", f"-- {scheme.value} --", _wan_size_header()]
+        for size in WAN_PACKET_SIZES:
+            row = [f"{size:7d}"]
+            for bad in WAN_BAD_PERIODS:
+                retx = results["wan", scheme, size, bad].retransmitted_kbytes_mean
+                row.append(f"{retx:7.1f}")
+            lines.append("  ".join(row))
+    return "\n".join(lines)
+
+
+def _render_fig10(results: Results, scale: float, replications: int) -> str:
+    def tput(scheme, bad):
+        return results["lan", scheme, bad].throughput_mbps
+
+    lines = _heading(
+        "Figure 10: LAN throughput (Mbps) vs mean bad period, 4 MB transfer",
+        scale,
+        replications,
+    ) + ["", "bad(s)   theoretical   basic TCP   EBSN    EBSN/basic"]
+    for bad in LAN_BAD_PERIODS:
+        basic, ebsn = tput(Scheme.BASIC, bad), tput(Scheme.EBSN, bad)
+        lines.append(
+            f"{bad:6.1f}   {lan_theoretical_mbps(bad):11.3f}   {basic:9.3f}"
+            f"   {ebsn:5.3f}   {ebsn / basic:9.2f}x"
+        )
+    curves = {
+        "theoretical": [(b, lan_theoretical_mbps(b)) for b in LAN_BAD_PERIODS],
+        "EBSN": [(b, tput(Scheme.EBSN, b)) for b in LAN_BAD_PERIODS],
+        "basic": [(b, tput(Scheme.BASIC, b)) for b in LAN_BAD_PERIODS],
+    }
+    lines.append("")
+    lines.append(
+        plot_series(curves, width=64, height=14, x_label="mean bad period (s)",
+                    y_label="throughput (Mbps)", y_min=0.0)
+    )
+    return "\n".join(lines)
+
+
+def _render_fig11(results: Results, scale: float, replications: int) -> str:
+    lines = _heading(
+        "Figure 11: LAN data retransmitted (KB) vs mean bad period, 4 MB transfer",
+        scale,
+        replications,
+    ) + ["", "bad(s)   basic TCP(KB)   EBSN(KB)   basic goodput   EBSN goodput"]
+    for bad in LAN_BAD_PERIODS:
+        b = results["lan", Scheme.BASIC, bad]
+        e = results["lan", Scheme.EBSN, bad]
+        lines.append(
+            f"{bad:6.1f}   {b.retransmitted_kbytes_mean:13.1f}"
+            f"   {e.retransmitted_kbytes_mean:8.1f}   {b.goodput_mean:13.3f}"
+            f"   {e.goodput_mean:12.3f}"
+        )
+    return "\n".join(lines)
+
+
+#: Figs 7-11 by number.
+FIGURES: Dict[int, FigureSpec] = {
+    7: FigureSpec(
+        _wan_points(Scheme.BASIC),
+        partial(
+            _render_wan_throughput,
+            Scheme.BASIC,
+            "Figure 7: Basic TCP (wide-area): throughput (kbps) vs packet size",
+        ),
+    ),
+    8: FigureSpec(
+        _wan_points(Scheme.EBSN),
+        partial(
+            _render_wan_throughput,
+            Scheme.EBSN,
+            "Figure 8: EBSN (wide-area): throughput (kbps) vs packet size",
+        ),
+    ),
+    9: FigureSpec(_wan_points(Scheme.BASIC, Scheme.EBSN), _render_fig9),
+    10: FigureSpec(_lan_points(), _render_fig10),
+    11: FigureSpec(_lan_points(), _render_fig11),
+}
+
+
+def paper_figures(
+    numbers: Iterable[int], scale: float = 1.0, replications: int = 5, **campaign
+) -> Tuple[Dict[int, str], SweepCampaign]:
+    """Figs ``numbers`` (of 7-11) at a transfer ``scale``: each one's
+    table by number, and the campaign behind them.
+
+    Every distinct point of every requested figure runs once, over
+    ``replications`` seeds, as one campaign; ``**campaign`` is
+    forwarded to :class:`~repro.experiments.parallel.ParallelRunner`.
+    """
+    specs = {n: FIGURES[n] for n in numbers}
+    points = run_points(
+        (p for spec in specs.values() for p in spec.points),
+        scale,
+        replications,
         **campaign,
-    )[Scheme.BASIC.value]
+    )
+    texts = {
+        n: spec.render(points.points, scale, replications) for n, spec in specs.items()
+    }
+    return texts, points
+
+
+@dataclass
+class SweepSeries:
+    """One plotted curve: x values → aggregated results."""
+
+    label: str
+    points: Dict[float, ReplicatedResult] = field(default_factory=dict)
 
 
 def figure_8(
@@ -151,111 +263,24 @@ def figure_8(
     transfer_bytes: int = WAN_TRANSFER_BYTES,
     **campaign,
 ) -> Dict[float, SweepSeries]:
-    """Fig 8: EBSN throughput vs packet size, one curve per bad period.
+    """Fig 8 over any grid: EBSN throughput vs packet size, one curve
+    per bad period (by default the paper's sizes and bad periods).
 
-    The whole figure is one campaign; ``**campaign`` is forwarded to
+    The whole grid is one campaign; ``**campaign`` is forwarded to
     :class:`~repro.experiments.parallel.ParallelRunner`.
     """
-    return _wan_packet_sweep(
-        [Scheme.EBSN],
-        bad_periods or WAN_BAD_PERIODS,
-        packet_sizes or WAN_PACKET_SIZES,
-        replications,
-        transfer_bytes,
-        **campaign,
-    )[Scheme.EBSN.value]
-
-
-def figure_9(
-    replications: int = 3,
-    packet_sizes: Optional[List[int]] = None,
-    bad_periods: Optional[List[float]] = None,
-    transfer_bytes: int = WAN_TRANSFER_BYTES,
-    **campaign,
-) -> Dict[str, Dict[float, SweepSeries]]:
-    """Fig 9: data retransmitted vs packet size — basic TCP vs EBSN.
-
-    Both schemes run in one campaign; ``**campaign`` is forwarded to
-    :class:`~repro.experiments.parallel.ParallelRunner`.
-    """
-    return _wan_packet_sweep(
-        [Scheme.BASIC, Scheme.EBSN],
-        bad_periods or WAN_BAD_PERIODS,
-        packet_sizes or WAN_PACKET_SIZES,
-        replications,
-        transfer_bytes,
-        **campaign,
-    )
-
-
-def wan_theoretical_kbps(bad_period_mean: float) -> float:
-    """tput_th for the WAN study (12.8 kbps effective), in kbit/s."""
-    return (
-        theoretical_throughput_bps(12_800.0, WAN_GOOD_PERIOD, bad_period_mean) / 1000.0
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figures 10-11: LAN bad-period sweeps
-# ---------------------------------------------------------------------------
-
-
-def _lan_bad_sweep(
-    schemes: List[Scheme],
-    bad_periods: List[float],
-    replications: int,
-    transfer_bytes: int,
-    **campaign,
-) -> Dict[str, SweepSeries]:
-    """Every ``(scheme, bad)`` point as one campaign, one curve per scheme."""
+    packet_sizes = packet_sizes or WAN_PACKET_SIZES
+    bad_periods = bad_periods or WAN_BAD_PERIODS
     points = sweep_campaign(
-        [(s, bad) for s in schemes for bad in bad_periods],
-        lambda point: lan_scenario(
-            scheme=point[0], bad_period_mean=point[1], transfer_bytes=transfer_bytes
-        ),
+        [(bad, size) for bad in bad_periods for size in packet_sizes],
+        lambda point: wan_point(transfer_bytes, Scheme.EBSN, point[1], point[0]),
         replications,
         **campaign,
     ).points
     return {
-        s.value: SweepSeries(
-            label=s.value, points={bad: points[s, bad] for bad in bad_periods}
+        bad: SweepSeries(
+            label=f"bad period = {bad:g} sec",
+            points={size: points[bad, size] for size in packet_sizes},
         )
-        for s in schemes
+        for bad in bad_periods
     }
-
-
-def figure_10(
-    replications: int = 3,
-    bad_periods: Optional[List[float]] = None,
-    transfer_bytes: int = LAN_TRANSFER_BYTES,
-    **campaign,
-) -> Dict[str, SweepSeries]:
-    """Fig 10: LAN throughput vs bad period — basic vs EBSN (+ tput_th).
-
-    Both schemes run in one campaign; ``**campaign`` is forwarded to
-    :class:`~repro.experiments.parallel.ParallelRunner`.
-    """
-    return _lan_bad_sweep(
-        [Scheme.BASIC, Scheme.EBSN],
-        bad_periods or LAN_BAD_PERIODS,
-        replications,
-        transfer_bytes,
-        **campaign,
-    )
-
-
-def figure_11(
-    replications: int = 3,
-    transfer_bytes: int = LAN_TRANSFER_BYTES,
-    **campaign,
-) -> Dict[str, SweepSeries]:
-    """Fig 11: LAN data retransmitted vs bad period — basic vs EBSN.
-
-    The same campaign as :func:`figure_10`.
-    """
-    return figure_10(replications, transfer_bytes=transfer_bytes, **campaign)
-
-
-def lan_theoretical_mbps(bad_period_mean: float) -> float:
-    """tput_th for the LAN study (2 Mbps), in Mbit/s."""
-    return theoretical_throughput_bps(2e6, LAN_GOOD_PERIOD, bad_period_mean) / 1e6

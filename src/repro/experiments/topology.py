@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.channel import (
     BernoulliLossChannel,
@@ -265,6 +265,7 @@ class Scenario:
         # finishes early (the relay ACKs on arrival at the BS), so the
         # run ends when the *sink* has all the data.
         is_split = config.scheme is Scheme.SPLIT
+        relay_packet_size, relayed_bytes = self._relayed()
         self.trace = PacketTrace() if config.record_trace else None
         if config.sender_factory is not None:
             sender_cls = config.sender_factory
@@ -288,7 +289,7 @@ class Scenario:
             self.sim,
             self.mh,
             "BS" if is_split else "FH",
-            expected_bytes=config.tcp.transfer_bytes if is_split else None,
+            expected_bytes=relayed_bytes if is_split else None,
             on_complete=self.sim.stop if is_split else None,
         )
         self.mh.attach_agent(self.sink)
@@ -311,14 +312,20 @@ class Scenario:
                 self.bs,
                 wired_peer="FH",
                 mobile="MH",
-                wireless_packet_size=config.tcp.packet_size,
+                wireless_packet_size=relay_packet_size,
                 window_bytes=config.tcp.window_bytes,
-                transfer_bytes=config.tcp.transfer_bytes,
+                transfer_bytes=relayed_bytes,
                 clock_granularity=config.tcp.clock_granularity,
             )
             self.bs.attach_agent(self.split_relay)
         self.connections = [(self.sender, self.sink)]
         self.ports = [self.bs_port, self.mh_port]
+
+    def _relayed(self) -> Tuple[int, int]:
+        """What a split connection's relay sends the MH: its packet
+        size, and the bytes after which it closes its stream and the
+        MH's sink completes the run."""
+        return self.config.tcp.packet_size, self.config.tcp.transfer_bytes
 
     def _build_wired(self) -> None:
         """Wire the FH<->BS hop: the one override point for a study's

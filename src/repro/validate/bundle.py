@@ -153,12 +153,11 @@ class ReplayOutcome:
     code_matches: bool
 
 
-def replay_bundle(path) -> ReplayOutcome:
-    """Re-run a bundle's config under validation, on the topology its
-    type is registered with, and compare."""
+def replay_bundle(bundle: ReplayBundle) -> ReplayOutcome:
+    """Re-run a loaded bundle's config under validation, on the
+    topology its type is registered with, and compare."""
     from repro.experiments.parallel import topology_of
 
-    bundle = load_bundle(path)
     topology = topology_of(bundle.config)
     code_matches = bundle.code_token == code_version_token()
     violations: Tuple[Violation, ...] = ()

@@ -16,7 +16,7 @@ measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.topology import (
     Scenario,
@@ -25,6 +25,7 @@ from repro.experiments.topology import (
     Scheme,
 )
 from repro.experiments.config import wan_scenario
+from repro.net.packet import TCP_IP_HEADER_BYTES
 from repro.tcp import MessageSender
 
 
@@ -129,6 +130,13 @@ class InteractiveSession(Scenario):
         self.latencies: List[float] = []
         self.remaining = config.keystrokes
         self.sink.on_segment = self._delivered
+
+    def _relayed(self) -> Tuple[int, int]:
+        """A split session's relay forwards each keystroke as it
+        arrives, in a packet of its own, and closes after the last one
+        (the config's transfer size is a placeholder)."""
+        packet_size = KEYSTROKE_BYTES + TCP_IP_HEADER_BYTES
+        return packet_size, self.config.keystrokes * KEYSTROKE_BYTES
 
     def _delivered(self, seq: int, payload_bytes: int) -> None:
         self.latencies.append(self.sim.now - self.typed_at[seq])

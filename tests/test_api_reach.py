@@ -42,7 +42,6 @@ ALLOWED = {
     "assert_variants_agree_on_clean_channel": _ORACLE,
     "assert_serial_parallel_identical": _ORACLE,
     "ReplicatedResult.throughput_rel_std": "read by a test of retained behaviour",
-    "SweepSeries.throughputs_kbps": "read by a test of retained behaviour",
     "Timer.expiry_time": "read by tests of retained behaviour",
     "DropTailQueue.is_empty": "read by tests of retained behaviour",
     "DropTailQueue.is_full": "read by a test of retained behaviour",

@@ -1,7 +1,7 @@
-"""Smoke tests for the per-figure entry points and the ASCII plotter.
+"""Smoke tests for the per-figure specs and the ASCII plotter.
 
 The real, full-scale figure regeneration lives in ``benchmarks/``;
-these tests only pin the plumbing (shapes of the returned structures,
+these tests only pin the plumbing (each figure's table layout,
 theoretical values, rendering) with tiny transfers.
 """
 
@@ -10,11 +10,10 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.ascii_plot import format_table, plot_series
+from repro.experiments.config import LAN_BAD_PERIODS, WAN_PACKET_SIZES
 from repro.experiments.figures import (
-    figure_7,
-    figure_9,
-    figure_10,
     lan_theoretical_mbps,
+    paper_figures,
     trace_figure,
     wan_theoretical_kbps,
 )
@@ -31,34 +30,51 @@ class TestTraceFigures:
             trace_figure(6)
 
 
+@pytest.fixture(scope="module")
+def tables():
+    """Figs 7-11 at a tiny scale, one seed per point."""
+    texts, _ = paper_figures([7, 8, 9, 10, 11], scale=0.02, replications=1)
+    return {n: text.splitlines() for n, text in texts.items()}
+
+
+def wan_rows(lines):
+    """The rows of a WAN packet-size table, from its column header on."""
+    start = next(i for i, line in enumerate(lines) if line.startswith("size(B)"))
+    return lines[start + 1 : start + 1 + len(WAN_PACKET_SIZES)]
+
+
 class TestSweepFigures:
-    def test_figure7_structure(self):
-        series = figure_7(
-            replications=1,
-            packet_sizes=[256, 576],
-            bad_periods=[1.0],
-            transfer_bytes=5 * 1024,
-        )
-        assert set(series) == {1.0}
-        assert set(series[1.0].points) == {256, 576}
-        assert len(series[1.0].throughputs_kbps()) == 2
+    def test_figure7_structure(self, tables):
+        for n, scheme in ((7, "Basic TCP"), (8, "EBSN")):
+            lines = tables[n]
+            assert lines[0] == (
+                f"Figure {n}: {scheme} (wide-area): throughput (kbps) vs packet size"
+            )
+            assert lines[1] == "(transfer scale 0.02, 1 replications/point)"
+            rows = wan_rows(lines)
+            assert [int(row.split()[0]) for row in rows] == WAN_PACKET_SIZES
+            tput_th = lines[3 + len(WAN_PACKET_SIZES) + 1]
+            assert tput_th == "tput_th    11.64    10.67     9.85     9.14"
 
-    def test_figure9_has_both_schemes(self):
-        data = figure_9(
-            replications=1,
-            packet_sizes=[576],
-            bad_periods=[1.0],
-            transfer_bytes=5 * 1024,
-        )
-        assert set(data) == {"basic", "ebsn"}
-        assert data["basic"][1.0].retransmitted_kbytes()[0] >= 0
+    def test_figure9_has_both_schemes(self, tables):
+        lines = tables[9]
+        assert lines[0].startswith("Figure 9: data retransmitted (KB)")
+        assert [line for line in lines if line.startswith("--")] == [
+            "-- basic --",
+            "-- ebsn --",
+        ]
+        assert len(lines) == 2 + 2 * (3 + len(WAN_PACKET_SIZES))
+        assert all(float(cell) >= 0 for row in wan_rows(lines) for cell in row.split())
 
-    def test_figure10_structure(self):
-        data = figure_10(
-            replications=1, bad_periods=[0.8], transfer_bytes=128 * 1024
-        )
-        assert set(data) == {"basic", "ebsn"}
-        assert data["ebsn"].points[0.8].throughput_mbps > 0
+    def test_figure10_structure(self, tables):
+        fig10, fig11 = tables[10], tables[11]
+        assert fig10[0].startswith("Figure 10: LAN throughput (Mbps)")
+        assert fig11[0].startswith("Figure 11: LAN data retransmitted (KB)")
+        assert len(fig11) == 4 + len(LAN_BAD_PERIODS)
+        rows = fig10[4 : 4 + len(LAN_BAD_PERIODS)]
+        assert [float(row.split()[0]) for row in rows] == LAN_BAD_PERIODS
+        assert float(rows[-1].split()[1]) == round(lan_theoretical_mbps(1.6), 3)
+        assert all(float(row.split()[3]) > 0 for row in rows)  # EBSN Mbps
 
     def test_theoretical_helpers(self):
         assert wan_theoretical_kbps(1.0) == pytest.approx(11.64, abs=0.01)

@@ -175,23 +175,12 @@ class TestSweepCampaign:
         assert info.value.failure.index == 2  # the point's first seed
 
     @pytest.mark.parametrize(
-        "figure",
-        [
-            lambda: figures.figure_7(
-                replications=1, packet_sizes=[256, 576],
-                bad_periods=[1.0, 4.0], transfer_bytes=TINY,
-            ),
-            lambda: figures.figure_9(
-                replications=1, packet_sizes=[256, 576],
-                bad_periods=[1.0], transfer_bytes=TINY,
-            ),
-            lambda: figures.figure_10(
-                replications=1, bad_periods=[1.0, 4.0], transfer_bytes=TINY,
-            ),
-        ],
-        ids=["figure_7", "figure_9", "figure_10"],
+        "numbers, points",
+        [([7], 36), ([9], 72), ([10, 11], 14), ([7, 8, 9, 10, 11], 86)],
+        ids=["figure_7", "figure_9", "figure_10", "figures_7_to_11"],
     )
-    def test_figure_is_one_campaign(self, monkeypatch, figure):
+    def test_figure_is_one_campaign(self, monkeypatch, numbers, points):
+        """The requested figures' distinct points, each simulated once."""
         from repro.experiments.parallel import ParallelRunner
 
         calls = []
@@ -202,5 +191,5 @@ class TestSweepCampaign:
             return original(runner, configs)
 
         monkeypatch.setattr(ParallelRunner, "run_campaign", counting)
-        figure()
-        assert len(calls) == 1
+        figures.paper_figures(numbers, scale=0.02, replications=2)
+        assert calls == [points * 2]

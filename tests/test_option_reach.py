@@ -35,10 +35,6 @@ PACKAGE = ROOT / "src" / "repro"
 REACH_DIRS = ("src", "benchmarks", "examples", "perfbench")
 
 _ORACLE = "reference oracle: tests compare runs against it at their own sizes"
-_GRID = (
-    "same grid signature as figure_8, which perfbench sets; tier-1 runs "
-    "reduced grids through it"
-)
 
 _REGISTRY = (
     "ParallelRunner calls every unit as resolve(run)(config, wall_timeout, "
@@ -67,11 +63,6 @@ ALLOWED = {
     "assert_serial_parallel_identical.replications": _ORACLE,
     "assert_serial_parallel_identical.workers": _ORACLE,
     "assert_variants_agree_on_clean_channel.transfer_bytes": _ORACLE,
-    "figure_7.bad_periods": _GRID,
-    "figure_7.packet_sizes": _GRID,
-    "figure_9.bad_periods": _GRID,
-    "figure_9.packet_sizes": _GRID,
-    "figure_10.bad_periods": _GRID,
 }
 
 

@@ -73,21 +73,7 @@ class TestCheckersOnEveryStudy:
         assert session.outcome(checked_run(session)).completed
 
     @pytest.mark.parametrize(
-        "scheme",
-        [
-            Scheme.BASIC,
-            Scheme.EBSN,
-            pytest.param(
-                Scheme.SPLIT,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="known defect: the split sink is told the session's "
-                    "1 B placeholder transfer, so it ends the run at the "
-                    "first keystroke",
-                ),
-            ),
-        ],
-        ids=lambda s: s.value,
+        "scheme", [Scheme.BASIC, Scheme.EBSN, Scheme.SPLIT], ids=lambda s: s.value
     )
     def test_interactive_session_delivers_every_keystroke(self, scheme):
         session = InteractiveSession(InteractiveConfig(scheme=scheme, keystrokes=40))

@@ -146,7 +146,7 @@ class TestRebuiltTail:
 
 class TestReplay:
     def test_replay_reproduces_the_violation(self, bundle_path):
-        outcome = replay_bundle(bundle_path)
+        outcome = replay_bundle(load_bundle(bundle_path))
         assert outcome.reproduced
         assert outcome.code_matches
         assert outcome.violations[0].checker == "ebsn-no-window-action"
@@ -159,13 +159,13 @@ class TestReplay:
             wan_scenario(transfer_bytes=TRANSFER, record_trace=False),
             sender_factory=ResurrectedEventSender,
         )
-        outcome = replay_bundle(bundle_of(config, tmp_path))
+        outcome = replay_bundle(load_bundle(bundle_of(config, tmp_path)))
         assert outcome.reproduced
         assert outcome.violations[0].checker == "timer-sanity"
 
     def test_replay_does_not_mint_new_bundles(self, bundle_path, tmp_path):
         before = sorted(tmp_path.glob("violation-*.json"))
-        replay_bundle(bundle_path)
+        replay_bundle(load_bundle(bundle_path))
         assert sorted(tmp_path.glob("violation-*.json")) == before
 
     def test_clean_config_does_not_reproduce(self, bundle_path, tmp_path):
@@ -175,7 +175,7 @@ class TestReplay:
         payload["config"]["fields"]["sender_factory"] = None
         doctored = tmp_path / "doctored.json"
         doctored.write_text(json.dumps(payload))
-        outcome = replay_bundle(doctored)
+        outcome = replay_bundle(load_bundle(doctored))
         assert not outcome.reproduced
         assert outcome.violations == ()
 
@@ -188,6 +188,22 @@ class TestReplayCli:
         out = capsys.readouterr().out
         assert "REPRODUCED" in out
         assert "ebsn-no-window-action" in out
+
+    def test_cli_replay_loads_the_bundle_once(self, bundle_path, monkeypatch,
+                                              capsys):
+        from repro.cli import main
+        from repro.validate import bundle
+
+        loads = []
+        load = bundle.load_bundle
+
+        def counting(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(bundle, "load_bundle", counting)
+        assert main(["replay", str(bundle_path)]) == 0
+        assert loads == [str(bundle_path)]
 
     def test_cli_replay_missing_bundle(self, tmp_path, capsys):
         from repro.cli import main
