@@ -114,7 +114,7 @@ def child(grid: str, tree: str) -> None:
     """Serve unit indices from stdin; answer one JSON line per unit."""
     import repro
     from repro.engine.simulator import Simulator
-    from repro.experiments.parallel import run_unit
+    from repro.experiments.parallel import run_unit, topology_of
     from repro.experiments.topology import Scenario
 
     if not Path(repro.__file__).resolve().is_relative_to(Path(tree).resolve()):
@@ -129,6 +129,11 @@ def child(grid: str, tree: str) -> None:
 
     Simulator.__init__ = keeping
     configs = grid_configs(grid)
+    # Build every unit once, untimed: a topology imports its scheme's
+    # and sender's modules when it is built, a one-off cost no timed
+    # unit should carry on either side.
+    for cfg in configs:
+        topology_of(cfg)(cfg)
     print(json.dumps({"units": len(configs)}), flush=True)
     for line in sys.stdin:
         cfg = configs[int(line)]

@@ -5,7 +5,7 @@ Sweeps the wired packet size for basic TCP across several wireless
 error conditions, plots the throughput curves (ASCII), and then uses
 the results to populate the paper's proposed mechanism — a fixed table
 at the base station mapping error condition → good packet size
-(:class:`repro.core.PacketSizeAdvisor`).
+(:class:`repro.core.packet_size.PacketSizeAdvisor`).
 
 Usage:
     python examples/wan_packet_size_study.py [replications]
@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 
 from repro import Scheme, sweep, wan_scenario
-from repro.core import ErrorCondition, PacketSizeAdvisor
+from repro.core.packet_size import ErrorCondition, PacketSizeAdvisor
 from repro.experiments.ascii_plot import format_table, plot_series
 from repro.experiments.config import WAN_PACKET_SIZES
 from repro.metrics import theoretical_throughput_bps

@@ -24,12 +24,13 @@ Quickstart::
           result.metrics.goodput * 100, "% goodput")
 """
 
+import importlib
+
 from repro.experiments.config import (
     lan_scenario,
     trace_example_scenario,
     wan_scenario,
 )
-from repro.experiments.runner import ReplicatedResult, run_replicated, sweep
 from repro.experiments.topology import (
     ChannelConfig,
     Scenario,
@@ -38,8 +39,26 @@ from repro.experiments.topology import (
     Scheme,
     run_scenario,
 )
-from repro.metrics import ConnectionMetrics, PacketTrace, theoretical_throughput_bps
-from repro.tcp import RenoSender, TahoeSender, TcpConfig, TcpSink
+from repro.metrics import ConnectionMetrics, theoretical_throughput_bps
+from repro.tcp import TahoeSender, TcpConfig, TcpSink
+
+#: Names a plain run does not need, and the modules that define them;
+#: each module loads on the first access (PEP 562).
+_DEFINED_IN = {
+    "PacketTrace": "repro.metrics.trace",
+    "RenoSender": "repro.tcp.reno",
+    "ReplicatedResult": "repro.experiments.runner",
+    "run_replicated": "repro.experiments.runner",
+    "sweep": "repro.experiments.runner",
+}
+
+
+def __getattr__(name: str):
+    """Resolve a name of :data:`_DEFINED_IN` from its defining module."""
+    if name not in _DEFINED_IN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_DEFINED_IN[name]), name)
+
 
 __version__ = "1.0.0"
 

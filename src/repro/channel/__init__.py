@@ -10,10 +10,11 @@ deterministic corruption, so the three schemes see identical error
 sequences.
 
 :class:`TwoStateChannel` implements both variants behind one
-interface; see :mod:`repro.channel.twostate`.
+interface; see :mod:`repro.channel.twostate`.  The i.i.d. loss model
+of the snoop comparison, :class:`~repro.channel.bernoulli.BernoulliLossChannel`,
+loads only where a config asks for it.
 """
 
-from repro.channel.bernoulli import BernoulliLossChannel, matched_loss_probability
 from repro.channel.twostate import (
     ChannelState,
     DeterministicSojourns,
@@ -25,8 +26,6 @@ from repro.channel.twostate import (
 )
 
 __all__ = [
-    "BernoulliLossChannel",
-    "matched_loss_probability",
     "ChannelState",
     "DeterministicSojourns",
     "ExponentialSojourns",

@@ -27,6 +27,9 @@ first quarantined unit instead of degrading to partial aggregates.
 Partial aggregates print an explicit completeness report and exit 1;
 an aborted campaign exits 4; SIGINT/SIGTERM exits 130 after flushing
 the journal.
+
+Each handler imports the modules its command uses, so ``repro run``
+loads no pool, cache, journal, figure or study module.
 """
 
 from __future__ import annotations
@@ -34,10 +37,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.csdp import CsdpStudyConfig
-from repro.experiments.ascii_plot import format_table
 from repro.experiments.config import (
     LAN_BAD_PERIODS,
     WAN_PACKET_SIZES,
@@ -45,21 +46,16 @@ from repro.experiments.config import (
     trace_example_scenario,
     wan_scenario,
 )
-from repro.experiments.figures import (
-    lan_theoretical_mbps,
-    paper_figures,
-    trace_figure,
-    wan_theoretical_kbps,
-)
-from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.faults import (
     CampaignError,
     CampaignInterrupted,
     CompletenessReport,
 )
-from repro.experiments.journal import CampaignJournal
-from repro.experiments.runner import sweep_campaign
 from repro.experiments.topology import Scheme, run_scenario
+
+if TYPE_CHECKING:
+    from repro.experiments.cache import ResultCache
+    from repro.experiments.journal import CampaignJournal
 
 SCHEMES = {s.value: s for s in Scheme}
 
@@ -125,7 +121,8 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help=f"disable the on-disk result cache ({default_cache_dir()})",
+        help="disable the on-disk result cache "
+        "($REPRO_CACHE_DIR, else ~/.cache/repro-tcp-wireless)",
     )
     parser.add_argument(
         "--timeout",
@@ -160,7 +157,11 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
 
 def _engine_cache(args: argparse.Namespace) -> Optional[ResultCache]:
     """The result cache to use, honoring ``--no-cache``."""
-    return None if args.no_cache else ResultCache()
+    if args.no_cache:
+        return None
+    from repro.experiments.cache import ResultCache
+
+    return ResultCache()
 
 
 def _engine_journal(args: argparse.Namespace) -> Optional[CampaignJournal]:
@@ -168,6 +169,8 @@ def _engine_journal(args: argparse.Namespace) -> Optional[CampaignJournal]:
     that cannot be opened is a usage error."""
     if not args.resume:
         return None
+    from repro.experiments.journal import CampaignJournal
+
     try:
         return CampaignJournal(args.resume)
     except OSError as err:
@@ -271,6 +274,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace, journal) -> int:
+    from repro.experiments.ascii_plot import format_table
+    from repro.experiments.figures import lan_theoretical_mbps, wan_theoretical_kbps
+    from repro.experiments.runner import sweep_campaign
+
     scheme = SCHEMES[args.scheme]
     if args.lan:
         values, swept = LAN_BAD_PERIODS, "bad_period_mean"
@@ -326,6 +333,8 @@ def _run_sweep(args: argparse.Namespace, journal) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import paper_figures, trace_figure
+
     n = args.number
     if n in (3, 4, 5):
         result = trace_figure(n, validate=_single_run_validate(args))
@@ -344,6 +353,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_csdp(args: argparse.Namespace) -> int:
+    from repro.csdp.study import CsdpStudyConfig
+    from repro.experiments.ascii_plot import format_table
+    from repro.experiments.runner import sweep_campaign
+
     points = sweep_campaign(
         ("fifo", "rr", "csdp"),
         lambda sched: _study_config(
@@ -379,7 +392,9 @@ def _cmd_csdp(args: argparse.Namespace) -> int:
 
 
 def _cmd_handoff(args: argparse.Namespace) -> int:
-    from repro.handoff import HandoffConfig, HandoffScheme
+    from repro.experiments.ascii_plot import format_table
+    from repro.experiments.runner import sweep_campaign
+    from repro.handoff.topology import HandoffConfig, HandoffScheme
 
     points = sweep_campaign(
         HandoffScheme,
@@ -415,7 +430,9 @@ def _cmd_handoff(args: argparse.Namespace) -> int:
 
 
 def _cmd_congestion(args: argparse.Namespace) -> int:
+    from repro.experiments.ascii_plot import format_table
     from repro.experiments.congestion import CongestedScenarioConfig
+    from repro.experiments.runner import sweep_campaign
 
     combos = [(s, ecn) for s in (Scheme.BASIC, Scheme.EBSN) for ecn in (False, True)]
     points = sweep_campaign(

@@ -17,22 +17,7 @@
 * :mod:`repro.core.split` — an I-TCP style split connection (the
   Bakre & Badrinath baseline of §2): two back-to-back TCP connections
   meeting at the base station.
+
+Nothing is re-exported here: a run loads only the scheme it builds
+(``Scenario`` imports it where it wires it up).
 """
-
-from repro.core.ebsn import EbsnGenerator, install_ebsn_handler
-from repro.core.quench import QuenchGenerator, install_quench_handler
-from repro.core.packet_size import ErrorCondition, PacketSizeAdvisor
-from repro.core.snoop import SnoopAgent
-from repro.core.split import SplitRelay, StreamSender
-
-__all__ = [
-    "EbsnGenerator",
-    "install_ebsn_handler",
-    "QuenchGenerator",
-    "install_quench_handler",
-    "ErrorCondition",
-    "PacketSizeAdvisor",
-    "SnoopAgent",
-    "SplitRelay",
-    "StreamSender",
-]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 import random
 
@@ -72,6 +72,11 @@ class DownlinkRadio:
         self.scheduler = scheduler
         self._rng = rng
         self.deliver = deliver
+        # size -> (air bytes, airtime), as WirelessLink memoizes it.
+        self._airtime_cache: Dict[int, Tuple[int, float]] = {}
+        self._ack_airtime = self._airtime(LINK_ACK_BYTES)
+        #: Propagation out, link-ACK airtime, propagation back.
+        self.turnaround = 2 * config.prop_delay + self._ack_airtime[1]
         frame_time = self.tx_time(config.mtu_bytes)
         # Bounds (s) of the uniform random backoff before a retry.
         self._backoff = (2.5 * frame_time, 7.5 * frame_time)
@@ -85,18 +90,18 @@ class DownlinkRadio:
 
     # ------------------------------------------------------------------
 
-    def air_bytes(self, size_bytes: int) -> int:
-        """On-air size after physical-layer expansion."""
-        return int(round(size_bytes * self.config.overhead_factor))
+    def _airtime(self, size_bytes: int) -> Tuple[int, float]:
+        """Memoized (on-air bytes, airtime seconds) for a frame size."""
+        cached = self._airtime_cache.get(size_bytes)
+        if cached is None:
+            air = int(round(size_bytes * self.config.overhead_factor))
+            cached = (air, air * 8 / self.config.raw_bandwidth_bps)
+            self._airtime_cache[size_bytes] = cached
+        return cached
 
     def tx_time(self, size_bytes: int) -> float:
         """Airtime of one frame of ``size_bytes``."""
-        return self.air_bytes(size_bytes) * 8 / self.config.raw_bandwidth_bps
-
-    @property
-    def turnaround(self) -> float:
-        """Propagation out, link-ACK airtime, propagation back."""
-        return 2 * self.config.prop_delay + self.tx_time(LINK_ACK_BYTES)
+        return self._airtime(size_bytes)[1]
 
     def send_datagram(self, datagram: Datagram) -> None:
         """Queue a datagram for its destination."""
@@ -115,8 +120,11 @@ class DownlinkRadio:
         if self._busy:
             return
         now = self._sim.now
-        ready = [d for d, q in self.queues.items() if q and q[0].ready_at <= now]
-        waiting = [d for d, q in self.queues.items() if q and q[0].ready_at > now]
+        ready = []
+        waiting = []
+        for dest, queue in self.queues.items():
+            if queue:
+                (ready if queue[0].ready_at <= now else waiting).append(dest)
         if not ready and not waiting:
             self._note_unblocked()
             return
@@ -153,20 +161,18 @@ class DownlinkRadio:
         queued = self.queues[dest].popleft()
         queued.attempts += 1
         self._busy = True
-        size = queued.fragment.size_bytes
-        airtime = self.tx_time(size)
+        air, airtime = self._airtime(queued.fragment.size_bytes)
         self.stats.attempts += 1
         self.stats.busy_time += airtime
 
         channel = self.channels[dest]
         now = self._sim.now
-        frame_ok = not channel.corrupts(now, airtime, self.air_bytes(size) * 8)
+        frame_ok = not channel.corrupts(now, airtime, air * 8)
         ack_ok = False
         if frame_ok:
             ack_start = now + airtime + self.config.prop_delay
-            ack_ok = not channel.corrupts(
-                ack_start, self.tx_time(LINK_ACK_BYTES), self.air_bytes(LINK_ACK_BYTES) * 8
-            )
+            ack_air, ack_time = self._ack_airtime
+            ack_ok = not channel.corrupts(ack_start, ack_time, ack_air * 8)
         self._sim.schedule(
             airtime + self.turnaround,
             self._attempt_done,

@@ -20,76 +20,9 @@
 * :mod:`repro.experiments.figures` — one spec per paper figure: its
   points and the table it prints.
 * :mod:`repro.experiments.ascii_plot` — terminal rendering of series.
+
+Nothing is re-exported here: importing the package loads no campaign
+module, so a run that needs only :mod:`~repro.experiments.topology`
+does not compile the pool, cache and journal.  Import each name from
+its defining module.
 """
-
-from repro.experiments.topology import (
-    ChannelConfig,
-    Scenario,
-    ScenarioConfig,
-    ScenarioResult,
-    Scheme,
-)
-from repro.experiments.config import (
-    lan_scenario,
-    wan_scenario,
-    LAN_BAD_PERIODS,
-    LAN_GOOD_PERIOD,
-    WAN_BAD_PERIODS,
-    WAN_GOOD_PERIOD,
-    WAN_PACKET_SIZES,
-)
-from repro.experiments.runner import (
-    ReplicatedResult,
-    SweepCampaign,
-    run_replicated,
-    sweep,
-    sweep_campaign,
-)
-from repro.experiments.parallel import CampaignResult, ParallelRunner, RunSummary
-from repro.experiments.cache import ResultCache, config_digest, default_cache_dir
-from repro.experiments.faults import (
-    CampaignError,
-    CampaignInterrupted,
-    CompletenessReport,
-    RetryPolicy,
-    UnitFailure,
-    UnitQuarantined,
-    UnitTimeout,
-    WorkerCrashed,
-)
-from repro.experiments.journal import CampaignJournal
-
-__all__ = [
-    "ChannelConfig",
-    "Scenario",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "Scheme",
-    "lan_scenario",
-    "wan_scenario",
-    "LAN_BAD_PERIODS",
-    "LAN_GOOD_PERIOD",
-    "WAN_BAD_PERIODS",
-    "WAN_GOOD_PERIOD",
-    "WAN_PACKET_SIZES",
-    "ReplicatedResult",
-    "SweepCampaign",
-    "run_replicated",
-    "sweep",
-    "sweep_campaign",
-    "CampaignResult",
-    "ParallelRunner",
-    "RunSummary",
-    "CampaignError",
-    "CampaignInterrupted",
-    "CompletenessReport",
-    "RetryPolicy",
-    "UnitFailure",
-    "UnitQuarantined",
-    "UnitTimeout",
-    "WorkerCrashed",
-    "CampaignJournal",
-    "ResultCache",
-    "config_digest",
-    "default_cache_dir",
-]

@@ -13,27 +13,27 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.channel import (
-    BernoulliLossChannel,
-    deterministic_channel,
-    markov_channel,
-    matched_loss_probability,
-)
+from repro.channel import deterministic_channel, markov_channel
 from repro.core.ebsn import EbsnGenerator, install_ebsn_handler
-from repro.core.quench import QuenchGenerator, install_quench_handler
-from repro.core.snoop import SnoopAgent
-from repro.core.split import SplitRelay
 from repro.engine import MAX_SIM_TIME, RandomStreams, Simulator
 from repro.linklayer import ArqConfig, LinkLayerMode, WirelessPort
-from repro.metrics import ConnectionMetrics, PacketTrace, compute_metrics
+from repro.metrics import ConnectionMetrics, compute_metrics
 from repro.metrics.theoretical import theoretical_throughput_bps
 from repro.net.link import WiredLink
 from repro.net.node import Node
 from repro.net.packet import LINK_ACK_BYTES, Datagram, TcpAck, TcpSegment
 from repro.net.wireless import WirelessLink, WirelessLinkConfig
-from repro.tcp import NewRenoSender, RenoSender, TahoeSender, TcpConfig, TcpSink
+from repro.tcp import TahoeSender, TcpConfig, TcpSink
+
+if TYPE_CHECKING:
+    # The other schemes, senders and the trace load where a run builds
+    # them (Scenario.__init__), so a Tahoe/EBSN run never compiles them.
+    from repro.core.quench import QuenchGenerator
+    from repro.core.snoop import SnoopAgent
+    from repro.core.split import SplitRelay
+    from repro.metrics.trace import PacketTrace
 
 
 class Scheme(enum.Enum):
@@ -66,6 +66,11 @@ class ChannelConfig:
         if self.uniform:
             if self.deterministic:
                 raise ValueError("uniform and deterministic are exclusive")
+            from repro.channel.bernoulli import (
+                BernoulliLossChannel,
+                matched_loss_probability,
+            )
+
             return BernoulliLossChannel(
                 matched_loss_probability(
                     self.good_period_mean,
@@ -233,6 +238,8 @@ class Scenario:
             )
             feedback = self.ebsn_generator
         elif config.scheme is Scheme.QUENCH:
+            from repro.core.quench import QuenchGenerator
+
             self.quench_generator = QuenchGenerator(self.sim, self.bs)
             feedback = self.quench_generator
 
@@ -266,15 +273,21 @@ class Scenario:
         # run ends when the *sink* has all the data.
         is_split = config.scheme is Scheme.SPLIT
         relay_packet_size, relayed_bytes = self._relayed()
-        self.trace = PacketTrace() if config.record_trace else None
+        self.trace = None
+        if config.record_trace:
+            from repro.metrics.trace import PacketTrace
+
+            self.trace = PacketTrace()
         if config.sender_factory is not None:
             sender_cls = config.sender_factory
+        elif config.tcp_variant == "tahoe":
+            sender_cls = TahoeSender
+        elif config.tcp_variant == "reno":
+            from repro.tcp.reno import RenoSender as sender_cls
+        elif config.tcp_variant == "newreno":
+            from repro.tcp.newreno import NewRenoSender as sender_cls
         else:
-            sender_cls = {
-                "tahoe": TahoeSender,
-                "reno": RenoSender,
-                "newreno": NewRenoSender,
-            }[config.tcp_variant]
+            raise KeyError(config.tcp_variant)
         self.sender = sender_cls(
             self.sim,
             self.fh,
@@ -297,8 +310,12 @@ class Scenario:
         if config.scheme is Scheme.EBSN:
             install_ebsn_handler(self.sender)
         elif config.scheme is Scheme.QUENCH:
+            from repro.core.quench import install_quench_handler
+
             install_quench_handler(self.sender)
         elif config.scheme is Scheme.SNOOP:
+            from repro.core.snoop import SnoopAgent
+
             frame_time = self.downlink.tx_time(config.wireless.mtu_bytes)
             self.snoop_agent = SnoopAgent(
                 self.sim,
@@ -307,6 +324,8 @@ class Scenario:
                 local_timeout=max(0.1, 8 * frame_time),
             )
         elif config.scheme is Scheme.SPLIT:
+            from repro.core.split import SplitRelay
+
             self.split_relay = SplitRelay(
                 self.sim,
                 self.bs,

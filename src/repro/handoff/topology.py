@@ -26,7 +26,8 @@ from repro.channel import markov_channel
 from repro.engine import MAX_SIM_TIME, RandomStreams, Simulator
 from repro.experiments.topology import run_built
 from repro.linklayer import WirelessPort
-from repro.metrics import ConnectionMetrics, PacketTrace, compute_metrics
+from repro.metrics import ConnectionMetrics, compute_metrics
+from repro.metrics.trace import PacketTrace
 from repro.net.ip import Fragmenter, Reassembler
 from repro.net.link import WiredLink
 from repro.net.node import Node

@@ -13,15 +13,12 @@ time" trace plots of Figs 3–5.
 
 from repro.metrics.stats import ConnectionMetrics, compute_metrics
 from repro.metrics.theoretical import theoretical_throughput_bps
-from repro.metrics.trace import PacketTrace, TraceEntry
 
 __all__ = [
     "ConnectionMetrics",
     "compute_metrics",
     "theoretical_throughput_bps",
-    "PacketTrace",
-    "TraceEntry",
 ]
 
-# EventLog/EnergyModel live in submodules to avoid import cycles with
-# repro.experiments (import them as repro.metrics.eventlog / .energy).
+# PacketTrace/EventLog/EnergyModel load only where a run records them:
+# import them from repro.metrics.trace / .eventlog / .energy.

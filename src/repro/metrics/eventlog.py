@@ -23,7 +23,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, TextIO
 
-from repro.channel import BernoulliLossChannel, TwoStateChannel
+from repro.channel.bernoulli import BernoulliLossChannel
+from repro.channel.twostate import TwoStateChannel
 from repro.net.link import WiredLink
 from repro.net.node import Node
 from repro.net.wireless import WirelessLink

@@ -86,7 +86,7 @@ class WirelessLink:
         self._receiver: Optional[Callable[[LinkFrame], None]] = None
         self._busy = False
         # Frame sizes repeat endlessly (full fragments, the tail
-        # fragment, link ACKs), so memoize size -> (air_bytes, airtime).
+        # fragment, link ACKs), so memoize size -> (air bytes, airtime).
         # Values are computed by the same expressions as the uncached
         # methods, so the cache is arithmetically invisible.
         self._airtime_cache: dict[int, tuple[int, float]] = {}
@@ -115,10 +115,6 @@ class WirelessLink:
             cached = (air, air * 8 / self.config.raw_bandwidth_bps)
             self._airtime_cache[size_bytes] = cached
         return cached
-
-    def air_bytes(self, size_bytes: int) -> int:
-        """On-air size of a frame after physical-layer expansion."""
-        return self._airtime(size_bytes)[0]
 
     def tx_time(self, size_bytes: int) -> float:
         """Airtime of a frame of ``size_bytes`` (pre-expansion)."""

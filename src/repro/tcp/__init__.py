@@ -9,14 +9,16 @@ Karn's sampling rule, and exponential timer backoff.
 ICMP handling is pluggable (:attr:`TahoeSender.icmp_handler`), which is
 where the paper's EBSN and source-quench responses attach — see
 :mod:`repro.core`.
+
+The other senders load only where a run builds them: import
+:class:`~repro.tcp.reno.RenoSender`,
+:class:`~repro.tcp.newreno.NewRenoSender` and
+:class:`~repro.tcp.messages.MessageSender` from their own modules.
 """
 
 from repro.tcp.rto import RttEstimator
 from repro.tcp.sink import SinkStats, TcpSink
 from repro.tcp.tahoe import SenderStats, TahoeSender, TcpConfig
-from repro.tcp.reno import RenoSender
-from repro.tcp.newreno import NewRenoSender
-from repro.tcp.messages import MessageSender
 
 __all__ = [
     "RttEstimator",
@@ -25,7 +27,4 @@ __all__ = [
     "SenderStats",
     "TahoeSender",
     "TcpConfig",
-    "RenoSender",
-    "NewRenoSender",
-    "MessageSender",
 ]

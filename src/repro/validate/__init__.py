@@ -11,56 +11,8 @@ entry points:
 * :func:`replay_bundle` / ``repro replay <bundle>`` — reproduce a
   recorded violation deterministically.
 
-:mod:`repro.validate.oracles` is imported explicitly by its users (it
-depends on the experiment layer, which itself imports this package).
+Nothing is re-exported here; import each name from its defining
+module (:mod:`~repro.validate.engine`, :mod:`~repro.validate.checkers`,
+:mod:`~repro.validate.bundle`, :mod:`~repro.validate.oracles`), so an
+unvalidated run loads none of them.
 """
-
-from repro.validate.bundle import (
-    ReplayBundle,
-    ReplayOutcome,
-    default_bundle_dir,
-    load_bundle,
-    replay_bundle,
-    write_bundle,
-)
-from repro.validate.checkers import (
-    ArqBoundChecker,
-    ConservationChecker,
-    DeliveryChecker,
-    EbsnWindowChecker,
-    TcpStateChecker,
-    TimerSanityChecker,
-    default_checkers,
-)
-from repro.validate.engine import (
-    InvariantChecker,
-    InvariantViolationError,
-    Validator,
-    Violation,
-    run_validated,
-    set_default_validation,
-    validation_default,
-)
-
-__all__ = [
-    "ArqBoundChecker",
-    "ConservationChecker",
-    "DeliveryChecker",
-    "EbsnWindowChecker",
-    "InvariantChecker",
-    "InvariantViolationError",
-    "ReplayBundle",
-    "ReplayOutcome",
-    "TcpStateChecker",
-    "TimerSanityChecker",
-    "Validator",
-    "Violation",
-    "default_bundle_dir",
-    "default_checkers",
-    "load_bundle",
-    "replay_bundle",
-    "run_validated",
-    "set_default_validation",
-    "validation_default",
-    "write_bundle",
-]

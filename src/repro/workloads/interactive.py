@@ -26,7 +26,7 @@ from repro.experiments.topology import (
 )
 from repro.experiments.config import wan_scenario
 from repro.net.packet import TCP_IP_HEADER_BYTES
-from repro.tcp import MessageSender
+from repro.tcp.messages import MessageSender
 
 
 #: User payload of one keystroke segment (bytes).

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.channel import BernoulliLossChannel, matched_loss_probability
+from repro.channel.bernoulli import BernoulliLossChannel, matched_loss_probability
 
 
 class TestChannel:

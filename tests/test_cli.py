@@ -200,7 +200,7 @@ class TestSweep:
         def interrupted(*args, **kwargs):
             raise CampaignInterrupted(2, 3, 18, "camp.journal")
 
-        monkeypatch.setattr("repro.cli.sweep_campaign", interrupted)
+        monkeypatch.setattr("repro.experiments.runner.sweep_campaign", interrupted)
         code = main(["sweep", "--replications", "2", "--no-cache"])
         err = capsys.readouterr().err
         assert code == 130
@@ -216,7 +216,7 @@ class TestSweep:
         def aborted(*args, **kwargs):
             raise UnitTimeout(failure)
 
-        monkeypatch.setattr("repro.cli.sweep_campaign", aborted)
+        monkeypatch.setattr("repro.experiments.runner.sweep_campaign", aborted)
         code = main(
             ["sweep", "--replications", "2", "--no-cache", "--fail-fast"]
         )

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.metrics import PacketTrace, theoretical_throughput_bps
+from repro.metrics import theoretical_throughput_bps
+from repro.metrics.trace import PacketTrace
 from repro.metrics.theoretical import good_state_fraction
 
 

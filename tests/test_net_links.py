@@ -277,7 +277,7 @@ class TestWirelessLink:
         link, _ = self.make_link(sim)
         # 128 B fragment -> 192 B on air at 19.2 kbps = 80 ms.
         assert link.tx_time(128) == pytest.approx(0.08)
-        assert link.air_bytes(128) == 192
+        assert link._airtime(128)[0] == 192
 
     def test_good_state_delivery(self, sim):
         link, _ = self.make_link(sim)

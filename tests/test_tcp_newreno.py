@@ -7,7 +7,8 @@ import pytest
 from repro.engine import Simulator
 from repro.net.node import Node
 from repro.net.packet import Datagram, TcpAck, TcpSegment
-from repro.tcp import NewRenoSender, TcpConfig
+from repro.tcp import TcpConfig
+from repro.tcp.newreno import NewRenoSender
 
 
 class Harness:
@@ -72,7 +73,7 @@ class TestPartialAcks:
 
     def test_reno_vs_newreno_on_multi_loss(self, sim):
         """Reno needs another dupack episode per hole; NewReno does not."""
-        from repro.tcp import RenoSender
+        from repro.tcp.reno import RenoSender
 
         h = Harness(sim)
         h.enter_recovery()

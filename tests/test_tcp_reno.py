@@ -7,7 +7,8 @@ import pytest
 from repro.engine import Simulator
 from repro.net.node import Node
 from repro.net.packet import Datagram, TcpAck, TcpSegment
-from repro.tcp import RenoSender, TcpConfig
+from repro.tcp import TcpConfig
+from repro.tcp.reno import RenoSender
 
 
 class Harness:

@@ -65,6 +65,21 @@ class TestSerialParallelOracle:
         assert serial.replications == pooled.replications == 3
         assert serial.throughput_bps_mean == pooled.throughput_bps_mean
 
+    def test_paper_figures_render_identically_on_two_workers(self):
+        """Figs 8 and 10, uncached: the pool's workers fork from a parent
+        that loaded only the modules the campaign itself needs, and
+        must render the serial run's tables byte for byte."""
+        from repro.experiments.figures import paper_figures
+
+        serial, serial_campaign = paper_figures(
+            [8, 10], scale=0.02, replications=2, workers=1
+        )
+        pooled, pooled_campaign = paper_figures(
+            [8, 10], scale=0.02, replications=2, workers=2
+        )
+        assert serial_campaign.report.complete and pooled_campaign.report.complete
+        assert pooled == serial
+
     def test_disagreement_is_reported(self, monkeypatch):
         from repro.validate import oracles
 

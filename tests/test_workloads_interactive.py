@@ -8,7 +8,8 @@ from repro.engine import Simulator
 from repro.experiments.topology import Scheme
 from repro.net.node import Node
 from repro.net.packet import Datagram, TcpAck
-from repro.tcp import MessageSender, TcpConfig
+from repro.tcp import TcpConfig
+from repro.tcp.messages import MessageSender
 from repro.experiments.parallel import run_unit
 from repro.workloads import InteractiveConfig, LatencyStats
 
