@@ -186,7 +186,7 @@ def test_heap_with_cancellations(benchmark):
         sim = Simulator()
         events = [sim.schedule(float(i % 97) + 1.0, lambda: None) for i in range(20_000)]
         for event in events[::2]:
-            event.cancel()
+            sim.cancel(event)
         sim.run()
         return sim.events_executed
 

@@ -21,7 +21,6 @@ import random
 from repro.channel import TwoStateChannel
 from repro.csdp.scheduling import Scheduler
 from repro.engine import Simulator
-from repro.engine.simulator import Event
 from repro.net.ip import Fragmenter, Reassembler
 from repro.net.packet import LINK_ACK_BYTES, Datagram, Fragment
 from repro.net.wireless import WirelessLinkConfig
@@ -85,7 +84,7 @@ class DownlinkRadio:
         self.queues: Dict[str, Deque[_QueuedFrame]] = {d: deque() for d in channels}
         self.stats = RadioStats()
         self._busy = False
-        self._wake_event: Optional[Event] = None
+        self._wake_event: Optional[list] = None
         self._blocked_since: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -154,7 +153,7 @@ class DownlinkRadio:
             candidates.append(now + 0.05)
         wake_at = max(min(candidates), now + 1e-6)
         if self._wake_event is not None:
-            self._wake_event.cancel()
+            self._sim.cancel(self._wake_event)
         self._wake_event = self._sim.schedule_at(wake_at, self._pump)
 
     def _transmit(self, dest: str) -> None:

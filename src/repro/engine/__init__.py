@@ -9,7 +9,6 @@ a simulation draws from its own reproducible sequence.
 
 from repro.engine.simulator import (
     MAX_SIM_TIME,
-    Event,
     Simulator,
     SimulationError,
     WallClockExceeded,
@@ -19,7 +18,6 @@ from repro.engine.rng import RandomStreams
 
 __all__ = [
     "MAX_SIM_TIME",
-    "Event",
     "Simulator",
     "SimulationError",
     "WallClockExceeded",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
 import time
 from typing import Any, Callable, Optional
 
@@ -43,64 +42,13 @@ class WallClockExceeded(SimulationError):
         self.events = events
 
 
-class Event:
-    """A scheduled callback.
-
-    Events are created through :meth:`Simulator.schedule` /
-    :meth:`Simulator.schedule_at`; user code holds on to the returned
-    object only to :meth:`cancel` it.
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple,
-        sim: "Optional[Simulator]" = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        # Back-reference while the event sits in the owning simulator's
-        # heap; cleared on pop so the cancelled-in-heap accounting stays
-        # exact.  None for events constructed outside a simulator.
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Mark the event so the loop skips it.
-
-        Cancellation is lazy: the heap entry stays in place and is
-        discarded when it reaches the head, while the owning simulator
-        counts the corpse so :meth:`Simulator.pending_count` stays O(1).
-        Cancelling an already-executed or already-cancelled event is a
-        no-op.
-        """
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim = self._sim
-        if sim is not None:
-            sim._cancelled_count += 1
-
-    def __lt__(self, other: "Event") -> bool:
-        # time-then-seq without building two tuples per comparison.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        name = getattr(self.callback, "__qualname__", repr(self.callback))
-        return f"<Event t={self.time:.6f} {name} {state}>"
-
-
 class Simulator:
     """Binary-heap discrete-event simulator.
+
+    ``schedule`` and ``schedule_at`` return the event's heap entry, a
+    list ``[time, seq, callback, args]``, which is the handle
+    :meth:`cancel` takes.  Sift comparisons stay in C: ``seq`` is
+    unique, so list comparison never reaches the callback.
 
     >>> sim = Simulator()
     >>> fired = []
@@ -120,21 +68,16 @@ class Simulator:
     WATCHDOG_STRIDE = 2048
 
     def __init__(self) -> None:
-        # Heap entries are (time, seq, event) tuples: heap sift
-        # comparisons stay in C (tuple < tuple never reaches a Python
-        # __lt__ because seq is unique) instead of calling
-        # Event.__lt__ O(n log n) times per run.
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[list] = []
         self._now: float = 0.0
         self._seq: int = 0
         self._running = False
         self._stopped = False
-        #: Cancelled events still sitting in the heap (lazy deletion).
+        #: Cancelled entries still sitting in the heap (lazy deletion).
         self._cancelled_count: int = 0
-        self.events_executed: int = 0
         #: Perf counters (observability only — never consulted by the
         #: run loop, so they cannot perturb results).
-        self.heap_pushes: int = 0
+        self.events_executed: int = 0
         self.run_wall_seconds: float = 0.0
 
     @property
@@ -142,27 +85,22 @@ class Simulator:
         """Current simulation time in seconds."""
         return self._now
 
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
+    @property
+    def heap_pushes(self) -> int:
+        """Entries pushed so far: each schedule call takes one ``seq``."""
+        return self._seq
+
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> list:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if not delay >= 0:  # NaN fails too: it would break heap order
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        # Inline-constructed Event (bypassing __init__) — this is the
-        # hottest allocation in the whole simulator.
-        event = Event.__new__(Event)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event._sim = self
-        heapq.heappush(self._heap, (time, seq, event))
-        self.heap_pushes += 1
-        return event
+        entry = [self._now + delay, seq, callback, args]
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> list:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
         if not time >= self._now:  # NaN fails too
             raise SimulationError(
@@ -170,16 +108,22 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event.__new__(Event)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event._sim = self
-        heapq.heappush(self._heap, (time, seq, event))
-        self.heap_pushes += 1
-        return event
+        entry = [time, seq, callback, args]
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, event: list) -> None:
+        """Cancel a scheduled event so the loop skips it.
+
+        Cancellation is lazy: the callback slot is cleared and the
+        entry stays in the heap until it reaches the head, while
+        ``_cancelled_count`` counts it so :meth:`pending_count` stays
+        O(1).  The loop clears the slot of an entry it executes too, so
+        cancelling an executed or already-cancelled event is a no-op.
+        """
+        if event[2] is not None:
+            event[2] = None
+            self._cancelled_count += 1
 
     def stop(self) -> None:
         """Stop the run loop after the currently executing event."""
@@ -188,20 +132,17 @@ class Simulator:
     def run(
         self,
         until: Optional[float] = None,
-        max_events: Optional[int] = None,
         wall_timeout: Optional[float] = None,
     ) -> None:
         """Run until the heap drains, ``until`` is reached, or ``stop()``.
 
         ``until`` is inclusive: events at exactly that time execute, and
         the clock is advanced to ``until`` when the limit is hit with
-        events still pending.  ``max_events`` bounds the number of
-        callbacks executed in this call (a runaway-loop guard for
-        tests).  ``wall_timeout`` is a *real-time* watchdog: when the
-        call has run longer than that many wall-clock seconds, it
-        aborts with :class:`WallClockExceeded` (checked every
-        ``WATCHDOG_STRIDE`` events, so the run stays bit-identical to
-        an unwatched one right up to the abort).
+        events still pending.  ``wall_timeout`` is a *real-time*
+        watchdog: when the call has run longer than that many
+        wall-clock seconds, it aborts with :class:`WallClockExceeded`
+        (checked every ``WATCHDOG_STRIDE`` events, so the run stays
+        bit-identical to an unwatched one right up to the abort).
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
@@ -220,16 +161,12 @@ class Simulator:
         # list object.
         heap = self._heap
         pop = heapq.heappop
-        # Sentinels fold the per-iteration None checks into plain
-        # comparisons (simulation times are finite, so `> inf` and
-        # `>= maxsize` are never taken when no limit was given).
-        event_limit = sys.maxsize if max_events is None else max_events
+        # Simulation times are finite, so `> inf` is never taken when
+        # no limit was given.
         time_limit = math.inf if until is None else until
         start_wall = monotonic()
         try:
-            while not self._stopped:
-                if executed >= event_limit:
-                    break
+            while True:
                 if countdown >= 0:
                     if countdown == 0:
                         countdown = self.WATCHDOG_STRIDE - 1
@@ -241,24 +178,30 @@ class Simulator:
                             )
                     else:
                         countdown -= 1
-                while heap and heap[0][2].cancelled:
-                    pop(heap)[2]._sim = None
+                # Discard cancelled entries at the head; the loop's
+                # else branch runs when the heap drains.
+                while heap:
+                    entry = heap[0]
+                    callback = entry[2]
+                    if callback is not None:
+                        break
+                    pop(heap)
                     self._cancelled_count -= 1
-                if not heap:
+                else:
                     if until is not None and self._now < until:
                         self._now = until
                     break
-                head = heap[0]
-                if head[0] > time_limit:
+                if entry[0] > time_limit:
                     self._now = until
                     break
-                # The head is known live: pop and dispatch it.
+                # The head is known live: pop, mark executed, dispatch.
                 pop(heap)
-                event = head[2]
-                event._sim = None
-                self._now = head[0]
-                event.callback(*event.args)
+                entry[2] = None
+                self._now = entry[0]
+                callback(*entry[3])
                 executed += 1
+                if self._stopped:
+                    break
         finally:
             self._running = False
             self.events_executed += executed

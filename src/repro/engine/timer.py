@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.engine.simulator import Event, Simulator
+from repro.engine.simulator import Simulator
 
 
 class Timer:
@@ -40,7 +40,7 @@ class Timer:
         self._sim = sim
         self._callback = callback
         #: The heap entry; it may be due before ``_deadline``.
-        self._event: Optional[Event] = None
+        self._event: Optional[list] = None
         #: When the timer expires (meaningful only while pending).
         self._deadline = 0.0
         self.name = name
@@ -49,7 +49,7 @@ class Timer:
     @property
     def pending(self) -> bool:
         """True while armed and not yet expired."""
-        return self._event is not None and not self._event.cancelled
+        return self._event is not None and self._event[2] is not None
 
     @property
     def expiry_time(self) -> Optional[float]:
@@ -75,16 +75,16 @@ class Timer:
         deadline = sim._now + delay
         self._deadline = deadline
         event = self._event
-        if event is not None and not event.cancelled:
-            if deadline > event.time:
+        if event is not None and event[2] is not None:
+            if deadline > event[0]:
                 return
-            event.cancel()
+            sim.cancel(event)
         self._event = sim.schedule(delay, self._fire)
 
     def cancel(self) -> None:
         """Disarm.  A no-op if the timer is idle."""
         if self._event is not None:
-            self._event.cancel()
+            self._sim.cancel(self._event)
             self._event = None
 
     def _fire(self) -> None:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional
 
 from repro.engine import Simulator, Timer
-from repro.engine.simulator import Event
 from repro.linklayer.arq import ArqConfig, ArqStats
 from repro.net.ip import Fragmenter, Reassembler
 from repro.net.packet import (
@@ -84,16 +83,16 @@ class _OutstandingFrame:
 
     frame: LinkFrame
     attempts: int = 0
-    ack_event: Optional[Event] = None
-    backoff_event: Optional[Event] = None
+    ack_event: Optional[list] = None
+    backoff_event: Optional[list] = None
     awaiting_retry: bool = False
 
-    def cancel_timers(self) -> None:
+    def cancel_timers(self, sim: Simulator) -> None:
         if self.ack_event is not None:
-            self.ack_event.cancel()
+            sim.cancel(self.ack_event)
             self.ack_event = None
         if self.backoff_event is not None:
-            self.backoff_event.cancel()
+            sim.cancel(self.backoff_event)
             self.backoff_event = None
 
 
@@ -128,7 +127,18 @@ class WirelessPort:
         self.mode = mode
         self.arq_config = arq_config or ArqConfig()
         self._rng = rng
-        self.feedback = feedback or FeedbackHooks()
+        self.feedback = feedback = feedback or FeedbackHooks()
+        # The two hooks raised per frame, bound once; None where the
+        # feedback class keeps the base class's no-op.
+        hooks = type(feedback)
+        self._on_queue_depth = (
+            None if hooks.on_queue_depth is FeedbackHooks.on_queue_depth
+            else feedback.on_queue_depth
+        )
+        self._on_recovered = (
+            None if hooks.on_recovered is FeedbackHooks.on_recovered
+            else feedback.on_recovered
+        )
 
         self.fragmenter = Fragmenter(out_link.config.mtu_bytes)
         self.reassembler = Reassembler(
@@ -165,15 +175,18 @@ class WirelessPort:
     def send_datagram(self, datagram: Datagram) -> None:
         """Fragment and transmit a datagram over the wireless hop."""
         fragments = self.fragmenter.fragment(datagram)
+        on_queue_depth = self._on_queue_depth
         if self.mode is LinkLayerMode.PLAIN:
             send = self.out_link.send
             for fragment in fragments:
                 send(data_frame(fragment))
-            self.feedback.on_queue_depth(len(self.out_link.queue))
+            if on_queue_depth is not None:
+                on_queue_depth(len(self.out_link.queue))
         else:
             self._pending.extend(fragments)
             self.stats.frames_accepted += len(fragments)
-            self.feedback.on_queue_depth(self.queue_depth)
+            if on_queue_depth is not None:
+                on_queue_depth(self.queue_depth)
             self._pump()
 
     @property
@@ -267,7 +280,7 @@ class WirelessPort:
         return self._rng.uniform(cfg.backoff_min, cfg.backoff_max)
 
     def _discard(self, entry: _OutstandingFrame) -> None:
-        entry.cancel_timers()
+        entry.cancel_timers(self._sim)
         del self._outstanding[entry.frame.uid]
         self.stats.frames_discarded += 1
         fragment = entry.frame.fragment
@@ -301,7 +314,7 @@ class WirelessPort:
             and e.frame.fragment.datagram.uid == datagram_uid
         ]
         for entry in doomed:
-            entry.cancel_timers()
+            entry.cancel_timers(self._sim)
             del self._outstanding[entry.frame.uid]
             self.stats.siblings_dropped += 1
             self._send_skip(entry.frame.link_seq)
@@ -323,15 +336,16 @@ class WirelessPort:
             if entry is None:
                 return  # stale: its frame was already acked or discarded
             self.stats.link_acks_received += 1
-            self.feedback.on_recovered()
+            if self._on_recovered is not None:
+                self._on_recovered()
             # Inlined entry.cancel_timers().
             event = entry.ack_event
             if event is not None:
-                event.cancel()
+                self._sim.cancel(event)
                 entry.ack_event = None
             backoff = entry.backoff_event
             if backoff is not None:
-                backoff.cancel()
+                self._sim.cancel(backoff)
                 entry.backoff_event = None
             if entry.awaiting_retry:
                 entry.awaiting_retry = False  # leave a dangling uid in _retry
@@ -365,7 +379,7 @@ class WirelessPort:
                 timer = self._flush_timer
                 event = timer._event
                 if event is not None:
-                    event.cancel()
+                    self._sim.cancel(event)
                     timer._event = None
             return
         self._resequence(seq, fragment)

@@ -61,14 +61,22 @@ class Fragmenter:
     def fragment(self, datagram: Datagram) -> List[Fragment]:
         """Split ``datagram``; a datagram within the MTU yields one fragment."""
         mtu = self.mtu_bytes
-        count = -(-datagram.size_bytes // mtu)
-        fragments: List[Fragment] = []
         remaining = datagram.size_bytes
+        # Field-by-field builds skip __init__/__post_init__ on the
+        # per-fragment hot path; the validated invariants (index in
+        # range, positive size) hold by construction.
+        if remaining <= mtu:
+            frag = Fragment.__new__(Fragment)
+            frag.datagram = datagram
+            frag.frag_index = 0
+            frag.frag_count = 1
+            frag.size_bytes = remaining
+            self.fragments_produced += 1
+            return [frag]
+        count = -(-remaining // mtu)
+        fragments: List[Fragment] = []
         for index in range(count):
             size = mtu if remaining > mtu else remaining
-            # Field-by-field build skips __init__/__post_init__ on the
-            # per-fragment hot path; the validated invariants (index in
-            # range, positive size) hold by construction.
             frag = Fragment.__new__(Fragment)
             frag.datagram = datagram
             frag.frag_index = index
@@ -76,8 +84,7 @@ class Fragmenter:
             frag.size_bytes = size
             fragments.append(frag)
             remaining -= size
-        if count > 1:
-            self.datagrams_fragmented += 1
+        self.datagrams_fragmented += 1
         self.fragments_produced += count
         return fragments
 
@@ -117,20 +124,23 @@ class Reassembler:
         """Account one arriving fragment; return the datagram if complete."""
         datagram = fragment.datagram
         uid = datagram.uid
-        if uid in self._completed_recent:
+        completed_recent = self._completed_recent
+        if uid in completed_recent:
             self.duplicate_fragments += 1
             return None
-        partial = self._partials.get(uid)
-        bit = 1 << fragment.frag_index
-        if partial is None:
-            # A datagram's first fragment arms the sweep, even when it
-            # is the only one, so sweep times do not depend on sizes.
-            self._ensure_sweep()
-            left = fragment.frag_count - 1
-            if left:
-                self._partials[uid] = [bit, left, self._sim.now]
-                return None
+        if fragment.frag_count == 1:
+            # An unfragmented datagram completes at once; it still arms
+            # the sweep, so sweep times do not depend on sizes.
+            if not self._sweep_scheduled:
+                self._ensure_sweep()
         else:
+            partial = self._partials.get(uid)
+            bit = 1 << fragment.frag_index
+            if partial is None:
+                # A datagram's first fragment arms the sweep.
+                self._ensure_sweep()
+                self._partials[uid] = [bit, fragment.frag_count - 1, self._sim._now]
+                return None
             if partial[0] & bit:
                 self.duplicate_fragments += 1
                 return None
@@ -141,7 +151,6 @@ class Reassembler:
                 return None
             del self._partials[uid]
         self.completed += 1
-        completed_recent = self._completed_recent
         completed_recent[uid] = None
         if len(completed_recent) > self.COMPLETED_MEMORY:
             completed_recent.popitem(last=False)
@@ -159,7 +168,7 @@ class Reassembler:
 
     def _sweep(self) -> None:
         self._sweep_scheduled = False
-        deadline = self._sim.now - self.timeout
+        deadline = self._sim._now - self.timeout
         expired = [uid for uid, p in self._partials.items() if p[2] <= deadline]
         for uid in expired:
             del self._partials[uid]

@@ -118,25 +118,39 @@ class WiredLink:
             raise RuntimeError(f"link {self.name!r} has no receiver connected")
         sim = self._sim
         now = sim._now
+        # The queue's offer/poll are inlined below, counts and all;
+        # ``starts`` holds one entry per queued datagram.
         queue = self.queue
+        items = queue._items
+        qstats = queue.stats
         starts = self._starts
         while starts and starts[0] <= now:
             starts.popleft()
-            queue.poll()
+            items.popleft()
+            qstats.dequeued += 1
         stats = self.stats
         stats.offered += 1
-        if self.ecn_threshold is not None and len(queue) >= self.ecn_threshold:
+        if self.ecn_threshold is not None and len(items) >= self.ecn_threshold:
             datagram.ecn_marked = True
             self.ecn_marks += 1
         size = datagram.size_bytes
-        if not queue.offer(datagram, size):
+        if queue.capacity is not None and len(items) >= queue.capacity:
+            qstats.dropped += 1
+            qstats.dropped_bytes += size
             return False
+        qstats.enqueued += 1
         start = self._free_at
         if start > now:
+            items.append(datagram)
             starts.append(start)
         else:
+            # The line is idle, so the queue is empty: the datagram is
+            # enqueued and dequeued at once, at a depth of 1.
             start = now
-            queue.poll()
+            qstats.dequeued += 1
+        depth = len(items) or 1
+        if depth > qstats.peak_depth:
+            qstats.peak_depth = depth
         duration = size * 8 / self.bandwidth_bps
         finish = start + duration
         self._free_at = finish

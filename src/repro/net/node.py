@@ -28,6 +28,9 @@ class Node:
     def __init__(self, name: Address) -> None:
         self.name = name
         self.routing = RoutingTable(name)
+        # The table's own dict (handoffs and the event log update it in
+        # place), read directly on the per-datagram path.
+        self._routes = self.routing._routes
         self.agent: Optional[Agent] = None
 
     def attach_agent(self, agent: Agent) -> None:
@@ -43,15 +46,24 @@ class Node:
 
     def receive(self, datagram: Datagram) -> None:
         """Entry point for datagrams arriving from any link."""
-        if datagram.dst == self.name:
+        dst = datagram.dst
+        if dst == self.name:
             if self.agent is None:
                 raise RuntimeError(
                     f"node {self.name!r} received a datagram but has no agent"
                 )
             self.agent.receive(datagram)
-        else:
-            self.routing.forward(datagram)
+            return
+        # Inlined self.routing.forward(datagram).
+        forward = self._routes.get(dst)
+        if forward is None:
+            raise KeyError(f"node {self.name!r} has no route to {dst!r}")
+        forward(datagram)
 
     def send(self, datagram: Datagram) -> None:
         """Originate a datagram from this node (route it one hop out)."""
-        self.routing.forward(datagram)
+        dst = datagram.dst
+        forward = self._routes.get(dst)
+        if forward is None:
+            raise KeyError(f"node {self.name!r} has no route to {dst!r}")
+        forward(datagram)

@@ -302,21 +302,18 @@ class LinkFrame:
             raise ValueError(f"frame size must be positive, got {self.size_bytes}")
 
 
-def _blank_frame() -> LinkFrame:
-    """Uninitialised LinkFrame for the hot factories below.
-
-    The two per-frame factories run once per transmission and once per
-    link ACK; building the frame field-by-field skips the dataclass
-    ``__init__``/``__post_init__`` pair, whose checks hold by
-    construction here (fragment present, fixed positive sizes).
-    """
-    return LinkFrame.__new__(LinkFrame)
+# The two per-frame factories below run once per transmission and once
+# per link ACK; building the frame field-by-field skips the dataclass
+# ``__init__``/``__post_init__`` pair, whose checks hold by construction
+# here (fragment present, fixed positive sizes).
+_DATA = FrameKind.DATA
+_LINK_ACK = FrameKind.LINK_ACK
 
 
 def data_frame(fragment: Fragment) -> LinkFrame:
     """Wrap a fragment in a transmittable link frame."""
-    frame = _blank_frame()
-    frame.kind = FrameKind.DATA
+    frame = LinkFrame.__new__(LinkFrame)
+    frame.kind = _DATA
     frame.size_bytes = fragment.size_bytes
     frame.fragment = fragment
     frame.acked_frame_uid = None
@@ -328,8 +325,8 @@ def data_frame(fragment: Fragment) -> LinkFrame:
 
 def link_ack_frame(acked_frame_uid: int) -> LinkFrame:
     """Build the small link-layer ACK for a received data frame."""
-    frame = _blank_frame()
-    frame.kind = FrameKind.LINK_ACK
+    frame = LinkFrame.__new__(LinkFrame)
+    frame.kind = _LINK_ACK
     frame.size_bytes = LINK_ACK_BYTES
     frame.fragment = None
     frame.acked_frame_uid = acked_frame_uid

@@ -24,6 +24,8 @@ from repro.net.link import LinkStats
 from repro.net.packet import FrameKind, LinkFrame
 from repro.net.queues import DropTailQueue
 
+_LINK_ACK = FrameKind.LINK_ACK
+
 
 @dataclass
 class WirelessLinkConfig:
@@ -129,15 +131,14 @@ class WirelessLink:
         if self._receiver is None:
             raise RuntimeError(f"link {self.name!r} has no receiver connected")
         self.stats.offered += 1
-        target = self.ack_queue if frame.kind is FrameKind.LINK_ACK else self.queue
+        target = self.ack_queue if frame.kind is _LINK_ACK else self.queue
         # Inlined target.offer((frame, on_tx_complete), frame.size_bytes):
         # one call per frame on the hot path.
         items = target._items
         stats = target.stats
-        size = frame.size_bytes
         if target.capacity is not None and len(items) >= target.capacity:
             stats.dropped += 1
-            stats.dropped_bytes += size
+            stats.dropped_bytes += frame.size_bytes
         else:
             items.append((frame, on_tx_complete))
             stats.enqueued += 1
@@ -193,7 +194,6 @@ class WirelessLink:
             stats.corrupted += 1
         else:
             stats.delivered += 1
-            assert self._receiver is not None
             self._schedule(self.config.prop_delay, self._receiver, frame)
         if on_tx_complete is not None:
             on_tx_complete(frame)

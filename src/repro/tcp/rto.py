@@ -72,6 +72,8 @@ class RttEstimator:
         #: Mean deviation in ticks.
         self.rttvar: float = 0.0
         self.samples_taken = 0
+        #: The current RTO, recomputed only when the estimate changes.
+        self._rto = initial_rto
 
     def sample(self, rtt_seconds: float) -> None:
         """Feed one valid (non-retransmitted-segment) RTT measurement."""
@@ -90,6 +92,9 @@ class RttEstimator:
                 gain = self.var_decay_gain
             self.rttvar += gain * deviation_change
         self.samples_taken += 1
+        raw_ticks = self.srtt + self.k * self.rttvar
+        ticks = max(self.MIN_TICKS, math.ceil(raw_ticks - 1e-9))
+        self._rto = min(self.max_rto, ticks * self.granularity)
 
     def rto(self) -> float:
         """Current retransmission timeout in seconds (no backoff applied).
@@ -98,14 +103,11 @@ class RttEstimator:
         ``srtt + k·rttvar`` rounded up to a whole tick, clamped to
         ``[MIN_TICKS · granularity, max_rto]``.
         """
-        if self.srtt is None:
-            return self.initial_rto
-        raw_ticks = self.srtt + self.k * self.rttvar
-        ticks = max(self.MIN_TICKS, math.ceil(raw_ticks - 1e-9))
-        return min(self.max_rto, ticks * self.granularity)
+        return self._rto
 
     def reset(self) -> None:
         """Forget all history (fresh connection)."""
         self.srtt = None
         self.rttvar = 0.0
         self.samples_taken = 0
+        self._rto = self.initial_rto

@@ -81,12 +81,14 @@ class TcpSink:
         if not isinstance(segment, TcpSegment):
             # ACKs/ICMP addressed to the sink are a wiring error.
             raise TypeError(f"sink received non-data payload {segment!r}")
+        stats = self.stats
         if datagram.ecn_marked:
             self._ecn_pending += 1
-            self.stats.ecn_marks_seen += 1
-        if self.stats.first_data_at is None:
-            self.stats.first_data_at = self._sim.now
-        self.stats.last_data_at = self._sim.now
+            stats.ecn_marks_seen += 1
+        now = self._sim._now
+        if stats.first_data_at is None:
+            stats.first_data_at = now
+        stats.last_data_at = now
 
         seq = segment.seq
         if seq == self.next_expected:
@@ -131,7 +133,7 @@ class TcpSink:
             self.src,
             tcp_ack(self.next_expected, echo),
             ACK_PACKET_BYTES,
-            self._sim.now,
+            self._sim._now,
         )
         self.stats.acks_sent += 1
         self._node.send(packet)

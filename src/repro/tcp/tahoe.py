@@ -170,10 +170,13 @@ class TahoeSender:
         self.snd_nxt = 0
         self.transfer_bytes = self.config.transfer_bytes
         self.total_segments = self.config.total_segments
+        # Config-derived constants read per ACK and per segment.
+        self._window_segments = self.config.window_segments
+        self._segment_payload = self.config.segment_payload
 
         # Congestion state (in segments).
         self.cwnd: float = 1.0
-        self.ssthresh: float = float(max(2, self.config.window_segments))
+        self.ssthresh: float = float(max(2, self._window_segments))
         self.backoff_exp = 0
         self.dupacks = 0
 
@@ -201,7 +204,7 @@ class TahoeSender:
         """Begin the transfer at the current simulation time."""
         if self.stats.started_at is not None:
             raise RuntimeError("sender already started")
-        self.stats.started_at = self._sim.now
+        self.stats.started_at = self._sim._now
         self._send_pending()
 
     @property
@@ -211,7 +214,7 @@ class TahoeSender:
 
     def effective_window(self) -> int:
         """min(cwnd, advertised window), in whole segments."""
-        return max(1, min(int(self.cwnd), self.config.window_segments))
+        return max(1, min(int(self.cwnd), self._window_segments))
 
     def current_timeout(self) -> float:
         """RTO with the current exponential backoff applied."""
@@ -238,7 +241,15 @@ class TahoeSender:
         """Agent entry point: ACKs and ICMP messages addressed to us."""
         payload = datagram.payload
         if isinstance(payload, TcpAck):
-            self._handle_ack(payload)
+            if self.completed:
+                return
+            if self.ecn_enabled and payload.ecn_echo:
+                self._ecn_response()
+            ack_seq = payload.ack_seq
+            if ack_seq > self.snd_una:
+                self._handle_new_ack(ack_seq)
+            elif ack_seq == self.snd_una and self.outstanding > 0:
+                self._handle_dupack()
         elif isinstance(payload, IcmpMessage):
             self._handle_icmp(payload)
         elif isinstance(payload, TcpSegment):
@@ -248,16 +259,6 @@ class TahoeSender:
         if self.icmp_handler is not None:
             self.icmp_handler(self, message)
         # Without an installed policy, ICMP is ignored (basic TCP).
-
-    def _handle_ack(self, ack: TcpAck) -> None:
-        if self.completed:
-            return
-        if self.ecn_enabled and ack.ecn_echo:
-            self._ecn_response()
-        if ack.ack_seq > self.snd_una:
-            self._handle_new_ack(ack.ack_seq)
-        elif ack.ack_seq == self.snd_una and self.outstanding > 0:
-            self._handle_dupack()
 
     def _handle_new_ack(self, ack_seq: int) -> None:
         newly_acked = ack_seq - self.snd_una
@@ -270,7 +271,7 @@ class TahoeSender:
             and ack_seq > self._timed_seq
             and self._timed_seq not in self._ever_retransmitted
         ):
-            self.estimator.sample(self._sim.now - self._timed_at)
+            self.estimator.sample(self._sim._now - self._timed_at)
         if self._timed_seq is not None and ack_seq > self._timed_seq:
             self._timed_seq = None
 
@@ -290,7 +291,7 @@ class TahoeSender:
         else:
             self.cwnd += 1.0 / self.cwnd
         if self.record_cwnd:
-            self.stats.cwnd_trace.append((self._sim.now, self.cwnd))
+            self.stats.cwnd_trace.append((self._sim._now, self.cwnd))
 
         for seq in range(ack_seq - newly_acked, ack_seq):
             self._sent_at.pop(seq, None)
@@ -357,7 +358,7 @@ class TahoeSender:
         self.dupacks = 0
         self.snd_nxt = self.snd_una  # go-back-N from the hole
         if self.record_cwnd:
-            self.stats.cwnd_trace.append((self._sim.now, self.cwnd))
+            self.stats.cwnd_trace.append((self._sim._now, self.cwnd))
 
     # ------------------------------------------------------------------
     # Transmission
@@ -368,13 +369,14 @@ class TahoeSender:
         return self.snd_una >= self.total_segments
 
     def _segment_payload_bytes(self, seq: int) -> int:
+        payload = self._segment_payload
         if seq == self.total_segments - 1:
-            tail = self.transfer_bytes - seq * self.config.segment_payload
+            tail = self.transfer_bytes - seq * payload
             # Clamp: a stream-fed sender may hold more bytes than it
             # has released as whole segments (open tail).
-            if 0 < tail < self.config.segment_payload:
+            if 0 < tail < payload:
                 return tail
-        return self.config.segment_payload
+        return payload
 
     def _send_pending(self) -> None:
         limit = self.snd_una + self.effective_window()
@@ -385,7 +387,7 @@ class TahoeSender:
     def _transmit(self, seq: int) -> None:
         is_retx = seq in self._sent_at or seq in self._ever_retransmitted
         payload_bytes = self._segment_payload_bytes(seq)
-        now = self._sim.now
+        now = self._sim._now
         size = payload_bytes + TCP_IP_HEADER_BYTES
         packet = datagram(
             self._node.name,
@@ -416,7 +418,7 @@ class TahoeSender:
 
     def _complete(self) -> None:
         self.completed = True
-        self.stats.completed_at = self._sim.now
+        self.stats.completed_at = self._sim._now
         self.rtx_timer.cancel()
         if self.on_complete is not None:
             self.on_complete()

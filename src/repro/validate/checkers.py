@@ -57,7 +57,9 @@ class TimerSanityChecker(InvariantChecker):
     @staticmethod
     def _audit(sim, report, when: str) -> None:
         heap = sim._heap
-        dead = sum(1 for entry in heap if entry[2].cancelled)
+        # An entry [time, seq, callback, args] is cancelled once its
+        # callback slot is cleared.
+        dead = sum(1 for entry in heap if entry[2] is None)
         if dead != sim._cancelled_count:
             report(
                 f"cancelled-event count {sim._cancelled_count} but {dead} "
@@ -67,8 +69,8 @@ class TimerSanityChecker(InvariantChecker):
             if heap[i] < heap[(i - 1) // 2]:
                 report(f"heap order broken at entry {i} ({when})")
                 break
-        for time, _, event in heap:
-            if not event.cancelled and time < sim.now:
+        for time, _, callback, _ in heap:
+            if callback is not None and time < sim.now:
                 report(
                     f"pending event at t={time:.6f} is in the past "
                     f"(now={sim.now:.6f}, {when})"

@@ -190,7 +190,6 @@ def run_validated(scenario, bundle_dir=None, checkers=None, wall_timeout=None):
     of the config that gets only what is left of ``wall_timeout``.
     Whatever that re-run does, the error raised is the original one.
     """
-    from repro.validate.bundle import write_bundle
     from repro.validate.checkers import default_checkers
 
     started = time.monotonic()
@@ -210,6 +209,10 @@ def run_validated(scenario, bundle_dir=None, checkers=None, wall_timeout=None):
         validator.finalize(result)
     except InvariantViolationError as err:
         if bundle_dir is not False:
+            # Only a violation writes a bundle, so only it loads the
+            # bundle module (and with it the cache layer and pickle).
+            from repro.validate.bundle import write_bundle
+
             budget = None
             if wall_timeout is not None:
                 budget = max(0.0, wall_timeout - (time.monotonic() - started))

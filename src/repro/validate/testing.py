@@ -46,14 +46,15 @@ class ResurrectedEventSender(TahoeSender):
     """Breaks the simulator's lazy-deletion accounting.
 
     On start it schedules a no-op, cancels it through the API, then
-    clears the cancelled flag: the event fires although the heap still
-    counts it as dead.  The ``timer-sanity`` audit must catch the count
-    mismatch at the end of the run.
+    puts the callback back in the entry: the event fires although the
+    simulator still counts it as dead.  The ``timer-sanity`` audit must
+    catch the count mismatch at the end of the run.
     """
 
     def start(self) -> None:
         """Start the transfer, then resurrect a cancelled event."""
         super().start()
         event = self._sim.schedule(1.0, lambda: None)
-        event.cancel()
-        event.cancelled = False
+        callback = event[2]
+        self._sim.cancel(event)
+        event[2] = callback

@@ -87,27 +87,27 @@ class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
         fired = []
         event = sim.schedule(1.0, fired.append, "no")
-        event.cancel()
+        sim.cancel(event)
         sim.run()
         assert fired == []
 
     def test_cancel_is_idempotent(self, sim):
         event = sim.schedule(1.0, lambda: None)
-        event.cancel()
-        event.cancel()
+        sim.cancel(event)
+        sim.cancel(event)
         sim.run()
 
     def test_cancel_from_within_earlier_event(self, sim):
         fired = []
         later = sim.schedule(2.0, fired.append, "late")
-        sim.schedule(1.0, later.cancel)
+        sim.schedule(1.0, sim.cancel, later)
         sim.run()
         assert fired == []
 
     def test_pending_count_excludes_cancelled(self, sim):
         e1 = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        e1.cancel()
+        sim.cancel(e1)
         assert sim.pending_count() == 1
 
 
@@ -144,13 +144,6 @@ class TestRunControl:
         sim.schedule(2.0, fired.append, 2)
         sim.run()
         assert fired == [1]
-
-    def test_max_events_bounds_execution(self, sim):
-        fired = []
-        for i in range(10):
-            sim.schedule(float(i + 1), fired.append, i)
-        sim.run(max_events=4)
-        assert fired == [0, 1, 2, 3]
 
     def test_events_executed_counter(self, sim):
         for i in range(5):
@@ -193,7 +186,7 @@ class TestPropertyBased:
             events.append((sim.schedule(delay, fired.append, delay), cancel))
         for event, cancel in events:
             if cancel:
-                event.cancel()
+                sim.cancel(event)
         sim.run()
         expected = sorted(d for (d, c) in spec if not c)
         assert fired == expected
@@ -203,7 +196,7 @@ class TestHeapCompaction:
     def test_pending_count_is_live_count(self, sim):
         events = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
         for event in events[:4]:
-            event.cancel()
+            sim.cancel(event)
         assert sim.pending_count() == 6
 
     def test_compaction_preserves_execution_order(self, sim):
@@ -214,7 +207,7 @@ class TestHeapCompaction:
         cancelled = set()
         for i, event in enumerate(events):
             if i % 3 != 0:
-                event.cancel()
+                sim.cancel(event)
                 cancelled.add(i)
         sim.run()
         expected = sorted(
@@ -226,11 +219,11 @@ class TestHeapCompaction:
     def test_cancel_after_execution_keeps_count_exact(self, sim):
         event = sim.schedule(1.0, lambda: None)
         sim.run()
-        event.cancel()  # executed; must not corrupt the live count
+        sim.cancel(event)  # executed; must not corrupt the live count
         assert sim.pending_count() == 0
         survivor = sim.schedule(1.0, lambda: None)
         assert sim.pending_count() == 1
-        survivor.cancel()
+        sim.cancel(survivor)
         assert sim.pending_count() == 0
 
 

@@ -126,6 +126,25 @@ def test_cli_run_loads_no_campaign_or_study_module():
     assert offending(out["loaded"], NOT_IN_REPRO_RUN) == []
 
 
+def test_cli_validated_run_loads_no_bundle_writer():
+    """Only a violation writes a replay bundle; a clean run loads none
+    of the bundle module, the cache layer it imports, or pickle."""
+    out = fresh(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as printed:\n"
+        "    out['code'] = main(['run', '--lan', '--transfer-kb', '64', '--validate'])\n"
+        "out['printed'] = printed.getvalue()\n"
+    )
+    assert out["code"] == 0
+    assert "completed         : True" in out["printed"]
+    assert "repro.validate.checkers" in out["loaded"]
+    assert offending(
+        out["loaded"],
+        {"repro.validate.bundle", "repro.experiments.cache", "pickle"},
+    ) == []
+
+
 def test_every_public_name_resolves_to_its_defining_object():
     out = fresh(
         "import importlib\n"
