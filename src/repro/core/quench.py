@@ -12,6 +12,8 @@ deliver the improvement EBSN does.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.engine import Simulator
 from repro.linklayer.port import FeedbackHooks
 from repro.net.node import Node
@@ -44,6 +46,12 @@ class QuenchGenerator(FeedbackHooks):
 
     Quenches are rate-limited to one per :data:`MIN_INTERVAL` seconds
     per source — RFC-era gateways did the same to avoid quench storms.
+
+    The base station routes its datagrams for the mobile host through
+    :meth:`on_wired_data`, which notes each data packet's source and
+    hands the packet to ``send_wireless``: the wireless port's
+    ``send_datagram``, set once that port (which takes this generator
+    as its feedback) exists.
     """
 
     def __init__(self, sim: Simulator, node: Node) -> None:
@@ -53,6 +61,7 @@ class QuenchGenerator(FeedbackHooks):
         self.quench_suppressed = 0
         self._last_sent: dict[str, float] = {}
         self._last_data_source: str | None = None
+        self.send_wireless: Callable[[Datagram], None] | None = None
 
     def on_attempt_failed(self, fragment: Fragment, attempt: int) -> None:
         """Quench the source of a data packet the link is struggling with."""
@@ -68,6 +77,13 @@ class QuenchGenerator(FeedbackHooks):
     def note_data_source(self, src: str) -> None:
         """Remember the source feeding the wireless queue (for depth-triggered quench)."""
         self._last_data_source = src
+
+    def on_wired_data(self, datagram: Datagram) -> None:
+        """Forward a datagram toward the mobile host, noting its source
+        first if it carries data."""
+        if isinstance(datagram.payload, TcpSegment):
+            self.note_data_source(datagram.src)
+        self.send_wireless(datagram)
 
     def _quench(self, dst: str, datagram: Datagram | None) -> None:
         last = self._last_sent.get(dst)

@@ -191,7 +191,7 @@ class CongestedScenario(Scenario):
 
         for link in (fh_r, xs_r, self.wired_up):
             link.connect(self.router.receive)
-        self.wired_down.connect(self._bs_wired_arrival)
+        self.wired_down.connect(self.bs.receive)
         r_fh.connect(self.fh.receive)
 
         self.fh.add_interface(fh_r.send, "MH", "BS", "R")

@@ -23,7 +23,7 @@ from repro.metrics import ConnectionMetrics, compute_metrics
 from repro.metrics.theoretical import theoretical_throughput_bps
 from repro.net.link import WiredLink
 from repro.net.node import Node
-from repro.net.packet import LINK_ACK_BYTES, Datagram, TcpAck, TcpSegment
+from repro.net.packet import LINK_ACK_BYTES
 from repro.net.wireless import WirelessLink, WirelessLinkConfig
 from repro.tcp import TahoeSender, TcpConfig, TcpSink
 
@@ -247,7 +247,7 @@ class Scenario:
             self.sim,
             "BS.wl",
             out_link=self.downlink,
-            deliver=self._bs_deliver,
+            deliver=self.bs.receive,
             mode=mode,
             arq_config=arq,
             rng=self.streams.stream("bs-arq"),
@@ -265,7 +265,7 @@ class Scenario:
         self.downlink.connect(self.mh_port.receive_frame)
         self.uplink.connect(self.bs_port.receive_frame)
 
-        self.bs.add_interface(self._bs_send_wireless, "MH")
+        self.bs.add_interface(self.bs_port.send_datagram, "MH")
         self.mh.add_interface(self.mh_port.send_datagram, "FH", "BS")
 
         # Transport.  For a split connection the fixed host's sender
@@ -313,6 +313,10 @@ class Scenario:
             from repro.core.quench import install_quench_handler
 
             install_quench_handler(self.sender)
+            # Data for the MH passes the generator on its way to the
+            # port, so a deep queue is blamed on the source feeding it.
+            self.quench_generator.send_wireless = self.bs_port.send_datagram
+            self.bs.add_interface(self.quench_generator.on_wired_data, "MH")
         elif config.scheme is Scheme.SNOOP:
             from repro.core.snoop import SnoopAgent
 
@@ -323,6 +327,8 @@ class Scenario:
                 send_wired=self.bs.routing.forward,
                 local_timeout=max(0.1, 8 * frame_time),
             )
+            self.bs.add_interface(self.snoop_agent.on_wired_data, "MH")
+            self.bs_port.deliver = self.snoop_agent.on_wireless_ack
         elif config.scheme is Scheme.SPLIT:
             from repro.core.split import SplitRelay
 
@@ -337,6 +343,9 @@ class Scenario:
                 clock_granularity=config.tcp.clock_granularity,
             )
             self.bs.attach_agent(self.split_relay)
+            # Only the FH's data for the MH crosses the wired hop into
+            # the BS; the relay terminates it.
+            self.wired_down.connect(self.split_relay.on_wired_data)
         self.connections = [(self.sender, self.sink)]
         self.ports = [self.bs_port, self.mh_port]
 
@@ -351,10 +360,10 @@ class Scenario:
         wired side.
 
         It must set ``wired_down`` (the link delivering into the BS,
-        connected to :meth:`_bs_wired_arrival`) and ``wired_up`` (the
-        link leaving it), route FH's traffic for MH and BS toward the
-        BS, and route the BS's traffic for FH.  Here it is one duplex
-        link, two unidirectional ones.
+        connected to ``bs.receive``; a split relay reconnects it) and
+        ``wired_up`` (the link leaving it), route FH's traffic for MH
+        and BS toward the BS, and route the BS's traffic for FH.  Here
+        it is one duplex link, two unidirectional ones.
         """
         config = self.config
         self.wired_down = WiredLink(
@@ -363,44 +372,10 @@ class Scenario:
         self.wired_up = WiredLink(
             self.sim, config.wired_bandwidth_bps, config.wired_prop_delay, name="BS->FH"
         )
-        self.wired_down.connect(self._bs_wired_arrival)
+        self.wired_down.connect(self.bs.receive)
         self.wired_up.connect(self.fh.receive)
         self.fh.add_interface(self.wired_down.send, "MH", "BS")
         self.bs.add_interface(self.wired_up.send, "FH")
-
-    # -- BS plumbing -----------------------------------------------------
-
-    def _bs_send_wireless(self, datagram: Datagram) -> None:
-        if self.quench_generator is not None and isinstance(
-            datagram.payload, TcpSegment
-        ):
-            self.quench_generator.note_data_source(datagram.src)
-        self.bs_port.send_datagram(datagram)
-
-    def _bs_wired_arrival(self, datagram: Datagram) -> None:
-        """Datagrams arriving at the BS from the wired network."""
-        if (
-            self.snoop_agent is not None
-            and isinstance(datagram.payload, TcpSegment)
-            and datagram.dst == "MH"
-        ):
-            self.snoop_agent.on_wired_data(datagram)
-            return
-        if (
-            self.split_relay is not None
-            and isinstance(datagram.payload, TcpSegment)
-            and datagram.dst == "MH"
-        ):
-            self.split_relay.on_wired_data(datagram)
-            return
-        self.bs.receive(datagram)
-
-    def _bs_deliver(self, datagram: Datagram) -> None:
-        """Datagrams reassembled from the wireless uplink at the BS."""
-        if self.snoop_agent is not None and isinstance(datagram.payload, TcpAck):
-            self.snoop_agent.on_wireless_ack(datagram)
-            return
-        self.bs.receive(datagram)
 
     # -- running ----------------------------------------------------------
 

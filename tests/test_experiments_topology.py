@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.config import lan_scenario, wan_scenario
+from repro.experiments.congestion import CongestedScenario, CongestedScenarioConfig
 from repro.experiments.topology import (
     ChannelConfig,
     Scenario,
@@ -80,6 +81,45 @@ class TestSchemeWiring:
     def test_links_share_one_channel(self):
         s = self.build(Scheme.BASIC)
         assert s.downlink.channel is s.uplink.channel
+
+    # Where the base station hands a datagram on: what the wired hop
+    # into it delivers to, what its wireless port delivers to, and its
+    # route to the MH.  Without an agent on the forwarding path the BS
+    # forwards directly; each agent takes only the entries it handles.
+
+    @staticmethod
+    def bs_forwarding(s):
+        return (s.wired_down._receiver, s.bs_port.deliver, s.bs.routing._routes["MH"])
+
+    @pytest.mark.parametrize(
+        "scheme", [Scheme.BASIC, Scheme.LOCAL_RECOVERY, Scheme.EBSN], ids=lambda s: s.value
+    )
+    def test_base_station_forwards_directly(self, scheme):
+        s = self.build(scheme)
+        assert self.bs_forwarding(s) == (s.bs.receive, s.bs.receive, s.bs_port.send_datagram)
+
+    def test_congested_base_station_forwards_directly(self):
+        s = CongestedScenario(CongestedScenarioConfig(scheme=Scheme.EBSN, ecn=True))
+        assert self.bs_forwarding(s) == (s.bs.receive, s.bs.receive, s.bs_port.send_datagram)
+
+    def test_snoop_takes_the_route_to_the_mh_and_the_uplink(self):
+        s = self.build(Scheme.SNOOP)
+        agent = s.snoop_agent
+        assert self.bs_forwarding(s) == (
+            s.bs.receive, agent.on_wireless_ack, agent.on_wired_data
+        )
+
+    def test_split_relay_takes_the_wired_hop(self):
+        s = self.build(Scheme.SPLIT)
+        assert self.bs_forwarding(s) == (
+            s.split_relay.on_wired_data, s.bs.receive, s.bs_port.send_datagram
+        )
+
+    def test_quench_takes_the_route_to_the_mh(self):
+        s = self.build(Scheme.QUENCH)
+        generator = s.quench_generator
+        assert self.bs_forwarding(s) == (s.bs.receive, s.bs.receive, generator.on_wired_data)
+        assert generator.send_wireless == s.bs_port.send_datagram
 
 
 class TestChannelConfig:

@@ -1,8 +1,10 @@
 """Pins on the per-event hot path.
 
-* **Event counts.**  Three small runs execute exactly the events, push
+* **Event counts.**  Six small runs execute exactly the events, push
   exactly the heap entries and leave exactly the cancelled entries
-  they did before the engine's heap entries became event handles.  A
+  they did before the engine's heap entries became event handles (the
+  first three) or before the base station's schemes were wired
+  straight into its forwarding path (SNOOP, SPLIT, QUENCH).  A
   hot-path rewrite that adds, drops or reorders an event changes one
   of these numbers even where the results happen to agree.
 * **Benchmark hooks.**  ``perfbench/tracing.py`` instruments the
@@ -41,6 +43,27 @@ PINS = {
     "wan-basic-576B": (
         lambda: wan_scenario(scheme=Scheme.BASIC, packet_size=576),
         (2863, 2872, 1),
+    ),
+    # The schemes with an agent on the base station's forwarding path,
+    # each at a size where that agent acts: snoop retransmits locally,
+    # the relay closes its stream, quench sends quenches.
+    "wan-snoop-576B-20k": (
+        lambda: wan_scenario(
+            scheme=Scheme.SNOOP, packet_size=576, transfer_bytes=20 * 1024
+        ),
+        (788, 809, 3),
+    ),
+    "wan-split-576B-20k": (
+        lambda: wan_scenario(
+            scheme=Scheme.SPLIT, packet_size=576, transfer_bytes=20 * 1024
+        ),
+        (628, 637, 1),
+    ),
+    "wan-quench-576B-20k": (
+        lambda: wan_scenario(
+            scheme=Scheme.QUENCH, packet_size=576, transfer_bytes=20 * 1024
+        ),
+        (1190, 1448, 7),
     ),
 }
 
