@@ -1,12 +1,13 @@
 """Shared helpers for the figure-regeneration benchmarks.
 
-Each benchmark runs the experiment behind one paper figure, writes the
-series it produces to ``benchmarks/out/<name>.txt`` (so the numbers
-survive the run), echoes them to stdout, and asserts the qualitative
-shape the paper reports.  pytest-benchmark wraps the whole figure
+Each benchmark runs the experiment behind one paper figure or study
+table, writes the table it produces to ``benchmarks/out/<name>.txt``
+(so the numbers survive the run), echoes it to stdout, and asserts the
+qualitative shape the paper reports.  pytest-benchmark wraps the
 computation, so `pytest benchmarks/ --benchmark-only` both regenerates
-every figure and reports how long each takes.  Figs 7-11 share one
-campaign (see :func:`paper_figure`).
+every table and reports how long each takes.  The tables registered in
+:data:`~repro.experiments.tables.TABLES` share one campaign (see
+:func:`results`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.figures import FIGURES, paper_figures
+from repro.experiments.points import run_specs
+from repro.experiments.tables import TABLES
 
 OUT_DIR = Path(__file__).parent / "out"
 
@@ -38,6 +40,14 @@ WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 #: apply (tiny transfers over a fading link are far too noisy for the
 #: paper-shape margins, which are calibrated at full scale).
 STRICT = SCALE >= 0.8
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "table(name): the registered table (repro.experiments.tables.TABLES) "
+        "a benchmark regenerates",
+    )
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -75,32 +85,40 @@ def run_once(benchmark, fn):
 
 
 @pytest.fixture(scope="session")
-def _paper_results():
-    """The results of Figs 7-11's shared campaign, once it has run."""
+def _tables():
+    """Each marked table's spec and results, once their campaign ran."""
     return {}
 
 
 @pytest.fixture
-def paper_figure(benchmark, _paper_results):
-    """``paper_figure(n)``: Fig ``n``'s table and the results it reads.
+def results(request, benchmark, report, _tables):
+    """The results of the table the benchmark's ``table`` marker names,
+    after its text is written to ``benchmarks/out``.
 
-    Figs 7-11 run as one campaign (:func:`paper_figures`).  The first of
-    their benchmarks in a session runs it, and its time is the whole
+    The tables of every selected benchmark run as one campaign
+    (:func:`~repro.experiments.points.run_specs`), so a ``-k``
+    selection runs only its own tables' points.  The first of their
+    benchmarks in a session runs it, and its time is the whole
     campaign's; each later one times only its own render.
     """
-
-    def figure(number):
-        if not _paper_results:
-            texts, campaign = run_once(
-                benchmark,
-                lambda: paper_figures(FIGURES, SCALE, DEFAULT_REPS, workers=WORKERS),
-            )
-            _paper_results.update(campaign.points)
-            return texts[number], _paper_results
-        text = run_once(
-            benchmark,
-            lambda: FIGURES[number].render(_paper_results, SCALE, DEFAULT_REPS),
+    name = request.node.get_closest_marker("table").args[0]
+    if _tables:
+        spec, table = _tables[name]
+        text = run_once(benchmark, lambda: spec.render(table))
+    else:
+        marked = {
+            marker.args[0]
+            for item in request.session.items
+            for marker in item.iter_markers("table")
+        }
+        specs = {
+            n: build(SCALE, DEFAULT_REPS) for n, build in TABLES.items() if n in marked
+        }
+        tables, _ = run_once(
+            benchmark, lambda: run_specs(specs, DEFAULT_REPS, workers=WORKERS)
         )
-        return text, _paper_results
-
-    return figure
+        _tables.update((n, (spec, tables[n])) for n, spec in specs.items())
+        spec, table = _tables[name]
+        text = spec.render(table)
+    report(name, text)
+    return table

@@ -8,48 +8,11 @@ window (1 = stop-and-wait) under EBSN and measures the cost directly.
 
 from __future__ import annotations
 
-import dataclasses
-
-from conftest import DEFAULT_REPS, SCALE, run_once
-
-from repro.experiments.config import wan_scenario
-from repro.experiments.runner import run_replicated
-from repro.experiments.topology import Scheme
-
-WINDOWS = [1, 2, 4, 8]
+import pytest
 
 
-def _run(transfer):
-    out = {}
-    base = wan_scenario(
-        scheme=Scheme.EBSN,
-        packet_size=1536,
-        bad_period_mean=1.0,
-        transfer_bytes=transfer,
-        record_trace=False,
-    )
-    derived = base.derived_arq()
-    for window in WINDOWS:
-        config = dataclasses.replace(
-            base, arq=dataclasses.replace(derived, window=window)
-        )
-        out[window] = run_replicated(config, replications=DEFAULT_REPS)
-    return out
-
-
-def test_arq_window_depth(benchmark, report):
-    transfer = int(100 * 1024 * SCALE)
-    results = run_once(benchmark, lambda: _run(transfer))
-
-    lines = [
-        "ARQ pipelining depth under EBSN (WAN, 1536 B, bad period 1 s):",
-        "",
-        "window   tput(kbps)   goodput",
-    ]
-    for window, r in results.items():
-        lines.append(f"{window:6d}   {r.throughput_kbps:10.2f}   {r.goodput_mean:7.3f}")
-    report("ablation_arq_window", "\n".join(lines))
-
+@pytest.mark.table("ablation_arq_window")
+def test_arq_window_depth(results):
     # Stop-and-wait pays a visible turnaround tax; a small window
     # recovers it; beyond ~4 the returns vanish.
     assert results[4].throughput_bps_mean > 1.05 * results[1].throughput_bps_mean

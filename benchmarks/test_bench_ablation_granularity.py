@@ -11,47 +11,14 @@ configuration (small RTTs are where granularity bites).
 
 from __future__ import annotations
 
-import dataclasses
+import pytest
 
-from conftest import DEFAULT_REPS, SCALE, run_once
-
-from repro.experiments.config import lan_scenario
-from repro.experiments.runner import run_replicated
+from repro.experiments.tables import CLOCK_GRANULARITIES as GRANULARITIES
 from repro.experiments.topology import Scheme
 
-GRANULARITIES = [0.1, 0.3, 0.5]
 
-
-def _run(transfer):
-    out = {}
-    for scheme in (Scheme.LOCAL_RECOVERY, Scheme.EBSN):
-        for g in GRANULARITIES:
-            config = lan_scenario(
-                scheme=scheme, bad_period_mean=1.2, transfer_bytes=transfer
-            )
-            config = dataclasses.replace(
-                config, tcp=dataclasses.replace(config.tcp, clock_granularity=g)
-            )
-            out[(scheme, g)] = run_replicated(config, replications=DEFAULT_REPS)
-    return out
-
-
-def test_granularity_sensitivity(benchmark, report):
-    transfer = int(2 * 1024 * 1024 * SCALE)
-    results = run_once(benchmark, lambda: _run(transfer))
-
-    lines = [
-        "Ablation: TCP clock granularity (LAN, bad period 1.2 s):",
-        "",
-        "scheme           granularity   timeouts/run   throughput(Mbps)",
-    ]
-    for (scheme, g), r in results.items():
-        lines.append(
-            f"{scheme.value:16s} {g:11.1f}   {r.timeouts_mean:12.1f}"
-            f"   {r.throughput_mbps:16.3f}"
-        )
-    report("ablation_granularity", "\n".join(lines))
-
+@pytest.mark.table("ablation_granularity")
+def test_granularity_sensitivity(results):
     lr = {g: results[(Scheme.LOCAL_RECOVERY, g)] for g in GRANULARITIES}
     eb = {g: results[(Scheme.EBSN, g)] for g in GRANULARITIES}
 

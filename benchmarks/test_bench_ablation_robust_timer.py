@@ -14,52 +14,11 @@ local recovery, and compares against EBSN.
 
 from __future__ import annotations
 
-import dataclasses
-
-from conftest import DEFAULT_REPS, SCALE, run_once
-
-from repro.experiments.config import lan_scenario
-from repro.experiments.runner import run_replicated
-from repro.experiments.topology import Scheme
-
-VARIANTS = [
-    ("jacobson k=4", Scheme.LOCAL_RECOVERY, 4.0, None),
-    ("robust k=8", Scheme.LOCAL_RECOVERY, 8.0, None),
-    ("robust k=8 + peak-hold", Scheme.LOCAL_RECOVERY, 8.0, 0.05),
-    ("EBSN (k=4)", Scheme.EBSN, 4.0, None),
-]
+import pytest
 
 
-def _run(transfer):
-    out = {}
-    for label, scheme, k, decay in VARIANTS:
-        config = lan_scenario(
-            scheme=scheme, bad_period_mean=1.2, transfer_bytes=transfer
-        )
-        config = dataclasses.replace(
-            config,
-            tcp=dataclasses.replace(config.tcp, rto_k=k, rto_var_decay_gain=decay),
-        )
-        out[label] = run_replicated(config, replications=DEFAULT_REPS)
-    return out
-
-
-def test_robust_timer_vs_ebsn(benchmark, report):
-    transfer = int(2 * 1024 * 1024 * SCALE)
-    results = run_once(benchmark, lambda: _run(transfer))
-
-    lines = [
-        "Robust source timers vs EBSN (LAN, local recovery, bad 1.2 s):",
-        "",
-        "variant                   tput(Mbps)   timeouts/run   retx(KB)",
-    ]
-    for label, r in results.items():
-        lines.append(
-            f"{label:25s} {r.throughput_mbps:10.3f}   {r.timeouts_mean:12.1f}"
-            f"   {r.retransmitted_kbytes_mean:8.1f}"
-        )
-    report("ablation_robust_timer", "\n".join(lines))
-
+@pytest.mark.table("ablation_robust_timer")
+def test_robust_timer_vs_ebsn(results):
     jacobson = results["jacobson k=4"]
     k8 = results["robust k=8"]
     hold = results["robust k=8 + peak-hold"]

@@ -8,51 +8,11 @@ out most fades and EBSN keeps the source quiet.
 
 from __future__ import annotations
 
-import dataclasses
-
-from conftest import DEFAULT_REPS, SCALE, run_once
-
-from repro.experiments.config import wan_scenario
-from repro.experiments.runner import run_replicated
-from repro.experiments.topology import Scheme
-
-RTMAX_VALUES = [1, 3, 7, 13, 25]
+import pytest
 
 
-def _run(transfer):
-    out = {}
-    base = wan_scenario(
-        scheme=Scheme.EBSN,
-        packet_size=576,
-        bad_period_mean=4.0,
-        transfer_bytes=transfer,
-        record_trace=False,
-    )
-    derived = base.derived_arq()
-    for rtmax in RTMAX_VALUES:
-        config = dataclasses.replace(
-            base, arq=dataclasses.replace(derived, rtmax=rtmax)
-        )
-        out[rtmax] = run_replicated(config, replications=DEFAULT_REPS)
-    return out
-
-
-def test_rtmax_persistence(benchmark, report):
-    transfer = int(100 * 1024 * SCALE)
-    results = run_once(benchmark, lambda: _run(transfer))
-
-    lines = [
-        "Ablation: ARQ RTmax under EBSN (WAN, 576 B, bad period 4 s):",
-        "",
-        "rtmax   throughput(kbps)   goodput   retransmitted(KB)",
-    ]
-    for rtmax, r in results.items():
-        lines.append(
-            f"{rtmax:5d}   {r.throughput_kbps:16.2f}   {r.goodput_mean:7.3f}"
-            f"   {r.retransmitted_kbytes_mean:17.1f}"
-        )
-    report("ablation_rtmax", "\n".join(lines))
-
+@pytest.mark.table("ablation_rtmax")
+def test_rtmax_persistence(results):
     # Persistence pays: the CDPD budget beats a nearly-giving-up ARQ.
     assert results[13].throughput_bps_mean > results[1].throughput_bps_mean
     assert results[13].goodput_mean > results[1].goodput_mean

@@ -9,53 +9,20 @@ link-layer mechanism moves it a lot.
 
 from __future__ import annotations
 
-from conftest import DEFAULT_REPS, SCALE, STRICT, run_once
+import pytest
 
-from repro.experiments.config import wan_scenario
-from repro.experiments.runner import run_replicated
+from conftest import STRICT
+
+from repro.experiments.tables import TCP_VARIANTS as VARIANTS
 from repro.experiments.topology import Scheme
 
-VARIANTS = ["tahoe", "reno", "newreno"]
 
-
-def _run(transfer):
-    out = {}
-    for variant in VARIANTS:
-        for scheme in (Scheme.BASIC, Scheme.EBSN):
-            out[(variant, scheme)] = run_replicated(
-                wan_scenario(
-                    scheme=scheme,
-                    packet_size=576,
-                    bad_period_mean=4.0,
-                    transfer_bytes=transfer,
-                    tcp_variant=variant,
-                    record_trace=False,
-                ),
-                replications=DEFAULT_REPS,
-            )
-    return out
-
-
-def test_tcp_variant_vs_link_mechanism(benchmark, report):
-    transfer = int(100 * 1024 * SCALE)
-    results = run_once(benchmark, lambda: _run(transfer))
-
-    lines = [
-        "TCP variant x recovery mechanism (WAN, 576 B, bad period 4 s):",
-        "",
-        "variant   scheme   tput(kbps)   timeouts/run",
-    ]
-    for (variant, scheme), r in results.items():
-        lines.append(
-            f"{variant:8s}  {scheme.value:6s}  {r.throughput_kbps:10.2f}"
-            f"   {r.timeouts_mean:12.1f}"
-        )
-    report("ablation_tcp_variant", "\n".join(lines))
+@pytest.mark.table("ablation_tcp_variant")
+def test_tcp_variant_vs_link_mechanism(results):
     if not STRICT:
-        # Smoke scale: the figure above is regenerated and saved, but
-        # the paper-shape margins only hold at full scale.
+        # Smoke scale: the table is regenerated and saved, but the
+        # paper-shape margins only hold at full scale.
         return
-
 
     basic = {v: results[(v, Scheme.BASIC)].throughput_bps_mean for v in VARIANTS}
     ebsn = {v: results[(v, Scheme.EBSN)].throughput_bps_mean for v in VARIANTS}

@@ -10,55 +10,20 @@ EBSN's advantage is not a window artifact: it holds at every size.
 
 from __future__ import annotations
 
-import dataclasses
+import pytest
 
-from conftest import DEFAULT_REPS, SCALE, STRICT, run_once
+from conftest import STRICT
 
-from repro.experiments.config import wan_scenario
-from repro.experiments.runner import run_replicated
+from repro.experiments.tables import TCP_WINDOWS as WINDOWS
 from repro.experiments.topology import Scheme
 
-WINDOWS = [576, 2048, 4096, 16 * 1024]
 
-
-def _run(transfer):
-    out = {}
-    for window in WINDOWS:
-        for scheme in (Scheme.BASIC, Scheme.EBSN):
-            config = wan_scenario(
-                scheme=scheme,
-                packet_size=576,
-                bad_period_mean=2.0,
-                transfer_bytes=transfer,
-                record_trace=False,
-            )
-            config = dataclasses.replace(
-                config, tcp=dataclasses.replace(config.tcp, window_bytes=window)
-            )
-            out[(window, scheme)] = run_replicated(config, replications=DEFAULT_REPS)
-    return out
-
-
-def test_window_size(benchmark, report):
-    transfer = int(100 * 1024 * SCALE)
-    results = run_once(benchmark, lambda: _run(transfer))
-
-    lines = [
-        "TCP window ablation (WAN, 576 B packets, bad period 2 s):",
-        "",
-        "window(B)  scheme   tput(kbps)   timeouts/run   duration(s)",
-    ]
-    for (window, scheme), r in results.items():
-        lines.append(
-            f"{window:9d}  {scheme.value:6s}  {r.throughput_kbps:10.2f}"
-            f"   {r.timeouts_mean:12.1f}   {r.duration_mean:11.1f}"
-        )
-    report("ablation_window", "\n".join(lines))
+@pytest.mark.table("ablation_window")
+def test_window_size(results):
     if not STRICT:
-        # Smoke scale: the figure above is regenerated and saved, but
-        # the paper-shape margins only hold at full scale.
+        # Smoke scale: the table is regenerated and saved, but the
+        # paper-shape margins only hold at full scale.
         return
-
 
     # A 1-packet window starves the pipe: dramatically for EBSN (whose
     # link is otherwise kept full), mildly for basic TCP (whose small

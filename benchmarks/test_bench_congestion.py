@@ -20,64 +20,15 @@ Expected interaction (and what the assertions pin):
 
 from __future__ import annotations
 
-from conftest import DEFAULT_REPS, SCALE, WORKERS, run_once
+import pytest
 
-from repro.experiments.congestion import CongestedScenarioConfig
-from repro.experiments.runner import sweep_campaign
+from repro.experiments.tables import congestion_means
 from repro.experiments.topology import Scheme
-from repro.tcp import TcpConfig
-
-COMBOS = [
-    (Scheme.BASIC, False),
-    (Scheme.BASIC, True),
-    (Scheme.EBSN, False),
-    (Scheme.EBSN, True),
-]
 
 
-def _run(transfer):
-    points = sweep_campaign(
-        COMBOS,
-        lambda combo: CongestedScenarioConfig(
-            scheme=combo[0],
-            ecn=combo[1],
-            cross_load=0.9,
-            tcp=TcpConfig(transfer_bytes=transfer),
-        ),
-        replications=DEFAULT_REPS,
-        workers=WORKERS,
-    ).points
-    out = {}
-    for combo, point in points.items():
-        assert all(result.completed for result in point.results)
-        out[combo] = dict(
-            tput_kbps=point.mean(lambda r: r.metrics.throughput_bps) / 1000,
-            drops=point.mean(lambda r: r.bottleneck_drops),
-            marks=point.mean(lambda r: r.ecn_marks),
-            responses=point.mean(lambda r: r.ecn_responses),
-            timeouts=point.mean(lambda r: r.timeouts),
-            fastrtx=point.mean(lambda r: r.fast_retransmits),
-        )
-    return out
-
-
-def test_congestion_ecn_ebsn_interaction(benchmark, report):
-    transfer = int(60 * 1024 * SCALE)
-    results = run_once(benchmark, lambda: _run(transfer))
-
-    lines = [
-        "Wired congestion (90% cross load) x wireless fades (bad 1 s):",
-        "",
-        "scheme  ECN    tput(kbps)  drops  marks  ecn_resp  timeouts  fastrtx",
-    ]
-    for (scheme, ecn), r in results.items():
-        lines.append(
-            f"{scheme.value:7s} {str(ecn):5s} {r['tput_kbps']:10.2f}"
-            f"  {r['drops']:5.1f}  {r['marks']:5.0f}  {r['responses']:8.1f}"
-            f"  {r['timeouts']:8.1f}  {r['fastrtx']:7.1f}"
-        )
-    report("congestion_ecn_ebsn", "\n".join(lines))
-
+@pytest.mark.table("congestion_ecn_ebsn")
+def test_congestion_ecn_ebsn_interaction(results):
+    results = {key: congestion_means(point) for key, point in results.items()}
     basic = results[(Scheme.BASIC, False)]
     basic_ecn = results[(Scheme.BASIC, True)]
     ebsn = results[(Scheme.EBSN, False)]

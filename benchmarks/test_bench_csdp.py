@@ -11,58 +11,15 @@ approach too".
 
 from __future__ import annotations
 
-from conftest import DEFAULT_REPS, SCALE, WORKERS, run_once
+import pytest
 
-from repro.csdp import CsdpStudyConfig
-from repro.experiments.runner import sweep_campaign
-
-SCHEDULERS = ["fifo", "rr", "csdp"]
+from repro.experiments.tables import CSDP_SCHEDULERS as SCHEDULERS
+from repro.experiments.tables import csdp_means
 
 
-def _run(transfer):
-    points = sweep_campaign(
-        SCHEDULERS,
-        lambda sched: CsdpStudyConfig(
-            scheduler=sched, n_connections=4, transfer_bytes=transfer
-        ),
-        replications=DEFAULT_REPS,
-        workers=WORKERS,
-    ).points
-    out = {}
-    for sched, point in points.items():
-        results = point.results
-        assert all(result.all_completed for result in results)
-
-        def avg(metric):
-            return sum(metric(result) for result in results) / len(results)
-
-        out[sched] = {
-            "agg_kbps": avg(lambda r: r.aggregate_throughput_bps) / 1000,
-            "timeouts": avg(lambda r: r.total_timeouts),
-            "blocked_s": avg(lambda r: r.radio.idle_blocked_time),
-            "fairness": avg(lambda r: r.fairness_index),
-        }
-    return out
-
-
-def test_csdp_scheduling(benchmark, report):
-    transfer = int(50 * 1024 * SCALE)
-    results = run_once(benchmark, lambda: _run(transfer))
-
-    lines = [
-        "Link-level scheduling, 4 TCP connections, independent fading",
-        f"(good 4 s / bad 1 s per MH, {DEFAULT_REPS} seeds):",
-        "",
-        "scheduler   aggregate(kbps)   HOL-idle(s)   timeouts   fairness",
-    ]
-    for sched in SCHEDULERS:
-        r = results[sched]
-        lines.append(
-            f"{sched:9s}   {r['agg_kbps']:15.2f}   {r['blocked_s']:11.1f}"
-            f"   {r['timeouts']:8.1f}   {r['fairness']:8.3f}"
-        )
-    report("csdp_scheduling", "\n".join(lines))
-
+@pytest.mark.table("csdp_scheduling")
+def test_csdp_scheduling(results):
+    results = {sched: csdp_means(point) for sched, point in results.items()}
     fifo, rr, csdp = (results[s] for s in SCHEDULERS)
     # Round-robin significantly outperforms FIFO ([9] via §2).
     assert rr["agg_kbps"] > 1.15 * fifo["agg_kbps"]

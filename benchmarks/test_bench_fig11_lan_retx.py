@@ -10,14 +10,14 @@ Same setup as Figure 10.  The paper's reading:
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments.config import LAN_BAD_PERIODS
 from repro.experiments.topology import Scheme
 
 
-def test_fig11_lan_retransmitted_data(paper_figure, report):
-    text, results = paper_figure(11)
-    report("fig11_lan_retx", text)
-
+@pytest.mark.table("fig11_lan_retx")
+def test_fig11_lan_retransmitted_data(results):
     for bad in LAN_BAD_PERIODS:
         basic = results["lan", Scheme.BASIC, bad]
         ebsn = results["lan", Scheme.EBSN, bad]

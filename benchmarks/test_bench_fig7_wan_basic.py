@@ -12,6 +12,8 @@ One curve per mean bad-period length (1-4 s), mean good period 10 s,
 
 from __future__ import annotations
 
+import pytest
+
 from conftest import SCALE
 
 from repro.experiments.config import WAN_BAD_PERIODS, WAN_PACKET_SIZES
@@ -19,10 +21,8 @@ from repro.experiments.figures import wan_theoretical_kbps
 from repro.experiments.topology import Scheme
 
 
-def test_fig7_throughput_vs_packet_size(paper_figure, report):
-    text, results = paper_figure(7)
-    report("fig7_wan_basic", text)
-
+@pytest.mark.table("fig7_wan_basic")
+def test_fig7_throughput_vs_packet_size(results):
     def tput(bad, size):
         return results["wan", Scheme.BASIC, size, bad].throughput_kbps
 

@@ -13,6 +13,8 @@ reading:
 
 from __future__ import annotations
 
+import pytest
+
 from conftest import SCALE
 
 from repro.experiments.config import WAN_BAD_PERIODS, WAN_PACKET_SIZES
@@ -20,10 +22,8 @@ from repro.experiments.figures import wan_theoretical_kbps
 from repro.experiments.topology import Scheme
 
 
-def test_fig8_ebsn_throughput_vs_packet_size(paper_figure, report):
-    text, results = paper_figure(8)
-    report("fig8_wan_ebsn", text)
-
+@pytest.mark.table("fig8_wan_ebsn")
+def test_fig8_ebsn_throughput_vs_packet_size(results):
     def tput(bad, size):
         return results["wan", Scheme.EBSN, size, bad].throughput_kbps
 

@@ -11,14 +11,14 @@ reading:
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments.config import WAN_BAD_PERIODS, WAN_PACKET_SIZES
 from repro.experiments.topology import Scheme
 
 
-def test_fig9_retransmitted_data(paper_figure, report):
-    text, results = paper_figure(9)
-    report("fig9_wan_retx", text)
-
+@pytest.mark.table("fig9_wan_retx")
+def test_fig9_retransmitted_data(results):
     def retx(scheme, bad, size):
         return results["wan", Scheme(scheme), size, bad].retransmitted_kbytes_mean
 

@@ -18,61 +18,21 @@ Two findings:
 
 from __future__ import annotations
 
-from conftest import DEFAULT_REPS, SCALE, STRICT, WORKERS, run_once
+import pytest
 
-from repro.experiments.runner import sweep_campaign
-from repro.experiments.topology import Scheme
-from repro.workloads import InteractiveConfig
+from conftest import STRICT
 
-VARIANTS = {
-    "basic": dict(scheme=Scheme.BASIC),
-    "local recovery": dict(scheme=Scheme.LOCAL_RECOVERY),
-    "EBSN": dict(scheme=Scheme.EBSN),
-    "EBSN + heartbeat": dict(scheme=Scheme.EBSN, ebsn_heartbeat=0.15),
-}
+from repro.experiments.tables import interactive_means
 
 
-def _run(keystrokes):
-    points = sweep_campaign(
-        VARIANTS,
-        lambda label: InteractiveConfig(keystrokes=keystrokes, **VARIANTS[label]),
-        replications=DEFAULT_REPS,
-        workers=WORKERS,
-    ).points
-    out = {}
-    for label, point in points.items():
-        assert all(result.completed for result in point.results)
-        out[label] = dict(
-            mean=point.mean(lambda r: r.latency.mean),
-            p95=point.mean(lambda r: r.latency.p95),
-            worst=max(r.latency.worst for r in point.results),
-            timeouts=point.mean(lambda r: r.timeouts),
-        )
-    return out
-
-
-def test_interactive_latency(benchmark, report):
-    keystrokes = max(50, int(300 * SCALE))
-    results = run_once(benchmark, lambda: _run(keystrokes))
-
-    lines = [
-        f"Keystroke latency over the fading WAN path ({keystrokes} keys/run,",
-        f"bad period 2 s, {DEFAULT_REPS} seeds):",
-        "",
-        "variant            mean(ms)   p95(ms)   worst(ms)   timeouts/run",
-    ]
-    for label, r in results.items():
-        lines.append(
-            f"{label:18s} {r['mean'] * 1000:8.0f}   {r['p95'] * 1000:7.0f}"
-            f"   {r['worst'] * 1000:9.0f}   {r['timeouts']:12.1f}"
-        )
-    report("interactive_latency", "\n".join(lines))
+@pytest.mark.table("interactive_latency")
+def test_interactive_latency(results):
     if not STRICT:
-        # Smoke scale: the figure above is regenerated and saved, but
-        # the paper-shape margins only hold at full scale.
+        # Smoke scale: the table is regenerated and saved, but the
+        # paper-shape margins only hold at full scale.
         return
 
-
+    results = {label: interactive_means(point) for label, point in results.items()}
     basic = results["basic"]
     ebsn = results["EBSN"]
     heartbeat = results["EBSN + heartbeat"]

@@ -8,45 +8,13 @@ comparison: basic vs quench vs EBSN on the WAN configuration.
 
 from __future__ import annotations
 
-from conftest import DEFAULT_REPS, SCALE, run_once
+import pytest
 
-from repro.experiments.config import wan_scenario
-from repro.experiments.runner import run_replicated
 from repro.experiments.topology import Scheme
 
 
-def _run(transfer):
-    results = {}
-    for scheme in (Scheme.BASIC, Scheme.QUENCH, Scheme.EBSN):
-        results[scheme] = run_replicated(
-            wan_scenario(
-                scheme=scheme,
-                packet_size=576,
-                bad_period_mean=4.0,
-                transfer_bytes=transfer,
-                record_trace=False,
-            ),
-            replications=DEFAULT_REPS,
-        )
-    return results
-
-
-def test_quench_negative_result(benchmark, report):
-    transfer = int(100 * 1024 * SCALE)
-    results = run_once(benchmark, lambda: _run(transfer))
-
-    lines = [
-        "Source quench vs EBSN (WAN, 576 B packets, bad period 4 s):",
-        "",
-        "scheme   throughput(kbps)   goodput   timeouts/run",
-    ]
-    for scheme, r in results.items():
-        lines.append(
-            f"{scheme.value:8s} {r.throughput_kbps:16.2f}   {r.goodput_mean:7.3f}"
-            f"   {r.timeouts_mean:12.1f}"
-        )
-    report("quench_negative", "\n".join(lines))
-
+@pytest.mark.table("quench_negative")
+def test_quench_negative_result(results):
     basic = results[Scheme.BASIC]
     quench = results[Scheme.QUENCH]
     ebsn = results[Scheme.EBSN]

@@ -11,49 +11,19 @@ semantics and keeps a whole second TCP sender at the BS.
 
 from __future__ import annotations
 
-from conftest import DEFAULT_REPS, SCALE, STRICT, run_once
+import pytest
 
-from repro.experiments.config import wan_scenario
-from repro.experiments.runner import run_replicated
+from conftest import STRICT
+
 from repro.experiments.topology import Scheme
 
 
-def _run(transfer):
-    results = {}
-    for scheme in (Scheme.BASIC, Scheme.SNOOP, Scheme.SPLIT, Scheme.EBSN):
-        results[scheme] = run_replicated(
-            wan_scenario(
-                scheme=scheme,
-                packet_size=576,
-                bad_period_mean=4.0,
-                transfer_bytes=transfer,
-                record_trace=False,
-            ),
-            replications=DEFAULT_REPS,
-        )
-    return results
-
-
-def test_snoop_vs_ebsn_bursty(benchmark, report):
-    transfer = int(100 * 1024 * SCALE)
-    results = run_once(benchmark, lambda: _run(transfer))
-
-    lines = [
-        "Snoop-style agent vs EBSN (WAN, 576 B, bad period 4 s, bursty):",
-        "",
-        "scheme   throughput(kbps)   goodput   timeouts/run",
-    ]
-    for scheme, r in results.items():
-        lines.append(
-            f"{scheme.value:8s} {r.throughput_kbps:16.2f}   {r.goodput_mean:7.3f}"
-            f"   {r.timeouts_mean:12.1f}"
-        )
-    report("snoop_vs_ebsn", "\n".join(lines))
+@pytest.mark.table("snoop_vs_ebsn")
+def test_snoop_vs_ebsn_bursty(results):
     if not STRICT:
-        # Smoke scale: the figure above is regenerated and saved, but
-        # the paper-shape margins only hold at full scale.
+        # Smoke scale: the table is regenerated and saved, but the
+        # paper-shape margins only hold at full scale.
         return
-
 
     basic = results[Scheme.BASIC]
     snoop = results[Scheme.SNOOP]
@@ -79,44 +49,11 @@ def test_snoop_vs_ebsn_bursty(benchmark, report):
     assert ebsn.throughput_bps_mean > 1.1 * basic.throughput_bps_mean
 
 
-def test_snoop_loss_regime(benchmark, report):
+@pytest.mark.table("snoop_loss_regime")
+def test_snoop_loss_regime(results):
     """Snoop's published gains came from (mostly) independent losses;
     the paper's point is that real fades are bursty.  Same average
     loss rate, two correlation structures."""
-    import dataclasses
-
-    transfer = int(50 * 1024 * SCALE)
-
-    def _run_regimes():
-        out = {}
-        for uniform in (False, True):
-            for scheme in (Scheme.BASIC, Scheme.SNOOP, Scheme.EBSN):
-                config = wan_scenario(
-                    scheme=scheme,
-                    bad_period_mean=1.0,
-                    transfer_bytes=transfer,
-                    record_trace=False,
-                )
-                config = dataclasses.replace(
-                    config,
-                    channel=dataclasses.replace(config.channel, uniform=uniform),
-                )
-                out[(uniform, scheme)] = run_replicated(
-                    config, replications=DEFAULT_REPS
-                )
-        return out
-
-    results = run_once(benchmark, _run_regimes)
-
-    lines = [
-        "Loss correlation regime (same mean loss rate ~9%/frame):",
-        "",
-        "regime    scheme   tput(kbps)",
-    ]
-    for (uniform, scheme), r in results.items():
-        regime = "uniform" if uniform else "bursty"
-        lines.append(f"{regime:8s}  {scheme.value:6s}  {r.throughput_kbps:10.2f}")
-    report("snoop_loss_regime", "\n".join(lines))
 
     def ratio(uniform):
         return (

@@ -352,118 +352,48 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return _finish_campaign(campaign.report)
 
 
-def _cmd_csdp(args: argparse.Namespace) -> int:
-    from repro.csdp.study import CsdpStudyConfig
-    from repro.experiments.ascii_plot import format_table
-    from repro.experiments.runner import sweep_campaign
+def _print_table(
+    args: argparse.Namespace, build, replications: int, base_seed: int = 1
+) -> int:
+    """Print the table of the spec ``build()`` returns over
+    ``replications`` seeds; a bad config in it exits 2."""
+    from repro.experiments.points import run_specs
 
-    points = sweep_campaign(
-        ("fifo", "rr", "csdp"),
-        lambda sched: _study_config(
-            args,
-            CsdpStudyConfig,
-            scheduler=sched,
-            n_connections=args.connections,
-            transfer_bytes=args.transfer_kb * 1024,
-        ),
-        replications=1,
-        base_seed=args.seed,
-    ).points
-    rows = []
-    for sched, point in points.items():
-        (result,) = point.results
-        rows.append(
-            [
-                sched,
-                f"{result.aggregate_throughput_bps / 1000:.2f}",
-                f"{result.radio.idle_blocked_time:.1f}",
-                f"{result.total_timeouts}",
-                f"{result.fairness_index:.3f}",
-            ]
-        )
-    print(
-        format_table(
-            ["scheduler", "aggregate(kbps)", "HOL idle(s)", "timeouts", "fairness"],
-            rows,
-            title=f"{args.connections} connections, independent fading:",
-        )
-    )
+    spec = _study_config(args, build)
+    results, _ = run_specs({None: spec}, replications, base_seed)
+    print(spec.render(results[None]))
     return 0
+
+
+def _cmd_csdp(args: argparse.Namespace) -> int:
+    from repro.experiments.tables import csdp_table
+
+    return _print_table(
+        args,
+        lambda: csdp_table(args.transfer_kb * 1024, 1, connections=args.connections),
+        1,
+        args.seed,
+    )
 
 
 def _cmd_handoff(args: argparse.Namespace) -> int:
-    from repro.experiments.ascii_plot import format_table
-    from repro.experiments.runner import sweep_campaign
-    from repro.handoff.topology import HandoffConfig, HandoffScheme
+    from repro.experiments.tables import handoff_table
 
-    points = sweep_campaign(
-        HandoffScheme,
-        lambda scheme: _study_config(
-            args,
-            HandoffConfig,
-            scheme=scheme,
-            handoff_interval=args.interval,
-            disconnect_time=args.disconnect,
-            transfer_bytes=args.transfer_kb * 1024,
+    return _print_table(
+        args,
+        lambda: handoff_table(
+            args.transfer_kb * 1024,
+            intervals=(args.interval,),
+            disconnect=args.disconnect,
         ),
-        replications=args.seeds,
-    ).points
-    rows = [
-        [
-            scheme.value,
-            f"{point.mean(lambda r: r.metrics.throughput_kbps):.2f}",
-            f"{point.mean(lambda r: r.timeouts):.1f}",
-        ]
-        for scheme, point in points.items()
-    ]
-    print(
-        format_table(
-            ["scheme", "tput(kbps)", "timeouts/run"],
-            rows,
-            title=(
-                f"Handoff every {args.interval:g} s, "
-                f"{args.disconnect * 1000:.0f} ms outage:"
-            ),
-        )
+        args.seeds,
     )
-    return 0
 
 
 def _cmd_congestion(args: argparse.Namespace) -> int:
-    from repro.experiments.ascii_plot import format_table
-    from repro.experiments.congestion import CongestedScenarioConfig
-    from repro.experiments.runner import sweep_campaign
+    from repro.experiments.tables import congestion_table
 
-    combos = [(s, ecn) for s in (Scheme.BASIC, Scheme.EBSN) for ecn in (False, True)]
-    points = sweep_campaign(
-        combos,
-        lambda combo: _study_config(
-            args,
-            CongestedScenarioConfig,
-            scheme=combo[0],
-            ecn=combo[1],
-            cross_load=args.load,
-        ),
-        replications=args.seeds,
-    ).points
-    rows = [
-        [
-            scheme.value,
-            "on" if ecn else "off",
-            f"{point.mean(lambda r: r.metrics.throughput_kbps):.2f}",
-            f"{point.mean(lambda r: r.bottleneck_drops):.1f}",
-            f"{point.mean(lambda r: r.timeouts):.1f}",
-        ]
-        for (scheme, ecn), point in points.items()
-    ]
-    print(
-        format_table(
-            ["scheme", "ECN", "tput(kbps)", "drops", "timeouts"],
-            rows,
-            title=f"Bottleneck at {args.load:.0%} cross load:",
-        )
-    )
-    return 0
+    return _print_table(args, lambda: congestion_table(load=args.load), args.seeds)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -514,32 +444,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 1
 
 
-#: Display order for the assembled report: paper figures first, then
-#: the negative results, then the extension studies and ablations.
-_REPORT_ORDER = [
+#: The trace tables, which lead the assembled report.
+_TRACE_TABLES = [
     "fig3_5_summary",
     "fig3_trace_basic",
     "fig4_trace_local_recovery",
     "fig5_trace_ebsn",
-    "fig7_wan_basic",
-    "fig8_wan_ebsn",
-    "fig9_wan_retx",
-    "fig10_lan_tput",
-    "fig11_lan_retx",
-    "quench_negative",
-    "snoop_vs_ebsn",
-    "csdp_scheduling",
-    "congestion_ecn_ebsn",
-    "handoff_schemes",
-    "ablation_granularity",
-    "ablation_rtmax",
-    "ablation_robust_timer",
-    "ablation_tcp_variant",
-    "ablation_arq_window",
-    "ablation_window",
-    "snoop_loss_regime",
-    "interactive_latency",
-    "energy_per_scheme",
 ]
 
 
@@ -593,9 +503,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from repro.experiments.tables import TABLES
+
+    # Paper figures first, then the negative results, then the
+    # extension studies and ablations; any other table last.
+    order = [*_TRACE_TABLES, *TABLES, "energy_per_scheme"]
     available = {p.stem: p for p in sorted(out_dir.glob("*.txt"))}
-    ordered = [n for n in _REPORT_ORDER if n in available]
-    ordered += [n for n in sorted(available) if n not in _REPORT_ORDER]
+    ordered = [n for n in order if n in available]
+    ordered += [n for n in sorted(available) if n not in order]
     if not ordered:
         print(f"no .txt outputs in {out_dir}", file=sys.stderr)
         return 2

@@ -81,6 +81,11 @@ class CsdpStudyResult:
     all_completed: bool
 
     @property
+    def completed(self) -> bool:
+        """Whether the run finished: the flag every unit summary has."""
+        return self.all_completed
+
+    @property
     def fairness_index(self) -> float:
         """Jain's fairness index over per-connection throughputs."""
         xs = self.per_connection_throughput_bps

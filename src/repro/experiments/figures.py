@@ -1,13 +1,15 @@
 """One spec per paper figure.
 
 Figs 3-5 are single deterministic runs (:func:`trace_figure`).  Each of
-Figs 7-11 is a :class:`FigureSpec`: the points it plots, in the point
-vocabulary the claims use (:mod:`repro.experiments.points`), and the
-renderer that prints them as its ``benchmarks/out`` table.
-:func:`paper_figures` runs the union of the requested figures' points
-as one campaign, so a point two figures share (every point of Fig 9
-is one of Fig 7's or Fig 8's; Fig 11 plots Fig 10's) is simulated
-once.
+Figs 7-11 is a :class:`~repro.experiments.points.TableSpec` built by
+:data:`FIGURES`: the points it plots, in the point vocabulary the
+claims use (:mod:`repro.experiments.points`), and the renderer that
+prints them as its ``benchmarks/out`` table.  :func:`paper_figures`
+runs the union of the requested figures' points as one campaign, so a
+point two figures share (every point of Fig 9 is one of Fig 7's or
+Fig 8's; Fig 11 plots Fig 10's) is simulated once.  The registry of
+every campaign-run table, :mod:`repro.experiments.tables`, holds these
+five too.
 
 Transfer sizes can be scaled down (``scale``) to trade fidelity for
 runtime; 1.0 is the paper's.  :func:`figure_8` keeps Fig 8's grid as
@@ -30,7 +32,14 @@ from repro.experiments.config import (
     WAN_TRANSFER_BYTES,
     trace_example_scenario,
 )
-from repro.experiments.points import Point, run_points, wan_point
+from repro.experiments.points import (
+    Point,
+    Results,
+    TableSpec,
+    point_config,
+    run_specs,
+    wan_point,
+)
 from repro.experiments.runner import ReplicatedResult, SweepCampaign, sweep_campaign
 from repro.experiments.topology import ScenarioResult, Scheme, run_scenario
 from repro.metrics.theoretical import theoretical_throughput_bps
@@ -72,20 +81,6 @@ def trace_figure(
 # ---------------------------------------------------------------------------
 # Figures 7-11: the WAN packet-size and LAN bad-period sweeps
 # ---------------------------------------------------------------------------
-
-Results = Dict[Point, ReplicatedResult]
-
-
-@dataclass(frozen=True)
-class FigureSpec:
-    """One plotted figure: the points it reads, and
-    ``render(results, scale, replications)``, which prints their
-    results (a mapping that holds at least those points) as the
-    figure's table."""
-
-    points: Tuple[Point, ...]
-    render: Callable[[Results, float, int], str]
-
 
 def _wan_points(*schemes: Scheme) -> Tuple[Point, ...]:
     return tuple(
@@ -201,9 +196,20 @@ def _render_fig11(results: Results, scale: float, replications: int) -> str:
     return "\n".join(lines)
 
 
-#: Figs 7-11 by number.
-FIGURES: Dict[int, FigureSpec] = {
-    7: FigureSpec(
+def _figure(
+    points: Tuple[Point, ...], render: Callable[..., str]
+) -> Callable[[float, int], TableSpec]:
+    """The spec builder of a figure that plots ``points``:
+    ``(scale, replications)`` → its :class:`TableSpec`."""
+    return lambda scale, replications: TableSpec(
+        {point: point_config(point, scale) for point in points},
+        partial(render, scale=scale, replications=replications),
+    )
+
+
+#: Figs 7-11 by number, each as its spec builder.
+FIGURES: Dict[int, Callable[[float, int], TableSpec]] = {
+    7: _figure(
         _wan_points(Scheme.BASIC),
         partial(
             _render_wan_throughput,
@@ -211,7 +217,7 @@ FIGURES: Dict[int, FigureSpec] = {
             "Figure 7: Basic TCP (wide-area): throughput (kbps) vs packet size",
         ),
     ),
-    8: FigureSpec(
+    8: _figure(
         _wan_points(Scheme.EBSN),
         partial(
             _render_wan_throughput,
@@ -219,9 +225,9 @@ FIGURES: Dict[int, FigureSpec] = {
             "Figure 8: EBSN (wide-area): throughput (kbps) vs packet size",
         ),
     ),
-    9: FigureSpec(_wan_points(Scheme.BASIC, Scheme.EBSN), _render_fig9),
-    10: FigureSpec(_lan_points(), _render_fig10),
-    11: FigureSpec(_lan_points(), _render_fig11),
+    9: _figure(_wan_points(Scheme.BASIC, Scheme.EBSN), _render_fig9),
+    10: _figure(_lan_points(), _render_fig10),
+    11: _figure(_lan_points(), _render_fig11),
 }
 
 
@@ -232,20 +238,13 @@ def paper_figures(
     table by number, and the campaign behind them.
 
     Every distinct point of every requested figure runs once, over
-    ``replications`` seeds, as one campaign; ``**campaign`` is
-    forwarded to :class:`~repro.experiments.parallel.ParallelRunner`.
+    ``replications`` seeds, as one campaign (:func:`run_specs`);
+    ``**campaign`` is forwarded to
+    :class:`~repro.experiments.parallel.ParallelRunner`.
     """
-    specs = {n: FIGURES[n] for n in numbers}
-    points = run_points(
-        (p for spec in specs.values() for p in spec.points),
-        scale,
-        replications,
-        **campaign,
-    )
-    texts = {
-        n: spec.render(points.points, scale, replications) for n, spec in specs.items()
-    }
-    return texts, points
+    specs = {n: FIGURES[n](scale, replications) for n in numbers}
+    results, campaign = run_specs(specs, replications, **campaign)
+    return {n: spec.render(results[n]) for n, spec in specs.items()}, campaign
 
 
 @dataclass

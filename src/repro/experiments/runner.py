@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from typing import TypeVar, Union
 
-from repro.engine import MAX_SIM_TIME
 from repro.experiments.faults import CompletenessReport, UnitFailure
 from repro.experiments.parallel import ParallelRunner, RunSummary
 from repro.experiments.topology import ScenarioConfig
@@ -154,14 +153,6 @@ def _aggregate(
     report: CompletenessReport,
 ) -> ReplicatedResult:
     """Reduce per-seed summaries to one :class:`ReplicatedResult`."""
-    for summary in summaries:
-        if not summary.completed:
-            raise RuntimeError(
-                f"run with seed {summary.config.seed} did not complete within "
-                f"{MAX_SIM_TIME} simulated seconds "
-                f"(scheme={summary.config.scheme.value}, "
-                f"packet={summary.config.tcp.packet_size})"
-            )
     throughputs = [r.metrics.throughput_bps for r in summaries]
     return ReplicatedResult(
         config=config,
@@ -231,7 +222,9 @@ def sweep_campaign(
     With ``fail_fast=False`` quarantined seeds degrade their point to
     a partial average; a point whose every seed was quarantined has
     nothing to average and raises its first failure's taxonomy
-    exception.
+    exception.  A unit that ran out of simulated time (its summary's
+    ``completed`` is false) raises ``RuntimeError``, whatever the
+    config type: an unfinished run is never averaged.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -251,6 +244,12 @@ def sweep_campaign(
     outcome = ParallelRunner(**campaign).run_campaign(units)
     report = outcome.report
     points: Dict[T, ReplicatedResult] = {}
+    for unit, summary in zip(units, outcome.summaries):
+        if summary is not None and not summary.completed:
+            raise RuntimeError(
+                f"{type(unit).__name__} run with seed {unit.seed} did not "
+                f"complete within its simulated-time limit"
+            )
     for i, (value, config) in enumerate(zip(value_list, configs)):
         lo, hi = i * replications, (i + 1) * replications
         chunk = [s for s in outcome.summaries[lo:hi] if s is not None]

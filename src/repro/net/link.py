@@ -20,7 +20,7 @@ already left the queue when a ``send`` at that time reads the depth.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from repro.engine import Simulator
@@ -34,9 +34,11 @@ class LinkStats:
 
     A wireless link counts a frame when its transmission ends.  A
     wired link counts a datagram when it accepts it: its whole
-    serialization is fixed then, so ``transmitted``, ``delivered``,
-    ``bytes_transmitted`` and ``busy_time`` already include datagrams
-    still waiting or on the line.
+    serialization is fixed then, so ``bytes_transmitted`` and
+    ``busy_time`` already include datagrams still waiting or on the
+    line.  A wired link corrupts nothing, so its ``transmitted`` and
+    ``delivered`` are each ``offered`` minus the queue's drops
+    (:attr:`WiredLink.stats` derives them).
     """
 
     offered: int = 0
@@ -91,7 +93,8 @@ class WiredLink:
         #: queue at least this deep (None = ECN off).
         self.ecn_threshold = ecn_threshold
         self.ecn_marks = 0
-        self.stats = LinkStats()
+        #: ``offered``, ``bytes_transmitted`` and ``busy_time``.
+        self._stats = LinkStats()
         self._receiver: Optional[Callable[[Datagram], None]] = None
         #: Time the line finishes its last accepted datagram.
         self._free_at = 0.0
@@ -101,6 +104,13 @@ class WiredLink:
     def connect(self, receiver: Callable[[Datagram], None]) -> None:
         """Set the far-end delivery callback."""
         self._receiver = receiver
+
+    @property
+    def stats(self) -> LinkStats:
+        """A snapshot of the link's counters: every datagram the queue
+        accepts is transmitted and delivered."""
+        sent = self._stats.offered - self.queue.stats.dropped
+        return replace(self._stats, transmitted=sent, delivered=sent)
 
     @property
     def busy(self) -> bool:
@@ -128,7 +138,7 @@ class WiredLink:
             starts.popleft()
             items.popleft()
             qstats.dequeued += 1
-        stats = self.stats
+        stats = self._stats
         stats.offered += 1
         if self.ecn_threshold is not None and len(items) >= self.ecn_threshold:
             datagram.ecn_marked = True
@@ -154,9 +164,7 @@ class WiredLink:
         duration = size * 8 / self.bandwidth_bps
         finish = start + duration
         self._free_at = finish
-        stats.transmitted += 1
         stats.bytes_transmitted += size
         stats.busy_time += duration
-        stats.delivered += 1
         sim.schedule_at(finish + self.prop_delay, receiver, datagram)
         return True

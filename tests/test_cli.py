@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -247,27 +249,58 @@ class TestFigure:
         assert not journal.exists()
 
 
+def rendered(spec, replications, base_seed=1):
+    """``spec``'s table over ``replications`` seeds, as printed."""
+    from repro.experiments.points import run_specs
+
+    results, _ = run_specs({None: spec}, replications, base_seed)
+    return spec.render(results[None]) + "\n"
+
+
 class TestCsdp:
     def test_csdp_table(self, capsys):
-        code = main(["csdp", "--connections", "2", "--transfer-kb", "10"])
+        """The command prints the benchmark table's renderer over the
+        configs its flags select."""
+        from repro.experiments.tables import csdp_table
+
+        code = main(
+            ["csdp", "--connections", "2", "--transfer-kb", "10", "--seed", "3"]
+        )
         out = capsys.readouterr().out
         assert code == 0
+        assert out == rendered(csdp_table(10 * 1024, 1, connections=2), 1, 3)
         assert "fifo" in out and "csdp" in out
 
 
 class TestHandoffCommand:
     def test_handoff_table(self, capsys):
+        from repro.experiments.tables import handoff_table
+
         code = main(["handoff", "--transfer-kb", "20", "--seeds", "1"])
         out = capsys.readouterr().out
         assert code == 0
+        assert out == rendered(handoff_table(20 * 1024, (8.0,), 0.3), 1)
         assert "fast_rtx" in out
+
+    def test_unfinished_runs_are_not_averaged(self, capsys):
+        """At a 1 s interval (it divides the sender's 64 s RTO cap) the
+        baseline's retransmission always meets an outage and the run
+        never finishes: the command fails instead of printing it."""
+        with pytest.raises(
+            RuntimeError, match="HandoffConfig run with seed 1 did not complete"
+        ):
+            main(["handoff", "--interval", "1", "--transfer-kb", "6", "--seeds", "1"])
+        assert capsys.readouterr().out == ""
 
 
 class TestCongestionCommand:
     def test_congestion_table(self, capsys):
-        code = main(["congestion", "--seeds", "1"])
+        from repro.experiments.tables import congestion_table
+
+        code = main(["congestion", "--seeds", "1", "--load", "0.8"])
         out = capsys.readouterr().out
         assert code == 0
+        assert out == rendered(congestion_table(load=0.8), 1)
         assert "ECN" in out and "ebsn" in out
 
 
@@ -286,6 +319,23 @@ class TestReportCommand:
         assert "## fig7_wan_basic" in text
         assert "## zz_custom" in text
         assert text.index("fig7_wan_basic") < text.index("zz_custom")
+
+    def test_report_rebuilds_the_committed_report(self, capsys, tmp_path):
+        """``repro report`` over the committed tables is the committed
+        REPORT.md, byte for byte."""
+        root = Path(__file__).resolve().parents[1]
+        target = tmp_path / "REPORT.md"
+        code = main(
+            [
+                "report",
+                "--out-dir",
+                str(root / "benchmarks" / "out"),
+                "--output",
+                str(target),
+            ]
+        )
+        assert code == 0
+        assert target.read_bytes() == (root / "REPORT.md").read_bytes()
 
     def test_report_missing_dir(self, tmp_path):
         code = main(["report", "--out-dir", str(tmp_path / "nope")])

@@ -1,8 +1,8 @@
-"""Smoke tests for the per-figure specs and the ASCII plotter.
+"""Smoke tests for the table specs and the ASCII plotter.
 
-The real, full-scale figure regeneration lives in ``benchmarks/``;
-these tests only pin the plumbing (each figure's table layout,
-theoretical values, rendering) with tiny transfers.
+The real, full-scale table regeneration lives in ``benchmarks/``;
+these tests only pin the plumbing (each table's layout, theoretical
+values, rendering) with tiny transfers.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from repro.experiments.ascii_plot import format_table, plot_series
 from repro.experiments.config import LAN_BAD_PERIODS, WAN_PACKET_SIZES
 from repro.experiments.figures import (
     lan_theoretical_mbps,
-    paper_figures,
     trace_figure,
     wan_theoretical_kbps,
 )
+from repro.experiments.points import run_specs
+from repro.experiments.tables import TABLES
 
 
 class TestTraceFigures:
@@ -31,10 +32,19 @@ class TestTraceFigures:
 
 
 @pytest.fixture(scope="module")
-def tables():
-    """Figs 7-11 at a tiny scale, one seed per point."""
-    texts, _ = paper_figures([7, 8, 9, 10, 11], scale=0.02, replications=1)
-    return {n: text.splitlines() for n, text in texts.items()}
+def specs():
+    """Every registered table's spec at a tiny scale, one seed per point."""
+    return {name: build(0.02, 1) for name, build in TABLES.items()}
+
+
+@pytest.fixture(scope="module")
+def tables(specs):
+    """Every registered table's lines, rendered from one campaign."""
+    results, campaign = run_specs(specs, replications=1)
+    assert campaign.report.complete
+    return {
+        name: spec.render(results[name]).splitlines() for name, spec in specs.items()
+    }
 
 
 def wan_rows(lines):
@@ -45,8 +55,11 @@ def wan_rows(lines):
 
 class TestSweepFigures:
     def test_figure7_structure(self, tables):
-        for n, scheme in ((7, "Basic TCP"), (8, "EBSN")):
-            lines = tables[n]
+        for name, n, scheme in (
+            ("fig7_wan_basic", 7, "Basic TCP"),
+            ("fig8_wan_ebsn", 8, "EBSN"),
+        ):
+            lines = tables[name]
             assert lines[0] == (
                 f"Figure {n}: {scheme} (wide-area): throughput (kbps) vs packet size"
             )
@@ -57,7 +70,7 @@ class TestSweepFigures:
             assert tput_th == "tput_th    11.64    10.67     9.85     9.14"
 
     def test_figure9_has_both_schemes(self, tables):
-        lines = tables[9]
+        lines = tables["fig9_wan_retx"]
         assert lines[0].startswith("Figure 9: data retransmitted (KB)")
         assert [line for line in lines if line.startswith("--")] == [
             "-- basic --",
@@ -67,7 +80,7 @@ class TestSweepFigures:
         assert all(float(cell) >= 0 for row in wan_rows(lines) for cell in row.split())
 
     def test_figure10_structure(self, tables):
-        fig10, fig11 = tables[10], tables[11]
+        fig10, fig11 = tables["fig10_lan_tput"], tables["fig11_lan_retx"]
         assert fig10[0].startswith("Figure 10: LAN throughput (Mbps)")
         assert fig11[0].startswith("Figure 11: LAN data retransmitted (KB)")
         assert len(fig11) == 4 + len(LAN_BAD_PERIODS)
@@ -75,6 +88,16 @@ class TestSweepFigures:
         assert [float(row.split()[0]) for row in rows] == LAN_BAD_PERIODS
         assert float(rows[-1].split()[1]) == round(lan_theoretical_mbps(1.6), 3)
         assert all(float(row.split()[3]) > 0 for row in rows)  # EBSN Mbps
+
+    def test_every_study_table_has_a_row_per_point(self, specs, tables):
+        """Each non-figure table: its title, a blank line, its column
+        header, then one row per point, in the spec's order."""
+        for name, lines in tables.items():
+            if name.startswith("fig"):
+                continue
+            rows = lines[lines.index("") + 2 :]
+            assert len(rows) == len(specs[name].points), name
+            assert all(row.split() for row in rows), name
 
     def test_theoretical_helpers(self):
         assert wan_theoretical_kbps(1.0) == pytest.approx(11.64, abs=0.01)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import figures, topology
+from repro.experiments import tables, topology
 from repro.experiments.config import wan_scenario
+from repro.experiments.points import run_specs
 from repro.experiments.runner import run_replicated, sweep, sweep_campaign
 from repro.experiments.topology import Scheme
 
@@ -175,12 +176,30 @@ class TestSweepCampaign:
         assert info.value.failure.index == 2  # the point's first seed
 
     @pytest.mark.parametrize(
-        "numbers, points",
-        [([7], 36), ([9], 72), ([10, 11], 14), ([7, 8, 9, 10, 11], 86)],
-        ids=["figure_7", "figure_9", "figure_10", "figures_7_to_11"],
+        "names, points",
+        [
+            (["fig7_wan_basic"], 36),
+            (["fig9_wan_retx"], 72),
+            (["fig10_lan_tput", "fig11_lan_retx"], 14),
+            (list(tables.TABLES)[:5], 86),
+            # BASIC and EBSN at 576 B, 4 s, 100 KB: in all three tables.
+            (["quench_negative", "snoop_vs_ebsn", "ablation_tcp_variant"], 9),
+            # The two default-timer LAN runs: in both ablations.
+            (["ablation_granularity", "ablation_robust_timer"], 8),
+            (list(tables.TABLES), 149),
+        ],
+        ids=[
+            "figure_7",
+            "figure_9",
+            "figure_10",
+            "figures_7_to_11",
+            "shared_wan_points",
+            "shared_lan_points",
+            "every_table",
+        ],
     )
-    def test_figure_is_one_campaign(self, monkeypatch, numbers, points):
-        """The requested figures' distinct points, each simulated once."""
+    def test_figure_is_one_campaign(self, monkeypatch, names, points):
+        """The requested tables' distinct configs, each simulated once."""
         from repro.experiments.parallel import ParallelRunner
 
         calls = []
@@ -191,5 +210,7 @@ class TestSweepCampaign:
             return original(runner, configs)
 
         monkeypatch.setattr(ParallelRunner, "run_campaign", counting)
-        figures.paper_figures(numbers, scale=0.02, replications=2)
+        specs = {name: tables.TABLES[name](0.02, 2) for name in names}
+        results, _ = run_specs(specs, replications=2)
         assert calls == [points * 2]
+        assert all(len(results[n]) == len(specs[n].points) for n in names)

@@ -55,6 +55,7 @@ NOT_IN_REPRO_RUN = {
     "repro.experiments.journal",
     "repro.experiments.figures",
     "repro.experiments.points",
+    "repro.experiments.tables",
     "repro.experiments.claims",
     "repro.experiments.congestion",
     "repro.handoff",
@@ -62,6 +63,17 @@ NOT_IN_REPRO_RUN = {
     "repro.workloads",
     "repro.validate.bundle",
     "repro.validate.checkers",
+}
+
+
+#: Modules importing the figures must not load: the study modules,
+#: and the registry of every table that imports them.
+NOT_IN_THE_FIGURES = {
+    "repro.csdp",
+    "repro.handoff",
+    "repro.experiments.congestion",
+    "repro.workloads",
+    "repro.experiments.tables",
 }
 
 
@@ -124,6 +136,14 @@ def test_cli_run_loads_no_campaign_or_study_module():
     assert out["code"] == 0
     assert "completed         : True" in out["printed"]
     assert offending(out["loaded"], NOT_IN_REPRO_RUN) == []
+
+
+def test_figures_load_no_study_module():
+    """A figure's campaign (perfbench's fig8-pool imports the figures)
+    pays for no study and not for the table registry."""
+    out = fresh("import repro.experiments.figures\n")
+    assert "repro.experiments.points" in out["loaded"]
+    assert offending(out["loaded"], NOT_IN_THE_FIGURES) == []
 
 
 def test_cli_validated_run_loads_no_bundle_writer():
