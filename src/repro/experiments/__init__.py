@@ -15,8 +15,9 @@
   and completeness reporting for campaign execution.
 * :mod:`repro.experiments.journal` — append-only checkpoint journal
   behind ``--resume``.
-* :mod:`repro.experiments.points` — the simulated points figures and
-  claims read, and running a set of them as one campaign.
+* :mod:`repro.experiments.points` — the WAN and LAN config builders,
+  the table spec every figure, table, claim and sweep is, and running
+  a set of specs as one campaign.
 * :mod:`repro.experiments.figures` — one spec per paper figure: its
   points and the table it prints.
 * :mod:`repro.experiments.ascii_plot` — terminal rendering of series.

@@ -6,19 +6,31 @@ runs them all and prints a ✓/✗ report — the artifact-evaluation view
 of the repository.  Checks run at a configurable scale: the default is
 sized for ~a minute of wall clock; the benchmarks remain the
 full-scale ground truth.
+
+A simulated claim builds its configs as the tables do
+(:mod:`repro.experiments.points`, :mod:`repro.experiments.tables`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Dict, List, Tuple
+from typing import Any, Callable, Hashable, List, Tuple
 
-from repro.experiments.config import trace_example_scenario, wan_scenario
+from repro.experiments.config import (
+    LAN_TRANSFER_BYTES,
+    WAN_TRANSFER_BYTES,
+    trace_example_scenario,
+    wan_scenario,
+)
 from repro.experiments.figures import lan_theoretical_mbps, wan_theoretical_kbps
-from repro.experiments.points import Point, run_points
+from repro.experiments.points import TableSpec, lan_point, run_specs, wan_point
+from repro.experiments.tables import TABLES, handoff_table
 from repro.experiments.topology import Scheme, run_scenario
 from repro.handoff import HandoffScheme
+
+#: A claim's config at a transfer scale.
+ConfigBuilder = Callable[[float], Any]
 
 
 @dataclass(frozen=True)
@@ -31,11 +43,12 @@ class ClaimResult:
 class Claim:
     """A sentence from the paper plus the check that certifies it.
 
-    A simulated claim lists the ``points`` it reads, and its ``check``
-    judges their results in the same order: ``check(results, seeds)``,
-    with a :class:`~repro.experiments.runner.ReplicatedResult` per
-    Fig. 2 point and a :class:`~repro.experiments.runner.StudyPoint`
-    per study point.  A claim without points runs its own single
+    A simulated claim lists builders of the ``configs`` it reads, and
+    its ``check`` judges their results in the same order:
+    ``check(results, seeds)``, with a
+    :class:`~repro.experiments.runner.ReplicatedResult` per Fig. 2
+    config and a :class:`~repro.experiments.runner.StudyPoint` per
+    study config.  A claim without configs runs its own single
     simulation: ``check(scale, seeds)``.
     """
 
@@ -43,26 +56,54 @@ class Claim:
     source: str
     statement: str
     check: Callable[..., ClaimResult]
-    points: Tuple[Point, ...] = ()
+    configs: Tuple[ConfigBuilder, ...] = ()
+
+    def spec(self, scale: float, seeds: int) -> TableSpec:
+        """This claim's configs at ``scale``, and its check over their
+        results in place of a renderer."""
+        return TableSpec(
+            {i: build(scale) for i, build in enumerate(self.configs)},
+            lambda results: self.check(list(results.values()), seeds),
+        )
 
     def evaluate(self, scale: float = 0.3, seeds: int = 3) -> ClaimResult:
-        """Run this claim's check (and only its own points) at the given scale."""
-        if not self.points:
-            return self.check(scale, seeds)
-        return self._judge(run_points(self.points, scale, seeds).points, seeds)
-
-    def _judge(self, results: Dict[Point, object], seeds: int) -> ClaimResult:
-        return self.check([results[point] for point in self.points], seeds)
+        """Run this claim's check (and only its own configs) at the given scale."""
+        return _judge([self], scale, seeds)[0]
 
 
-def _wan(scheme: Scheme, packet_size: int = 576) -> Point:
-    """A WAN point at the 4 s mean bad period every WAN claim reads."""
-    return ("wan", scheme, packet_size, 4.0)
+def _judge(claims: List[Claim], scale: float, seeds: int) -> List[ClaimResult]:
+    """Every claim's result; the configs of the simulated ones,
+    deduplicated, run over ``seeds`` seeds as one campaign first."""
+    specs = {c.id: c.spec(scale, seeds) for c in claims if c.configs}
+    results, _ = run_specs(specs, seeds)
+    return [
+        specs[c.id].render(results[c.id]) if c.configs else c.check(scale, seeds)
+        for c in claims
+    ]
 
 
-def _lan(scheme: Scheme, bad_period: float) -> Point:
-    """A LAN point (the study's only packet size is 1536 B)."""
-    return ("lan", scheme, bad_period)
+def _wan(scheme: Scheme, packet_size: int = 576) -> ConfigBuilder:
+    """A WAN config at the 4 s mean bad period every WAN claim reads."""
+    return lambda scale: wan_point(
+        int(WAN_TRANSFER_BYTES * scale), scheme, packet_size, 4.0
+    )
+
+
+def _lan(scheme: Scheme, bad_period: float) -> ConfigBuilder:
+    """A LAN config of the paper's transfer size at a scale."""
+    return lambda scale: lan_point(int(LAN_TRANSFER_BYTES * scale), scheme, bad_period)
+
+
+def _rows(
+    table: Callable[[float, int], TableSpec], *keys: Hashable
+) -> Tuple[ConfigBuilder, ...]:
+    """The configs of rows ``keys`` of the table spec ``table`` builds."""
+    return tuple(lambda scale, key=key: table(scale, 1).points[key] for key in keys)
+
+
+def _handoff(scale: float, replications: int) -> TableSpec:
+    """Handoffs every 6 s during a 60 KB transfer."""
+    return handoff_table(int(60 * 1024 * scale), (6.0,))
 
 
 def _sum(point, metric: str):
@@ -217,11 +258,11 @@ CLAIMS: List[Claim] = [
           (_lan(Scheme.EBSN, 0.8),)),
     Claim("adv", "§6", "EBSN keeps no per-connection state at the BS", _check_ebsn_stateless),
     Claim("csdp", "§2/[9]", "round-robin scheduling ≫ FIFO for multiple MHs", _check_scheduling,
-          (("csdp", "fifo"), ("csdp", "rr"))),
+          _rows(TABLES["csdp_scheduling"], "fifo", "rr")),
     Claim("hand", "§2/[4]", "forced fast retransmit removes handoff timeouts", _check_handoff,
-          (("hand", HandoffScheme.BASELINE), ("hand", HandoffScheme.FAST_RTX))),
+          _rows(_handoff, (HandoffScheme.BASELINE, 6.0), (HandoffScheme.FAST_RTX, 6.0))),
     Claim("cong", "§6/[18]", "ECN marking absorbs wired congestion drops", _check_congestion,
-          (("cong", False), ("cong", True))),
+          _rows(TABLES["congestion_ecn_ebsn"], (Scheme.BASIC, False), (Scheme.BASIC, True))),
 ]
 
 
@@ -230,13 +271,7 @@ def validate_all(
 ) -> List[Tuple[Claim, ClaimResult]]:
     """Evaluate every claim; returns (claim, result) pairs in order.
 
-    Every simulated claim's points, deduplicated, run as one campaign
+    Every simulated claim's configs, deduplicated, run as one campaign
     first.
     """
-    results = run_points(
-        (p for claim in CLAIMS for p in claim.points), scale, seeds
-    ).points
-    return [
-        (claim, claim._judge(results, seeds) if claim.points else claim.check(scale, seeds))
-        for claim in CLAIMS
-    ]
+    return list(zip(CLAIMS, _judge(CLAIMS, scale, seeds)))

@@ -7,7 +7,7 @@ results are averages over many such units, and the engine's job is to
 keep a campaign alive the way EBSN keeps a TCP connection alive:
 recover from local faults locally instead of restarting the world.
 
-Three fault kinds exist, mirroring what can actually go wrong:
+Four fault kinds exist, mirroring what can actually go wrong:
 
 ``timeout``
     The unit exceeded its wall-clock budget — the simulation is hung
@@ -21,6 +21,9 @@ Three fault kinds exist, mirroring what can actually go wrong:
     The unit itself raised — a deterministic failure (e.g. an
     invariant violation).  Retrying cannot help, so it is never
     retried: it propagates in fail-fast mode or quarantines otherwise.
+``unfinished``
+    The unit ran to its simulated-time limit without finishing its
+    transfer.  Its result is not averaged: the campaign aborts.
 
 Timeouts and crashes are *environmental* and retried with exponential
 backoff plus full jitter (the AWS-style policy: delay drawn uniformly
@@ -41,6 +44,7 @@ from typing import Optional, Tuple
 FAULT_TIMEOUT = "timeout"
 FAULT_CRASH = "crash"
 FAULT_ERROR = "error"
+FAULT_UNFINISHED = "unfinished"
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class UnitFailure:
-    """Structured record of one quarantined work unit.
+    """Structured record of one failed work unit.
 
     Everything is a primitive so the record survives pickling,
     journalling as JSON, and display — no live exception objects.
@@ -77,7 +81,7 @@ class UnitFailure:
     key: Optional[str]  #: content digest (when a cache/journal keyed it)
     seed: int
     scheme: str
-    kind: str  #: one of FAULT_TIMEOUT / FAULT_CRASH / FAULT_ERROR
+    kind: str  #: one of the FAULT_* kinds
     message: str
     attempts: int  #: executions consumed (1 + retries)
     bundle_path: Optional[str] = None  #: replay bundle for hung units
@@ -126,7 +130,8 @@ class WorkerCrashed(CampaignError):
 
 class UnitQuarantined(CampaignError):
     """A unit failed deterministically (or unclassifiably) and was
-    quarantined; the campaign's aggregates are missing this unit."""
+    quarantined, or never finished; the campaign's aggregates are
+    missing this unit."""
 
 
 class CampaignInterrupted(RuntimeError):

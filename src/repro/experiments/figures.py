@@ -2,14 +2,15 @@
 
 Figs 3-5 are single deterministic runs (:func:`trace_figure`).  Each of
 Figs 7-11 is a :class:`~repro.experiments.points.TableSpec` built by
-:data:`FIGURES`: the points it plots, in the point vocabulary the
-claims use (:mod:`repro.experiments.points`), and the renderer that
-prints them as its ``benchmarks/out`` table.  :func:`paper_figures`
-runs the union of the requested figures' points as one campaign, so a
-point two figures share (every point of Fig 9 is one of Fig 7's or
-Fig 8's; Fig 11 plots Fig 10's) is simulated once.  The registry of
-every campaign-run table, :mod:`repro.experiments.tables`, holds these
-five too.
+:data:`FIGURES`: the WAN or LAN configs it plots, keyed
+``("wan", scheme, packet_size, bad_period)`` or
+``("lan", scheme, bad_period)``, and the renderer that prints them as
+its ``benchmarks/out`` table.  :func:`paper_figures` runs the union of
+the requested figures' configs as one campaign, so a config two
+figures share (every one of Fig 9's is one of Fig 7's or Fig 8's; Fig
+11 plots Fig 10's) is simulated once.  The registry of every
+campaign-run table, :mod:`repro.experiments.tables`, holds these five
+too.
 
 Transfer sizes can be scaled down (``scale``) to trade fidelity for
 runtime; 1.0 is the paper's.  :func:`figure_8` keeps Fig 8's grid as
@@ -26,6 +27,7 @@ from repro.experiments.ascii_plot import plot_series
 from repro.experiments.config import (
     LAN_BAD_PERIODS,
     LAN_GOOD_PERIOD,
+    LAN_TRANSFER_BYTES,
     WAN_BAD_PERIODS,
     WAN_GOOD_PERIOD,
     WAN_PACKET_SIZES,
@@ -33,10 +35,9 @@ from repro.experiments.config import (
     trace_example_scenario,
 )
 from repro.experiments.points import (
-    Point,
     Results,
     TableSpec,
-    point_config,
+    lan_point,
     run_specs,
     wan_point,
 )
@@ -82,19 +83,23 @@ def trace_figure(
 # Figures 7-11: the WAN packet-size and LAN bad-period sweeps
 # ---------------------------------------------------------------------------
 
-def _wan_points(*schemes: Scheme) -> Tuple[Point, ...]:
-    return tuple(
-        ("wan", s, size, bad)
+def _wan_configs(scale: float, *schemes: Scheme) -> dict:
+    transfer = int(WAN_TRANSFER_BYTES * scale)
+    return {
+        ("wan", s, size, bad): wan_point(transfer, s, size, bad)
         for s in schemes
         for bad in WAN_BAD_PERIODS
         for size in WAN_PACKET_SIZES
-    )
+    }
 
 
-def _lan_points() -> Tuple[Point, ...]:
-    return tuple(
-        ("lan", s, bad) for s in (Scheme.BASIC, Scheme.EBSN) for bad in LAN_BAD_PERIODS
-    )
+def _lan_configs(scale: float) -> dict:
+    transfer = int(LAN_TRANSFER_BYTES * scale)
+    return {
+        ("lan", s, bad): lan_point(transfer, s, bad)
+        for s in (Scheme.BASIC, Scheme.EBSN)
+        for bad in LAN_BAD_PERIODS
+    }
 
 
 def _heading(title: str, scale: float, replications: int) -> List[str]:
@@ -197,20 +202,19 @@ def _render_fig11(results: Results, scale: float, replications: int) -> str:
 
 
 def _figure(
-    points: Tuple[Point, ...], render: Callable[..., str]
+    configs: Callable[[float], dict], render: Callable[..., str]
 ) -> Callable[[float, int], TableSpec]:
-    """The spec builder of a figure that plots ``points``:
+    """The spec builder of a figure that plots ``configs(scale)``:
     ``(scale, replications)`` → its :class:`TableSpec`."""
     return lambda scale, replications: TableSpec(
-        {point: point_config(point, scale) for point in points},
-        partial(render, scale=scale, replications=replications),
+        configs(scale), partial(render, scale=scale, replications=replications)
     )
 
 
 #: Figs 7-11 by number, each as its spec builder.
 FIGURES: Dict[int, Callable[[float, int], TableSpec]] = {
     7: _figure(
-        _wan_points(Scheme.BASIC),
+        lambda scale: _wan_configs(scale, Scheme.BASIC),
         partial(
             _render_wan_throughput,
             Scheme.BASIC,
@@ -218,21 +222,23 @@ FIGURES: Dict[int, Callable[[float, int], TableSpec]] = {
         ),
     ),
     8: _figure(
-        _wan_points(Scheme.EBSN),
+        lambda scale: _wan_configs(scale, Scheme.EBSN),
         partial(
             _render_wan_throughput,
             Scheme.EBSN,
             "Figure 8: EBSN (wide-area): throughput (kbps) vs packet size",
         ),
     ),
-    9: _figure(_wan_points(Scheme.BASIC, Scheme.EBSN), _render_fig9),
-    10: _figure(_lan_points(), _render_fig10),
-    11: _figure(_lan_points(), _render_fig11),
+    9: _figure(
+        lambda scale: _wan_configs(scale, Scheme.BASIC, Scheme.EBSN), _render_fig9
+    ),
+    10: _figure(_lan_configs, _render_fig10),
+    11: _figure(_lan_configs, _render_fig11),
 }
 
 
 def paper_figures(
-    numbers: Iterable[int], scale: float = 1.0, replications: int = 5, **campaign
+    numbers: Iterable[int], scale: float, replications: int, **campaign
 ) -> Tuple[Dict[int, str], SweepCampaign]:
     """Figs ``numbers`` (of 7-11) at a transfer ``scale``: each one's
     table by number, and the campaign behind them.

@@ -168,6 +168,13 @@ def topology_of(config: Any) -> type:
     return resolve(_unit_of(config)[1])
 
 
+def scheme_name(config: Any) -> str:
+    """The scheme a unit's config runs, as a failure record names it (a
+    CSDP study varies its scheduler, not a scheme)."""
+    scheme = getattr(config, "scheme", None)
+    return config.scheduler if scheme is None else scheme.value
+
+
 def run_unit(
     config: Any, wall_timeout: Optional[float] = None, validate: Optional[bool] = None
 ) -> Any:
@@ -479,13 +486,11 @@ class ParallelRunner:
         self, task: _Task, kind: str, message: str, failures: Dict[int, UnitFailure]
     ) -> None:
         """Record a unit that failed for good; raise in fail-fast mode."""
-        scheme = getattr(task.config, "scheme", None)
         failure = UnitFailure(
             index=task.index,
             key=task.key,
             seed=task.config.seed,
-            # A CSDP study varies its scheduler, not a scheme.
-            scheme=task.config.scheduler if scheme is None else scheme.value,
+            scheme=scheme_name(task.config),
             kind=kind,
             message=message,
             attempts=task.attempts,

@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from typing import TypeVar, Union
 
-from repro.experiments.faults import CompletenessReport, UnitFailure
-from repro.experiments.parallel import ParallelRunner, RunSummary
+from repro.experiments.faults import FAULT_UNFINISHED, CompletenessReport, UnitFailure
+from repro.experiments.parallel import ParallelRunner, RunSummary, scheme_name
 from repro.experiments.topology import ScenarioConfig
 
 T = TypeVar("T")
@@ -223,8 +223,9 @@ def sweep_campaign(
     a partial average; a point whose every seed was quarantined has
     nothing to average and raises its first failure's taxonomy
     exception.  A unit that ran out of simulated time (its summary's
-    ``completed`` is false) raises ``RuntimeError``, whatever the
-    config type: an unfinished run is never averaged.
+    ``completed`` is false) raises the taxonomy exception of an
+    ``unfinished`` failure, whatever the config type and whatever
+    ``fail_fast`` says: an unfinished run is never averaged.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -244,12 +245,14 @@ def sweep_campaign(
     outcome = ParallelRunner(**campaign).run_campaign(units)
     report = outcome.report
     points: Dict[T, ReplicatedResult] = {}
-    for unit, summary in zip(units, outcome.summaries):
+    for index, (unit, summary) in enumerate(zip(units, outcome.summaries)):
         if summary is not None and not summary.completed:
-            raise RuntimeError(
-                f"{type(unit).__name__} run with seed {unit.seed} did not "
-                f"complete within its simulated-time limit"
-            )
+            raise UnitFailure(
+                index=index, key=None, seed=unit.seed, scheme=scheme_name(unit),
+                kind=FAULT_UNFINISHED, attempts=1,
+                message=f"{type(unit).__name__} run did not complete within "
+                "its simulated-time limit",
+            ).to_exception()
     for i, (value, config) in enumerate(zip(value_list, configs)):
         lo, hi = i * replications, (i + 1) * replications
         chunk = [s for s in outcome.summaries[lo:hi] if s is not None]

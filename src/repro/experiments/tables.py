@@ -26,13 +26,13 @@ figure's run loads no study module.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Dict, Hashable, Sequence
+from typing import Callable, Dict, Sequence
 
 from repro.csdp import CsdpStudyConfig
-from repro.experiments.config import lan_scenario, wan_scenario
+from repro.experiments.config import wan_scenario
 from repro.experiments.congestion import CongestedScenarioConfig
 from repro.experiments.figures import FIGURES
-from repro.experiments.points import Results, TableSpec, wan_point
+from repro.experiments.points import TableSpec, lan_point, table_renderer, wan_point
 from repro.experiments.runner import StudyPoint
 from repro.experiments.topology import Scheme
 from repro.handoff import HandoffConfig, HandoffScheme
@@ -40,16 +40,6 @@ from repro.tcp import TcpConfig
 from repro.workloads import InteractiveConfig
 
 _KB = 1024
-
-
-def _render(
-    title: str, header: str, row: Callable[[Hashable, Any], str]
-) -> Callable[[Results], str]:
-    """A renderer: ``title``, a blank line, the column ``header``, then
-    ``row(key, result)`` per point."""
-    return lambda results: "\n".join(
-        [title, "", header, *(row(*item) for item in results.items())]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +54,7 @@ def _scheme_table(title: str, *schemes: Scheme) -> Callable[[float, int], TableS
         transfer = int(100 * _KB * scale)
         return TableSpec(
             {s: wan_point(transfer, s, 576, 4.0) for s in schemes},
-            _render(
+            table_renderer(
                 title,
                 "scheme   throughput(kbps)   goodput   timeouts/run",
                 lambda scheme, r: f"{scheme.value:8s} {r.throughput_kbps:16.2f}"
@@ -88,7 +78,7 @@ def _snoop_loss_regime(scale: float, replications: int) -> TableSpec:
             points[uniform, scheme] = replace(config, channel=channel)
     return TableSpec(
         points,
-        _render(
+        table_renderer(
             "Loss correlation regime (same mean loss rate ~9%/frame):",
             "regime    scheme   tput(kbps)",
             lambda key, r: f"{'uniform' if key[0] else 'bursty':8s}  "
@@ -141,7 +131,7 @@ def csdp_table(
             )
             for sched in CSDP_SCHEDULERS
         },
-        _render(
+        table_renderer(
             f"Link-level scheduling, {connections} TCP connections, "
             "independent fading\n"
             f"(good 4 s / bad 1 s per MH, {replications} seeds):",
@@ -186,7 +176,7 @@ def congestion_table(transfer_bytes: int = 60 * _KB, load: float = 0.9) -> Table
             for scheme in (Scheme.BASIC, Scheme.EBSN)
             for ecn in (False, True)
         },
-        _render(
+        table_renderer(
             f"Wired congestion ({load:.0%} cross load) x wireless fades "
             "(bad 1 s):",
             "scheme  ECN    tput(kbps)  drops  marks  ecn_resp  timeouts  fastrtx",
@@ -234,7 +224,7 @@ def handoff_table(
             for scheme in HandoffScheme
             for interval in intervals
         },
-        _render(
+        table_renderer(
             f"Handoff recovery, {disconnect * 1000:.0f} ms disconnections, "
             f"{transfer_bytes / _KB:g} KB transfer:",
             "scheme             interval(s)  tput(kbps)  timeouts/run  stall(s)",
@@ -275,7 +265,7 @@ def _interactive_latency(scale: float, replications: int) -> TableSpec:
             label: InteractiveConfig(keystrokes=keystrokes, **variant)
             for label, variant in variants.items()
         },
-        _render(
+        table_renderer(
             f"Keystroke latency over the fading WAN path ({keystrokes} keys/run,\n"
             f"bad period 2 s, {replications} seeds):",
             "variant            mean(ms)   p95(ms)   worst(ms)   timeouts/run",
@@ -302,8 +292,7 @@ def _with_tcp(config, **tcp):
 def _lan_timer(scale: float, scheme: Scheme, **tcp):
     """A 2 MB LAN config at a 1.2 s bad period, TCP timer fields overridden."""
     transfer = int(2 * _KB * _KB * scale)
-    config = lan_scenario(scheme=scheme, bad_period_mean=1.2, transfer_bytes=transfer)
-    return _with_tcp(config, **tcp)
+    return _with_tcp(lan_point(transfer, scheme, 1.2), **tcp)
 
 
 #: The TCP clock granularities (s) of the granularity ablation.
@@ -317,7 +306,7 @@ def _ablation_granularity(scale: float, replications: int) -> TableSpec:
             for scheme in (Scheme.LOCAL_RECOVERY, Scheme.EBSN)
             for g in CLOCK_GRANULARITIES
         },
-        _render(
+        table_renderer(
             "Ablation: TCP clock granularity (LAN, bad period 1.2 s):",
             "scheme           granularity   timeouts/run   throughput(Mbps)",
             lambda key, r: f"{key[0].value:16s} {key[1]:11.1f}"
@@ -337,7 +326,7 @@ def _ablation_robust_timer(scale: float, replications: int) -> TableSpec:
             ),
             "EBSN (k=4)": _lan_timer(scale, Scheme.EBSN, rto_k=4.0),
         },
-        _render(
+        table_renderer(
             "Robust source timers vs EBSN (LAN, local recovery, bad 1.2 s):",
             "variant                   tput(Mbps)   timeouts/run   retx(KB)",
             lambda label, r: f"{label:25s} {r.throughput_mbps:10.3f}"
@@ -354,7 +343,7 @@ def _ablation_rtmax(scale: float, replications: int) -> TableSpec:
     transfer = int(100 * _KB * scale)
     return TableSpec(
         {rtmax: _wan_arq(transfer, 576, 4.0, rtmax=rtmax) for rtmax in _RTMAXES},
-        _render(
+        table_renderer(
             "Ablation: ARQ RTmax under EBSN (WAN, 576 B, bad period 4 s):",
             "rtmax   throughput(kbps)   goodput   retransmitted(KB)",
             lambda rtmax, r: f"{rtmax:5d}   {r.throughput_kbps:16.2f}"
@@ -382,7 +371,7 @@ def _ablation_tcp_variant(scale: float, replications: int) -> TableSpec:
             for variant in TCP_VARIANTS
             for scheme in (Scheme.BASIC, Scheme.EBSN)
         },
-        _render(
+        table_renderer(
             "TCP variant x recovery mechanism (WAN, 576 B, bad period 4 s):",
             "variant   scheme   tput(kbps)   timeouts/run",
             lambda key, r: f"{key[0]:8s}  {key[1].value:6s}"
@@ -395,7 +384,7 @@ def _ablation_arq_window(scale: float, replications: int) -> TableSpec:
     transfer = int(100 * _KB * scale)
     return TableSpec(
         {w: _wan_arq(transfer, 1536, 1.0, window=w) for w in (1, 2, 4, 8)},
-        _render(
+        table_renderer(
             "ARQ pipelining depth under EBSN (WAN, 1536 B, bad period 1 s):",
             "window   tput(kbps)   goodput",
             lambda window, r: f"{window:6d}   {r.throughput_kbps:10.2f}"
@@ -418,7 +407,7 @@ def _ablation_window(scale: float, replications: int) -> TableSpec:
             for window in TCP_WINDOWS
             for scheme in (Scheme.BASIC, Scheme.EBSN)
         },
-        _render(
+        table_renderer(
             "TCP window ablation (WAN, 576 B packets, bad period 2 s):",
             "window(B)  scheme   tput(kbps)   timeouts/run   duration(s)",
             lambda key, r: f"{key[0]:9d}  {key[1].value:6s}  {r.throughput_kbps:10.2f}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.claims import CLAIMS, ClaimResult, validate_all
@@ -77,3 +79,14 @@ class TestCliValidate:
         assert "claims validated" in out
         # The quick scale may miss a marginal claim; exit code reflects it.
         assert code in (0, 1)
+
+    def test_quick_validation_prints_the_golden(self, capsys):
+        """``repro validate --scale 0.2 --seeds 2`` (CI's quick claim
+        validation) prints ``tests/data/golden_validate.txt`` byte for
+        byte: every claim's configs, checks and details are pinned."""
+        from repro.cli import main
+
+        golden = Path(__file__).parent / "data" / "golden_validate.txt"
+        code = main(["validate", "--scale", "0.2", "--seeds", "2"])
+        assert capsys.readouterr().out == golden.read_text()
+        assert code == 0

@@ -125,17 +125,39 @@ class TestTrace:
         assert "|" in out  # the plot body
 
 
+def swept(argv, replications, base_seed=1):
+    """The sweep ``argv`` describes, as printed: the sweep spec's table,
+    then the uncached campaign's completeness report."""
+    from repro.cli import sweep_table
+    from repro.experiments.points import run_specs
+
+    spec = sweep_table(build_parser().parse_args(argv))
+    results, campaign = run_specs({None: spec}, replications, base_seed)
+    return f"{spec.render(results[None])}\n\n{campaign.report.describe()}\n"
+
+
 class TestSweep:
     def test_wan_sweep(self, capsys):
-        code = main(
-            ["sweep", "--scheme", "basic", "--transfer-kb", "10",
-             "--replications", "1"]
-        )
+        argv = ["sweep", "--scheme", "basic", "--transfer-kb", "10",
+                "--replications", "1", "--no-cache"]
+        code = main(argv)
         out = capsys.readouterr().out
         assert code == 0
+        assert out == swept(argv, 1)
         assert "size(B)" in out
         assert "1536" in out
-        assert "campaign:" in out  # completeness report
+        assert "campaign: 9/9 units completed" in out
+
+    def test_lan_sweep(self, capsys):
+        argv = ["sweep", "--lan", "--transfer-kb", "64", "--replications", "1",
+                "--no-cache"]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == swept(argv, 1)
+        assert "tput(Mbps)" in out
+        assert "   1.6 " in out
+        assert "campaign: 7/7 units completed" in out
 
     def test_fault_flags_parse_with_defaults(self):
         args = build_parser().parse_args(["sweep"])
@@ -202,7 +224,7 @@ class TestSweep:
         def interrupted(*args, **kwargs):
             raise CampaignInterrupted(2, 3, 18, "camp.journal")
 
-        monkeypatch.setattr("repro.experiments.runner.sweep_campaign", interrupted)
+        monkeypatch.setattr("repro.experiments.points.sweep_campaign", interrupted)
         code = main(["sweep", "--replications", "2", "--no-cache"])
         err = capsys.readouterr().err
         assert code == 130
@@ -218,7 +240,7 @@ class TestSweep:
         def aborted(*args, **kwargs):
             raise UnitTimeout(failure)
 
-        monkeypatch.setattr("repro.experiments.runner.sweep_campaign", aborted)
+        monkeypatch.setattr("repro.experiments.points.sweep_campaign", aborted)
         code = main(
             ["sweep", "--replications", "2", "--no-cache", "--fail-fast"]
         )
@@ -285,12 +307,20 @@ class TestHandoffCommand:
     def test_unfinished_runs_are_not_averaged(self, capsys):
         """At a 1 s interval (it divides the sender's 64 s RTO cap) the
         baseline's retransmission always meets an outage and the run
-        never finishes: the command fails instead of printing it."""
-        with pytest.raises(
-            RuntimeError, match="HandoffConfig run with seed 1 did not complete"
-        ):
-            main(["handoff", "--interval", "1", "--transfer-kb", "6", "--seeds", "1"])
-        assert capsys.readouterr().out == ""
+        never finishes: the command aborts with one line instead of
+        printing it."""
+        code = main(
+            ["handoff", "--interval", "1", "--transfer-kb", "6", "--seeds", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err == (
+            "campaign aborted: unit 0 (seed 1, scheme baseline): unfinished "
+            "after 1 attempt(s) — HandoffConfig run did not complete within "
+            "its simulated-time limit\n"
+        )
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
 
 class TestCongestionCommand:

@@ -146,6 +146,21 @@ def test_figures_load_no_study_module():
     assert offending(out["loaded"], NOT_IN_THE_FIGURES) == []
 
 
+def test_cli_sweep_loads_no_study_module():
+    """``repro sweep`` builds its spec from the figures' and the specs'
+    modules, not from the table registry."""
+    out = fresh(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as printed:\n"
+        "    out['code'] = main(['sweep', '--lan', '--transfer-kb', '16',\n"
+        "                        '--replications', '1', '--no-cache'])\n"
+    )
+    assert out["code"] == 0
+    assert "repro.experiments.points" in out["loaded"]
+    assert offending(out["loaded"], NOT_IN_THE_FIGURES) == []
+
+
 def test_cli_validated_run_loads_no_bundle_writer():
     """Only a violation writes a replay bundle; a clean run loads none
     of the bundle module, the cache layer it imports, or pickle."""
