@@ -88,9 +88,7 @@ class CbrSource:
     def _tick(self) -> None:
         if not self._running:
             return
-        segment = TcpSegment(
-            seq=self._seq, payload_bytes=self.packet_size - 40, sent_at=self._sim.now
-        )
+        segment = TcpSegment(seq=self._seq, payload_bytes=self.packet_size - 40)
         self._seq += 1
         self._node.send(
             Datagram(self._node.name, self.dst, segment, self.packet_size)

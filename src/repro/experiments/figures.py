@@ -5,12 +5,12 @@ Figs 7-11 is a :class:`~repro.experiments.points.TableSpec` built by
 :data:`FIGURES`: the WAN or LAN configs it plots, keyed
 ``("wan", scheme, packet_size, bad_period)`` or
 ``("lan", scheme, bad_period)``, and the renderer that prints them as
-its ``benchmarks/out`` table.  :func:`paper_figures` runs the union of
-the requested figures' configs as one campaign, so a config two
-figures share (every one of Fig 9's is one of Fig 7's or Fig 8's; Fig
-11 plots Fig 10's) is simulated once.  The registry of every
-campaign-run table, :mod:`repro.experiments.tables`, holds these five
-too.
+its ``benchmarks/out`` table.  Given several figures' specs,
+:func:`~repro.experiments.points.run_specs` runs the union of their
+configs as one campaign, so a config two figures share (every one of
+Fig 9's is one of Fig 7's or Fig 8's; Fig 11 plots Fig 10's) is
+simulated once.  The registry of every campaign-run table,
+:mod:`repro.experiments.tables`, holds these five too.
 
 Transfer sizes can be scaled down (``scale``) to trade fidelity for
 runtime; 1.0 is the paper's.  :func:`figure_8` keeps Fig 8's grid as
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.experiments.ascii_plot import plot_series
 from repro.experiments.config import (
@@ -38,10 +38,9 @@ from repro.experiments.points import (
     Results,
     TableSpec,
     lan_point,
-    run_specs,
     wan_point,
 )
-from repro.experiments.runner import ReplicatedResult, SweepCampaign, sweep_campaign
+from repro.experiments.runner import ReplicatedResult, sweep_campaign
 from repro.experiments.topology import ScenarioResult, Scheme, run_scenario
 from repro.metrics.theoretical import theoretical_throughput_bps
 
@@ -235,22 +234,6 @@ FIGURES: Dict[int, Callable[[float, int], TableSpec]] = {
     10: _figure(_lan_configs, _render_fig10),
     11: _figure(_lan_configs, _render_fig11),
 }
-
-
-def paper_figures(
-    numbers: Iterable[int], scale: float, replications: int, **campaign
-) -> Tuple[Dict[int, str], SweepCampaign]:
-    """Figs ``numbers`` (of 7-11) at a transfer ``scale``: each one's
-    table by number, and the campaign behind them.
-
-    Every distinct point of every requested figure runs once, over
-    ``replications`` seeds, as one campaign (:func:`run_specs`);
-    ``**campaign`` is forwarded to
-    :class:`~repro.experiments.parallel.ParallelRunner`.
-    """
-    specs = {n: FIGURES[n](scale, replications) for n in numbers}
-    results, campaign = run_specs(specs, replications, **campaign)
-    return {n: spec.render(results[n]) for n, spec in specs.items()}, campaign
 
 
 @dataclass

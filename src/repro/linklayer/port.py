@@ -85,7 +85,6 @@ class _OutstandingFrame:
     attempts: int = 0
     ack_event: Optional[list] = None
     backoff_event: Optional[list] = None
-    awaiting_retry: bool = False
 
     def cancel_timers(self, sim: Simulator) -> None:
         if self.ack_event is not None:
@@ -148,7 +147,6 @@ class WirelessPort:
 
         # ARQ transmitter state.
         self._pending: Deque[Fragment] = deque()
-        self._retry: Deque[int] = deque()  # frame uids ready to retransmit
         self._outstanding: Dict[int, _OutstandingFrame] = {}
         self._tx_seq = 0
 
@@ -202,22 +200,11 @@ class WirelessPort:
         return bool(self._outstanding)
 
     def _pump(self) -> None:
-        """Transmit retries first, then new frames, up to the window."""
-        # Retries first: they already hold window slots, so they are
-        # never throttled — only new frames consume fresh slots.
-        outstanding = self._outstanding
-        retry = self._retry
-        while retry:
-            uid = retry.popleft()
-            entry = outstanding.get(uid)
-            if entry is None or not entry.awaiting_retry:
-                continue
-            entry.awaiting_retry = False
-            self.stats.link_retransmissions += 1
-            self._transmit(entry)
+        """Transmit new frames into free window slots."""
         pending = self._pending
         if not pending:
             return
+        outstanding = self._outstanding
         window = self.arq_config.window
         stats = self.stats
         while pending and len(outstanding) < window:
@@ -229,7 +216,6 @@ class WirelessPort:
             entry.attempts = 0
             entry.ack_event = None
             entry.backoff_event = None
-            entry.awaiting_retry = False
             frame.link_seq = self._tx_seq
             self._tx_seq += 1
             outstanding[frame.uid] = entry
@@ -238,12 +224,11 @@ class WirelessPort:
 
     def _transmit(self, entry: _OutstandingFrame) -> None:
         entry.attempts += 1
-        entry.frame.attempt = entry.attempts
         self.out_link.send(entry.frame, on_tx_complete=self._on_tx_complete)
 
     def _on_tx_complete(self, frame: LinkFrame) -> None:
         entry = self._outstanding.get(frame.uid)
-        if entry is None or entry.awaiting_retry:
+        if entry is None:
             return
         # One bare event per attempt, not a Timer: a frame is only
         # retransmitted after its ack timeout fired, so nothing re-arms.
@@ -270,9 +255,12 @@ class WirelessPort:
         if entry is None:
             return
         entry.backoff_event = None
-        entry.awaiting_retry = True
-        self._retry.append(uid)
-        self._pump()
+        # A retry already holds its window slot, so it goes out at
+        # once, and there is nothing to pump: every event that queues a
+        # frame or frees a slot (``send_datagram``, an ACK, a discard)
+        # pumps, so a frame still pending here has no free slot.
+        self.stats.link_retransmissions += 1
+        self._transmit(entry)
 
     def _backoff_delay(self) -> float:
         assert self._rng is not None
@@ -347,8 +335,6 @@ class WirelessPort:
             if backoff is not None:
                 self._sim.cancel(backoff)
                 entry.backoff_event = None
-            if entry.awaiting_retry:
-                entry.awaiting_retry = False  # leave a dangling uid in _retry
             del self._outstanding[entry.frame.uid]
             self._pump()
             return

@@ -85,16 +85,13 @@ class TcpSegment:
     """A TCP data segment, identified by segment number.
 
     Sequence space is segment-numbered (as in the ns TCP the paper
-    used); ``payload_bytes`` excludes the 40-byte header.
+    used); ``payload_bytes`` excludes the 40-byte header.  The sender's
+    bookkeeping (send time, retransmission, Karn eligibility) stays in
+    the sender, so the sink and the base station see only the header.
     """
 
     seq: int
     payload_bytes: int
-    sent_at: float
-    is_retransmission: bool = False
-    #: True when this transmission may be used for an RTT sample
-    #: (Karn's algorithm: never sample retransmitted segments).
-    rtt_eligible: bool = True
 
     def __post_init__(self) -> None:
         if self.seq < 0:
@@ -152,7 +149,6 @@ class Datagram:
     payload: Payload
     size_bytes: int
     uid: int = field(default_factory=lambda: next(_datagram_ids))
-    created_at: float = 0.0
     #: Congestion-experienced mark, set by an ECN gateway when its
     #: queue is building (Floyd '94); echoed by the sink.
     ecn_marked: bool = False
@@ -179,21 +175,17 @@ class Datagram:
         )
 
 
-def tcp_segment(
-    seq: int, payload_bytes: int, sent_at: float, is_retransmission: bool
-) -> TcpSegment:
+def tcp_segment(seq: int, payload_bytes: int) -> TcpSegment:
     """Build a data segment field by field, for the sender's hot path.
 
     Skips ``TcpSegment.__post_init__``: the sender numbers segments
     from 0 and ``TcpConfig`` leaves every segment a positive payload.
-    Karn's rule fixes ``rtt_eligible`` to ``not is_retransmission``.
+    Whether a send is a retransmission, and when it left, stays in the
+    sender: a segment carries only what its header carries.
     """
     segment = TcpSegment.__new__(TcpSegment)
     segment.seq = seq
     segment.payload_bytes = payload_bytes
-    segment.sent_at = sent_at
-    segment.is_retransmission = is_retransmission
-    segment.rtt_eligible = not is_retransmission
     return segment
 
 
@@ -209,16 +201,15 @@ def tcp_ack(ack_seq: int, ecn_echo: bool) -> TcpAck:
     return ack
 
 
-def datagram(
-    src: Address, dst: Address, payload: Payload, size_bytes: int, created_at: float = 0.0
-) -> Datagram:
+def datagram(src: Address, dst: Address, payload: Payload, size_bytes: int) -> Datagram:
     """Build a datagram field by field, for the per-packet hot paths.
 
     Skips ``Datagram.__post_init__``, so callers guarantee
     ``size_bytes >= TCP_IP_HEADER_BYTES``: TCP data and ACKs carry the
     fixed ``TCP_IP_HEADER_BYTES`` header, and ICMP messages are
     ``ICMP_PACKET_BYTES``.  Draws the next uid, as
-    ``Datagram(...)`` does.
+    ``Datagram(...)`` does.  Like every packet builder here it sets
+    only fields a real header carries (plus the uid label).
     """
     packet = Datagram.__new__(Datagram)
     packet.src = src
@@ -226,7 +217,6 @@ def datagram(
     packet.payload = payload
     packet.size_bytes = size_bytes
     packet.uid = next(_datagram_ids)
-    packet.created_at = created_at
     packet.ecn_marked = False
     return packet
 
@@ -284,8 +274,6 @@ class LinkFrame:
     #: frame uid this LINK_ACK acknowledges.
     acked_frame_uid: Optional[int] = None
     uid: int = field(default_factory=lambda: next(_frame_ids))
-    #: Number of link-level transmission attempts so far (set by ARQ).
-    attempt: int = 1
     #: Per-direction link sequence number, assigned by the ARQ
     #: transmitter; the receiver uses it to deliver in order (as RLP-
     #: style local recovery does).  None on PLAIN-mode frames.
@@ -318,7 +306,6 @@ def data_frame(fragment: Fragment) -> LinkFrame:
     frame.fragment = fragment
     frame.acked_frame_uid = None
     frame.uid = next(_frame_ids)
-    frame.attempt = 1
     frame.link_seq = None
     return frame
 
@@ -331,7 +318,6 @@ def link_ack_frame(acked_frame_uid: int) -> LinkFrame:
     frame.fragment = None
     frame.acked_frame_uid = acked_frame_uid
     frame.uid = next(_frame_ids)
-    frame.attempt = 1
     frame.link_seq = None
     return frame
 

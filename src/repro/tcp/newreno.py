@@ -31,8 +31,6 @@ class NewRenoSender(RenoSender):
             self.snd_una = ack_seq
             self.dupacks = 0
             self.cwnd = max(1.0, self.cwnd - newly + 1)
-            for seq in range(ack_seq - newly, ack_seq):
-                self._sent_at.pop(seq, None)
             self._retransmit_one(ack_seq)
             self.rtx_timer.restart(self.current_timeout())
             if self._timed_seq is not None and ack_seq > self._timed_seq:

@@ -133,7 +133,6 @@ class TcpSink:
             self.src,
             tcp_ack(self.next_expected, echo),
             ACK_PACKET_BYTES,
-            self._sim._now,
         )
         self.stats.acks_sent += 1
         self._node.send(packet)

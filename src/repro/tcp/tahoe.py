@@ -27,7 +27,7 @@ schemes: EBSN re-arms the retransmission timer at the current timeout
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Protocol, Set
+from typing import Callable, Optional, Protocol, Set
 
 from repro.engine import Simulator, Timer
 from repro.net.node import Node
@@ -166,8 +166,13 @@ class TahoeSender:
         # Sequence state (segment numbers).  ``transfer_bytes`` /
         # ``total_segments`` are instance state so stream-fed variants
         # (the split-connection relay) can grow them while running.
+        # ``_high_water`` is one past the highest segment ever sent:
+        # every resend (go-back-N, Reno's hole, NewReno's partial-ACK
+        # hole) is below it, so ``seq < _high_water`` marks a
+        # retransmission.
         self.snd_una = 0
         self.snd_nxt = 0
+        self._high_water = 0
         self.transfer_bytes = self.config.transfer_bytes
         self.total_segments = self.config.total_segments
         # Config-derived constants read per ACK and per segment.
@@ -189,7 +194,6 @@ class TahoeSender:
         self._timed_seq: Optional[int] = None
         self._timed_at: float = 0.0
         self._ever_retransmitted: Set[int] = set()
-        self._sent_at: Dict[int, float] = {}
 
         #: Pluggable ICMP response — set by the EBSN/quench policies.
         self.icmp_handler: Optional[Callable[["TahoeSender", IcmpMessage], None]] = None
@@ -261,7 +265,6 @@ class TahoeSender:
         # Without an installed policy, ICMP is ignored (basic TCP).
 
     def _handle_new_ack(self, ack_seq: int) -> None:
-        newly_acked = ack_seq - self.snd_una
         highest_acked = ack_seq - 1
 
         # RTT sample: only if the timed segment is covered and was
@@ -292,9 +295,6 @@ class TahoeSender:
             self.cwnd += 1.0 / self.cwnd
         if self.record_cwnd:
             self.stats.cwnd_trace.append((self._sim._now, self.cwnd))
-
-        for seq in range(ack_seq - newly_acked, ack_seq):
-            self._sent_at.pop(seq, None)
 
         if self._transfer_finished():
             self._complete()
@@ -385,16 +385,12 @@ class TahoeSender:
             self.snd_nxt += 1
 
     def _transmit(self, seq: int) -> None:
-        is_retx = seq in self._sent_at or seq in self._ever_retransmitted
+        is_retx = seq < self._high_water
         payload_bytes = self._segment_payload_bytes(seq)
         now = self._sim._now
         size = payload_bytes + TCP_IP_HEADER_BYTES
         packet = datagram(
-            self._node.name,
-            self.dst,
-            tcp_segment(seq, payload_bytes, now, is_retx),
-            size,
-            now,
+            self._node.name, self.dst, tcp_segment(seq, payload_bytes), size
         )
 
         self.stats.segments_sent += 1
@@ -403,10 +399,11 @@ class TahoeSender:
             self.stats.retransmissions += 1
             self.stats.retransmitted_bytes_wire += size
             self._ever_retransmitted.add(seq)
+        else:
+            self._high_water = seq + 1
         if self.trace is not None:
             self.trace.record_send(now, seq, is_retx)
 
-        self._sent_at[seq] = now
         if self._timed_seq is None and not is_retx:
             self._timed_seq = seq
             self._timed_at = now

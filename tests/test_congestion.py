@@ -23,7 +23,7 @@ from repro.validate.engine import Validator
 
 
 def data_datagram(seq=0, marked=False):
-    dg = Datagram("FH", "MH", TcpSegment(seq, 536, 0.0), 576)
+    dg = Datagram("FH", "MH", TcpSegment(seq, 536), 576)
     dg.ecn_marked = marked
     return dg
 

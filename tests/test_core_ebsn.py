@@ -20,7 +20,7 @@ from repro.tcp import TahoeSender, TcpConfig
 
 
 def data_fragment(seq=7, src="FH"):
-    seg = TcpSegment(seq=seq, payload_bytes=536, sent_at=0.0)
+    seg = TcpSegment(seq=seq, payload_bytes=536)
     dg = Datagram(src, "MH", seg, 576)
     return Fragment(dg, 0, 5, 128)
 

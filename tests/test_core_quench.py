@@ -23,7 +23,7 @@ from repro.tcp import TahoeSender, TcpConfig
 
 
 def data_fragment(seq=3):
-    seg = TcpSegment(seq=seq, payload_bytes=536, sent_at=0.0)
+    seg = TcpSegment(seq=seq, payload_bytes=536)
     return Fragment(Datagram("FH", "MH", seg, 576), 0, 5, 128)
 
 

@@ -21,7 +21,7 @@ class Harness:
         )
 
     def data(self, seq):
-        seg = TcpSegment(seq=seq, payload_bytes=536, sent_at=0.0)
+        seg = TcpSegment(seq=seq, payload_bytes=536)
         dg = Datagram("FH", "MH", seg, 576)
         self.agent.on_wired_data(dg)
         return dg

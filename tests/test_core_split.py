@@ -84,7 +84,9 @@ class TestStreamSender:
         sender.close()
         sim.run(until=30.0)  # no ACKs at all: timeouts + retransmits
         assert sender.stats.timeouts >= 1
-        assert any(d.payload.is_retransmission for d in captured)
+        assert sender.stats.retransmissions >= 1
+        seqs = [d.payload.seq for d in captured]
+        assert len(seqs) > len(set(seqs))  # some segment went out again
 
 
 class TestSplitRelay:
@@ -98,7 +100,7 @@ class TestSplitRelay:
         return relay, wired_out, wireless_out
 
     def data(self, seq, payload=536):
-        return Datagram("FH", "MH", TcpSegment(seq, payload, 0.0), payload + 40)
+        return Datagram("FH", "MH", TcpSegment(seq, payload), payload + 40)
 
     def test_acks_wired_side_immediately(self, sim):
         relay, wired_out, _ = self.make_relay(sim)

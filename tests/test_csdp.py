@@ -156,6 +156,6 @@ class TestStudy:
             rng=random.Random(1),
             deliver=lambda dg: None,
         )
-        datagram = Datagram("FH", "MH9", TcpSegment(0, 100, 0.0), 140)
+        datagram = Datagram("FH", "MH9", TcpSegment(0, 100), 140)
         with pytest.raises(KeyError):
             radio.send_datagram(datagram)

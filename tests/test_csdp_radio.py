@@ -13,7 +13,7 @@ from repro.net.wireless import WirelessLinkConfig
 
 
 def datagram(dst="MH0", size=128):
-    return Datagram("FH", dst, TcpSegment(0, max(size - 40, 1), 0.0), size)
+    return Datagram("FH", dst, TcpSegment(0, max(size - 40, 1)), size)
 
 
 class Harness:

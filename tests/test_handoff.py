@@ -39,7 +39,7 @@ class TestCellPort:
     def datagram(self, size=576):
         from repro.net.packet import Datagram, TcpSegment
 
-        return Datagram("FH", "MH", TcpSegment(0, size - 40, 0.0), size)
+        return Datagram("FH", "MH", TcpSegment(0, size - 40), size)
 
     def test_detached_port_holds_queue(self, sim):
         port, received = self.make_port(sim)

@@ -34,7 +34,7 @@ class RecordingHooks(FeedbackHooks):
 
 
 def make_datagram(size=576, seq=0):
-    seg = TcpSegment(seq=seq, payload_bytes=size - 40, sent_at=0.0)
+    seg = TcpSegment(seq=seq, payload_bytes=size - 40)
     return Datagram("FH", "MH", seg, size)
 
 
@@ -144,7 +144,7 @@ class TestArqGoodState:
     def test_bidirectional_traffic(self, sim):
         hop = Hop(sim)
         down_dg = make_datagram(576)
-        up_dg = Datagram("MH", "FH", TcpSegment(0, 40, 0.0), 80)
+        up_dg = Datagram("MH", "FH", TcpSegment(0, 40), 80)
         hop.bs.send_datagram(down_dg)
         hop.mh.send_datagram(up_dg)
         sim.run(until=5.0)

@@ -11,7 +11,7 @@ from repro.net.packet import Datagram, TcpSegment
 
 
 def make_datagram(size=576):
-    seg = TcpSegment(seq=0, payload_bytes=size - 40, sent_at=0.0)
+    seg = TcpSegment(seq=0, payload_bytes=size - 40)
     return Datagram("FH", "MH", seg, size)
 
 
@@ -24,7 +24,7 @@ class TestRoutingTable:
         assert len(sent) == 1
 
     def test_unroutable_raises(self):
-        seg = TcpSegment(seq=0, payload_bytes=536, sent_at=0.0)
+        seg = TcpSegment(seq=0, payload_bytes=536)
         with pytest.raises(KeyError):
             RoutingTable("BS").forward(Datagram("FH", "nowhere", seg, 576))
 

@@ -23,7 +23,7 @@ from repro.net.wireless import WirelessLink, WirelessLinkConfig
 
 
 def make_datagram(size=576):
-    seg = TcpSegment(seq=0, payload_bytes=size - 40, sent_at=0.0)
+    seg = TcpSegment(seq=0, payload_bytes=size - 40)
     return Datagram("FH", "MH", seg, size)
 
 

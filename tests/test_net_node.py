@@ -9,7 +9,7 @@ from repro.net.packet import Datagram, TcpSegment
 
 
 def make_datagram(src="FH", dst="MH"):
-    return Datagram(src, dst, TcpSegment(0, 536, 0.0), 576)
+    return Datagram(src, dst, TcpSegment(0, 536), 576)
 
 
 class RecordingAgent:

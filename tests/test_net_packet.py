@@ -12,6 +12,7 @@ from repro.net.packet import (
     FrameKind,
     IcmpMessage,
     IcmpType,
+    LinkFrame,
     PacketType,
     TcpAck,
     TcpSegment,
@@ -25,7 +26,7 @@ from repro.net.packet import (
 
 
 def make_segment(seq=0, payload=536):
-    return TcpSegment(seq=seq, payload_bytes=payload, sent_at=0.0)
+    return TcpSegment(seq=seq, payload_bytes=payload)
 
 
 def make_datagram(size=576, payload=None):
@@ -35,15 +36,15 @@ def make_datagram(size=576, payload=None):
 class TestTcpSegment:
     def test_valid_segment(self):
         seg = make_segment(seq=5)
-        assert seg.seq == 5 and not seg.is_retransmission
+        assert seg.seq == 5 and seg.payload_bytes == 536
 
     def test_negative_seq_rejected(self):
         with pytest.raises(ValueError):
-            TcpSegment(seq=-1, payload_bytes=100, sent_at=0.0)
+            TcpSegment(seq=-1, payload_bytes=100)
 
     def test_zero_payload_rejected(self):
         with pytest.raises(ValueError):
-            TcpSegment(seq=0, payload_bytes=0, sent_at=0.0)
+            TcpSegment(seq=0, payload_bytes=0)
 
 
 class TestTcpAck:
@@ -113,8 +114,6 @@ class TestLinkFrames:
         assert frame.link_seq == 9
 
     def test_skip_frame_requires_seq(self):
-        from repro.net.packet import LinkFrame
-
         with pytest.raises(ValueError):
             LinkFrame(kind=FrameKind.SKIP, size_bytes=8)
 
@@ -126,23 +125,47 @@ class TestBuilders:
     """The field-by-field builders equal the checked constructors."""
 
     def test_tcp_segment(self):
-        assert tcp_segment(3, 536, 1.5, False) == TcpSegment(3, 536, 1.5)
-        assert tcp_segment(3, 536, 1.5, True) == TcpSegment(
-            3, 536, 1.5, is_retransmission=True, rtt_eligible=False
-        )
+        assert tcp_segment(3, 536) == TcpSegment(3, 536)
 
     def test_tcp_ack(self):
         assert tcp_ack(7, False) == TcpAck(7)
         assert tcp_ack(7, True) == TcpAck(7, ecn_echo=True)
 
     def test_datagram(self):
-        built = datagram("FH", "MH", tcp_ack(1, False), 40, 2.5)
-        assert built == Datagram("FH", "MH", TcpAck(1), 40, uid=built.uid, created_at=2.5)
+        built = datagram("FH", "MH", tcp_ack(1, False), 40)
+        assert built == Datagram("FH", "MH", TcpAck(1), 40, uid=built.uid)
         assert not built.ecn_marked
-        assert datagram("BS", "FH", IcmpMessage(IcmpType.EBSN), 40).created_at == 0.0
+        icmp = datagram("BS", "FH", IcmpMessage(IcmpType.EBSN), 40)
+        assert icmp == Datagram("BS", "FH", IcmpMessage(IcmpType.EBSN), 40, uid=icmp.uid)
 
     def test_datagram_draws_from_the_shared_uid_counter(self):
         first = make_datagram().uid
         built = datagram("FH", "MH", make_segment(), 576).uid
         assert built == first + 1
         assert make_datagram().uid == built + 1
+
+
+#: Each packet type's fields, in order: what its header carries.
+WIRE_FIELDS = {
+    TcpSegment: ("seq", "payload_bytes"),
+    TcpAck: ("ack_seq", "ecn_echo"),
+    IcmpMessage: ("icmp_type", "about_seq"),
+    Datagram: ("src", "dst", "payload", "size_bytes", "uid", "ecn_marked"),
+    Fragment: ("datagram", "frag_index", "frag_count", "size_bytes"),
+    LinkFrame: ("kind", "size_bytes", "fragment", "acked_frame_uid", "uid", "link_seq"),
+}
+
+
+class TestWireFormat:
+    """Packets carry their header fields and nothing else.
+
+    The sink, the snoop agent, the split relay and the feedback
+    generators read packets, so any field here is one they could act
+    on; sender and ARQ bookkeeping (send times, retransmission flags,
+    attempt counts) stays with the sender.  ``uid`` is the one label,
+    and behaviour never reads it.
+    """
+
+    @pytest.mark.parametrize("packet_type", list(WIRE_FIELDS), ids=lambda t: t.__name__)
+    def test_fields_are_exactly_the_wire_fields(self, packet_type):
+        assert packet_type.__slots__ == WIRE_FIELDS[packet_type]

@@ -19,7 +19,7 @@ class Harness:
         self.node.attach_agent(self.sink)
 
     def data(self, seq, payload=536):
-        seg = TcpSegment(seq=seq, payload_bytes=payload, sent_at=0.0)
+        seg = TcpSegment(seq=seq, payload_bytes=payload)
         self.sink.receive(Datagram("FH", "MH", seg, payload + 40))
 
     def ack_seqs(self):

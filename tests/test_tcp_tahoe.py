@@ -262,4 +262,4 @@ class TestConfigValidation:
         h = Harness(sim)
         h.start()
         with pytest.raises(TypeError):
-            h.sender.receive(Datagram("MH", "FH", TcpSegment(0, 10, 0.0), 50))
+            h.sender.receive(Datagram("MH", "FH", TcpSegment(0, 10), 50))

@@ -69,16 +69,18 @@ class TestSerialParallelOracle:
         """Figs 8 and 10, uncached: the pool's workers fork from a parent
         that loaded only the modules the campaign itself needs, and
         must render the serial run's tables byte for byte."""
-        from repro.experiments.figures import paper_figures
+        from repro.experiments.figures import FIGURES
+        from repro.experiments.points import run_specs
 
-        serial, serial_campaign = paper_figures(
-            [8, 10], scale=0.02, replications=2, workers=1
-        )
-        pooled, pooled_campaign = paper_figures(
-            [8, 10], scale=0.02, replications=2, workers=2
-        )
-        assert serial_campaign.report.complete and pooled_campaign.report.complete
-        assert pooled == serial
+        specs = {n: FIGURES[n](0.02, 2) for n in (8, 10)}
+
+        def rendered(workers):
+            results, campaign = run_specs(specs, 2, workers=workers)
+            assert campaign.report.complete
+            return {n: spec.render(results[n]) for n, spec in specs.items()}
+
+        serial = rendered(1)
+        assert rendered(2) == serial
 
     def test_disagreement_is_reported(self, monkeypatch):
         from repro.validate import oracles

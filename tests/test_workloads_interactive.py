@@ -81,7 +81,8 @@ class TestMessageSender:
         sim.run(until=5.0)  # initial RTO 3 s, no ACK
         assert h.sender.stats.timeouts >= 1
         assert len(h.sent) >= 2
-        assert h.sent[1].payload.is_retransmission
+        assert h.sent[1].payload.seq == h.sent[0].payload.seq
+        assert h.sender.stats.retransmissions >= 1
 
 
 class TestLatencyStats:
@@ -158,7 +159,7 @@ class TestHeartbeatGenerator:
         sent = []
         node.add_interface(sent.append, "FH")
         gen = EbsnGenerator(node, sim=sim, heartbeat_interval=0.1)
-        seg = TcpSegment(3, 100, 0.0)
+        seg = TcpSegment(3, 100)
         frag = Fragment(Datagram("FH", "MH", seg, 140), 0, 1, 140)
         gen.on_attempt_failed(frag, 1)
         sim.run(until=0.55)
@@ -174,7 +175,7 @@ class TestHeartbeatGenerator:
         sent = []
         node.add_interface(sent.append, "FH")
         gen = EbsnGenerator(node, sim=sim, heartbeat_interval=0.1)
-        seg = TcpSegment(3, 100, 0.0)
+        seg = TcpSegment(3, 100)
         frag = Fragment(Datagram("FH", "MH", seg, 140), 0, 1, 140)
         gen.on_attempt_failed(frag, 1)
         sim.schedule(0.25, gen.on_recovered)
