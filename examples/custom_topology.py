@@ -25,7 +25,7 @@ def make_config(scheme: Scheme) -> ScenarioConfig:
         overhead_factor=1.25,  # lighter FEC
         mtu_bytes=256,
     )
-    frame_time = wireless.mtu_bytes * wireless.overhead_factor * 8 / 32_000.0
+    frame_time = wireless.airtime(wireless.mtu_bytes)[1]  # one MTU frame on air
     return ScenarioConfig(
         scheme=scheme,
         tcp=TcpConfig(

@@ -120,6 +120,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_single_run(parser: argparse.ArgumentParser) -> None:
+    """The link, size and fading flags of ``run`` and ``profile``."""
+    parser.add_argument("--lan", action="store_true", help="LAN config instead of WAN")
+    parser.add_argument(
+        "--packet-size", type=int, default=None, help="WAN packet bytes (default 576)"
+    )
+    parser.add_argument("--bad-period", type=positive_float, default=1.0)
+    parser.add_argument("--transfer-kb", type=positive_int, default=100)
+
+
 def _add_engine(parser: argparse.ArgumentParser) -> None:
     """Parallel-engine knobs shared by the multi-run commands."""
     parser.add_argument(
@@ -528,12 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one transfer and print metrics")
     _add_common(p)
-    p.add_argument("--lan", action="store_true", help="LAN config instead of WAN")
-    p.add_argument(
-        "--packet-size", type=int, default=None, help="WAN packet bytes (default 576)"
-    )
-    p.add_argument("--bad-period", type=positive_float, default=1.0)
-    p.add_argument("--transfer-kb", type=positive_int, default=100)
+    _add_single_run(p)
     _add_validate(p)
     p.set_defaults(func=_cmd_run, parser=p)
 
@@ -600,12 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cProfile one run; print hot functions and perf counters",
     )
     _add_common(p)
-    p.add_argument("--lan", action="store_true", help="LAN config instead of WAN")
-    p.add_argument(
-        "--packet-size", type=int, default=None, help="WAN packet bytes (default 576)"
-    )
-    p.add_argument("--bad-period", type=positive_float, default=1.0)
-    p.add_argument("--transfer-kb", type=positive_int, default=100)
+    _add_single_run(p)
     p.add_argument("--top", type=positive_int, default=15, help="functions to print")
     p.add_argument(
         "--sort",

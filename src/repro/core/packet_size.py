@@ -21,10 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.net.packet import TCP_IP_HEADER_BYTES
-
-#: On-air expansion of a fragment (the WAN link's framing overhead).
-OVERHEAD_FACTOR = 1.5
+from repro.net.packet import TCP_IP_HEADER_BYTES, WAN_PACKET_SIZES
+from repro.net.wireless import WirelessLinkConfig
 
 
 @dataclass(frozen=True)
@@ -57,11 +55,11 @@ class PacketSizeAdvisor:
     """
 
     #: Packet sizes the analytic model chooses among (bytes, ascending).
-    candidate_sizes = (128, 256, 384, 512, 640, 768, 1024, 1280, 1536)
+    candidate_sizes = tuple(WAN_PACKET_SIZES)
 
-    def __init__(self, mtu_bytes: int = 128) -> None:
-        if mtu_bytes <= 0:
-            raise ValueError("MTU must be positive")
+    def __init__(self, mtu_bytes: int = WirelessLinkConfig.mtu_bytes) -> None:
+        #: The WAN hop at this MTU: its framing overhead and airtime.
+        self._link = WirelessLinkConfig(mtu_bytes=mtu_bytes)
         self.mtu_bytes = mtu_bytes
         self._table: Dict[ErrorCondition, int] = {}
 
@@ -106,8 +104,8 @@ class PacketSizeAdvisor:
         """Expected useful-payload efficiency of one packet.
 
         Approximates the channel as i.i.d. per fragment: a fragment of
-        ``s`` bytes is on air for ``s · overhead`` bytes and survives
-        with probability
+        ``s`` bytes is on air for the WAN link's ``s · overhead`` bytes
+        (rounded) and survives with probability
         ``(1-ber)^bits`` averaged over the good/bad time split.  The
         packet delivers its payload only if *all* fragments survive;
         efficiency is payload per on-air byte times that probability.
@@ -120,7 +118,7 @@ class PacketSizeAdvisor:
         for _ in range(count):
             size = min(self.mtu_bytes, remaining)
             remaining -= size
-            bits = int(size * OVERHEAD_FACTOR) * 8
+            bits = self._link.airtime(size)[0] * 8
             p_good = math.exp(bits * math.log1p(-condition.ber_good))
             p_bad = math.exp(bits * math.log1p(-condition.ber_bad))
             p = (

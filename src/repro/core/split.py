@@ -96,10 +96,10 @@ class SplitRelay:
         node: Node,
         wired_peer: Address = "FH",
         mobile: Address = "MH",
-        wireless_packet_size: int = 576,
-        window_bytes: int = 4096,
+        wireless_packet_size: int = TcpConfig.packet_size,
+        window_bytes: int = TcpConfig.window_bytes,
         transfer_bytes: Optional[int] = None,
-        clock_granularity: float = 0.1,
+        clock_granularity: float = TcpConfig.clock_granularity,
     ) -> None:
         self._sim = sim
         self._node = node

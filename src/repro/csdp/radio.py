@@ -5,30 +5,29 @@ destinations, each behind its own independently fading channel.  The
 radio transmits one frame at a time (stop-and-wait at the frame level:
 the outcome — link ACK or silence — is known one turnaround after the
 frame leaves the air, as on a half-duplex MAC).  A failed frame backs
-off and is retried up to :data:`RTMAX` times; what the radio does *while*
-a frame backs off is the scheduler's decision, and that is exactly
-where FIFO loses to round-robin and CSDP.
+off and is retried up to RTmax times, as the ARQ timed to its link
+does; what the radio does *while* a frame backs off is the scheduler's
+decision, and that is exactly where FIFO loses to round-robin and CSDP.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional
 
 import random
 
 from repro.channel import TwoStateChannel
 from repro.csdp.scheduling import Scheduler
 from repro.engine import Simulator
+from repro.linklayer import ArqConfig
 from repro.net.ip import Fragmenter, Reassembler
 from repro.net.packet import LINK_ACK_BYTES, Datagram, Fragment
 from repro.net.wireless import WirelessLinkConfig
 
 #: Seconds the radio's reassembler holds a partial datagram.
 REASSEMBLY_TIMEOUT = 60.0
-#: Transmissions of one frame before it is discarded (CDPD's 13).
-RTMAX = 13
 
 
 @dataclass
@@ -71,14 +70,12 @@ class DownlinkRadio:
         self.scheduler = scheduler
         self._rng = rng
         self.deliver = deliver
-        # size -> (air bytes, airtime), as WirelessLink memoizes it.
-        self._airtime_cache: Dict[int, Tuple[int, float]] = {}
-        self._ack_airtime = self._airtime(LINK_ACK_BYTES)
-        #: Propagation out, link-ACK airtime, propagation back.
-        self.turnaround = 2 * config.prop_delay + self._ack_airtime[1]
-        frame_time = self.tx_time(config.mtu_bytes)
-        # Bounds (s) of the uniform random backoff before a retry.
-        self._backoff = (2.5 * frame_time, 7.5 * frame_time)
+        self._ack_airtime = config.airtime(LINK_ACK_BYTES)
+        self.turnaround = config.turnaround
+        # The attempt budget and backoff bounds (s) of the link's ARQ.
+        arq = ArqConfig.for_link(config)
+        self._rtmax = arq.rtmax
+        self._backoff = (arq.backoff_min, arq.backoff_max)
         self.fragmenter = Fragmenter(config.mtu_bytes)
         self.reassembler = Reassembler(sim, timeout=REASSEMBLY_TIMEOUT, name="radio")
         self.queues: Dict[str, Deque[_QueuedFrame]] = {d: deque() for d in channels}
@@ -89,18 +86,9 @@ class DownlinkRadio:
 
     # ------------------------------------------------------------------
 
-    def _airtime(self, size_bytes: int) -> Tuple[int, float]:
-        """Memoized (on-air bytes, airtime seconds) for a frame size."""
-        cached = self._airtime_cache.get(size_bytes)
-        if cached is None:
-            air = int(round(size_bytes * self.config.overhead_factor))
-            cached = (air, air * 8 / self.config.raw_bandwidth_bps)
-            self._airtime_cache[size_bytes] = cached
-        return cached
-
     def tx_time(self, size_bytes: int) -> float:
         """Airtime of one frame of ``size_bytes``."""
-        return self._airtime(size_bytes)[1]
+        return self.config.airtime(size_bytes)[1]
 
     def send_datagram(self, datagram: Datagram) -> None:
         """Queue a datagram for its destination."""
@@ -160,7 +148,7 @@ class DownlinkRadio:
         queued = self.queues[dest].popleft()
         queued.attempts += 1
         self._busy = True
-        air, airtime = self._airtime(queued.fragment.size_bytes)
+        air, airtime = self.config.airtime(queued.fragment.size_bytes)
         self.stats.attempts += 1
         self.stats.busy_time += airtime
 
@@ -198,7 +186,7 @@ class DownlinkRadio:
             self.scheduler.note_departure(dest)
         else:
             self.stats.attempt_failures += 1
-            if queued.attempts >= RTMAX:
+            if queued.attempts >= self._rtmax:
                 self._discard(dest, queued)
             else:
                 queued.ready_at = self._sim.now + self._rng.uniform(*self._backoff)

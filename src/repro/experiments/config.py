@@ -10,23 +10,30 @@ Local-area study (§4.2.4, §5.2):
     wired 10 Mbps; wireless 2 Mbps, no fragmentation/overhead;
     window 64 KB; packet size 1536 B; 4 MB transfer; good period
     mean 4 s; bad period mean 0.4–1.6 s.
+
+Each WAN number is one component default, which :func:`wan_scenario`
+leaves alone: the wireless hop in ``WirelessLinkConfig``, window, clock,
+packet size and transfer in ``TcpConfig``, fading in ``ChannelConfig``,
+the wired hop in ``ScenarioConfig``, RTmax in ``ArqConfig``, the swept
+sizes in ``repro.net.packet``.  The LAN's are written here.  Airtime is
+``WirelessLinkConfig.airtime``; ARQ timing, ``ArqConfig.for_link``.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.experiments.topology import ChannelConfig, ScenarioConfig, Scheme
 from repro.linklayer import ArqConfig
+from repro.net.packet import WAN_PACKET_SIZES  # noqa: F401  (Figs 7-9's sizes)
 from repro.net.wireless import WirelessLinkConfig
 from repro.tcp import TcpConfig
-
-#: Packet sizes swept in Figs 7–9 (bytes, including the 40 B header).
-WAN_PACKET_SIZES = [128, 256, 384, 512, 640, 768, 1024, 1280, 1536]
 
 #: Mean bad-period lengths of the WAN study (seconds).
 WAN_BAD_PERIODS = [1.0, 2.0, 3.0, 4.0]
 
 #: Mean good-period length of the WAN study (seconds).
-WAN_GOOD_PERIOD = 10.0
+WAN_GOOD_PERIOD = ChannelConfig.good_period_mean
 
 #: Mean bad-period lengths of the LAN study (seconds).
 LAN_BAD_PERIODS = [0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6]
@@ -35,20 +42,10 @@ LAN_BAD_PERIODS = [0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6]
 LAN_GOOD_PERIOD = 4.0
 
 #: WAN transfer size (bytes): "Each run involved a 100 Kbyte file".
-WAN_TRANSFER_BYTES = 100 * 1024
+WAN_TRANSFER_BYTES = TcpConfig.transfer_bytes
 
 #: LAN transfer size (bytes): "Each run involved a 4 Mbyte file".
 LAN_TRANSFER_BYTES = 4 * 1024 * 1024
-
-
-def wan_wireless() -> WirelessLinkConfig:
-    """The CDPD-like wide-area wireless hop of §3.1."""
-    return WirelessLinkConfig(
-        raw_bandwidth_bps=19_200.0,
-        prop_delay=0.002,
-        overhead_factor=1.5,
-        mtu_bytes=128,
-    )
 
 
 def lan_wireless() -> WirelessLinkConfig:
@@ -65,14 +62,13 @@ def lan_arq() -> ArqConfig:
     """Local-recovery parameters for the LAN study.
 
     The paper fixes RTmax = 13 from the CDPD spec for the WAN; the LAN
-    link layer is only described as "local recovery", so we keep the
-    same stop-and-wait protocol but give it persistence comparable to
-    the fade timescale (a 2 Mbps radio can afford many more attempts
-    per second than a 19.2 kbps one).  See DESIGN.md.
+    link layer is only described as "local recovery", so we time the
+    same protocol to the LAN hop (2 ms ACK slack) but give it persistence
+    comparable to the fade timescale (a 2 Mbps radio can afford many
+    more attempts per second than a 19.2 kbps one).  See DESIGN.md.
     """
-    frame_time = 1536 * 8 / 2_000_000.0  # ≈ 6.1 ms
-    return ArqConfig(
-        ack_timeout=2 * 0.0005 + 8 * 8 / 2_000_000.0 + frame_time + 0.002,
+    return replace(
+        ArqConfig.for_link(lan_wireless(), ack_slack=0.002),
         rtmax=150,
         backoff_min=0.005,
         backoff_max=0.04,
@@ -81,7 +77,7 @@ def lan_arq() -> ArqConfig:
 
 def wan_scenario(
     scheme: Scheme = Scheme.BASIC,
-    packet_size: int = 576,
+    packet_size: int = TcpConfig.packet_size,
     bad_period_mean: float = 1.0,
     good_period_mean: float = WAN_GOOD_PERIOD,
     seed: int = 1,
@@ -90,23 +86,15 @@ def wan_scenario(
     record_trace: bool = True,
     tcp_variant: str = "tahoe",
 ) -> ScenarioConfig:
-    """One wide-area run of the §5.1 study."""
+    """One wide-area run of the §5.1 study, at the components' defaults."""
     return ScenarioConfig(
         scheme=scheme,
-        tcp=TcpConfig(
-            packet_size=packet_size,
-            window_bytes=4096,
-            transfer_bytes=transfer_bytes,
-            clock_granularity=0.1,
-        ),
+        tcp=TcpConfig(packet_size=packet_size, transfer_bytes=transfer_bytes),
         channel=ChannelConfig(
             good_period_mean=good_period_mean,
             bad_period_mean=bad_period_mean,
             deterministic=deterministic,
         ),
-        wireless=wan_wireless(),
-        wired_bandwidth_bps=56_000.0,
-        wired_prop_delay=0.01,
         tcp_variant=tcp_variant,
         seed=seed,
         record_trace=record_trace,
@@ -120,20 +108,21 @@ def lan_scenario(
     transfer_bytes: int = LAN_TRANSFER_BYTES,
     record_trace: bool = False,
 ) -> ScenarioConfig:
-    """One local-area run of the §5.2 study (1536 B packets, Tahoe)."""
+    """One local-area run of the §5.2 study (Tahoe, and packets of the
+    hop's 1536 B MTU, so nothing fragments)."""
+    wireless = lan_wireless()
     return ScenarioConfig(
         scheme=scheme,
         tcp=TcpConfig(
-            packet_size=1536,
+            packet_size=wireless.mtu_bytes,
             window_bytes=64 * 1024,
             transfer_bytes=transfer_bytes,
-            clock_granularity=0.1,
         ),
         channel=ChannelConfig(
             good_period_mean=LAN_GOOD_PERIOD,
             bad_period_mean=bad_period_mean,
         ),
-        wireless=lan_wireless(),
+        wireless=wireless,
         wired_bandwidth_bps=10_000_000.0,
         wired_prop_delay=0.001,
         arq=lan_arq(),
@@ -150,9 +139,7 @@ def trace_example_scenario(scheme: Scheme) -> ScenarioConfig:
     """
     return wan_scenario(
         scheme=scheme,
-        packet_size=576,
         bad_period_mean=4.0,
-        good_period_mean=10.0,
+        good_period_mean=WAN_GOOD_PERIOD,
         deterministic=True,
-        record_trace=True,
     )

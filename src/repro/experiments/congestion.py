@@ -40,16 +40,17 @@ from repro.experiments.topology import (
 )
 from repro.tcp import TcpConfig
 
-#: The R->BS bottleneck, and the uncongested BS->R reverse path (bps).
-BOTTLENECK_BPS = 56_000.0
+#: The R->BS bottleneck, and the uncongested BS->R reverse path (bps):
+#: the paper's WAN wired link.
+BOTTLENECK_BPS = ScenarioDefaults.wired_bandwidth_bps
 #: Datagrams the bottleneck queue holds before it drops.
 BOTTLENECK_QUEUE_PACKETS = 10
 #: Queue depth at which the bottleneck ECN-marks arrivals (ECN on).
 ECN_THRESHOLD_PACKETS = 4
 #: The FH->R, XS->R and R->FH access links: never the bottleneck (bps).
 ACCESS_BPS = 1_000_000.0
-#: One-way delay of every wired link (s).
-WIRED_PROP_DELAY = 0.01
+#: One-way delay of every wired link (s), the WAN wired link's.
+WIRED_PROP_DELAY = ScenarioDefaults.wired_prop_delay
 
 
 class CbrSource:

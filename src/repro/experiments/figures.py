@@ -32,6 +32,7 @@ from repro.experiments.config import (
     WAN_GOOD_PERIOD,
     WAN_PACKET_SIZES,
     WAN_TRANSFER_BYTES,
+    lan_wireless,
     trace_example_scenario,
 )
 from repro.experiments.points import (
@@ -43,18 +44,19 @@ from repro.experiments.points import (
 from repro.experiments.runner import ReplicatedResult, sweep_campaign
 from repro.experiments.topology import ScenarioResult, Scheme, run_scenario
 from repro.metrics.theoretical import theoretical_throughput_bps
+from repro.net.wireless import WirelessLinkConfig
 
 
 def wan_theoretical_kbps(bad_period_mean: float) -> float:
     """tput_th for the WAN study (12.8 kbps effective), in kbit/s."""
-    return (
-        theoretical_throughput_bps(12_800.0, WAN_GOOD_PERIOD, bad_period_mean) / 1000.0
-    )
+    bandwidth = WirelessLinkConfig().effective_bandwidth_bps
+    return theoretical_throughput_bps(bandwidth, WAN_GOOD_PERIOD, bad_period_mean) / 1e3
 
 
 def lan_theoretical_mbps(bad_period_mean: float) -> float:
     """tput_th for the LAN study (2 Mbps), in Mbit/s."""
-    return theoretical_throughput_bps(2e6, LAN_GOOD_PERIOD, bad_period_mean) / 1e6
+    bandwidth = lan_wireless().effective_bandwidth_bps
+    return theoretical_throughput_bps(bandwidth, LAN_GOOD_PERIOD, bad_period_mean) / 1e6
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import replace
 from typing import Callable, Dict, Sequence
 
 from repro.csdp import CsdpStudyConfig
-from repro.experiments.config import wan_scenario
+from repro.experiments.config import WAN_TRANSFER_BYTES, wan_scenario
 from repro.experiments.congestion import CongestedScenarioConfig
 from repro.experiments.figures import FIGURES
 from repro.experiments.points import TableSpec, lan_point, table_renderer, wan_point
@@ -51,7 +51,7 @@ def _scheme_table(title: str, *schemes: Scheme) -> Callable[[float, int], TableS
     """A WAN table at 576 B and a 4 s bad period, one row per scheme."""
 
     def build(scale: float, replications: int) -> TableSpec:
-        transfer = int(100 * _KB * scale)
+        transfer = int(WAN_TRANSFER_BYTES * scale)
         return TableSpec(
             {s: wan_point(transfer, s, 576, 4.0) for s in schemes},
             table_renderer(
@@ -336,13 +336,13 @@ def _ablation_robust_timer(scale: float, replications: int) -> TableSpec:
 
 
 #: The ARQ attempt limits of the RTmax ablation (CDPD's is 13).
-_RTMAXES = (1, 3, 7, 13, 25)
+_ATTEMPT_LIMITS = (1, 3, 7, 13, 25)
 
 
 def _ablation_rtmax(scale: float, replications: int) -> TableSpec:
-    transfer = int(100 * _KB * scale)
+    transfer = int(WAN_TRANSFER_BYTES * scale)
     return TableSpec(
-        {rtmax: _wan_arq(transfer, 576, 4.0, rtmax=rtmax) for rtmax in _RTMAXES},
+        {rtmax: _wan_arq(transfer, 576, 4.0, rtmax=rtmax) for rtmax in _ATTEMPT_LIMITS},
         table_renderer(
             "Ablation: ARQ RTmax under EBSN (WAN, 576 B, bad period 4 s):",
             "rtmax   throughput(kbps)   goodput   retransmitted(KB)",
@@ -357,7 +357,7 @@ TCP_VARIANTS = ("tahoe", "reno", "newreno")
 
 
 def _ablation_tcp_variant(scale: float, replications: int) -> TableSpec:
-    transfer = int(100 * _KB * scale)
+    transfer = int(WAN_TRANSFER_BYTES * scale)
     return TableSpec(
         {
             (variant, scheme): wan_scenario(
@@ -381,7 +381,7 @@ def _ablation_tcp_variant(scale: float, replications: int) -> TableSpec:
 
 
 def _ablation_arq_window(scale: float, replications: int) -> TableSpec:
-    transfer = int(100 * _KB * scale)
+    transfer = int(WAN_TRANSFER_BYTES * scale)
     return TableSpec(
         {w: _wan_arq(transfer, 1536, 1.0, window=w) for w in (1, 2, 4, 8)},
         table_renderer(
@@ -398,7 +398,7 @@ TCP_WINDOWS = (576, 2048, 4096, 16 * 1024)
 
 
 def _ablation_window(scale: float, replications: int) -> TableSpec:
-    transfer = int(100 * _KB * scale)
+    transfer = int(WAN_TRANSFER_BYTES * scale)
     return TableSpec(
         {
             (window, scheme): _with_tcp(

@@ -23,7 +23,6 @@ from repro.metrics import ConnectionMetrics, compute_metrics
 from repro.metrics.theoretical import theoretical_throughput_bps
 from repro.net.link import WiredLink
 from repro.net.node import Node
-from repro.net.packet import LINK_ACK_BYTES
 from repro.net.wireless import WirelessLink, WirelessLinkConfig
 from repro.tcp import TahoeSender, TcpConfig, TcpSink
 
@@ -105,6 +104,7 @@ class ScenarioConfig:
     tcp: TcpConfig = field(default_factory=TcpConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     wireless: WirelessLinkConfig = field(default_factory=WirelessLinkConfig)
+    #: The FH<->BS wired hop: the paper's WAN link (56 kbps, 10 ms).
     wired_bandwidth_bps: float = 56_000.0
     wired_prop_delay: float = 0.01
     arq: Optional[ArqConfig] = None  # None = derive from link parameters
@@ -123,34 +123,11 @@ class ScenarioConfig:
     ebsn_heartbeat = None
 
     def derived_arq(self) -> ArqConfig:
-        """ARQ parameters scaled to the wireless link's timescales.
-
-        The link-ACK timeout must cover a round trip plus the chance
-        that the reverse direction is busy serializing an MTU-sized
-        frame; the random backoff is of the order of a frame time, per
-        the aggressive-retransmission protocol of [9]/[12].
-        """
+        """The configured ARQ, or one timed to the wireless link
+        (:meth:`~repro.linklayer.ArqConfig.for_link`)."""
         if self.arq is not None:
             return self.arq
-        cfg = self.wireless
-        frame_time = (
-            int(round(cfg.mtu_bytes * cfg.overhead_factor)) * 8 / cfg.raw_bandwidth_bps
-        )
-        ack_time = (
-            int(round(LINK_ACK_BYTES * cfg.overhead_factor)) * 8 / cfg.raw_bandwidth_bps
-        )
-        ack_timeout = 2 * cfg.prop_delay + ack_time + frame_time + 0.01
-        # Backoff sized so that the RTmax=13 attempt budget spans the
-        # long tail of fades (13 cycles ≈ 8 s for the WAN numbers) —
-        # the paper's local recovery rides out its bad periods, and an
-        # ARQ that gives up inside a fade forces end-to-end recovery
-        # that EBSN cannot paper over (see the RTmax ablation bench).
-        return ArqConfig(
-            ack_timeout=ack_timeout,
-            rtmax=13,
-            backoff_min=2.5 * frame_time,
-            backoff_max=7.5 * frame_time,
-        )
+        return ArqConfig.for_link(self.wireless)
 
 
 class ScenarioDefaults:
@@ -161,8 +138,8 @@ class ScenarioDefaults:
 
     channel = ChannelConfig()
     wireless = WirelessLinkConfig()
-    wired_bandwidth_bps = 56_000.0
-    wired_prop_delay = 0.01
+    wired_bandwidth_bps = ScenarioConfig.wired_bandwidth_bps
+    wired_prop_delay = ScenarioConfig.wired_prop_delay
     arq = None
     tcp_variant = "tahoe"
     sender_factory = None

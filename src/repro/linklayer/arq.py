@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.net.wireless import WirelessLinkConfig
+
 
 @dataclass
 class ArqConfig:
@@ -20,7 +22,7 @@ class ArqConfig:
     has fully left the radio* for the link ACK.  It must cover one
     round of propagation, the ACK's airtime, and the chance that the
     reverse link is busy serializing a data frame; topology builders
-    compute it from the link parameters.
+    compute it from the link parameters (:meth:`for_link`).
 
     Three behaviours are fixed rather than configured:
 
@@ -62,6 +64,20 @@ class ArqConfig:
             )
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
+
+    @classmethod
+    def for_link(cls, link: WirelessLinkConfig, ack_slack: float = 0.01) -> ArqConfig:
+        """ARQ parameters scaled to ``link``'s timescales (DESIGN.md §5):
+        the link-ACK timeout covers the turnaround, an MTU frame the
+        reverse direction may be sending, and ``ack_slack``; the backoff
+        spans 2.5-7.5 frame times, per [9]/[12], so the RTmax = 13
+        budget rides out the WAN's fades (13 cycles ≈ 8 s)."""
+        frame_time = link.airtime(link.mtu_bytes)[1]
+        return cls(
+            ack_timeout=link.turnaround + frame_time + ack_slack,
+            backoff_min=2.5 * frame_time,
+            backoff_max=7.5 * frame_time,
+        )
 
     def derived_flush(self) -> float:
         """Resequencing flush timeout: the full retry horizon plus margin."""

@@ -31,7 +31,9 @@ def theoretical_throughput_bps(
 ) -> float:
     """The paper's tput_th: error-free throughput × good-state fraction.
 
-    >>> round(theoretical_throughput_bps(12_800, 10.0, 1.0))  # Fig 7 top line
+    >>> from repro.net.wireless import WirelessLinkConfig
+    >>> wan = WirelessLinkConfig().effective_bandwidth_bps
+    >>> round(theoretical_throughput_bps(wan, 10.0, 1.0))  # Fig 7 top line
     11636
     """
     if tput_max_bps <= 0:

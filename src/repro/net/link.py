@@ -32,8 +32,9 @@ from repro.net.queues import DropTailQueue
 class LinkStats:
     """Transmission counters shared by wired and wireless links.
 
-    A wireless link counts a frame when its transmission ends.  A
-    wired link counts a datagram when it accepts it: its whole
+    A wireless link counts a frame when its transmission ends, and
+    derives ``offered`` and ``transmitted`` (:attr:`WirelessLink.stats`).
+    A wired link counts a datagram when it accepts it: its whole
     serialization is fixed then, so ``bytes_transmitted`` and
     ``busy_time`` already include datagrams still waiting or on the
     line.  A wired link corrupts nothing, so its ``transmitted`` and
@@ -60,13 +61,13 @@ class WiredLink:
     >>> from repro.net.packet import Datagram, TcpAck
     >>> sim = Simulator()
     >>> got = []
-    >>> link = WiredLink(sim, bandwidth_bps=56_000, prop_delay=0.01)
+    >>> link = WiredLink(sim, bandwidth_bps=64_000, prop_delay=0.01)
     >>> link.connect(got.append)
     >>> link.send(Datagram("FH", "MH", TcpAck(0), 40))
     True
     >>> sim.run()
-    >>> len(got), round(sim.now, 6)   # 40*8/56000 + 0.01
-    (1, 0.015714)
+    >>> len(got), round(sim.now, 6)   # 40*8/64000 + 0.01
+    (1, 0.015)
     """
 
     def __init__(

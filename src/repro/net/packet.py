@@ -30,6 +30,10 @@ Address = str
 #: TCP/IP header bytes on every data segment and ACK (paper §3.3).
 TCP_IP_HEADER_BYTES = 40
 
+#: Wired packet sizes the WAN study sweeps (Figs 7–9), header included;
+#: the §4.1 packet-size advisor chooses among the same sizes.
+WAN_PACKET_SIZES = [128, 256, 384, 512, 640, 768, 1024, 1280, 1536]
+
 #: Bytes of a pure TCP ACK on the wire (header only, no payload).
 ACK_PACKET_BYTES = 40
 

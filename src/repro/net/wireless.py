@@ -15,13 +15,13 @@ why TCP ACKs are lost in bad periods too (§4.2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from repro.channel import TwoStateChannel
 from repro.engine import Simulator
 from repro.net.link import LinkStats
-from repro.net.packet import FrameKind, LinkFrame
+from repro.net.packet import LINK_ACK_BYTES, FrameKind, LinkFrame
 from repro.net.queues import DropTailQueue
 
 _LINK_ACK = FrameKind.LINK_ACK
@@ -31,8 +31,8 @@ _LINK_ACK = FrameKind.LINK_ACK
 class WirelessLinkConfig:
     """Physical parameters of one wireless hop direction.
 
-    Defaults are the paper's wide-area (CDPD-like) values; the LAN
-    study uses 2 Mbps with no framing overhead.
+    Defaults are the paper's wide-area (CDPD-like) values, written only
+    here; the LAN study uses 2 Mbps with no framing overhead.
     """
 
     raw_bandwidth_bps: float = 19_200.0
@@ -54,6 +54,18 @@ class WirelessLinkConfig:
     def effective_bandwidth_bps(self) -> float:
         """Goodput ceiling after overhead (the paper's tput_max)."""
         return self.raw_bandwidth_bps / self.overhead_factor
+
+    def airtime(self, size_bytes: int) -> tuple[int, float]:
+        """(on-air bytes, airtime seconds) of a frame of ``size_bytes``:
+        expanded by the overhead factor and rounded to whole bytes."""
+        air = int(round(size_bytes * self.overhead_factor))
+        return air, air * 8 / self.raw_bandwidth_bps
+
+    @property
+    def turnaround(self) -> float:
+        """From a frame's last bit to its link ACK's: propagation out,
+        the ACK's airtime, propagation back."""
+        return 2 * self.prop_delay + self.airtime(LINK_ACK_BYTES)[1]
 
 
 class WirelessLink:
@@ -84,13 +96,13 @@ class WirelessLink:
         #: an ACK stuck behind a window of data frames looks like a
         #: loss to the other side's ARQ.
         self.ack_queue: DropTailQueue = DropTailQueue(name=f"{name}.ackq")
-        self.stats = LinkStats()
+        #: ``delivered``, ``corrupted``, ``bytes_transmitted`` and
+        #: ``busy_time``; :attr:`stats` derives the rest.
+        self._stats = LinkStats()
         self._receiver: Optional[Callable[[LinkFrame], None]] = None
         self._busy = False
         # Frame sizes repeat endlessly (full fragments, the tail
-        # fragment, link ACKs), so memoize size -> (air bytes, airtime).
-        # Values are computed by the same expressions as the uncached
-        # methods, so the cache is arithmetically invisible.
+        # fragment, link ACKs), so memoize the config's airtime by size.
         self._airtime_cache: dict[int, tuple[int, float]] = {}
         # Hot-path prebinds.  Simulator.schedule is never instance-
         # patched, so one bound method serves every transmission;
@@ -106,16 +118,25 @@ class WirelessLink:
         self._receiver = receiver
 
     @property
+    def stats(self) -> LinkStats:
+        """A snapshot of the link's counters: a frame is offered when a
+        queue accepts or drops it, transmitted when delivered or corrupted."""
+        data, acks, stats = self.queue.stats, self.ack_queue.stats, self._stats
+        return replace(
+            stats,
+            offered=data.enqueued + data.dropped + acks.enqueued + acks.dropped,
+            transmitted=stats.delivered + stats.corrupted,
+        )
+
+    @property
     def busy(self) -> bool:
         return self._busy
 
     def _airtime(self, size_bytes: int) -> tuple[int, float]:
-        """Memoized (on-air bytes, airtime seconds) for a frame size."""
+        """Memoized :meth:`WirelessLinkConfig.airtime`."""
         cached = self._airtime_cache.get(size_bytes)
         if cached is None:
-            air = int(round(size_bytes * self.config.overhead_factor))
-            cached = (air, air * 8 / self.config.raw_bandwidth_bps)
-            self._airtime_cache[size_bytes] = cached
+            cached = self._airtime_cache[size_bytes] = self.config.airtime(size_bytes)
         return cached
 
     def tx_time(self, size_bytes: int) -> float:
@@ -130,7 +151,6 @@ class WirelessLink:
         """Queue a frame for transmission."""
         if self._receiver is None:
             raise RuntimeError(f"link {self.name!r} has no receiver connected")
-        self.stats.offered += 1
         target = self.ack_queue if frame.kind is _LINK_ACK else self.queue
         # Inlined target.offer((frame, on_tx_complete), frame.size_bytes):
         # one call per frame on the hot path.
@@ -185,8 +205,7 @@ class WirelessLink:
         duration: float,
         nbits: int,
     ) -> None:
-        stats = self.stats
-        stats.transmitted += 1
+        stats = self._stats
         stats.bytes_transmitted += frame.size_bytes
         stats.busy_time += duration
         corrupted = self.channel.corrupts(start, duration, nbits)
