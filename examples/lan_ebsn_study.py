@@ -15,7 +15,7 @@ import sys
 from repro import Scheme, lan_scenario, sweep
 from repro.experiments.ascii_plot import format_table, plot_series
 from repro.experiments.config import LAN_BAD_PERIODS
-from repro.metrics import theoretical_throughput_bps
+from repro.experiments.figures import lan_theoretical_mbps
 
 
 def main() -> None:
@@ -33,10 +33,7 @@ def main() -> None:
             replications=replications,
         )
 
-    theory = [
-        (bad, theoretical_throughput_bps(2e6, 4.0, bad) / 1e6)
-        for bad in LAN_BAD_PERIODS
-    ]
+    theory = [(bad, lan_theoretical_mbps(bad)) for bad in LAN_BAD_PERIODS]
     curves = {
         "theoretical max": theory,
         "EBSN": [

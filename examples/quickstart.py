@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import sys
 
-from repro import Scheme, run_scenario, theoretical_throughput_bps, wan_scenario
+from repro import Scheme, run_scenario, wan_scenario
+from repro.experiments.figures import wan_theoretical_kbps
 
 
 def main() -> None:
@@ -23,8 +24,8 @@ def main() -> None:
 
     print(f"Transfer: {transfer_kb} KB over FH --56kbps--> BS --19.2kbps--> MH")
     print(f"Channel: mean good period 10 s, mean bad period {bad_period:g} s")
-    tput_th = theoretical_throughput_bps(12_800, 10.0, bad_period)
-    print(f"Theoretical maximum throughput: {tput_th / 1000:.2f} kbps\n")
+    tput_th = wan_theoretical_kbps(bad_period)
+    print(f"Theoretical maximum throughput: {tput_th:.2f} kbps\n")
 
     header = (
         f"{'scheme':16s} {'time(s)':>8s} {'tput(kbps)':>11s} {'goodput':>8s} "

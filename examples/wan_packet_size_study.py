@@ -18,8 +18,8 @@ import sys
 from repro import Scheme, sweep, wan_scenario
 from repro.core.packet_size import ErrorCondition, PacketSizeAdvisor
 from repro.experiments.ascii_plot import format_table, plot_series
-from repro.experiments.config import WAN_PACKET_SIZES
-from repro.metrics import theoretical_throughput_bps
+from repro.experiments.config import WAN_GOOD_PERIOD, WAN_PACKET_SIZES
+from repro.experiments.figures import wan_theoretical_kbps
 
 BAD_PERIODS = [1.0, 3.0]
 
@@ -46,12 +46,12 @@ def main() -> None:
 
         best_size, best = max(points.items(), key=lambda kv: kv[1].throughput_kbps)
         worst_size, worst = min(points.items(), key=lambda kv: kv[1].throughput_kbps)
-        condition = ErrorCondition(good_period_mean=10.0, bad_period_mean=bad)
+        condition = ErrorCondition(good_period_mean=WAN_GOOD_PERIOD, bad_period_mean=bad)
         advisor.learn(condition, best_size)
         rows.append(
             [
                 f"{bad:g}",
-                f"{theoretical_throughput_bps(12_800, 10.0, bad) / 1000:.2f}",
+                f"{wan_theoretical_kbps(bad):.2f}",
                 f"{best_size}",
                 f"{best.throughput_kbps:.2f}",
                 f"{worst_size}",
@@ -83,7 +83,7 @@ def main() -> None:
             f"  good={condition.good_period_mean:g}s bad={condition.bad_period_mean:g}s"
             f"  ->  use {size} B packets"
         )
-    unseen = ErrorCondition(good_period_mean=10.0, bad_period_mean=2.0)
+    unseen = ErrorCondition(good_period_mean=WAN_GOOD_PERIOD, bad_period_mean=2.0)
     print(
         f"  (unseen condition bad=2 s -> nearest-neighbour recommendation: "
         f"{advisor.recommend(unseen)} B)"

@@ -9,10 +9,10 @@ end-to-end-semantics criticism, and it must hold per-connection state
 (the relay buffer, a whole second TCP sender) — the paper's state-
 maintenance criticism.
 
-:class:`StreamSender` is a Tahoe sender fed incrementally by a relay
-instead of having a fixed transfer size.  :class:`SplitRelay` is the
-base-station half: the wired-side receiver (acks toward the fixed
-host) glued to the wireless-side :class:`StreamSender`.
+:class:`SplitRelay` is the base-station half: the wired-side receiver
+(acks toward the fixed host) glued to a wireless-side
+:class:`~repro.tcp.messages.MessageSender` that forwards each in-order
+wired segment as one segment of its own.
 """
 
 from __future__ import annotations
@@ -28,56 +28,8 @@ from repro.net.packet import (
     TcpAck,
     TcpSegment,
 )
-from repro.tcp.tahoe import TahoeSender, TcpConfig
-
-
-class StreamSender(TahoeSender):
-    """A Tahoe sender over an incrementally fed byte stream.
-
-    ``push_payload`` appends bytes; ``close`` marks the end of the
-    stream.  Only whole segments are transmitted until the stream is
-    closed (the tail may then be a short segment), mirroring how a
-    relay drains its buffer.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.transfer_bytes = 0
-        self.total_segments = 0
-        self.closed = False
-        self.bytes_pushed = 0
-
-    def push_payload(self, nbytes: int) -> None:
-        """Feed ``nbytes`` more user data into the stream."""
-        if nbytes <= 0:
-            raise ValueError(f"nbytes must be positive, got {nbytes}")
-        if self.closed:
-            raise RuntimeError("cannot push into a closed stream")
-        self.bytes_pushed += nbytes
-        self._recompute_totals()
-        if self.stats.started_at is not None:
-            self._send_pending()
-
-    def close(self) -> None:
-        """No more data will arrive; flush the partial tail segment."""
-        self.closed = True
-        self._recompute_totals()
-        if self.stats.started_at is not None:
-            if self._transfer_finished():
-                self._complete()
-            else:
-                self._send_pending()
-
-    def _recompute_totals(self) -> None:
-        self.transfer_bytes = self.bytes_pushed
-        payload = self.config.segment_payload
-        if self.closed:
-            self.total_segments = -(-self.bytes_pushed // payload)
-        else:
-            self.total_segments = self.bytes_pushed // payload
-
-    def _transfer_finished(self) -> bool:
-        return self.closed and self.snd_una >= self.total_segments
+from repro.tcp.messages import MessageSender
+from repro.tcp.tahoe import TcpConfig
 
 
 class SplitRelay:
@@ -87,7 +39,9 @@ class SplitRelay:
     are returned immediately (the end-to-end violation).  Wireless
     side: a fresh Tahoe connection from the BS to the mobile host,
     optionally with its own packet size (a split connection may pick a
-    wireless-friendly segment size independent of the wired one).
+    wireless-friendly segment size independent of the wired one), as
+    long as it holds a wired segment's payload: each one the relay
+    accepts in order goes out at once as one wireless segment.
     """
 
     def __init__(
@@ -109,14 +63,14 @@ class SplitRelay:
         #: stream when they have all arrived); None = never closes.
         self.transfer_bytes = transfer_bytes
 
-        self.wireless_sender = StreamSender(
+        self.wireless_sender = MessageSender(
             sim,
             node,
             mobile,
             config=TcpConfig(
                 packet_size=wireless_packet_size,
                 window_bytes=window_bytes,
-                transfer_bytes=1,  # placeholder; StreamSender resets totals
+                transfer_bytes=1,  # placeholder; MessageSender resets totals
                 clock_granularity=clock_granularity,
             ),
         )
@@ -126,6 +80,9 @@ class SplitRelay:
         self.next_expected = 0
         self._buffered_sizes: dict[int, int] = {}
         self.bytes_accepted = 0
+        #: ``bytes_accepted`` after each wireless segment: the bytes
+        #: the MH has acknowledged, indexed by the sender's ``snd_una``.
+        self._accepted_through = [0]
         self.acks_sent = 0
         self.buffer_occupancy_peak = 0
 
@@ -149,8 +106,12 @@ class SplitRelay:
 
     def _accept(self, payload_bytes: int) -> None:
         self.bytes_accepted += payload_bytes
-        self.wireless_sender.push_payload(payload_bytes)
-        backlog = self.bytes_accepted - self._wireless_acked_bytes()
+        self._accepted_through.append(self.bytes_accepted)
+        self.wireless_sender.send_message(payload_bytes)
+        backlog = (
+            self.bytes_accepted
+            - self._accepted_through[self.wireless_sender.snd_una]
+        )
         self.buffer_occupancy_peak = max(self.buffer_occupancy_peak, backlog)
         if (
             self.transfer_bytes is not None
@@ -158,12 +119,6 @@ class SplitRelay:
             and not self.wireless_sender.closed
         ):
             self.wireless_sender.close()
-
-    def _wireless_acked_bytes(self) -> int:
-        payload = self.wireless_sender.config.segment_payload
-        return min(
-            self.wireless_sender.snd_una * payload, self.wireless_sender.bytes_pushed
-        )
 
     def _ack_wired(self) -> None:
         ack = Datagram(

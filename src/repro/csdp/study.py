@@ -16,9 +16,8 @@ defaults (576 B packets, 4 KB window) at every source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.channel import markov_channel
 from repro.csdp.radio import DownlinkRadio, RadioStats
 from repro.csdp.scheduling import (
     CsdpScheduler,
@@ -26,12 +25,10 @@ from repro.csdp.scheduling import (
     RoundRobinScheduler,
     Scheduler,
 )
-from repro.engine import MAX_SIM_TIME, RandomStreams, Simulator
-from repro.experiments.topology import run_built
-from repro.linklayer import WirelessPort
-from repro.net.link import WiredLink
+from repro.engine import MAX_SIM_TIME
+from repro.experiments.topology import Topology
 from repro.net.node import Node
-from repro.net.wireless import WirelessLink, WirelessLinkConfig
+from repro.net.wireless import WirelessLinkConfig
 from repro.tcp import TahoeSender, TcpConfig, TcpSink
 
 
@@ -96,13 +93,12 @@ class CsdpStudyResult:
         return total * total / (len(xs) * squares)
 
 
-class CsdpStudy:
+class CsdpStudy(Topology):
     """The N-connection topology for one :class:`CsdpStudyConfig`."""
 
     def __init__(self, config: CsdpStudyConfig) -> None:
-        self.config = config
-        sim = self.sim = Simulator()
-        self.streams = RandomStreams(config.seed)
+        super().__init__(config)
+        sim = self.sim
         n = config.n_connections
         mh_names = [f"MH{i}" for i in range(n)]
 
@@ -110,12 +106,7 @@ class CsdpStudy:
 
         # Independent fading per mobile host.
         self.channels = {
-            name: markov_channel(
-                GOOD_PERIOD_MEAN,
-                BAD_PERIOD_MEAN,
-                rng=self.streams.stream(f"errors-{name}"),
-                sojourn_rng=self.streams.stream(f"sojourns-{name}"),
-            )
+            name: self.fading(name, GOOD_PERIOD_MEAN, BAD_PERIOD_MEAN)
             for name in mh_names
         }
 
@@ -131,8 +122,6 @@ class CsdpStudy:
 
         # The fixed hosts and links, kept for the event log.
         self.fh_nodes, self.links = [], []
-        self.ports: List[WirelessPort] = []
-        self.connections: List[Tuple[TahoeSender, TcpSink]] = []
         self.remaining = n
 
         for i, mh_name in enumerate(mh_names):
@@ -141,25 +130,17 @@ class CsdpStudy:
             mh = self.mh_nodes[mh_name]
             self.fh_nodes.append(fh)
 
-            wired_down = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"{fh_name}->BS")
-            wired_up = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"BS->{fh_name}")
-            wired_down.connect(self.bs.receive)
-            wired_up.connect(fh.receive)
-            fh.add_interface(wired_down.send, mh_name, "BS")
-            self.bs.add_interface(wired_up.send, fh_name)
-
-            # Plain per-MH uplink for TCP ACKs (shares the MH's fading).  A
-            # PLAIN port fragments onto its link and reassembles what the
-            # link delivers, so one port spans both ends of the uplink.
-            uplink = WirelessLink(sim, WIRELESS, self.channels[mh_name], name=f"{mh_name}->BS")
-            up_port = WirelessPort(
-                sim, f"up-{mh_name}", out_link=uplink, deliver=self.bs.receive,
-                reassembly_timeout=60.0,
+            wired_down, wired_up = self.wired_pair(
+                fh, self.bs, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY,
+                (mh_name, "BS"), (fh_name,),
             )
-            uplink.connect(up_port.receive_frame)
+            # Plain per-MH uplink for TCP ACKs (shares the MH's fading).
+            uplink, up_port = self.plain_uplink(
+                WIRELESS, self.channels[mh_name], f"{mh_name}->BS", f"up-{mh_name}",
+                self.bs.receive, reassembly_timeout=60.0,
+            )
             mh.add_interface(up_port.send_datagram, fh_name, "BS")
             self.links += [wired_down, wired_up, uplink]
-            self.ports.append(up_port)
 
             sender = TahoeSender(
                 sim,
@@ -211,13 +192,8 @@ class CsdpStudy:
             all_completed=all(s.completed for s in senders),
         )
 
-    def outcome(self, result: CsdpStudyResult) -> CsdpStudyResult:
-        """The campaign summary: the study's result as it stands."""
-        return result
-
 
 def run_csdp_study(config: CsdpStudyConfig) -> CsdpStudyResult:
     """Build the N-connection topology and run all transfers, validated
-    as :func:`~repro.experiments.topology.run_built` says."""
-    study = CsdpStudy(config)
-    return study.outcome(run_built(study))
+    as :meth:`~repro.experiments.topology.Topology.simulate` says."""
+    return CsdpStudy.simulate(config)

@@ -42,11 +42,3 @@ class RandomStreams:
     def _derive(self, name: str) -> int:
         digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
         return int.from_bytes(digest[:8], "big")
-
-    def fork(self, salt: str) -> "RandomStreams":
-        """A new factory whose streams are independent of this one's.
-
-        Used by replicated experiment runs: ``fork(f"rep{i}")`` gives
-        replication *i* its own universe of substreams.
-        """
-        return RandomStreams(self._derive(f"fork:{salt}"))

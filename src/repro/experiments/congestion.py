@@ -36,7 +36,6 @@ from repro.experiments.topology import (
     ScenarioDefaults,
     ScenarioResult,
     Scheme,
-    run_built,
 )
 from repro.tcp import TcpConfig
 
@@ -63,7 +62,7 @@ class CbrSource:
         node: Node,
         dst: str,
         rate_bps: float,
-        packet_size: int = 576,
+        packet_size: int,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError(f"rate must be positive, got {rate_bps}")
@@ -75,20 +74,12 @@ class CbrSource:
         self.interval = packet_size * 8 / rate_bps
         self.packets_sent = 0
         self._seq = 0
-        self._running = False
 
     def start(self) -> None:
         """Begin emitting packets at the configured rate."""
-        self._running = True
         self._sim.schedule(self.interval, self._tick)
 
-    def stop(self) -> None:
-        """Stop emitting (pending ticks become no-ops)."""
-        self._running = False
-
     def _tick(self) -> None:
-        if not self._running:
-            return
         segment = TcpSegment(seq=self._seq, payload_bytes=self.packet_size - 40)
         self._seq += 1
         self._node.send(
@@ -169,35 +160,20 @@ class CongestedScenario(Scenario):
 
     def _build_wired(self) -> None:
         """FH and XS feed R over access links; R->BS is the bottleneck."""
-        sim = self.sim
         delay = WIRED_PROP_DELAY
         self.xs = Node("XS")
         self.router = Node("R")
-        fh_r = WiredLink(sim, ACCESS_BPS, delay, name="FH->R")
-        xs_r = WiredLink(sim, ACCESS_BPS, delay, name="XS->R")
-        # The bottleneck, with a bounded queue and optional ECN marking.
-        self.wired_down = WiredLink(
-            sim,
-            BOTTLENECK_BPS,
-            delay,
+        self.wired_pair(self.fh, self.router, ACCESS_BPS, delay, ("MH", "BS", "R"), ("FH",))
+        # The bottleneck, with a bounded queue and optional ECN marking,
+        # and its uncongested reverse path (ACKs, EBSNs).
+        self.wired_down, self.wired_up = self.wired_pair(
+            self.router, self.bs, BOTTLENECK_BPS, delay, ("MH", "BS"), ("FH",),
             queue_capacity=BOTTLENECK_QUEUE_PACKETS,
             ecn_threshold=ECN_THRESHOLD_PACKETS if self.config.ecn else None,
-            name="R->BS",
         )
-        # Reverse path (ACKs, EBSNs) — uncongested.
-        self.wired_up = WiredLink(sim, BOTTLENECK_BPS, delay, name="BS->R")
-        r_fh = WiredLink(sim, ACCESS_BPS, delay, name="R->FH")
-
-        for link in (fh_r, xs_r, self.wired_up):
-            link.connect(self.router.receive)
-        self.wired_down.connect(self.bs.receive)
-        r_fh.connect(self.fh.receive)
-
-        self.fh.add_interface(fh_r.send, "MH", "BS", "R")
+        xs_r = WiredLink(self.sim, ACCESS_BPS, delay, name="XS->R")
+        xs_r.connect(self.router.receive)
         self.xs.add_interface(xs_r.send, "BS")
-        self.router.add_interface(self.wired_down.send, "MH", "BS")
-        self.router.add_interface(r_fh.send, "FH")
-        self.bs.add_interface(self.wired_up.send, "FH")
         self.cross_sink = CbrSink()
         self.bs.attach_agent(self.cross_sink)
 
@@ -225,6 +201,5 @@ class CongestedScenario(Scenario):
 
 def run_congested_scenario(config: CongestedScenarioConfig) -> CongestedScenarioResult:
     """Build and run the FH/XS → R → BS → MH topology, validated as
-    :func:`~repro.experiments.topology.run_built` says."""
-    scenario = CongestedScenario(config)
-    return scenario.outcome(run_built(scenario))
+    :meth:`~repro.experiments.topology.Topology.simulate` says."""
+    return CongestedScenario.simulate(config)

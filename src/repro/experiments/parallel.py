@@ -124,48 +124,31 @@ def summarize(result: ScenarioResult) -> RunSummary:
     )
 
 
-#: Config type -> (the function that runs one seeded config to its
-#: picklable summary, the topology class it is built on), both as
-#: import paths resolved on use, so a campaign imports only the modules
-#: its own configs need.  Every function takes ``(config, validate,
-#: wall_timeout)``; every topology takes the invariant checkers, the
+#: Config type -> the topology it is built on, both as import paths
+#: resolved on use, so a campaign imports only the modules its own
+#: configs need.  Every topology takes the invariant checkers, the
 #: event log and ``repro replay``.
-UNITS: Dict[str, Tuple[str, str]] = {
-    "repro.experiments.topology:ScenarioConfig": (
-        "repro.experiments.parallel:_run_scenario",
-        "repro.experiments.topology:Scenario",
-    ),
+UNITS: Dict[str, str] = {
+    "repro.experiments.topology:ScenarioConfig": "repro.experiments.topology:Scenario",
     "repro.experiments.congestion:CongestedScenarioConfig": (
-        "repro.experiments.parallel:_run_topology",
-        "repro.experiments.congestion:CongestedScenario",
+        "repro.experiments.congestion:CongestedScenario"
     ),
-    "repro.handoff.topology:HandoffConfig": (
-        "repro.experiments.parallel:_run_topology",
-        "repro.handoff.topology:HandoffScenario",
-    ),
-    "repro.csdp.study:CsdpStudyConfig": (
-        "repro.experiments.parallel:_run_topology",
-        "repro.csdp.study:CsdpStudy",
-    ),
+    "repro.handoff.topology:HandoffConfig": "repro.handoff.topology:HandoffScenario",
+    "repro.csdp.study:CsdpStudyConfig": "repro.csdp.study:CsdpStudy",
     "repro.workloads.interactive:InteractiveConfig": (
-        "repro.experiments.parallel:_run_topology",
-        "repro.workloads.interactive:InteractiveSession",
+        "repro.workloads.interactive:InteractiveSession"
     ),
 }
-
-
-def _unit_of(config: Any) -> Tuple[str, str]:
-    try:
-        return UNITS[qualify(type(config))]
-    except KeyError:
-        name = type(config).__qualname__
-        raise TypeError(f"{name} is not a registered campaign unit") from None
 
 
 def topology_of(config: Any) -> type:
     """The topology class ``config`` is built on; ``TypeError`` naming
     the config's type when it is not a registered campaign unit."""
-    return resolve(_unit_of(config)[1])
+    try:
+        return resolve(UNITS[qualify(type(config))])
+    except KeyError:
+        name = type(config).__qualname__
+        raise TypeError(f"{name} is not a registered campaign unit") from None
 
 
 def scheme_name(config: Any) -> str:
@@ -180,27 +163,19 @@ def run_unit(
 ) -> Any:
     """Worker entry point: run one seeded config, return its summary.
 
-    ``validate=None`` follows the process default; ``wall_timeout``
-    arms the engine's watchdog.
+    A scenario's summary is its :class:`RunSummary`; every other
+    topology's is what its ``simulate`` returns.  ``validate=None``
+    follows the process default; ``wall_timeout`` arms the engine's
+    watchdog.
     """
-    return resolve(_unit_of(config)[0])(config, validate, wall_timeout)
-
-
-def _run_scenario(config, validate, wall_timeout) -> RunSummary:
-    """The ``ScenarioConfig`` unit.  ``run_scenario`` is looked up on
-    :mod:`repro.experiments.topology` per call, so a patch of it
-    reaches forked workers."""
-    return summarize(
-        topology.run_scenario(config, validate=validate, wall_timeout=wall_timeout)
-    )
-
-
-def _run_topology(config, validate, wall_timeout):
-    """Every other unit: build the config's topology, run it (validated
-    as a scenario is) and return its outcome."""
-    scenario = topology_of(config)(config)
-    result = topology.run_built(scenario, validate, wall_timeout=wall_timeout)
-    return scenario.outcome(result)
+    built_on = topology_of(config)
+    if built_on is topology.Scenario:
+        # Looked up on the module per call, so a patch of run_scenario
+        # reaches forked workers.
+        return summarize(
+            topology.run_scenario(config, validate=validate, wall_timeout=wall_timeout)
+        )
+    return built_on.simulate(config, validate, wall_timeout=wall_timeout)
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -404,10 +379,6 @@ class CampaignResult:
             raise self.report.quarantined[0].to_exception()
         assert all(s is not None for s in self.summaries)
         return self.summaries  # type: ignore[return-value]
-
-    def surviving(self) -> List[Any]:
-        """The summaries that completed (graceful-degradation view)."""
-        return [s for s in self.summaries if s is not None]
 
 
 class ParallelRunner:

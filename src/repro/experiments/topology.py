@@ -7,13 +7,19 @@ A :class:`Scenario` wires the three-node chain
 with the requested recovery scheme and runs one bulk transfer to
 completion, returning a :class:`ScenarioResult` with the connection
 metrics, the source packet trace, and all component statistics.
+
+Every topology a campaign runs, the studies' too, derives from
+:class:`Topology`: it owns the simulator, the seeded streams, the
+connections and ports the invariant checkers watch, the parts every
+topology wires the same way, and the one path that builds, runs and
+summarizes a config (:meth:`Topology.simulate`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.channel import deterministic_channel, markov_channel
 from repro.core.ebsn import EbsnGenerator, install_ebsn_handler
@@ -171,17 +177,99 @@ class ScenarioResult:
     split: Optional[SplitRelay] = None
 
 
-class Scenario:
-    """Builds the Fig. 2 topology for a config and runs it.
+class Topology:
+    """The base of every topology a campaign runs: the simulator, the
+    streams seeded by ``config.seed``, the ``connections`` (sender,
+    sink) and wireless ``ports`` the invariant checkers watch, and the
+    parts every topology wires the same way.  A subclass defines
+    ``run(wall_timeout)``, and ``outcome`` where its campaign summary
+    is not the run's result."""
 
-    Like every topology a campaign runs, it lists the ``connections``
-    (sender, sink) and wireless ``ports`` the invariant checkers watch.
-    """
-
-    def __init__(self, config: ScenarioConfig) -> None:
+    def __init__(self, config) -> None:
         self.config = config
         self.sim = Simulator()
         self.streams = RandomStreams(config.seed)
+        self.connections: List[Tuple[TahoeSender, TcpSink]] = []
+        self.ports: List[WirelessPort] = []
+
+    @classmethod
+    def simulate(cls, config, validate=None, bundle_dir=None, wall_timeout=None):
+        """Build the topology for ``config``, run it and return its
+        :meth:`outcome`.
+
+        ``validate=True`` runs under the invariant engine
+        (:mod:`repro.validate`): conservation, TCP state legality, ARQ
+        attempt bounds, EBSN's no-window-action contract, and timer
+        sanity are checked online, and a violation aborts the run with
+        a replay bundle written to ``bundle_dir`` (default: the bundle
+        directory; ``False`` suppresses the bundle).  ``validate=None``
+        consults the process default — off, unless the test suite or
+        ``REPRO_VALIDATE`` turned it on.  Checkers are pure observers,
+        so validated runs are bit-identical to unvalidated ones.
+        ``wall_timeout`` bounds the run in wall-clock seconds (the
+        engine watchdog), so a campaign can kill hung units.
+        """
+        # Imported lazily: repro.validate pulls in the bundle/cache
+        # layers, which this module's import-time dependencies must not
+        # require.
+        from repro.validate.engine import run_validated, validation_default
+
+        topology = cls(config)
+        if validate is None:
+            validate = validation_default()
+        if validate:
+            result = run_validated(topology, bundle_dir=bundle_dir, wall_timeout=wall_timeout)
+        else:
+            result = topology.run(wall_timeout=wall_timeout)
+        return topology.outcome(result)
+
+    def outcome(self, result):
+        """The campaign summary of a finished run: its result."""
+        return result
+
+    def wired_pair(self, a: Node, b: Node, bandwidth: float, delay: float,
+                   a_routes, b_routes, queue_capacity=None, ecn_threshold=None):
+        """The one-way links ``A->B`` and ``B->A``, each delivering to
+        the far node; ``a`` routes ``a_routes`` over the first, ``b``
+        routes ``b_routes`` over the second.  The queue options apply
+        to ``A->B``."""
+        forward = WiredLink(
+            self.sim, bandwidth, delay, queue_capacity=queue_capacity,
+            ecn_threshold=ecn_threshold, name=f"{a.name}->{b.name}",
+        )
+        reverse = WiredLink(self.sim, bandwidth, delay, name=f"{b.name}->{a.name}")
+        forward.connect(b.receive)
+        reverse.connect(a.receive)
+        a.add_interface(forward.send, *a_routes)
+        b.add_interface(reverse.send, *b_routes)
+        return forward, reverse
+
+    def fading(self, name: str, good: float, bad: float):
+        """A burst-error channel with mean ``good`` and ``bad`` periods,
+        on the ``errors-<name>`` and ``sojourns-<name>`` streams."""
+        streams = self.streams
+        return markov_channel(good, bad, rng=streams.stream(f"errors-{name}"),
+                              sojourn_rng=streams.stream(f"sojourns-{name}"))
+
+    def plain_uplink(self, wireless: WirelessLinkConfig, channel, name: str,
+                     port_name: str, deliver, reassembly_timeout: float):
+        """A wireless link ``name`` under a PLAIN port ``port_name``,
+        which is added to ``ports``; returns both.  A PLAIN port
+        fragments onto its link and reassembles what the link delivers,
+        so one port spans both ends."""
+        link = WirelessLink(self.sim, wireless, channel, name=name)
+        port = WirelessPort(self.sim, port_name, out_link=link, deliver=deliver,
+                            reassembly_timeout=reassembly_timeout)
+        link.connect(port.receive_frame)
+        self.ports.append(port)
+        return link, port
+
+
+class Scenario(Topology):
+    """Builds the Fig. 2 topology for a config and runs it."""
+
+    def __init__(self, config: ScenarioConfig) -> None:
+        super().__init__(config)
         self.channel = config.channel.build(self.streams)
 
         self.fh = Node("FH")
@@ -323,8 +411,8 @@ class Scenario:
             # Only the FH's data for the MH crosses the wired hop into
             # the BS; the relay terminates it.
             self.wired_down.connect(self.split_relay.on_wired_data)
-        self.connections = [(self.sender, self.sink)]
-        self.ports = [self.bs_port, self.mh_port]
+        self.connections.append((self.sender, self.sink))
+        self.ports += [self.bs_port, self.mh_port]
 
     def _relayed(self) -> Tuple[int, int]:
         """What a split connection's relay sends the MH: its packet
@@ -340,19 +428,13 @@ class Scenario:
         connected to ``bs.receive``; a split relay reconnects it) and
         ``wired_up`` (the link leaving it), route FH's traffic for MH
         and BS toward the BS, and route the BS's traffic for FH.  Here
-        it is one duplex link, two unidirectional ones.
+        it is one :meth:`wired_pair`.
         """
         config = self.config
-        self.wired_down = WiredLink(
-            self.sim, config.wired_bandwidth_bps, config.wired_prop_delay, name="FH->BS"
+        self.wired_down, self.wired_up = self.wired_pair(
+            self.fh, self.bs, config.wired_bandwidth_bps, config.wired_prop_delay,
+            ("MH", "BS"), ("FH",),
         )
-        self.wired_up = WiredLink(
-            self.sim, config.wired_bandwidth_bps, config.wired_prop_delay, name="BS->FH"
-        )
-        self.wired_down.connect(self.bs.receive)
-        self.wired_up.connect(self.fh.receive)
-        self.fh.add_interface(self.wired_down.send, "MH", "BS")
-        self.bs.add_interface(self.wired_up.send, "FH")
 
     # -- running ----------------------------------------------------------
 
@@ -405,40 +487,6 @@ def run_scenario(
     bundle_dir=None,
     wall_timeout: Optional[float] = None,
 ) -> ScenarioResult:
-    """Build and run one scenario (convenience wrapper).
-
-    ``validate=True`` runs under the invariant engine
-    (:mod:`repro.validate`): conservation, TCP state legality, ARQ
-    attempt bounds, EBSN's no-window-action contract, and timer sanity
-    are checked online, and a violation aborts the run with a replay
-    bundle written to ``bundle_dir`` (default: the bundle directory;
-    ``False`` suppresses the bundle).  ``validate=None`` consults the
-    process default — off, unless the test suite or ``REPRO_VALIDATE``
-    turned it on.  Checkers are pure observers, so validated runs are
-    bit-identical to unvalidated ones.
-
-    ``wall_timeout`` bounds the run in *wall-clock* seconds via the
-    engine watchdog (see :meth:`Scenario.run`); the campaign layer
-    uses this to kill hung units instead of waiting forever.
-    """
-    return run_built(Scenario(config), validate, bundle_dir, wall_timeout)
-
-
-def run_built(
-    scenario,
-    validate: "Optional[bool]" = None,
-    bundle_dir=None,
-    wall_timeout: Optional[float] = None,
-):
-    """Run a built topology — a :class:`Scenario` or a study's — and
-    return what its ``run`` returns, validated as :func:`run_scenario`
-    says."""
-    # Imported lazily: repro.validate pulls in the bundle/cache layers,
-    # which this module's import-time dependencies must not require.
-    from repro.validate.engine import run_validated, validation_default
-
-    if validate is None:
-        validate = validation_default()
-    if not validate:
-        return scenario.run(wall_timeout=wall_timeout)
-    return run_validated(scenario, bundle_dir=bundle_dir, wall_timeout=wall_timeout)
+    """Build and run one scenario, validated as
+    :meth:`Topology.simulate` says."""
+    return Scenario.simulate(config, validate, bundle_dir, wall_timeout)

@@ -22,14 +22,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional
 
-from repro.channel import markov_channel
-from repro.engine import MAX_SIM_TIME, RandomStreams, Simulator
-from repro.experiments.topology import run_built
-from repro.linklayer import WirelessPort
+from repro.engine import MAX_SIM_TIME, Simulator
+from repro.experiments.topology import Topology
 from repro.metrics import ConnectionMetrics, compute_metrics
 from repro.metrics.trace import PacketTrace
 from repro.net.ip import Fragmenter, Reassembler
-from repro.net.link import WiredLink
 from repro.net.node import Node
 from repro.net.packet import Datagram, TcpAck, data_frame
 from repro.net.queues import DropTailQueue
@@ -51,6 +48,9 @@ WIRED_BANDWIDTH_BPS = 256_000.0
 WIRED_PROP_DELAY = 0.005
 #: Each cell's radio, in both directions (the paper's WAN link).
 WIRELESS = WirelessLinkConfig()
+#: Every reassembler's timeout (s): the mobile host's, and each cell's
+#: uplink port's.
+REASSEMBLY_TIMEOUT = 30.0
 #: Fading is kept mild to isolate the handoff effect (mean good and
 #: bad periods, s).
 GOOD_PERIOD_MEAN = 1000.0
@@ -157,7 +157,7 @@ class HandoffResult:
     stall_time_total: float
 
 
-class HandoffScenario:
+class HandoffScenario(Topology):
     """The two-cell topology for one :class:`HandoffConfig`.
 
     ``cell`` is the base station the mobile host listens to (``None``
@@ -166,66 +166,50 @@ class HandoffScenario:
     """
 
     def __init__(self, config: HandoffConfig) -> None:
-        self.config = config
-        sim = self.sim = Simulator()
-        streams = self.streams = RandomStreams(config.seed)
+        super().__init__(config)
+        sim = self.sim
 
         self.fh, self.router, self.mh = Node("FH"), Node("R"), Node("MH")
         self.bs_nodes = {name: Node(name) for name in ("BS1", "BS2")}
 
         # Wired mesh.
-        fh_r = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name="FH->R")
-        r_fh = WiredLink(sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name="R->FH")
-        fh_r.connect(self.router.receive)
-        r_fh.connect(self.fh.receive)
-        self.fh.add_interface(fh_r.send, "MH", "R")
-        self.router.add_interface(r_fh.send, "FH")
+        mesh = partial(
+            self.wired_pair, bandwidth=WIRED_BANDWIDTH_BPS, delay=WIRED_PROP_DELAY
+        )
+        fh_r, r_fh = mesh(self.fh, self.router, a_routes=("MH", "R"), b_routes=("FH",))
 
         # Per-BS wired spurs and wireless cells (independent channels),
         # keyed by BS; ``links`` keeps the rest for the event log.
         self.channels, self.cells, self.up_ports, self.spurs_down = {}, {}, {}, {}
         self.links = [fh_r, r_fh]
-        self.mh_reassembler = Reassembler(sim, timeout=30.0, name="mh")
+        self.mh_reassembler = Reassembler(sim, timeout=REASSEMBLY_TIMEOUT, name="mh")
         self.cell: Optional[str] = None
 
         for name, bs in self.bs_nodes.items():
-            channel = self.channels[name] = markov_channel(
-                GOOD_PERIOD_MEAN,
-                BAD_PERIOD_MEAN,
-                rng=streams.stream(f"errors-{name}"),
-                sojourn_rng=streams.stream(f"sojourns-{name}"),
+            channel = self.channels[name] = self.fading(
+                name, GOOD_PERIOD_MEAN, BAD_PERIOD_MEAN
             )
             down = WirelessLink(sim, WIRELESS, channel, name=f"{name}->MH")
-            up = WirelessLink(sim, WIRELESS, channel, name=f"MH->{name}")
             down.connect(partial(self._mh_receive_frame, name))
-            # A PLAIN port fragments onto its link and reassembles what the
-            # link delivers, so one port spans both ends of the uplink.
-            port = self.up_ports[name] = WirelessPort(
-                sim, f"{name}.up", out_link=up, deliver=bs.receive
+            up, self.up_ports[name] = self.plain_uplink(
+                WIRELESS, channel, f"MH->{name}", f"{name}.up", bs.receive,
+                reassembly_timeout=REASSEMBLY_TIMEOUT,
             )
-            up.connect(port.receive_frame)
 
             self.cells[name] = CellPort(sim, name, down, WIRELESS.mtu_bytes)
             bs.add_interface(self.cells[name].send_datagram, "MH")
 
-            spur_down = self.spurs_down[name] = WiredLink(
-                sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"R->{name}"
-            )
-            spur_up = WiredLink(
-                sim, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY, name=f"{name}->R"
+            self.spurs_down[name], spur_up = mesh(
+                self.router, bs, a_routes=(name,), b_routes=("FH", "R", "BS1", "BS2")
             )
             self.links += [down, up, spur_up]
-            spur_down.connect(bs.receive)
-            spur_up.connect(self.router.receive)
-            bs.add_interface(spur_up.send, "FH", "R", "BS1", "BS2")
 
         # The router forwards MH traffic toward the serving cell; during a
         # disconnection it keeps pointing at the *old* cell (binding
         # updates arrive only on reattachment), so packets sent during the
         # outage pile up at the old base station.
         self.serving = "BS1"
-        self.router.add_interface(self.spurs_down["BS1"].send, "MH", "BS1")
-        self.router.add_interface(self.spurs_down["BS2"].send, "BS2")
+        self.router.add_interface(self.spurs_down["BS1"].send, "MH")
 
         # MH's uplink follows its attachment.
         self.mh.add_interface(self._mh_send, "FH", "R")
@@ -243,8 +227,7 @@ class HandoffScenario:
         self.fh.attach_agent(self.sender)
         self.sink = TcpSink(sim, self.mh, "FH")
         self.mh.attach_agent(self.sink)
-        self.connections = [(self.sender, self.sink)]
-        self.ports = list(self.up_ports.values())
+        self.connections.append((self.sender, self.sink))
 
         # Handoff machinery.
         self.handoffs = 0
@@ -335,13 +318,8 @@ class HandoffScenario:
             stall_time_total=sum(b - a for a, b in stalls),
         )
 
-    def outcome(self, result: HandoffResult) -> HandoffResult:
-        """The campaign summary: the study's result as it stands."""
-        return result
-
 
 def run_handoff_scenario(config: HandoffConfig) -> HandoffResult:
     """Run one transfer across periodic handoffs, validated as
-    :func:`~repro.experiments.topology.run_built` says."""
-    scenario = HandoffScenario(config)
-    return scenario.outcome(run_built(scenario))
+    :meth:`~repro.experiments.topology.Topology.simulate` says."""
+    return HandoffScenario.simulate(config)

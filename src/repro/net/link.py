@@ -113,11 +113,6 @@ class WiredLink:
         sent = self._stats.offered - self.queue.stats.dropped
         return replace(self._stats, transmitted=sent, delivered=sent)
 
-    @property
-    def busy(self) -> bool:
-        """True while a datagram is being serialized onto the line."""
-        return self._sim.now < self._free_at
-
     def tx_time(self, size_bytes: int) -> float:
         """Serialization time for a datagram of ``size_bytes``."""
         return size_bytes * 8 / self.bandwidth_bps

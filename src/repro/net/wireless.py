@@ -128,10 +128,6 @@ class WirelessLink:
             transmitted=stats.delivered + stats.corrupted,
         )
 
-    @property
-    def busy(self) -> bool:
-        return self._busy
-
     def _airtime(self, size_bytes: int) -> tuple[int, float]:
         """Memoized :meth:`WirelessLinkConfig.airtime`."""
         cached = self._airtime_cache.get(size_bytes)

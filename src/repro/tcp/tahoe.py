@@ -164,8 +164,9 @@ class TahoeSender:
         self.stats = SenderStats()
 
         # Sequence state (segment numbers).  ``transfer_bytes`` /
-        # ``total_segments`` are instance state so stream-fed variants
-        # (the split-connection relay) can grow them while running.
+        # ``total_segments`` are instance state so a message-fed variant
+        # (interactive sessions, the split-connection relay) can grow
+        # them while running.
         # ``_high_water`` is one past the highest segment ever sent:
         # every resend (go-back-N, Reno's hole, NewReno's partial-ACK
         # hole) is below it, so ``seq < _high_water`` marks a
@@ -365,17 +366,13 @@ class TahoeSender:
     # ------------------------------------------------------------------
 
     def _transfer_finished(self) -> bool:
-        """All data acknowledged (stream variants add 'and closed')."""
+        """All data acknowledged (message variants add 'and closed')."""
         return self.snd_una >= self.total_segments
 
     def _segment_payload_bytes(self, seq: int) -> int:
         payload = self._segment_payload
         if seq == self.total_segments - 1:
-            tail = self.transfer_bytes - seq * payload
-            # Clamp: a stream-fed sender may hold more bytes than it
-            # has released as whole segments (open tail).
-            if 0 < tail < payload:
-                return tail
+            return self.transfer_bytes - seq * payload
         return payload
 
     def _send_pending(self) -> None:

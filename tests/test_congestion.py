@@ -146,15 +146,6 @@ class TestCbr:
         # 57600 bps / (576*8 bits) = 12.5 pkt/s.
         assert len(sent) == pytest.approx(125, abs=2)
 
-    def test_stop(self, sim):
-        node = Node("XS")
-        node.add_interface(lambda d: None, "BS")
-        source = CbrSource(sim, node, "BS", rate_bps=57_600)
-        source.start()
-        sim.schedule(1.0, source.stop)
-        sim.run(until=5.0)
-        assert source.packets_sent <= 13
-
     def test_sink_counts(self):
         sink = CbrSink()
         sink.receive(data_datagram())
@@ -163,7 +154,7 @@ class TestCbr:
 
     def test_invalid_rate(self, sim):
         with pytest.raises(ValueError):
-            CbrSource(sim, Node("XS"), "BS", rate_bps=0)
+            CbrSource(sim, Node("XS"), "BS", rate_bps=0, packet_size=576)
 
 
 class TestCongestedScenario:

@@ -42,23 +42,6 @@ class TestStreams:
 
 
 class TestFork:
-    def test_fork_is_deterministic(self):
-        a = RandomStreams(5).fork("rep1").stream("x").random()
-        b = RandomStreams(5).fork("rep1").stream("x").random()
-        assert a == b
-
-    def test_fork_differs_from_parent(self):
-        parent = RandomStreams(5)
-        child = parent.fork("rep1")
-        assert parent.stream("x").random() != child.stream("x").random()
-
-    def test_distinct_forks_differ(self):
-        base = RandomStreams(5)
-        assert (
-            base.fork("rep1").stream("x").random()
-            != base.fork("rep2").stream("x").random()
-        )
-
     @given(st.integers(min_value=0, max_value=2**31), st.text(min_size=1, max_size=20))
     def test_any_seed_and_name_work(self, seed, name):
         value = RandomStreams(seed).stream(name).random()

@@ -3,18 +3,25 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments.config import lan_scenario, wan_scenario
 from repro.experiments.congestion import CongestedScenario, CongestedScenarioConfig
+from repro.experiments.parallel import run_unit, summarize, topology_of
 from repro.experiments.topology import (
     ChannelConfig,
     Scenario,
     ScenarioConfig,
     Scheme,
+    Topology,
 )
 from repro.linklayer import ArqConfig, LinkLayerMode
+from repro.net.node import Node
+from repro.net.packet import Datagram, TcpAck
+from repro.net.wireless import WirelessLinkConfig
+from tests.test_experiments_parallel import _registered_configs
 
 
 class TestDerivedArq:
@@ -149,3 +156,51 @@ class TestResultSurface:
         assert result.downlink.stats.transmitted > 0
         assert result.config.scheme is Scheme.BASIC
         assert result.trace is not None
+
+
+class TestTopologyBase:
+    def build(self):
+        return Topology(ScenarioConfig())
+
+    def test_wired_pair_joins_two_nodes(self):
+        t = self.build()
+        a, b = Node("A"), Node("B")
+        at_a, at_b = [], []
+        a.attach_agent(SimpleNamespace(receive=at_a.append))
+        b.attach_agent(SimpleNamespace(receive=at_b.append))
+        forward, reverse = t.wired_pair(
+            a, b, 64_000, 0.01, ("B", "X"), ("A",), queue_capacity=3, ecn_threshold=2
+        )
+        assert (forward.name, reverse.name) == ("A->B", "B->A")
+        assert a.routing._routes == {"B": forward.send, "X": forward.send}
+        assert b.routing._routes == {"A": reverse.send}
+        assert (forward.queue.capacity, forward.ecn_threshold) == (3, 2)
+        assert (reverse.queue.capacity, reverse.ecn_threshold) == (None, None)
+        a.send(Datagram("A", "B", TcpAck(0), 40))
+        b.send(Datagram("B", "A", TcpAck(1), 40))
+        t.sim.run()
+        assert [d.payload.ack_seq for d in at_b] == [0]
+        assert [d.payload.ack_seq for d in at_a] == [1]
+
+    def test_plain_uplink_registers_its_port(self):
+        t = self.build()
+        channel = t.fading("MH", 4.0, 1.0)
+        link, port = t.plain_uplink(
+            WirelessLinkConfig(), channel, "MH->BS", "up", [].append,
+            reassembly_timeout=5.0,
+        )
+        assert t.ports == [port]
+        assert (link.name, link.channel) == ("MH->BS", channel)
+        assert port.out_link is link and port.mode is LinkLayerMode.PLAIN
+        assert link._receiver == port.receive_frame
+
+    @pytest.mark.parametrize(
+        "config", _registered_configs(), ids=lambda c: type(c).__name__
+    )
+    def test_simulate_matches_run_unit(self, config):
+        """``simulate`` is the path every campaign unit takes."""
+        built_on = topology_of(config)
+        outcome = built_on.simulate(config)
+        if built_on is Scenario:
+            outcome = summarize(outcome)
+        assert repr(outcome) == repr(run_unit(config))

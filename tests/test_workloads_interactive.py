@@ -33,6 +33,10 @@ class MessageHarness:
 
 
 class TestMessageSender:
+    def test_nothing_sent_before_a_message(self, sim):
+        h = MessageHarness(sim)
+        assert h.sent == []
+
     def test_each_message_is_one_segment(self, sim):
         h = MessageHarness(sim)
         h.sender.send_message(8)
@@ -61,6 +65,15 @@ class TestMessageSender:
         assert not h.sender.completed
         h.sender.close()
         assert h.sender.completed
+
+    def test_idle_conversation_has_no_pending_timer(self, sim):
+        """A fully acked, still open conversation must not time out."""
+        h = MessageHarness(sim)
+        h.sender.send_message(8)
+        h.ack(1)
+        sim.run(until=60.0)
+        assert h.sender.stats.timeouts == 0
+        assert not h.sender.rtx_timer.pending
 
     def test_oversized_message_rejected(self, sim):
         h = MessageHarness(sim)
