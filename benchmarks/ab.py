@@ -1,4 +1,4 @@
-"""Unit-paired CPU A/B: a git revision against the working tree.
+"""Unit-paired CPU and memory A/B: a git revision against the working tree.
 
     python benchmarks/ab.py PARENT_REV [--grid fig8|lan|wan|studies] [--reps N] [--units N]
 
@@ -36,8 +36,11 @@ summary.  ``--units N`` keeps the first N units of the grid, so
 ``--grid wan --units 6`` runs each scheme once.
 
 Per rep it prints the CPU ratio, working tree over parent, summed over
-the units; at the end the median, min and max of that ratio.  Exit
-status: 0 when every output matched, 1 when any differed.
+the units, and each side's peak resident set so far (the child's
+``ru_maxrss``, in MB; every unit of the grid is built once before the
+first rep, so the peak covers those builds too); at the end the median,
+min and max of that ratio and each side's final peak.  Exit status: 0
+when every output matched, 1 when any differed.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -134,6 +138,7 @@ def child(grid: str, tree: str) -> None:
     # unit should carry on either side.
     for cfg in configs:
         topology_of(cfg)(cfg)
+    sims.clear()
     print(json.dumps({"units": len(configs)}), flush=True)
     for line in sys.stdin:
         cfg = configs[int(line)]
@@ -153,6 +158,7 @@ def child(grid: str, tree: str) -> None:
             "cpu": cpu,
             "output": output,
             "heap_pushes": sum(sim.heap_pushes for sim in sims),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         }), flush=True)
 
 
@@ -220,6 +226,7 @@ def compare(parent: Side, tree: Side, units: int, reps: int) -> int:
     """Run the paired reps and print the report; return the exit status."""
     ratios = []
     mismatches = 0
+    peak = {parent.label: 0.0, tree.label: 0.0}
     for rep in range(reps):
         cpu = {parent.label: 0.0, tree.label: 0.0}
         pushes = {parent.label: 0, tree.label: 0}
@@ -230,6 +237,7 @@ def compare(parent: Side, tree: Side, units: int, reps: int) -> int:
                 reply = side.run(index)
                 cpu[side.label] += reply["cpu"]
                 pushes[side.label] += reply["heap_pushes"]
+                peak[side.label] = reply["peak_rss_mb"]
                 outputs[side.label] = reply["output"]
             if outputs[parent.label] != outputs[tree.label]:
                 mismatches += 1
@@ -240,11 +248,14 @@ def compare(parent: Side, tree: Side, units: int, reps: int) -> int:
         ratios.append(ratio)
         print(f"rep {rep + 1}: cpu {parent.label} {cpu[parent.label]:.3f} s, "
               f"{tree.label} {cpu[tree.label]:.3f} s, ratio {ratio:.3f}; "
-              f"heap pushes {pushes[parent.label]} -> {pushes[tree.label]}",
+              f"heap pushes {pushes[parent.label]} -> {pushes[tree.label]}; "
+              f"peak rss {peak[parent.label]:.2f} -> {peak[tree.label]:.2f} MB",
               flush=True)
     print(f"cpu ratio ({tree.label}/{parent.label}) over {reps} rep(s) of "
           f"{units} unit(s): median {statistics.median(ratios):.3f}, "
-          f"min {min(ratios):.3f}, max {max(ratios):.3f}")
+          f"min {min(ratios):.3f}, max {max(ratios):.3f}; "
+          f"peak rss {parent.label} {peak[parent.label]:.2f} MB, "
+          f"{tree.label} {peak[tree.label]:.2f} MB")
     if mismatches:
         print(f"FAIL: {mismatches} unit run(s) with different outputs")
         return 1

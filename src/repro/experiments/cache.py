@@ -1,18 +1,21 @@
 """Content-addressed on-disk cache for simulation results.
 
-A cached entry is keyed by a stable digest of the full
-:class:`~repro.experiments.topology.ScenarioConfig` (every field,
-recursively encoded by :func:`encode_value`, the same form replay
-bundles store), the seed baked into that config, and a
-*code-version token* — a hash over the ``repro`` package's source
-files.  Any edit to the simulator therefore invalidates every cached
-point automatically; there is no manual versioning to forget.
+A cached entry is keyed by a stable digest of one campaign unit's full
+config — any type registered in
+:data:`~repro.experiments.parallel.UNITS` (every field, recursively
+encoded by :func:`encode_value`, the same form replay bundles store),
+including the seed baked into that config — and a *code-version
+token*, a hash over the ``repro`` package's source files.  Any edit to
+the simulator therefore invalidates every cached point automatically;
+there is no manual versioning to forget.
 
 The store layout is ``<root>/<aa>/<digest>.pkl`` (two-level fan-out so
 directories stay small).  Writes are atomic (tmp file + ``os.replace``)
 so a crashed or parallel run can never leave a torn entry.  The cache
-stores only the lightweight :class:`~repro.experiments.parallel.RunSummary`
-payload, never live simulation objects.
+stores only a unit's lightweight summary, never live simulation
+objects: a Fig. 2 scenario's
+:class:`~repro.experiments.parallel.RunSummary`, and each study's own
+result dataclass (what its topology's ``simulate`` returns).
 
 Default location: ``$REPRO_CACHE_DIR`` if set, else
 ``~/.cache/repro-tcp-wireless``.  ``repro sweep``/``repro figure``
@@ -67,7 +70,7 @@ def code_version_token(package_root: Optional[Path] = None) -> str:
     """Hash of every ``repro`` source file (the cache's code fingerprint).
 
     With no argument, hashes the installed ``repro`` package and caches
-    the result for the process (~60 small files, a few milliseconds on
+    the result for the process (some 70 small files, a few milliseconds on
     first use — noise next to a single simulated run).  An explicit
     ``package_root`` is hashed fresh every call; tests use this to
     check invalidation behaviour against a scratch tree.
@@ -148,7 +151,7 @@ def decode_value(value: Any) -> Any:
 
 
 def config_digest(config: Any, code_token: Optional[str] = None) -> str:
-    """Stable content digest for one fully-seeded scenario config."""
+    """Stable content digest for one fully-seeded campaign unit's config."""
     payload = json.dumps(
         {
             "format": CACHE_FORMAT,
@@ -170,7 +173,8 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """Content-addressed pickle store for :class:`RunSummary` objects."""
+    """Content-addressed pickle store for campaign unit summaries: a
+    :class:`~repro.experiments.parallel.RunSummary` or a study's result."""
 
     def __init__(self, root: Optional[Path] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()

@@ -18,6 +18,9 @@ summarizes a config (:meth:`Topology.simulate`).
 from __future__ import annotations
 
 import enum
+import gc
+import time
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -177,6 +180,54 @@ class ScenarioResult:
     split: Optional[SplitRelay] = None
 
 
+class _Reclaimer:
+    """Frees finished runs' graphs before a topology is built.
+
+    A run's graph is cyclic (routes and links hold each other's bound
+    methods, timers their owners, heap entries their callbacks), so only
+    the cycle collector frees it, and a process running unit after unit
+    rarely gets that far.  Collecting the young generations before a
+    build frees the previous run's graph.  A graph that survives that
+    collection, because the caller still holds its result or because
+    the run was long enough for the automatic collector to promote part
+    of it, now sits in the old generation, which these collections keep
+    the automatic collector from reaching.  So once a build sees the
+    previous run's simulator survive, a later build collects every
+    generation; to bound what that costs in a large process, not before
+    the process has spent ``FULL_COST_RATIO`` times the last full
+    collection's CPU time since it.
+    """
+
+    FULL_COST_RATIO = 32
+
+    def __init__(self) -> None:
+        self.last_sim: Optional[weakref.ref] = None
+        self.survived = False
+        self.full_end = self.full_cost = 0.0
+
+    def before_build(self) -> None:
+        """Collect; must run before the new graph's first allocation:
+        collecting any later would promote the half-built topology to
+        the old generation, where its own cycles would outlive it."""
+        start = time.process_time()
+        if self.survived and start - self.full_end > self.FULL_COST_RATIO * self.full_cost:
+            gc.collect()
+            self.full_end = time.process_time()
+            self.full_cost = self.full_end - start
+            self.survived = False
+        else:
+            gc.collect(1)
+        if self.last_sim is not None and self.last_sim() is not None:
+            self.survived = True
+
+    def built(self, sim: Simulator) -> None:
+        """Watch the new topology's simulator, which its graph holds."""
+        self.last_sim = weakref.ref(sim)
+
+
+_reclaimer = _Reclaimer()
+
+
 class Topology:
     """The base of every topology a campaign runs: the simulator, the
     streams seeded by ``config.seed``, the ``connections`` (sender,
@@ -185,9 +236,14 @@ class Topology:
     ``run(wall_timeout)``, and ``outcome`` where its campaign summary
     is not the run's result."""
 
+    def __new__(cls, *args, **kwargs):
+        _reclaimer.before_build()
+        return super().__new__(cls)
+
     def __init__(self, config) -> None:
         self.config = config
         self.sim = Simulator()
+        _reclaimer.built(self.sim)
         self.streams = RandomStreams(config.seed)
         self.connections: List[Tuple[TahoeSender, TcpSink]] = []
         self.ports: List[WirelessPort] = []

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import time
+import tracemalloc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+from repro.experiments import topology
 from repro.experiments.config import lan_scenario, wan_scenario
 from repro.experiments.congestion import CongestedScenario, CongestedScenarioConfig
 from repro.experiments.parallel import run_unit, summarize, topology_of
@@ -204,3 +209,80 @@ class TestTopologyBase:
         if built_on is Scenario:
             outcome = summarize(outcome)
         assert repr(outcome) == repr(run_unit(config))
+
+
+class TestRunGraphReclaim:
+    """A finished run's graph is cyclic; building the next topology
+    frees it.  Automatic collection is off in these tests, so only the
+    build's own collection can free anything."""
+
+    @pytest.fixture(autouse=True)
+    def no_automatic_gc(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize(
+        "config", _registered_configs(), ids=lambda c: type(c).__name__
+    )
+    def test_next_build_frees_the_finished_run(self, config):
+        built_on = topology_of(config)
+        sims = []
+
+        class Watched(built_on):
+            def __init__(self, config):
+                super().__init__(config)
+                sims.append(weakref.ref(self.sim))
+
+        outcome = Watched.simulate(config)
+        del outcome
+        assert sims[0]() is not None  # only the cycle collector frees it
+        built_on(config)
+        assert sims[0]() is None
+
+    def test_a_held_result_stays_readable(self):
+        config = wan_scenario(transfer_bytes=5 * 1024)
+
+        def counters(result):
+            return repr((result.sender.stats, result.sink.stats,
+                         result.downlink.stats, result.uplink.stats))
+
+        result = Scenario(config).run()
+        before = counters(result)
+        Scenario(config)
+        assert counters(result) == before
+        assert result.sender.stats.segments_sent > 0
+
+    def test_a_graph_held_across_a_build_is_freed_once_affordable(self, monkeypatch):
+        """A graph still held at the next build survives its collection;
+        a later build collects every generation, but not before the
+        process has spent enough time since the last full collection."""
+        reclaimer = topology._reclaimer
+        monkeypatch.setattr(reclaimer, "full_end", time.process_time())
+        monkeypatch.setattr(reclaimer, "full_cost", 3600.0)
+        config = wan_scenario(transfer_bytes=5 * 1024)
+        result = Scenario(config).run()
+        first = weakref.ref(result.sender._sim)
+        result = Scenario(config).run()
+        Scenario(config)
+        assert first() is not None
+        monkeypatch.setattr(reclaimer, "full_cost", 0.0)
+        Scenario(config)
+        assert first() is None
+
+    def test_repeated_runs_strand_nothing(self):
+        config = wan_scenario(transfer_bytes=5 * 1024)
+        sizes = []
+        tracemalloc.start()
+        try:
+            for _ in range(12):
+                Scenario(config).run()
+                sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        growth = max(sizes[1:]) - min(sizes[1:])
+        assert growth < 64 * 1024, sizes
