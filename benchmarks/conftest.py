@@ -1,13 +1,14 @@
 """Shared helpers for the figure-regeneration benchmarks.
 
 Each benchmark runs the experiment behind one paper figure or study
-table, writes the table it produces to ``benchmarks/out/<name>.txt``
-(so the numbers survive the run), echoes it to stdout, and asserts the
-qualitative shape the paper reports.  pytest-benchmark wraps the
-computation, so `pytest benchmarks/ --benchmark-only` both regenerates
-every table and reports how long each takes.  The tables registered in
+table, writes the text its renderer in ``src/`` produces to
+``benchmarks/out/<name>.txt``, echoes it, and asserts the qualitative
+shape the paper reports.  pytest-benchmark wraps the computation, so
+`pytest benchmarks/ --benchmark-only` both regenerates every table and
+reports how long each takes.  The tables of
 :data:`~repro.experiments.tables.TABLES` share one campaign (see
-:func:`results`).
+:func:`results`); the Figs 3-5 traces print through
+:data:`~repro.experiments.figures.TRACES`.
 """
 
 from __future__ import annotations

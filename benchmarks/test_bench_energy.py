@@ -10,64 +10,23 @@ EBSN should therefore be the cheapest way to move a byte.
 
 from __future__ import annotations
 
-from conftest import DEFAULT_REPS, SCALE, STRICT, run_once
+import pytest
 
-from repro.experiments.config import wan_scenario
-from repro.experiments.topology import Scheme, run_scenario
-from repro.metrics.energy import mobile_host_energy
+from conftest import STRICT
 
-SCHEMES = [Scheme.BASIC, Scheme.LOCAL_RECOVERY, Scheme.EBSN, Scheme.SNOOP]
-
-
-def _run(transfer):
-    out = {}
-    for scheme in SCHEMES:
-        joules_per_kb = total = duration = 0.0
-        n = DEFAULT_REPS
-        for seed in range(1, n + 1):
-            result = run_scenario(
-                wan_scenario(
-                    scheme=scheme,
-                    bad_period_mean=4.0,
-                    transfer_bytes=transfer,
-                    seed=seed,
-                    record_trace=False,
-                )
-            )
-            assert result.completed
-            report = mobile_host_energy(result)
-            joules_per_kb += report.joules_per_useful_kb / n
-            total += report.total_joules / n
-            duration += report.duration / n
-        out[scheme] = dict(
-            joules_per_kb=joules_per_kb, total_j=total, duration=duration
-        )
-    return out
+from repro.experiments.tables import energy_means
+from repro.experiments.topology import Scheme
 
 
-def test_energy_per_scheme(benchmark, report):
-    transfer = int(100 * 1024 * SCALE)
-    results = run_once(benchmark, lambda: _run(transfer))
-
-    lines = [
-        "Mobile-host energy (WaveLAN-class radio), WAN, bad period 4 s:",
-        "",
-        "scheme           J/useful-KB   total J   duration(s)",
-    ]
-    for scheme, r in results.items():
-        lines.append(
-            f"{scheme.value:16s} {r['joules_per_kb']:11.3f}   {r['total_j']:7.1f}"
-            f"   {r['duration']:11.1f}"
-        )
-    report("energy_per_scheme", "\n".join(lines))
+@pytest.mark.table("energy_per_scheme")
+def test_energy_per_scheme(results):
     if not STRICT:
-        # Smoke scale: the figure above is regenerated and saved, but
-        # the paper-shape margins only hold at full scale.
+        # Smoke scale: the table is regenerated and saved, but the
+        # paper-shape margins only hold at full scale.
         return
 
-
-    basic = results[Scheme.BASIC]
-    ebsn = results[Scheme.EBSN]
+    basic = energy_means(results[Scheme.BASIC])
+    ebsn = energy_means(results[Scheme.EBSN])
     # EBSN moves a byte for noticeably less energy than basic TCP.
     assert ebsn["joules_per_kb"] < 0.85 * basic["joules_per_kb"]
     # ... mostly because the whole connection is shorter.

@@ -16,25 +16,12 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments.figures import trace_figure
-from repro.experiments.topology import Scheme
-
-
-def _render(result, title):
-    trace = result.trace
-    m = result.metrics
-    header = (
-        f"{title}\n"
-        f"duration={m.duration:.1f}s  throughput={m.throughput_kbps:.2f} kbps  "
-        f"goodput={m.goodput * 100:.1f}%  timeouts={m.timeouts}  "
-        f"source retransmissions={m.retransmissions}\n"
-    )
-    return header + trace.render(width=100, title="")
+from repro.experiments.figures import TRACES, trace_figure
 
 
 def test_fig3_basic_tcp_trace(benchmark, report):
     result = run_once(benchmark, lambda: trace_figure(3))
-    report("fig3_trace_basic", _render(result, "Figure 3: Basic TCP (deterministic example)"))
+    report("fig3_trace_basic", TRACES["fig3_trace_basic"]({3: result}))
     # Paper shape: repeated timeout stalls and retransmission clusters.
     assert result.metrics.timeouts >= 5
     assert result.trace.retransmissions > 10
@@ -49,10 +36,7 @@ def test_fig3_basic_tcp_trace(benchmark, report):
 
 def test_fig4_local_recovery_trace(benchmark, report):
     result = run_once(benchmark, lambda: trace_figure(4))
-    report(
-        "fig4_trace_local_recovery",
-        _render(result, "Figure 4: Local recovery (link-layer ARQ at the BS)"),
-    )
+    report("fig4_trace_local_recovery", TRACES["fig4_trace_local_recovery"]({4: result}))
     basic = trace_figure(3)
     # Far fewer source retransmissions than basic TCP.
     assert result.trace.retransmissions < basic.trace.retransmissions / 3
@@ -61,7 +45,7 @@ def test_fig4_local_recovery_trace(benchmark, report):
 
 def test_fig5_ebsn_trace(benchmark, report):
     result = run_once(benchmark, lambda: trace_figure(5))
-    report("fig5_trace_ebsn", _render(result, "Figure 5: Explicit feedback (EBSN)"))
+    report("fig5_trace_ebsn", TRACES["fig5_trace_ebsn"]({5: result}))
     # The paper's reading: no timeouts at the source, so no congestion
     # control invoked in any bad period.
     assert result.metrics.timeouts == 0
@@ -72,19 +56,7 @@ def test_fig5_ebsn_trace(benchmark, report):
 
 def test_trace_schemes_ordering(benchmark, report):
     """Summary comparison across the three trace figures."""
-
-    def compute():
-        return {n: trace_figure(n) for n in (3, 4, 5)}
-
-    results = run_once(benchmark, compute)
-    lines = ["Figs 3-5 summary (deterministic 10s good / 4s bad):", ""]
-    for n, label in ((3, "basic"), (4, "local recovery"), (5, "EBSN")):
-        m = results[n].metrics
-        lines.append(
-            f"  fig {n} {label:15s} tput={m.throughput_kbps:5.2f} kbps  "
-            f"goodput={m.goodput * 100:5.1f}%  timeouts={m.timeouts:2d}  "
-            f"retx={m.retransmissions:3d}"
-        )
-    report("fig3_5_summary", "\n".join(lines))
+    results = run_once(benchmark, lambda: {n: trace_figure(n) for n in (3, 4, 5)})
+    report("fig3_5_summary", TRACES["fig3_5_summary"](results))
     tput = {n: results[n].metrics.throughput_bps for n in (3, 4, 5)}
     assert tput[3] < tput[4] <= tput[5] * 1.001

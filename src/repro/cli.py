@@ -3,16 +3,16 @@
 Commands:
 
 * ``run``    — one transfer under a chosen scheme; print metrics.
-* ``trace``  — render the paper's Fig 3/4/5 trace plots.
+* ``trace``  — render a Fig 3/4/5 style trace under any scheme.
 * ``sweep``  — packet-size (WAN) or bad-period (LAN) sweep.
-* ``figure`` — print a paper figure: its trace (3-5) or table (7-11).
+* ``figure`` — print a paper figure's ``benchmarks/out`` table (3-5, 7-11).
 * ``csdp``   — the multi-connection scheduling study.
 * ``handoff``— the two-cell handoff study.
 * ``congestion`` — the wired-congestion / ECN / EBSN interaction.
 * ``validate`` — run every claim check and print a ✓/✗ report.
 * ``replay`` — re-run a recorded invariant-violation bundle.
 * ``profile`` — cProfile one run; hot functions + perf counters.
-* ``report`` — assemble benchmarks/out/*.txt into one REPORT.md.
+* ``report`` — assemble benchmarks/out/*.txt into REPORT.md, in registry order.
 
 Simulation commands accept ``--validate`` to attach the runtime
 invariant engine (:mod:`repro.validate`); a violation aborts the
@@ -34,7 +34,8 @@ the figure's (:data:`~repro.experiments.figures.FIGURES`), and the
 study commands their benchmark table's
 (:mod:`repro.experiments.tables`) over the points their flags select.
 ``sweep`` and ``figure`` run theirs as one campaign under the engine
-flags and print its completeness report after.
+flags and print its completeness report after; ``figure 3``-``5`` print
+:func:`~repro.experiments.figures.trace_table`.
 
 Each handler imports the modules its command uses, so ``repro run``
 loads no pool, cache, journal, figure or study module, and ``sweep``
@@ -270,16 +271,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import trace_header
+
     result = run_scenario(
         trace_example_scenario(SCHEMES[args.scheme]),
         validate=_single_run_validate(args),
     )
-    m = result.metrics
-    print(
-        f"{args.scheme}: {m.throughput_kbps:.2f} kbps, goodput "
-        f"{m.goodput * 100:.1f}%, {m.timeouts} timeouts, "
-        f"{m.retransmissions} source retransmissions"
-    )
+    print(trace_header(f"{args.scheme}:", result))
     print(result.trace.render(width=args.width, t_max=args.t_max))
     return 0
 
@@ -339,12 +337,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import FIGURES, trace_figure
+    from repro.experiments.figures import FIGURES, trace_figure, trace_table
 
     n = args.number
     if n in (3, 4, 5):
         result = trace_figure(n, validate=_single_run_validate(args))
-        print(result.trace.render(width=100, t_max=60.0, title=f"Figure {n}"))
+        print(trace_table(n, result), end="")
         return 0
     spec = FIGURES[n](1.0, args.replications)
     return _print_campaign(args, spec, args.replications)
@@ -442,15 +440,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 1
 
 
-#: The trace tables, which lead the assembled report.
-_TRACE_TABLES = [
-    "fig3_5_summary",
-    "fig3_trace_basic",
-    "fig4_trace_local_recovery",
-    "fig5_trace_ebsn",
-]
-
-
 def _print_perf_summary(scenario) -> None:
     sim = scenario.sim
     channel = scenario.channel
@@ -501,11 +490,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from repro.experiments.figures import TRACES
     from repro.experiments.tables import TABLES
 
-    # Paper figures first, then the negative results, then the
-    # extension studies and ablations; any other table last.
-    order = [*_TRACE_TABLES, *TABLES, "energy_per_scheme"]
+    # The registries' order, then any other table.
+    order = [*TRACES, *TABLES]
     available = {p.stem: p for p in sorted(out_dir.glob("*.txt"))}
     ordered = [n for n in order if n in available]
     ordered += [n for n in sorted(available) if n not in order]

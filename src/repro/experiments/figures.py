@@ -1,6 +1,7 @@
 """One spec per paper figure.
 
-Figs 3-5 are single deterministic runs (:func:`trace_figure`).  Each of
+Figs 3-5 are single deterministic runs (:func:`trace_figure`), and
+:data:`TRACES` renders their four ``benchmarks/out`` tables.  Each of
 Figs 7-11 is a :class:`~repro.experiments.points.TableSpec` built by
 :data:`FIGURES`: the WAN or LAN configs it plots, keyed
 ``("wan", scheme, packet_size, bad_period)`` or
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.experiments.ascii_plot import plot_series
 from repro.experiments.config import (
@@ -63,10 +64,11 @@ def lan_theoretical_mbps(bad_period_mean: float) -> float:
 # Figures 3-5: the deterministic trace example
 # ---------------------------------------------------------------------------
 
-_TRACE_SCHEMES = {
-    3: Scheme.BASIC,
-    4: Scheme.LOCAL_RECOVERY,
-    5: Scheme.EBSN,
+#: Figs 3-5 by number: the scheme each traces, and its table's title.
+_TRACE_FIGURES = {
+    3: (Scheme.BASIC, "Figure 3: Basic TCP (deterministic example)"),
+    4: (Scheme.LOCAL_RECOVERY, "Figure 4: Local recovery (link-layer ARQ at the BS)"),
+    5: (Scheme.EBSN, "Figure 5: Explicit feedback (EBSN)"),
 }
 
 
@@ -74,10 +76,49 @@ def trace_figure(
     figure_number: int, validate: Optional[bool] = None
 ) -> ScenarioResult:
     """Run the §4.2.1 example for Fig 3 (basic), 4 (local), or 5 (EBSN)."""
-    if figure_number not in _TRACE_SCHEMES:
+    if figure_number not in _TRACE_FIGURES:
         raise ValueError(f"trace figures are 3, 4, 5; got {figure_number}")
-    config = trace_example_scenario(_TRACE_SCHEMES[figure_number])
+    config = trace_example_scenario(_TRACE_FIGURES[figure_number][0])
     return run_scenario(config, validate=validate)
+
+
+def trace_header(title: str, result: ScenarioResult) -> str:
+    """A trace table's header: ``title``, then the run's metrics line."""
+    m = result.metrics
+    return (
+        f"{title}\n"
+        f"duration={m.duration:.1f}s  throughput={m.throughput_kbps:.2f} kbps  "
+        f"goodput={m.goodput * 100:.1f}%  timeouts={m.timeouts}  "
+        f"source retransmissions={m.retransmissions}"
+    )
+
+
+def trace_table(figure_number: int, result: ScenarioResult) -> str:
+    """Fig ``figure_number``'s table over its :func:`trace_figure` run."""
+    title = _TRACE_FIGURES[figure_number][1]
+    return f"{trace_header(title, result)}\n" + result.trace.render(width=100)
+
+
+def _trace_summary(results: Mapping[int, ScenarioResult]) -> str:
+    lines = ["Figs 3-5 summary (deterministic 10s good / 4s bad):", ""]
+    for n, label in ((3, "basic"), (4, "local recovery"), (5, "EBSN")):
+        m = results[n].metrics
+        lines.append(
+            f"  fig {n} {label:15s} tput={m.throughput_kbps:5.2f} kbps  "
+            f"goodput={m.goodput * 100:5.1f}%  timeouts={m.timeouts:2d}  "
+            f"retx={m.retransmissions:3d}"
+        )
+    return "\n".join(lines)
+
+
+#: Every trace table by name, in report order, as its renderer over
+#: the runs it reads (figure number → :func:`trace_figure` result).
+TRACES: Dict[str, Callable[[Mapping[int, ScenarioResult]], str]] = {
+    "fig3_5_summary": _trace_summary,
+    "fig3_trace_basic": lambda results: trace_table(3, results[3]),
+    "fig4_trace_local_recovery": lambda results: trace_table(4, results[4]),
+    "fig5_trace_ebsn": lambda results: trace_table(5, results[5]),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,7 @@ from repro.experiments.faults import (
 from repro.experiments.journal import CampaignJournal
 from repro.experiments.topology import ScenarioConfig, ScenarioResult
 from repro.metrics import ConnectionMetrics
+from repro.metrics.energy import EnergyReport, mobile_host_energy
 
 _log = logging.getLogger(__name__)
 
@@ -99,9 +100,10 @@ POLL_INTERVAL = 0.05
 class RunSummary:
     """The picklable essence of one scenario run.
 
-    Exactly what replication/sweep aggregation consumes: the connection
-    metrics, the completion flag, the theoretical ceiling, and the
-    seeded config the run was built from.  ``trace`` is always ``None``
+    Exactly what replication/sweep aggregation and the tables consume:
+    the connection metrics, the completion flag, the theoretical
+    ceiling, the mobile host's energy, and the seeded config the run
+    was built from.  ``trace`` is always ``None``
     — replicated runs disable tracing — and exists so summary objects
     satisfy the same reads (``r.trace``, ``r.config.seed``, ...) that
     full results do.
@@ -111,6 +113,7 @@ class RunSummary:
     metrics: ConnectionMetrics
     completed: bool
     tput_th_bps: float
+    energy: EnergyReport
     trace: None = None
 
 
@@ -121,6 +124,7 @@ def summarize(result: ScenarioResult) -> RunSummary:
         metrics=result.metrics,
         completed=result.completed,
         tput_th_bps=result.tput_th_bps,
+        energy=mobile_host_energy(result),
     )
 
 

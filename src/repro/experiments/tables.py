@@ -4,20 +4,21 @@
 to its spec builder, ``(scale, replications)`` → a
 :class:`~repro.experiments.points.TableSpec`, in report order: Figs
 7-11 (:data:`~repro.experiments.figures.FIGURES`), the §2 and §4.2.2
-comparisons, the §6 studies and the ablations.  ``scale`` scales each
-table's transfer sizes (1.0 is the size its benchmark runs).
-:func:`~repro.experiments.points.run_specs` runs any set of them as
-one campaign, so a config two tables read (quench, snoop and the TCP
-variant ablation share BASIC and EBSN on the WAN; the granularity and
-robust-timer ablations share their default-timer LAN runs) is
-simulated once.
+comparisons, the §6 studies, the ablations and the energy table (the
+trace tables are :data:`~repro.experiments.figures.TRACES`).
+``scale`` scales each table's transfer sizes (1.0 is the size its
+benchmark runs).  :func:`~repro.experiments.points.run_specs` runs any
+set of them as one campaign, so a config two tables read (quench,
+snoop, energy and the TCP variant ablation share BASIC and EBSN on the
+WAN; the granularity and robust-timer ablations share their
+default-timer LAN runs) is simulated once.
 
 The study tables are built from the parameters the CLI varies too
 (:func:`csdp_table`, :func:`handoff_table`, :func:`congestion_table`),
 so ``repro csdp``, ``repro handoff`` and ``repro congestion`` print
 these renderers over the points their flags select.  The
-``*_means`` helpers reduce a study point to the numbers its table
-prints, for the benchmarks' assertions.
+``*_means`` helpers reduce a point to the numbers its table prints,
+for the benchmarks' assertions.
 
 :mod:`repro.experiments.figures` does not import this module, so a
 figure's run loads no study module.
@@ -33,7 +34,7 @@ from repro.experiments.config import WAN_TRANSFER_BYTES, wan_scenario
 from repro.experiments.congestion import CongestedScenarioConfig
 from repro.experiments.figures import FIGURES
 from repro.experiments.points import TableSpec, lan_point, table_renderer, wan_point
-from repro.experiments.runner import StudyPoint
+from repro.experiments.runner import ReplicatedResult, StudyPoint
 from repro.experiments.topology import Scheme
 from repro.handoff import HandoffConfig, HandoffScheme
 from repro.tcp import TcpConfig
@@ -43,26 +44,49 @@ _KB = 1024
 
 
 # ---------------------------------------------------------------------------
-# §4.2.2 and §2: quench, snoop and split against EBSN
+# §4.2.2 and §2: quench, snoop and split against EBSN; energy per scheme
 # ---------------------------------------------------------------------------
 
 
-def _scheme_table(title: str, *schemes: Scheme) -> Callable[[float, int], TableSpec]:
+def _scheme_row(scheme: Scheme, r: ReplicatedResult) -> str:
+    return (
+        f"{scheme.value:8s} {r.throughput_kbps:16.2f}"
+        f"   {r.goodput_mean:7.3f}   {r.timeouts_mean:12.1f}"
+    )
+
+
+def _scheme_table(
+    title: str,
+    *schemes: Scheme,
+    header: str = "scheme   throughput(kbps)   goodput   timeouts/run",
+    row: Callable[[Scheme, ReplicatedResult], str] = _scheme_row,
+) -> Callable[[float, int], TableSpec]:
     """A WAN table at 576 B and a 4 s bad period, one row per scheme."""
 
     def build(scale: float, replications: int) -> TableSpec:
         transfer = int(WAN_TRANSFER_BYTES * scale)
         return TableSpec(
             {s: wan_point(transfer, s, 576, 4.0) for s in schemes},
-            table_renderer(
-                title,
-                "scheme   throughput(kbps)   goodput   timeouts/run",
-                lambda scheme, r: f"{scheme.value:8s} {r.throughput_kbps:16.2f}"
-                f"   {r.goodput_mean:7.3f}   {r.timeouts_mean:12.1f}",
-            ),
+            table_renderer(title, header, row),
         )
 
     return build
+
+
+def energy_means(point: ReplicatedResult) -> Dict[str, float]:
+    """A scheme's mobile-host energy per run, by the names its table prints."""
+    mean = StudyPoint(point.results).mean
+    return dict(
+        joules_per_kb=mean(lambda r: r.energy.joules_per_useful_kb),
+        total_j=mean(lambda r: r.energy.total_joules),
+        duration=mean(lambda r: r.energy.duration),
+    )
+
+
+def _energy_row(scheme: Scheme, point: ReplicatedResult) -> str:
+    return "{:16s} {joules_per_kb:11.3f}   {total_j:7.1f}   {duration:11.1f}".format(
+        scheme.value, **energy_means(point)
+    )
 
 
 def _snoop_loss_regime(scale: float, replications: int) -> TableSpec:
@@ -448,4 +472,13 @@ TABLES: Dict[str, Callable[[float, int], TableSpec]] = {
     "ablation_window": _ablation_window,
     "snoop_loss_regime": _snoop_loss_regime,
     "interactive_latency": _interactive_latency,
+    "energy_per_scheme": _scheme_table(
+        "Mobile-host energy (WaveLAN-class radio), WAN, bad period 4 s:",
+        Scheme.BASIC,
+        Scheme.LOCAL_RECOVERY,
+        Scheme.EBSN,
+        Scheme.SNOOP,
+        header="scheme           J/useful-KB   total J   duration(s)",
+        row=_energy_row,
+    ),
 }

@@ -15,6 +15,9 @@ from repro.experiments.faults import (
     UnitTimeout,
 )
 
+#: The committed ``benchmarks/out`` tables.
+OUT_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "out"
+
 
 class TestParser:
     def test_requires_command(self):
@@ -257,6 +260,20 @@ class TestFigure:
         assert code == 0
         assert "Figure 4" in out
 
+    @pytest.mark.parametrize(
+        "number, name",
+        [
+            (3, "fig3_trace_basic"),
+            (4, "fig4_trace_local_recovery"),
+            (5, "fig5_trace_ebsn"),
+        ],
+    )
+    def test_trace_figure_prints_the_committed_table(self, capsys, number, name):
+        code = main(["figure", str(number)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == (OUT_DIR / f"{name}.txt").read_text()
+
     def test_unknown_figure(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "99"])
@@ -366,6 +383,22 @@ class TestReportCommand:
         )
         assert code == 0
         assert target.read_bytes() == (root / "REPORT.md").read_bytes()
+
+    def test_registries_own_every_committed_table(self, capsys, tmp_path):
+        """Every committed table has a producer in a registry, and the
+        report's sections follow the registries' order."""
+        from repro.experiments.figures import TRACES
+        from repro.experiments.tables import TABLES
+
+        names = [*TRACES, *TABLES]
+        assert sorted(p.stem for p in OUT_DIR.glob("*.txt")) == sorted(names)
+        target = tmp_path / "REPORT.md"
+        main(["report", "--out-dir", str(OUT_DIR), "--output", str(target)])
+        sections = [
+            line[3:] for line in target.read_text().splitlines()
+            if line.startswith("## ")
+        ]
+        assert sections == names
 
     def test_report_missing_dir(self, tmp_path):
         code = main(["report", "--out-dir", str(tmp_path / "nope")])

@@ -111,6 +111,7 @@ TABLE_DIGESTS = {
     "ablation_window": "1c2755519de4fd11",
     "snoop_loss_regime": "b3ed45791c88e689",
     "interactive_latency": "5684718f543ea5d1",
+    "energy_per_scheme": "bf7b83670b2c620a",
 }
 
 #: Every simulated claim's configs at scale 0.3 (3 seeds), by id.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.config import wan_scenario
+from repro.experiments.config import WAN_TRANSFER_BYTES, wan_scenario
 from repro.experiments.topology import Scheme, run_scenario
 from repro.metrics.energy import EnergyModel, EnergyReport, mobile_host_energy
 
@@ -61,3 +61,42 @@ class TestScenarioEnergy:
         motivation for radio power-down protocols."""
         report = mobile_host_energy(self.run(Scheme.EBSN))
         assert report.idle_joules > report.tx_joules
+
+
+class TestEnergyTable:
+    def test_rows_match_full_results(self):
+        """The campaign table, built from run summaries, gives the means
+        (bit for bit) and rows that ``mobile_host_energy`` over full
+        results gives: running sums of x/n over seeds 1..n."""
+        from repro.experiments.points import run_specs
+        from repro.experiments.tables import TABLES, energy_means
+
+        seeds, transfer = 2, 5 * 1024
+        spec = TABLES["energy_per_scheme"](transfer / WAN_TRANSFER_BYTES, seeds)
+        results, _ = run_specs({None: spec}, seeds)
+        assert list(spec.points) == [
+            Scheme.BASIC, Scheme.LOCAL_RECOVERY, Scheme.EBSN, Scheme.SNOOP
+        ]
+
+        rows = []
+        for scheme in spec.points:
+            joules_per_kb = total = duration = 0.0
+            for seed in range(1, seeds + 1):
+                result = run_scenario(
+                    wan_scenario(
+                        scheme=scheme, bad_period_mean=4.0,
+                        transfer_bytes=transfer, seed=seed, record_trace=False,
+                    )
+                )
+                report = mobile_host_energy(result)
+                joules_per_kb += report.joules_per_useful_kb / seeds
+                total += report.total_joules / seeds
+                duration += report.duration / seeds
+            assert energy_means(results[None][scheme]) == dict(
+                joules_per_kb=joules_per_kb, total_j=total, duration=duration
+            )
+            rows.append(
+                f"{scheme.value:16s} {joules_per_kb:11.3f}   {total:7.1f}"
+                f"   {duration:11.1f}"
+            )
+        assert spec.render(results[None]).splitlines()[3:] == rows

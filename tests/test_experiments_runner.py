@@ -186,7 +186,9 @@ class TestSweepCampaign:
             (["quench_negative", "snoop_vs_ebsn", "ablation_tcp_variant"], 9),
             # The two default-timer LAN runs: in both ablations.
             (["ablation_granularity", "ablation_robust_timer"], 8),
-            (list(tables.TABLES), 149),
+            # Energy reads snoop's BASIC, EBSN and SNOOP points.
+            (["snoop_vs_ebsn", "energy_per_scheme"], 5),
+            (list(tables.TABLES), 150),
         ],
         ids=[
             "figure_7",
@@ -195,6 +197,7 @@ class TestSweepCampaign:
             "figures_7_to_11",
             "shared_wan_points",
             "shared_lan_points",
+            "shared_energy_points",
             "every_table",
         ],
     )
