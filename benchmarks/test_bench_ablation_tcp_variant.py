@@ -20,7 +20,7 @@ from repro.experiments.topology import Scheme
 @pytest.mark.table("ablation_tcp_variant")
 def test_tcp_variant_vs_link_mechanism(results):
     if not STRICT:
-        # Smoke scale: the table is regenerated and saved, but the
+        # Smoke scale: the table is run and rendered, but the
         # paper-shape margins only hold at full scale.
         return
 

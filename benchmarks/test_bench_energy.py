@@ -21,7 +21,7 @@ from repro.experiments.topology import Scheme
 @pytest.mark.table("energy_per_scheme")
 def test_energy_per_scheme(results):
     if not STRICT:
-        # Smoke scale: the table is regenerated and saved, but the
+        # Smoke scale: the table is run and rendered, but the
         # paper-shape margins only hold at full scale.
         return
 

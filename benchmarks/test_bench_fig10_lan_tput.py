@@ -24,7 +24,7 @@ from repro.experiments.topology import Scheme
 @pytest.mark.table("fig10_lan_tput")
 def test_fig10_lan_throughput(results):
     if not STRICT:
-        # Smoke scale: the table is regenerated and saved, but the
+        # Smoke scale: the table is run and rendered, but the
         # paper-shape margins only hold at full scale.
         return
 

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments.figures import TRACES, trace_figure
+from repro.experiments.figures import trace_figure
 
 
-def test_fig3_basic_tcp_trace(benchmark, report):
+def test_fig3_basic_tcp_trace(benchmark):
     result = run_once(benchmark, lambda: trace_figure(3))
-    report("fig3_trace_basic", TRACES["fig3_trace_basic"]({3: result}))
     # Paper shape: repeated timeout stalls and retransmission clusters.
     assert result.metrics.timeouts >= 5
     assert result.trace.retransmissions > 10
@@ -34,18 +33,16 @@ def test_fig3_basic_tcp_trace(benchmark, report):
     )
 
 
-def test_fig4_local_recovery_trace(benchmark, report):
+def test_fig4_local_recovery_trace(benchmark):
     result = run_once(benchmark, lambda: trace_figure(4))
-    report("fig4_trace_local_recovery", TRACES["fig4_trace_local_recovery"]({4: result}))
     basic = trace_figure(3)
     # Far fewer source retransmissions than basic TCP.
     assert result.trace.retransmissions < basic.trace.retransmissions / 3
     assert result.metrics.throughput_bps > 1.5 * basic.metrics.throughput_bps
 
 
-def test_fig5_ebsn_trace(benchmark, report):
+def test_fig5_ebsn_trace(benchmark):
     result = run_once(benchmark, lambda: trace_figure(5))
-    report("fig5_trace_ebsn", TRACES["fig5_trace_ebsn"]({5: result}))
     # The paper's reading: no timeouts at the source, so no congestion
     # control invoked in any bad period.
     assert result.metrics.timeouts == 0
@@ -54,9 +51,8 @@ def test_fig5_ebsn_trace(benchmark, report):
     assert result.ebsn is not None and result.ebsn.ebsn_sent > 0
 
 
-def test_trace_schemes_ordering(benchmark, report):
+def test_trace_schemes_ordering(benchmark):
     """Summary comparison across the three trace figures."""
     results = run_once(benchmark, lambda: {n: trace_figure(n) for n in (3, 4, 5)})
-    report("fig3_5_summary", TRACES["fig3_5_summary"](results))
     tput = {n: results[n].metrics.throughput_bps for n in (3, 4, 5)}
     assert tput[3] < tput[4] <= tput[5] * 1.001

@@ -28,7 +28,7 @@ from repro.experiments.tables import interactive_means
 @pytest.mark.table("interactive_latency")
 def test_interactive_latency(results):
     if not STRICT:
-        # Smoke scale: the table is regenerated and saved, but the
+        # Smoke scale: the table is run and rendered, but the
         # paper-shape margins only hold at full scale.
         return
 

@@ -29,6 +29,7 @@ from repro.experiments.config import lan_scenario, wan_scenario
 from repro.experiments.topology import Scenario, Scheme, run_scenario
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_core_baseline.json"
+OUT_PATH = Path(__file__).parent / "out" / "BENCH_core.json"
 
 #: Throughput may regress by at most this factor vs the baseline.
 REGRESSION_TOLERANCE = 0.75
@@ -82,7 +83,7 @@ def _events_per_sec(config_factory, rounds: int = 8) -> float:
     return best
 
 
-def test_perf_trajectory(out_dir):
+def test_perf_trajectory():
     """Measure events/sec, write BENCH_core.json, gate on the baseline."""
     current = {
         name: round(_events_per_sec(factory))
@@ -125,9 +126,8 @@ def test_perf_trajectory(out_dir):
             name: round(current[name] / pre_pr[name], 2) for name in current
         },
     }
-    out_path = out_dir / "BENCH_core.json"
-    out_path.write_text(json.dumps(trajectory, indent=2) + "\n")
-    print(f"\n{json.dumps(trajectory, indent=2)}\n[written to {out_path}]")
+    OUT_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
+    print(f"\n{json.dumps(trajectory, indent=2)}\n[written to {OUT_PATH}]")
 
     for name, value in current.items():
         floor = baseline["events_per_sec"][name] * REGRESSION_TOLERANCE

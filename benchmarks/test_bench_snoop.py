@@ -21,7 +21,7 @@ from repro.experiments.topology import Scheme
 @pytest.mark.table("snoop_vs_ebsn")
 def test_snoop_vs_ebsn_bursty(results):
     if not STRICT:
-        # Smoke scale: the table is regenerated and saved, but the
+        # Smoke scale: the table is run and rendered, but the
         # paper-shape margins only hold at full scale.
         return
 

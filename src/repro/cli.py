@@ -12,7 +12,7 @@ Commands:
 * ``validate`` — run every claim check and print a ✓/✗ report.
 * ``replay`` — re-run a recorded invariant-violation bundle.
 * ``profile`` — cProfile one run; hot functions + perf counters.
-* ``report`` — assemble benchmarks/out/*.txt into REPORT.md, in registry order.
+* ``report`` — regenerate every ``benchmarks/out`` table and REPORT.md.
 
 Simulation commands accept ``--validate`` to attach the runtime
 invariant engine (:mod:`repro.validate`); a violation aborts the
@@ -35,7 +35,9 @@ study commands their benchmark table's
 (:mod:`repro.experiments.tables`) over the points their flags select.
 ``sweep`` and ``figure`` run theirs as one campaign under the engine
 flags and print its completeness report after; ``figure 3``-``5`` print
-:func:`~repro.experiments.figures.trace_table`.
+:func:`~repro.experiments.figures.trace_table`.  ``report`` writes
+:func:`~repro.experiments.tables.render_all`'s tables, or nothing if a
+unit fails.
 
 Each handler imports the modules its command uses, so ``repro run``
 loads no pool, cache, journal, figure or study module, and ``sweep``
@@ -47,6 +49,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.experiments.config import (
@@ -274,7 +277,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.experiments.figures import trace_header
 
     result = run_scenario(
-        trace_example_scenario(SCHEMES[args.scheme]),
+        replace(trace_example_scenario(SCHEMES[args.scheme]), seed=args.seed),
         validate=_single_run_validate(args),
     )
     print(trace_header(f"{args.scheme}:", result))
@@ -481,38 +484,28 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    """Regenerate every committed table (one worker per CPU, no cache),
+    then write each to ``--out-dir`` and REPORT.md."""
+    import os
+    import time
     from pathlib import Path
 
-    out_dir = Path(args.out_dir)
-    if not out_dir.is_dir():
-        print(
-            f"{out_dir} not found — run `pytest benchmarks/ --benchmark-only` first",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.experiments.figures import TRACES
-    from repro.experiments.tables import TABLES
+    from repro.experiments.tables import REPLICATIONS, render_all
 
-    # The registries' order, then any other table.
-    order = [*TRACES, *TABLES]
-    available = {p.stem: p for p in sorted(out_dir.glob("*.txt"))}
-    ordered = [n for n in order if n in available]
-    ordered += [n for n in sorted(available) if n not in order]
-    if not ordered:
-        print(f"no .txt outputs in {out_dir}", file=sys.stderr)
-        return 2
+    start, times = time.perf_counter(), os.times()
+    texts = render_all(1.0, REPLICATIONS, workers=0)
+    wall = time.perf_counter() - start
+    cpu = sum(os.times()[:4]) - sum(times[:4])
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     sections = ["# Benchmark report", "",
-                "Assembled from the figure benchmarks' saved outputs.", ""]
-    for name in ordered:
-        sections.append(f"## {name}")
-        sections.append("")
-        sections.append("```")
-        sections.append(available[name].read_text().rstrip())
-        sections.append("```")
-        sections.append("")
-    report_path = Path(args.output)
-    report_path.write_text("\n".join(sections))
-    print(f"wrote {report_path} ({len(ordered)} sections)")
+                "Regenerated by `python -m repro report`.", ""]
+    for name, text in texts.items():
+        (out_dir / f"{name}.txt").write_text(text)
+        sections += [f"## {name}", "", "```", text.rstrip(), "```", ""]
+    Path(args.output).write_text("\n".join(sections))
+    print(f"wrote {len(texts)} tables to {out_dir} and {args.output} "
+          f"in {wall:.1f} s wall, {cpu:.1f} s CPU")
     return 0
 
 
@@ -609,7 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_profile, parser=p)
 
-    p = sub.add_parser("report", help="assemble benchmark outputs into REPORT.md")
+    p = sub.add_parser(
+        "report", help="regenerate every benchmarks/out table and REPORT.md"
+    )
     p.add_argument("--out-dir", default="benchmarks/out")
     p.add_argument("--output", default="REPORT.md")
     p.set_defaults(func=_cmd_report)

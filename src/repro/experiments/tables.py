@@ -6,12 +6,13 @@ to its spec builder, ``(scale, replications)`` → a
 7-11 (:data:`~repro.experiments.figures.FIGURES`), the §2 and §4.2.2
 comparisons, the §6 studies, the ablations and the energy table (the
 trace tables are :data:`~repro.experiments.figures.TRACES`).
-``scale`` scales each table's transfer sizes (1.0 is the size its
-benchmark runs).  :func:`~repro.experiments.points.run_specs` runs any
+``scale`` scales each table's transfer sizes (1.0 is the committed
+tables' size).  :func:`~repro.experiments.points.run_specs` runs any
 set of them as one campaign, so a config two tables read (quench,
 snoop, energy and the TCP variant ablation share BASIC and EBSN on the
 WAN; the granularity and robust-timer ablations share their
-default-timer LAN runs) is simulated once.
+default-timer LAN runs) is simulated once.  :func:`render_all` renders
+every committed table from one such campaign, for ``repro report``.
 
 The study tables are built from the parameters the CLI varies too
 (:func:`csdp_table`, :func:`handoff_table`, :func:`congestion_table`),
@@ -32,8 +33,14 @@ from typing import Callable, Dict, Sequence
 from repro.csdp import CsdpStudyConfig
 from repro.experiments.config import WAN_TRANSFER_BYTES, wan_scenario
 from repro.experiments.congestion import CongestedScenarioConfig
-from repro.experiments.figures import FIGURES
-from repro.experiments.points import TableSpec, lan_point, table_renderer, wan_point
+from repro.experiments.figures import FIGURES, TRACES, trace_figure
+from repro.experiments.points import (
+    TableSpec,
+    lan_point,
+    run_specs,
+    table_renderer,
+    wan_point,
+)
 from repro.experiments.runner import ReplicatedResult, StudyPoint
 from repro.experiments.topology import Scheme
 from repro.handoff import HandoffConfig, HandoffScheme
@@ -482,3 +489,22 @@ TABLES: Dict[str, Callable[[float, int], TableSpec]] = {
         row=_energy_row,
     ),
 }
+
+
+#: Replications per point of the committed tables.
+REPLICATIONS = 10
+
+
+def render_all(scale: float, replications: int, **campaign) -> Dict[str, str]:
+    """Every committed table's text by name, in report order: the
+    :data:`~repro.experiments.figures.TRACES` tables over the Figs 3-5
+    runs, then every :data:`TABLES` spec at ``scale`` over
+    ``replications`` seeds as one campaign (``**campaign`` is forwarded
+    to :func:`~repro.experiments.points.run_specs`)."""
+    traces = {n: trace_figure(n) for n in (3, 4, 5)}
+    specs = {name: build(scale, replications) for name, build in TABLES.items()}
+    results, _ = run_specs(specs, replications, **campaign)
+    return {
+        **{name: render(traces) for name, render in TRACES.items()},
+        **{name: spec.render(results[name]) for name, spec in specs.items()},
+    }

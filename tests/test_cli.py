@@ -15,8 +15,9 @@ from repro.experiments.faults import (
     UnitTimeout,
 )
 
-#: The committed ``benchmarks/out`` tables.
+#: The committed ``benchmarks/out`` tables and the report built from them.
 OUT_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "out"
+REPORT_MD = OUT_DIR.parents[1] / "REPORT.md"
 
 
 class TestParser:
@@ -126,6 +127,14 @@ class TestTrace:
         assert code == 0
         assert "timeouts" in out
         assert "|" in out  # the plot body
+
+    def test_trace_seed_reaches_the_run(self, capsys):
+        """``--seed`` seeds the trace run's ARQ backoff streams: seed 3
+        times out where the Fig 4 run (seed 1) does not."""
+        code = main(["trace", "--scheme", "local_recovery", "--seed", "3"])
+        header = capsys.readouterr().out.splitlines()[1]
+        assert code == 0
+        assert "timeouts=5  source retransmissions=84" in header
 
 
 def swept(argv, replications, base_seed=1):
@@ -351,55 +360,89 @@ class TestCongestionCommand:
         assert "ECN" in out and "ebsn" in out
 
 
+def report_names():
+    """Every committed table's name, in report order."""
+    from repro.experiments.figures import TRACES
+    from repro.experiments.tables import TABLES
+
+    return [*TRACES, *TABLES]
+
+
 class TestReportCommand:
-    def test_report_assembles_sections(self, capsys, tmp_path):
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        (out_dir / "fig7_wan_basic.txt").write_text("fig7 data\n")
-        (out_dir / "zz_custom.txt").write_text("extra\n")
-        target = tmp_path / "REPORT.md"
-        code = main(
-            ["report", "--out-dir", str(out_dir), "--output", str(target)]
-        )
-        assert code == 0
-        text = target.read_text()
-        assert "## fig7_wan_basic" in text
-        assert "## zz_custom" in text
-        assert text.index("fig7_wan_basic") < text.index("zz_custom")
+    @pytest.fixture
+    def report(self, monkeypatch, tmp_path):
+        """``repro report`` into ``tmp_path`` over the texts it is handed
+        in place of a regeneration; returns the ``render_all`` calls."""
+        from repro.experiments import tables
 
-    def test_report_rebuilds_the_committed_report(self, capsys, tmp_path):
-        """``repro report`` over the committed tables is the committed
-        REPORT.md, byte for byte."""
-        root = Path(__file__).resolve().parents[1]
-        target = tmp_path / "REPORT.md"
-        code = main(
-            [
-                "report",
-                "--out-dir",
-                str(root / "benchmarks" / "out"),
-                "--output",
-                str(target),
-            ]
-        )
-        assert code == 0
-        assert target.read_bytes() == (root / "REPORT.md").read_bytes()
+        calls = []
 
-    def test_registries_own_every_committed_table(self, capsys, tmp_path):
+        def run(texts):
+            def render_all(*args, **campaign):
+                calls.append((args, campaign))
+                return texts
+
+            monkeypatch.setattr(tables, "render_all", render_all)
+            code = main(
+                ["report", "--out-dir", str(tmp_path / "out"),
+                 "--output", str(tmp_path / "REPORT.md")]
+            )
+            assert code == 0
+            return calls
+
+        return run
+
+    def test_report_writes_every_table_and_the_report(
+        self, report, capsys, tmp_path
+    ):
+        from repro.experiments.tables import REPLICATIONS
+
+        texts = {name: f"{name} table\n" for name in report_names()}
+        calls = report(texts)
+        assert calls == [((1.0, REPLICATIONS), {"workers": 0})]
+        written = {p.stem: p.read_text() for p in (tmp_path / "out").glob("*")}
+        assert written == texts
+        lines = (tmp_path / "REPORT.md").read_text().splitlines()
+        assert lines[2] == "Regenerated by `python -m repro report`."
+        sections = [line[3:] for line in lines if line.startswith("## ")]
+        assert sections == report_names()
+        assert lines[lines.index("## fig7_wan_basic") + 3] == "fig7_wan_basic table"
+        out = capsys.readouterr().out
+        assert "s wall" in out and "s CPU" in out
+
+    def test_report_rebuilds_the_committed_report(self, report, tmp_path):
+        """``repro report`` over the committed tables' texts writes the
+        committed REPORT.md, byte for byte."""
+        report({name: (OUT_DIR / f"{name}.txt").read_text() for name in report_names()})
+        assert (tmp_path / "REPORT.md").read_bytes() == REPORT_MD.read_bytes()
+
+    def test_a_quarantined_unit_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        """The regeneration is fail-fast: an aborted campaign exits 4
+        before any table or REPORT.md is written."""
+        failure = UnitFailure(
+            index=0, key=None, seed=1, scheme="basic", kind=FAULT_TIMEOUT,
+            message="wall-clock budget exceeded", attempts=3,
+        )
+
+        def aborted(*args, **kwargs):
+            raise UnitTimeout(failure)
+
+        monkeypatch.setattr("repro.experiments.points.sweep_campaign", aborted)
+        code = main(
+            ["report", "--out-dir", str(tmp_path / "out"),
+             "--output", str(tmp_path / "REPORT.md")]
+        )
+        assert code == 4
+        assert "campaign aborted" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_registries_own_every_committed_table(self):
         """Every committed table has a producer in a registry, and the
-        report's sections follow the registries' order."""
-        from repro.experiments.figures import TRACES
-        from repro.experiments.tables import TABLES
-
-        names = [*TRACES, *TABLES]
+        committed report's sections follow the registries' order."""
+        names = report_names()
         assert sorted(p.stem for p in OUT_DIR.glob("*.txt")) == sorted(names)
-        target = tmp_path / "REPORT.md"
-        main(["report", "--out-dir", str(OUT_DIR), "--output", str(target)])
         sections = [
-            line[3:] for line in target.read_text().splitlines()
+            line[3:] for line in REPORT_MD.read_text().splitlines()
             if line.startswith("## ")
         ]
         assert sections == names
-
-    def test_report_missing_dir(self, tmp_path):
-        code = main(["report", "--out-dir", str(tmp_path / "nope")])
-        assert code == 2

@@ -1,23 +1,29 @@
 """Smoke tests for the table specs and the ASCII plotter.
 
-The real, full-scale table regeneration lives in ``benchmarks/``;
-these tests only pin the plumbing (each table's layout, theoretical
-values, rendering) with tiny transfers.
+The full-scale regeneration is ``python -m repro report``; these tests
+run the same :func:`~repro.experiments.tables.render_all` with tiny
+transfers and pin only the plumbing (each table's layout, theoretical
+values, rendering).
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.ascii_plot import format_table, plot_series
 from repro.experiments.config import LAN_BAD_PERIODS, WAN_PACKET_SIZES
 from repro.experiments.figures import (
+    TRACES,
     lan_theoretical_mbps,
     trace_figure,
     wan_theoretical_kbps,
 )
-from repro.experiments.points import run_specs
-from repro.experiments.tables import TABLES
+from repro.experiments.tables import TABLES, render_all
+
+#: The committed ``benchmarks/out`` tables.
+OUT_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "out"
 
 
 class TestTraceFigures:
@@ -30,6 +36,12 @@ class TestTraceFigures:
         with pytest.raises(ValueError):
             trace_figure(6)
 
+    def test_trace_tables_are_the_committed_ones(self, tables):
+        """The Figs 3-5 runs do not scale, so their tables are the
+        committed ones at any scale."""
+        for name in TRACES:
+            assert tables[name] == (OUT_DIR / f"{name}.txt").read_text().splitlines()
+
 
 @pytest.fixture(scope="module")
 def specs():
@@ -38,13 +50,12 @@ def specs():
 
 
 @pytest.fixture(scope="module")
-def tables(specs):
-    """Every registered table's lines, rendered from one campaign."""
-    results, campaign = run_specs(specs, replications=1)
-    assert campaign.report.complete
-    return {
-        name: spec.render(results[name]).splitlines() for name, spec in specs.items()
-    }
+def tables():
+    """Every committed table's lines, in report order, rendered by
+    :func:`render_all` at the same tiny scale from one campaign."""
+    texts = render_all(0.02, 1)
+    assert list(texts) == [*TRACES, *TABLES]
+    return {name: text.splitlines() for name, text in texts.items()}
 
 
 def wan_rows(lines):
