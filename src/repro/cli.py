@@ -35,7 +35,8 @@ study commands their benchmark table's
 (:mod:`repro.experiments.tables`) over the points their flags select.
 ``sweep`` and ``figure`` run theirs as one campaign under the engine
 flags and print its completeness report after; ``figure 3``-``5`` print
-:func:`~repro.experiments.figures.trace_table`.  ``report`` writes
+:func:`~repro.experiments.figures.trace_table` of one run and reject
+the campaign flags (exit 2).  ``report`` writes
 :func:`~repro.experiments.tables.render_all`'s tables, or nothing if a
 unit fails.
 
@@ -344,6 +345,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
     n = args.number
     if n in (3, 4, 5):
+        # One run: a campaign flag set to anything but its default is an error.
+        for dest in ("replications", "workers", "no_cache", "timeout", "retries",
+                     "resume", "fail_fast"):
+            if getattr(args, dest) != args.parser.get_default(dest):
+                flag = "--" + dest.replace("_", "-")
+                args.parser.error(f"{flag}: figure {n} is one run, not a campaign")
         result = trace_figure(n, validate=_single_run_validate(args))
         print(trace_table(n, result), end="")
         return 0

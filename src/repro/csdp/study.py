@@ -102,10 +102,10 @@ class CsdpStudy(Topology):
         n = config.n_connections
         mh_names = [f"MH{i}" for i in range(n)]
 
-        self.bs = Node("BS")
+        bs = Node("BS")
 
         # Independent fading per mobile host.
-        self.channels = {
+        channels = {
             name: self.fading(name, GOOD_PERIOD_MEAN, BAD_PERIOD_MEAN)
             for name in mh_names
         }
@@ -114,33 +114,29 @@ class CsdpStudy(Topology):
         self.radio = DownlinkRadio(
             sim,
             WIRELESS,
-            self.channels,
+            channels,
             config.build_scheduler(),
             rng=self.streams.stream("radio-backoff"),
             deliver=self._deliver,
         )
 
-        # The fixed hosts and links, kept for the event log.
-        self.fh_nodes, self.links = [], []
         self.remaining = n
 
         for i, mh_name in enumerate(mh_names):
             fh_name = f"FH{i}"
             fh = Node(fh_name)
             mh = self.mh_nodes[mh_name]
-            self.fh_nodes.append(fh)
 
-            wired_down, wired_up = self.wired_pair(
-                fh, self.bs, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY,
+            self.wired_pair(
+                fh, bs, WIRED_BANDWIDTH_BPS, WIRED_PROP_DELAY,
                 (mh_name, "BS"), (fh_name,),
             )
             # Plain per-MH uplink for TCP ACKs (shares the MH's fading).
-            uplink, up_port = self.plain_uplink(
-                WIRELESS, self.channels[mh_name], f"{mh_name}->BS", f"up-{mh_name}",
-                self.bs.receive, reassembly_timeout=60.0,
+            _, up_port = self.plain_uplink(
+                WIRELESS, channels[mh_name], f"{mh_name}->BS", f"up-{mh_name}",
+                bs.receive, reassembly_timeout=60.0,
             )
             mh.add_interface(up_port.send_datagram, fh_name, "BS")
-            self.links += [wired_down, wired_up, uplink]
 
             sender = TahoeSender(
                 sim,
@@ -154,7 +150,7 @@ class CsdpStudy(Topology):
             mh.attach_agent(sink)
             self.connections.append((sender, sink))
 
-        self.bs.add_interface(self.radio.send_datagram, *mh_names)
+        bs.add_interface(self.radio.send_datagram, *mh_names)
 
     def _deliver(self, datagram) -> None:
         self.mh_nodes[datagram.dst].receive(datagram)

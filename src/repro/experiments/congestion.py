@@ -28,7 +28,6 @@ from typing import Optional
 
 from repro.engine import Simulator
 from repro.metrics import ConnectionMetrics
-from repro.net.link import WiredLink
 from repro.net.node import Node
 from repro.net.packet import Datagram, TcpSegment
 from repro.experiments.topology import (
@@ -140,7 +139,7 @@ class CongestedScenario(Scenario):
     """The Fig. 2 scenario behind a congested, routed wired side.
 
     ``wired_down`` is the R->BS bottleneck and ``wired_up`` the BS->R
-    reverse path; ``router`` and ``xs`` are the extra nodes.
+    reverse path; ``xs`` is the cross-traffic source's node.
     """
 
     config: CongestedScenarioConfig
@@ -162,18 +161,16 @@ class CongestedScenario(Scenario):
         """FH and XS feed R over access links; R->BS is the bottleneck."""
         delay = WIRED_PROP_DELAY
         self.xs = Node("XS")
-        self.router = Node("R")
-        self.wired_pair(self.fh, self.router, ACCESS_BPS, delay, ("MH", "BS", "R"), ("FH",))
+        router = Node("R")
+        self.wired_pair(self.fh, router, ACCESS_BPS, delay, ("MH", "BS", "R"), ("FH",))
         # The bottleneck, with a bounded queue and optional ECN marking,
         # and its uncongested reverse path (ACKs, EBSNs).
         self.wired_down, self.wired_up = self.wired_pair(
-            self.router, self.bs, BOTTLENECK_BPS, delay, ("MH", "BS"), ("FH",),
+            router, self.bs, BOTTLENECK_BPS, delay, ("MH", "BS"), ("FH",),
             queue_capacity=BOTTLENECK_QUEUE_PACKETS,
             ecn_threshold=ECN_THRESHOLD_PACKETS if self.config.ecn else None,
         )
-        xs_r = WiredLink(self.sim, ACCESS_BPS, delay, name="XS->R")
-        xs_r.connect(self.router.receive)
-        self.xs.add_interface(xs_r.send, "BS")
+        self.wired_link(self.xs, router, ACCESS_BPS, delay, ("BS",))
         self.cross_sink = CbrSink()
         self.bs.attach_agent(self.cross_sink)
 

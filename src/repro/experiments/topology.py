@@ -10,9 +10,9 @@ metrics, the source packet trace, and all component statistics.
 
 Every topology a campaign runs, the studies' too, derives from
 :class:`Topology`: it owns the simulator, the seeded streams, the
-connections and ports the invariant checkers watch, the parts every
-topology wires the same way, and the one path that builds, runs and
-summarizes a config (:meth:`Topology.simulate`).
+connections and ports the invariant checkers watch, the parts its
+helpers build (which the event log wraps), and the one path that
+builds, runs and summarizes a config (:meth:`Topology.simulate`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import gc
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.channel import deterministic_channel, markov_channel
 from repro.core.ebsn import EbsnGenerator, install_ebsn_handler
@@ -232,7 +232,9 @@ class Topology:
     """The base of every topology a campaign runs: the simulator, the
     streams seeded by ``config.seed``, the ``connections`` (sender,
     sink) and wireless ``ports`` the invariant checkers watch, and the
-    parts every topology wires the same way.  A subclass defines
+    helpers that build its parts, which record each link in ``links``,
+    channel in ``channels`` and node routing over a wired link in
+    ``nodes`` (by name): what the event log wraps.  A subclass defines
     ``run(wall_timeout)``, and ``outcome`` where its campaign summary
     is not the run's result."""
 
@@ -247,6 +249,9 @@ class Topology:
         self.streams = RandomStreams(config.seed)
         self.connections: List[Tuple[TahoeSender, TcpSink]] = []
         self.ports: List[WirelessPort] = []
+        self.links: List[WiredLink | WirelessLink] = []
+        self.channels: list = []
+        self.nodes: Dict[str, Node] = {}
 
     @classmethod
     def simulate(cls, config, validate=None, bundle_dir=None, wall_timeout=None):
@@ -283,29 +288,43 @@ class Topology:
         """The campaign summary of a finished run: its result."""
         return result
 
-    def wired_pair(self, a: Node, b: Node, bandwidth: float, delay: float,
-                   a_routes, b_routes, queue_capacity=None, ecn_threshold=None):
-        """The one-way links ``A->B`` and ``B->A``, each delivering to
-        the far node; ``a`` routes ``a_routes`` over the first, ``b``
-        routes ``b_routes`` over the second.  The queue options apply
-        to ``A->B``."""
-        forward = WiredLink(
+    def wired_link(self, a: Node, b: Node, bandwidth: float, delay: float, routes,
+                   queue_capacity=None, ecn_threshold=None) -> WiredLink:
+        """The one-way link ``A->B``, delivering to ``b``; ``a`` routes
+        ``routes`` over it."""
+        link = WiredLink(
             self.sim, bandwidth, delay, queue_capacity=queue_capacity,
             ecn_threshold=ecn_threshold, name=f"{a.name}->{b.name}",
         )
-        reverse = WiredLink(self.sim, bandwidth, delay, name=f"{b.name}->{a.name}")
-        forward.connect(b.receive)
-        reverse.connect(a.receive)
-        a.add_interface(forward.send, *a_routes)
-        b.add_interface(reverse.send, *b_routes)
-        return forward, reverse
+        link.connect(b.receive)
+        a.add_interface(link.send, *routes)
+        self.links.append(link)
+        self.nodes[a.name] = a
+        return link
+
+    def wired_pair(self, a: Node, b: Node, bandwidth: float, delay: float,
+                   a_routes, b_routes, queue_capacity=None, ecn_threshold=None):
+        """The :meth:`wired_link` ``A->B`` routing ``a_routes`` and
+        ``B->A`` routing ``b_routes``; the queue options apply to ``A->B``."""
+        return (
+            self.wired_link(a, b, bandwidth, delay, a_routes, queue_capacity, ecn_threshold),
+            self.wired_link(b, a, bandwidth, delay, b_routes),
+        )
+
+    def wireless_link(self, wireless: WirelessLinkConfig, channel, name: str) -> WirelessLink:
+        """A wireless link ``name`` over ``channel``, for its caller to connect."""
+        link = WirelessLink(self.sim, wireless, channel, name=name)
+        self.links.append(link)
+        return link
 
     def fading(self, name: str, good: float, bad: float):
         """A burst-error channel with mean ``good`` and ``bad`` periods,
         on the ``errors-<name>`` and ``sojourns-<name>`` streams."""
         streams = self.streams
-        return markov_channel(good, bad, rng=streams.stream(f"errors-{name}"),
-                              sojourn_rng=streams.stream(f"sojourns-{name}"))
+        channel = markov_channel(good, bad, rng=streams.stream(f"errors-{name}"),
+                                 sojourn_rng=streams.stream(f"sojourns-{name}"))
+        self.channels.append(channel)
+        return channel
 
     def plain_uplink(self, wireless: WirelessLinkConfig, channel, name: str,
                      port_name: str, deliver, reassembly_timeout: float):
@@ -313,7 +332,7 @@ class Topology:
         which is added to ``ports``; returns both.  A PLAIN port
         fragments onto its link and reassembles what the link delivers,
         so one port spans both ends."""
-        link = WirelessLink(self.sim, wireless, channel, name=name)
+        link = self.wireless_link(wireless, channel, name)
         port = WirelessPort(self.sim, port_name, out_link=link, deliver=deliver,
                             reassembly_timeout=reassembly_timeout)
         link.connect(port.receive_frame)
@@ -327,6 +346,7 @@ class Scenario(Topology):
     def __init__(self, config: ScenarioConfig) -> None:
         super().__init__(config)
         self.channel = config.channel.build(self.streams)
+        self.channels.append(self.channel)
 
         self.fh = Node("FH")
         self.bs = Node("BS")
@@ -335,8 +355,8 @@ class Scenario(Topology):
         self._build_wired()
 
         # Wireless hop; both directions share the fading channel.
-        self.downlink = WirelessLink(self.sim, config.wireless, self.channel, name="BS->MH")
-        self.uplink = WirelessLink(self.sim, config.wireless, self.channel, name="MH->BS")
+        self.downlink = self.wireless_link(config.wireless, self.channel, "BS->MH")
+        self.uplink = self.wireless_link(config.wireless, self.channel, "MH->BS")
 
         arq = config.derived_arq()
         mode = (
@@ -393,7 +413,7 @@ class Scenario(Topology):
         # finishes early (the relay ACKs on arrival at the BS), so the
         # run ends when the *sink* has all the data.
         is_split = config.scheme is Scheme.SPLIT
-        relay_packet_size, relayed_bytes = self._relayed()
+        relayed_bytes = self._relayed()
         self.trace = None
         if config.record_trace:
             from repro.metrics.trace import PacketTrace
@@ -458,7 +478,7 @@ class Scenario(Topology):
                 self.bs,
                 wired_peer="FH",
                 mobile="MH",
-                wireless_packet_size=relay_packet_size,
+                wireless_packet_size=config.tcp.packet_size,
                 window_bytes=config.tcp.window_bytes,
                 transfer_bytes=relayed_bytes,
                 clock_granularity=config.tcp.clock_granularity,
@@ -470,11 +490,10 @@ class Scenario(Topology):
         self.connections.append((self.sender, self.sink))
         self.ports += [self.bs_port, self.mh_port]
 
-    def _relayed(self) -> Tuple[int, int]:
-        """What a split connection's relay sends the MH: its packet
-        size, and the bytes after which it closes its stream and the
-        MH's sink completes the run."""
-        return self.config.tcp.packet_size, self.config.tcp.transfer_bytes
+    def _relayed(self) -> int:
+        """The bytes after which a split connection's relay closes its
+        stream to the MH and the MH's sink completes the run."""
+        return self.config.tcp.transfer_bytes
 
     def _build_wired(self) -> None:
         """Wire the FH<->BS hop: the one override point for a study's

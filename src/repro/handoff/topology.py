@@ -169,29 +169,26 @@ class HandoffScenario(Topology):
         super().__init__(config)
         sim = self.sim
 
-        self.fh, self.router, self.mh = Node("FH"), Node("R"), Node("MH")
-        self.bs_nodes = {name: Node(name) for name in ("BS1", "BS2")}
+        fh, self.router, self.mh = Node("FH"), Node("R"), Node("MH")
 
         # Wired mesh.
         mesh = partial(
             self.wired_pair, bandwidth=WIRED_BANDWIDTH_BPS, delay=WIRED_PROP_DELAY
         )
-        fh_r, r_fh = mesh(self.fh, self.router, a_routes=("MH", "R"), b_routes=("FH",))
+        mesh(fh, self.router, a_routes=("MH", "R"), b_routes=("FH",))
 
         # Per-BS wired spurs and wireless cells (independent channels),
-        # keyed by BS; ``links`` keeps the rest for the event log.
-        self.channels, self.cells, self.up_ports, self.spurs_down = {}, {}, {}, {}
-        self.links = [fh_r, r_fh]
+        # keyed by BS.
+        self.cells, self.up_ports, self.spurs_down = {}, {}, {}
         self.mh_reassembler = Reassembler(sim, timeout=REASSEMBLY_TIMEOUT, name="mh")
         self.cell: Optional[str] = None
 
-        for name, bs in self.bs_nodes.items():
-            channel = self.channels[name] = self.fading(
-                name, GOOD_PERIOD_MEAN, BAD_PERIOD_MEAN
-            )
-            down = WirelessLink(sim, WIRELESS, channel, name=f"{name}->MH")
+        for name in ("BS1", "BS2"):
+            bs = Node(name)
+            channel = self.fading(name, GOOD_PERIOD_MEAN, BAD_PERIOD_MEAN)
+            down = self.wireless_link(WIRELESS, channel, f"{name}->MH")
             down.connect(partial(self._mh_receive_frame, name))
-            up, self.up_ports[name] = self.plain_uplink(
+            _, self.up_ports[name] = self.plain_uplink(
                 WIRELESS, channel, f"MH->{name}", f"{name}.up", bs.receive,
                 reassembly_timeout=REASSEMBLY_TIMEOUT,
             )
@@ -199,10 +196,9 @@ class HandoffScenario(Topology):
             self.cells[name] = CellPort(sim, name, down, WIRELESS.mtu_bytes)
             bs.add_interface(self.cells[name].send_datagram, "MH")
 
-            self.spurs_down[name], spur_up = mesh(
+            self.spurs_down[name], _ = mesh(
                 self.router, bs, a_routes=(name,), b_routes=("FH", "R", "BS1", "BS2")
             )
-            self.links += [down, up, spur_up]
 
         # The router forwards MH traffic toward the serving cell; during a
         # disconnection it keeps pointing at the *old* cell (binding
@@ -218,13 +214,13 @@ class HandoffScenario(Topology):
         self.trace = PacketTrace()
         self.sender = TahoeSender(
             sim,
-            self.fh,
+            fh,
             "MH",
             config=TcpConfig(transfer_bytes=config.transfer_bytes),
             on_complete=sim.stop,
             trace=self.trace,
         )
-        self.fh.attach_agent(self.sender)
+        fh.attach_agent(self.sender)
         self.sink = TcpSink(sim, self.mh, "FH")
         self.mh.attach_agent(self.sink)
         self.connections.append((self.sender, self.sink))

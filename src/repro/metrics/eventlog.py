@@ -2,8 +2,8 @@
 
 The original ns produced flat text traces (one line per network event)
 that its users post-processed; the paper's Figs 3-5 came from such
-traces.  :class:`EventLog` is this library's equivalent: components
-are instrumented by wrapping their public callbacks
+traces.  :class:`EventLog` is this library's equivalent: a topology's
+links and channels are instrumented by wrapping their public callbacks
 (:func:`attach_to_scenario`), every event becomes one record, and the
 log round-trips through the classic whitespace format::
 
@@ -23,11 +23,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, TextIO
 
-from repro.channel.bernoulli import BernoulliLossChannel
-from repro.channel.twostate import TwoStateChannel
 from repro.net.link import WiredLink
-from repro.net.node import Node
-from repro.net.wireless import WirelessLink
 
 
 class TraceParseError(ValueError):
@@ -162,10 +158,11 @@ class EventLog:
 def attach_to_scenario(scenario) -> EventLog:
     """Instrument a built (not yet run) topology with an event log.
 
-    Wraps the ``send`` and delivery callbacks of every wired and
-    wireless link the topology holds, and the corruption test of every
-    channel: its attributes, and the items of its list, tuple and dict
-    attributes.  Must be called before the topology's ``run``.
+    Wraps the ``send`` and delivery callbacks of every link in the
+    ``links`` its :class:`~repro.experiments.topology.Topology` helpers
+    recorded and the corruption test of every channel in its
+    ``channels``, and rebinds its ``nodes``' routes to the wrapped
+    ``send``.  Must be called before the topology's ``run``.
 
     Instrumentation is strictly opt-in: the wrappers below exist only
     on scenarios this function was called on.  An uninstrumented run
@@ -177,8 +174,6 @@ def attach_to_scenario(scenario) -> EventLog:
     """
     log = EventLog()
     sim = scenario.sim
-    parts = list({id(part): part for part in _parts(scenario)}.values())
-    nodes = [part for part in parts if isinstance(part, Node)]
 
     def wrap_wired(link):
         original_send = link.send
@@ -196,7 +191,7 @@ def attach_to_scenario(scenario) -> EventLog:
         # Routes installed before instrumentation hold the bound
         # method, on whichever node sends into the link; rebind them to
         # the wrapper.
-        for node in nodes:
+        for node in scenario.nodes.values():
             routes = node.routing._routes
             for dst, forward in routes.items():
                 if forward == original_send:
@@ -250,25 +245,14 @@ def attach_to_scenario(scenario) -> EventLog:
 
         channel.corrupts = corrupts
 
-    for part in parts:
-        if isinstance(part, WiredLink):
-            wrap_wired(part)
-        elif isinstance(part, WirelessLink):
-            wrap_wireless(part)
-        elif isinstance(part, (TwoStateChannel, BernoulliLossChannel)):
-            wrap_channel(part)
-    return log
-
-
-def _parts(scenario):
-    """A topology's attributes, and the items of its containers."""
-    for value in vars(scenario).values():
-        if isinstance(value, dict):
-            yield from value.values()
-        elif isinstance(value, (list, tuple)):
-            yield from value
+    for link in scenario.links:
+        if isinstance(link, WiredLink):
+            wrap_wired(link)
         else:
-            yield value
+            wrap_wireless(link)
+    for channel in scenario.channels:
+        wrap_channel(channel)
+    return log
 
 
 class EventLogAnalyzer:

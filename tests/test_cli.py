@@ -283,6 +283,29 @@ class TestFigure:
         assert code == 0
         assert out == (OUT_DIR / f"{name}.txt").read_text()
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--replications", "3"],
+            ["--workers", "2"],
+            ["--no-cache"],
+            ["--timeout", "5"],
+            ["--retries", "1"],
+            ["--resume", "j.journal"],
+            ["--fail-fast"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_trace_figure_rejects_campaign_flags(self, flag, tmp_path, monkeypatch, capsys):
+        """A trace figure is one run: a campaign flag is a usage error,
+        not silently ignored, and ``--resume`` creates no journal."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "4", *flag])
+        assert exc.value.code == 2
+        assert f"error: {flag[0]}: figure 4" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_figure(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "99"])

@@ -239,6 +239,15 @@ class TestCongestedScenarioObservers:
             assert scenario.sender.stats.ecn_responses > 0
             assert scenario.sender.stats.ebsn_received > 0
 
+    def test_event_log_sees_the_access_links(self):
+        scenario = CongestedScenario(CongestedScenarioConfig(cross_load=0.9))
+        log = attach_to_scenario(scenario)
+        scenario.run()
+        sends = {e.place for e in log.events if e.event is EventType.WIRED_SEND}
+        assert {"FH->R", "XS->R"} <= sends
+        acks = {e.event for e in log.events if e.place == "R->FH" and e.kind == "ack"}
+        assert acks == {EventType.WIRED_SEND, EventType.WIRED_RECV}
+
     def test_event_log_sees_router_sends_into_bottleneck(self):
         scenario = CongestedScenario(CongestedScenarioConfig(cross_load=0.9))
         log = attach_to_scenario(scenario)

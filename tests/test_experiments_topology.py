@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.channel.bernoulli import BernoulliLossChannel
+from repro.channel.twostate import TwoStateChannel
 from repro.experiments import topology
 from repro.experiments.config import lan_scenario, wan_scenario
 from repro.experiments.congestion import CongestedScenario, CongestedScenarioConfig
@@ -23,9 +25,10 @@ from repro.experiments.topology import (
     Topology,
 )
 from repro.linklayer import ArqConfig, LinkLayerMode
+from repro.net.link import WiredLink
 from repro.net.node import Node
 from repro.net.packet import Datagram, TcpAck
-from repro.net.wireless import WirelessLinkConfig
+from repro.net.wireless import WirelessLink, WirelessLinkConfig
 from tests.test_experiments_parallel import _registered_configs
 
 
@@ -181,6 +184,7 @@ class TestTopologyBase:
         assert b.routing._routes == {"A": reverse.send}
         assert (forward.queue.capacity, forward.ecn_threshold) == (3, 2)
         assert (reverse.queue.capacity, reverse.ecn_threshold) == (None, None)
+        assert (t.links, t.nodes) == ([forward, reverse], {"A": a, "B": b})
         a.send(Datagram("A", "B", TcpAck(0), 40))
         b.send(Datagram("B", "A", TcpAck(1), 40))
         t.sim.run()
@@ -194,10 +198,46 @@ class TestTopologyBase:
             WirelessLinkConfig(), channel, "MH->BS", "up", [].append,
             reassembly_timeout=5.0,
         )
-        assert t.ports == [port]
+        assert (t.ports, t.links, t.channels) == ([port], [link], [channel])
         assert (link.name, link.channel) == ("MH->BS", channel)
         assert port.out_link is link and port.mode is LinkLayerMode.PLAIN
         assert link._receiver == port.receive_frame
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            *_registered_configs(),
+            pytest.param(
+                replace(wan_scenario(transfer_bytes=1024), channel=ChannelConfig(uniform=True)),
+                id="uniform-channel",
+            ),
+        ],
+        ids=lambda c: type(c).__name__,
+    )
+    def test_registry_holds_every_part_built(self, config, monkeypatch):
+        """Every link and channel a topology builds is in its ``links``
+        or ``channels``, and every node that routes over one of its
+        wired links is in its ``nodes``: what the event log wraps."""
+        built = []
+        for cls in (WiredLink, WirelessLink, TwoStateChannel, BernoulliLossChannel, Node):
+
+            def record(self, *args, _init=cls.__init__, **kwargs):
+                _init(self, *args, **kwargs)
+                built.append(self)
+
+            monkeypatch.setattr(cls, "__init__", record)
+        t = topology_of(config)(config)
+
+        def ids(parts):
+            return sorted(map(id, parts))
+
+        assert ids(t.links + t.channels) == ids(p for p in built if not isinstance(p, Node))
+        sends = [link.send for link in t.links if isinstance(link, WiredLink)]
+        routing = [
+            node for node in built if isinstance(node, Node)
+            and any(send in sends for send in node.routing._routes.values())
+        ]
+        assert ids(t.nodes.values()) == ids(routing)
 
     @pytest.mark.parametrize(
         "config", _registered_configs(), ids=lambda c: type(c).__name__

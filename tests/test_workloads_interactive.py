@@ -12,6 +12,7 @@ from repro.tcp import TcpConfig
 from repro.tcp.messages import MessageSender
 from repro.experiments.parallel import run_unit
 from repro.workloads import InteractiveConfig, LatencyStats
+from repro.workloads.interactive import InteractiveSession
 
 
 class MessageHarness:
@@ -151,6 +152,15 @@ class TestInteractiveSession:
             )
 
         assert timeouts(ebsn_heartbeat=0.15) < 0.5 * max(timeouts(), 1)
+
+    def test_split_relay_sends_the_configs_packets(self):
+        """The relay's wireless sender runs every other sender's window:
+        the config's packets, not one packet per keystroke."""
+        config = InteractiveConfig(scheme=Scheme.SPLIT, keystrokes=20)
+        session = InteractiveSession(config)
+        relay = session.split_relay.wireless_sender
+        assert relay.config.packet_size == config.tcp.packet_size
+        assert relay._window_segments == session.sender._window_segments
 
     def test_validation(self):
         with pytest.raises(ValueError):
